@@ -12,21 +12,13 @@ from .core import (
     Solution,
     delta,
     evaluate,
-    symmetric_difference,
 )
 from .drivers import VARIANTS, RunConfig, RunReport, run
 from .elite_set import AddResult, EliteSet
 from .local_search import Move, SearchDepth, local_search
 from .lop import LopInstance
 from .maxcut import MaxCutInstance
-from .path_relinking import (
-    PathTrace,
-    PrConfig,
-    PrStep,
-    exterior_relink,
-    multi_parent_relink,
-    relink,
-)
+from .path_relinking import PathTrace, PrConfig, PrStep, relink
 
 __all__ = [
     "AddResult",
@@ -52,11 +44,8 @@ __all__ = [
     "construct",
     "delta",
     "evaluate",
-    "exterior_relink",
     "load_instance",
     "local_search",
-    "multi_parent_relink",
     "relink",
     "run",
-    "symmetric_difference",
 ]

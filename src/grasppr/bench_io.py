@@ -11,6 +11,7 @@ raise ParseError on any malformed text, never an unrelated exception.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .path_relinking import (
 )
 
 _INT32 = 1 << 31
+_TOKEN = re.compile(r"\S+")
 
 LOP = "lop"
 MAXCUT = "maxcut"
@@ -71,18 +73,8 @@ class _Tok:
 
 
 def _tokenize_line(raw: str, line_no: int) -> list[_Tok]:
-    toks = []
-    i = 0
-    while i < len(raw):
-        if raw[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(raw) and not raw[j].isspace():
-            j += 1
-        toks.append(_Tok(raw[i:j], line_no, i + 1))
-        i = j
-    return toks
+    # \s is Unicode whitespace, the same set str.isspace() accepts
+    return [_Tok(m.group(), line_no, m.start() + 1) for m in _TOKEN.finditer(raw)]
 
 
 def _is_int(text: str) -> bool:
@@ -534,18 +526,20 @@ def write_stats_csv(stats: ExperimentStats, sink: IO[str]) -> None:
 
 
 def read_best_known(path: Union[str, Path]) -> dict[str, int]:
-    """Load "instance,value" lines; a leading header row is tolerated."""
+    """Load "instance,value" lines; blank lines and "#" comments are skipped.
+
+    A header row is tolerated as the first line that is neither.
+    """
     table: dict[str, int] = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    numbered = enumerate(Path(path).read_text().splitlines(), start=1)
+    content = [(ln, raw) for ln, raw in numbered if raw.strip() and not raw.strip().startswith("#")]
+    for k, (ln, raw) in enumerate(content):
+        parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'instance,value', got {raw!r}", ln)
         name, value = parts
         if not _is_int(value):
-            if ln == 1:
+            if k == 0:
                 continue  # header row
             raise ParseError(f"best-known value is not an integer: {value!r}", ln)
         table[name] = int(value)

@@ -20,16 +20,14 @@ class ConstructionError(RuntimeError):
 class RclConfig:
     """How the restricted candidate list is built each construction step.
 
-    alpha is drawn uniformly from (alpha_low, alpha_high] per step (or once per
-    construction when per_step_alpha is false). alpha == 0 is pure greedy,
-    alpha == 1 pure random. A collapsed range (low == high) fixes alpha and
-    consumes no draws.
+    alpha is drawn uniformly from (alpha_low, alpha_high] at every step.
+    alpha == 0 is pure greedy, alpha == 1 pure random. A collapsed range
+    (low == high) fixes alpha and consumes no draws.
     """
 
     mode: str = VALUE
     alpha_low: float = 0.0
     alpha_high: float = 0.3
-    per_step_alpha: bool = True
 
     def __post_init__(self):
         if self.mode not in (VALUE, CARDINALITY):
@@ -77,23 +75,20 @@ def construct(instance: ProblemInstance, cfg: RclConfig, rng: RandomStream) -> S
     function of the instance.
     """
     builder = instance.new_construction()
-    alpha = None
-    if not cfg.per_step_alpha:
-        alpha = rng.alpha_in(cfg.alpha_low, cfg.alpha_high)
     while not builder.complete:
         entries = builder.candidates()
         if not entries:
             raise ConstructionError("empty candidate list")
-        step_alpha = rng.alpha_in(cfg.alpha_low, cfg.alpha_high) if cfg.per_step_alpha else alpha
-        if step_alpha == 0.0:
+        alpha = rng.alpha_in(cfg.alpha_low, cfg.alpha_high)
+        if alpha == 0.0:
             key = min(_greedy_keys(entries))
         else:
             if cfg.mode == VALUE:
-                rcl = build_rcl_value(entries, step_alpha)
+                rcl = build_rcl_value(entries, alpha)
                 if not rcl:  # literal threshold emptied the list (g_max < 0)
                     rcl = _greedy_keys(entries)
             else:
-                rcl = build_rcl_cardinality(entries, step_alpha)
+                rcl = build_rcl_cardinality(entries, alpha)
             key = rng.pick(rcl)
         builder.add(key)
     return builder.build()

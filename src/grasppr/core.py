@@ -10,9 +10,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-Objective = int
+from typing import Optional, Sequence
 
 PERMUTATION = "permutation"
 PARTITION = "partition"
@@ -72,23 +70,14 @@ def _payload(solution: Solution) -> list[int]:
     raise TypeError(f"not a solution: {solution!r}")
 
 
-def symmetric_difference(a: Solution, b: Solution) -> tuple[set[int], int]:
-    """Positions where a and b disagree, plus the count.
+def delta(a: Solution, b: Solution) -> int:
+    """Size of the symmetric difference: positions where a and b disagree.
 
-    For permutations this is the position-wise difference {j : a.order[j] != b.order[j]};
-    for partitions {j : a.bits[j] != b.bits[j]}.
+    For permutations this counts {j : a.order[j] != b.order[j]}; for
+    partitions {j : a.bits[j] != b.bits[j]}.
     """
     if type(a) is not type(b):
         raise TypeError(f"mixed representations: {type(a).__name__} vs {type(b).__name__}")
-    pa, pb = _payload(a), _payload(b)
-    if len(pa) != len(pb):
-        raise ValueError(f"dimension mismatch: {len(pa)} vs {len(pb)}")
-    positions = {j for j, (x, y) in enumerate(zip(pa, pb)) if x != y}
-    return positions, len(positions)
-
-
-def delta(a: Solution, b: Solution) -> int:
-    """|symmetric_difference(a, b)| without materializing the position set."""
     pa, pb = _payload(a), _payload(b)
     if len(pa) != len(pb):
         raise ValueError(f"dimension mismatch: {len(pa)} vs {len(pb)}")
@@ -98,8 +87,8 @@ def delta(a: Solution, b: Solution) -> int:
 class ProblemInstance(ABC):
     """Immutable problem data plus the hooks the generic search modules drive.
 
-    Concrete adapters provide construction, move enumeration, path-relinking
-    candidates and the attribute view used by multi-parent relinking.
+    Concrete adapters provide construction, move enumeration and
+    path-relinking candidates.
     """
 
     representation: str  # PERMUTATION or PARTITION
@@ -127,14 +116,6 @@ class ProblemInstance(ABC):
     @abstractmethod
     def pr_candidates(self, current: Solution, guiding: Solution):
         """Path-relinking step candidates toward guiding (see path_relinking.PrStep)."""
-
-    @abstractmethod
-    def absent_attributes(self, current: Solution, guide: Solution) -> Iterable[tuple]:
-        """Attributes of guide that current lacks (multi-parent relinking)."""
-
-    @abstractmethod
-    def attribute_move(self, current: Solution, attribute: tuple):
-        """(move, delta) incorporating one absent attribute into current."""
 
     def check_dimensions(self, solution: Solution) -> None:
         if len(_payload(solution)) != self.n:

@@ -46,7 +46,6 @@ class RunConfig:
     elite_k: int = 10
     d_th: Optional[int] = None  # None resolves to default_diversity_threshold(n)
     guide_policy: str = UNIFORM
-    pr_period: int = 1  # relink every pr_period-th iteration of the dynamic driver
     static_sample: int = 100  # constructions feeding the pool before static relinking
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class RunConfig:
             raise ValueError("d_th must be >= 1")
         if self.guide_policy not in (UNIFORM, PROPORTIONAL_DELTA):
             raise ValueError(f"unknown guide policy: {self.guide_policy!r}")
-        if self.pr_period < 1:
-            raise ValueError("pr_period must be >= 1")
         if self.static_sample < 1:
             raise ValueError("static_sample must be >= 1")
 
@@ -240,8 +237,6 @@ def _dynamic_iteration(state: DriverState) -> None:
         # the first k iterations of each epoch seed the pool; duplicates may
         # be rejected, so relinking starts on schedule even if the pool is small
         state.elite.try_add(sol)
-        return
-    if state.iterations % state.cfg.pr_period != 0:
         return
     guide = state.elite.select_guide(sol, state.cfg.guide_policy, state.rng)
     if guide is None or guide == sol:

@@ -3,15 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
 
-from .core import (
-    PartitionSolution,
-    PermutationSolution,
-    RandomStream,
-    Solution,
-    delta as delta_size,
-)
+from .core import RandomStream, Solution, delta as delta_size
 
 UNIFORM = "uniform"
 PROPORTIONAL_DELTA = "pdelta"
@@ -153,12 +147,3 @@ class EliteSet:
                     return self._members[i].solution, self._members[j].solution
         return None
 
-    def dump(self, sink: IO[str]) -> None:
-        """One solution per line: space-separated order, or a 0/1 membership string."""
-        for m in self._members:
-            if isinstance(m.solution, PermutationSolution):
-                sink.write(" ".join(map(str, m.solution.order)) + "\n")
-            elif isinstance(m.solution, PartitionSolution):
-                sink.write("".join(map(str, m.solution.bits)) + "\n")
-            else:
-                raise TypeError(f"cannot dump {type(m.solution).__name__}")

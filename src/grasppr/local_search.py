@@ -31,11 +31,6 @@ class Move:
     delta: int = 0
 
 
-def enumerate_moves(instance: ProblemInstance, solution: Solution, offset: int = 0):
-    """Every move of the instance's configured neighborhood, in scan order."""
-    return instance.moves(solution, offset)
-
-
 def local_search(
     instance: ProblemInstance,
     start: Solution,

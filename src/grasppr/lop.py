@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import PERMUTATION, PermutationSolution, ProblemInstance, delta as delta_size
+from .core import PERMUTATION, PermutationSolution, ProblemInstance
 from .local_search import Move
 from .path_relinking import PrStep
 
@@ -82,15 +82,8 @@ class LopInstance(ProblemInstance):
                 total += row[order[j]]
         return total
 
-    def append_gain(self, placed: Sequence[int], v: int) -> int:
-        """Objective increase of appending v after the placed prefix."""
-        return sum(self.cost[u][v] for u in placed)
-
-    def insert_delta(self, order: Sequence[int], elem: int, to_pos: int) -> int:
-        """Exact objective change of moving elem to to_pos (O(|i - j|))."""
-        return self._insert_delta(order, order.index(elem), to_pos)
-
     def _insert_delta(self, order: Sequence[int], from_pos: int, to_pos: int) -> int:
+        # exact objective change of moving order[from_pos] to to_pos, O(|i - j|)
         e = order[from_pos]
         cost = self.cost
         d = 0
@@ -182,15 +175,3 @@ class LopInstance(ProblemInstance):
                 steps.append(PrStep(move, move.delta, reaches_guiding=(new_size == 0)))
         return steps
 
-    def absent_attributes(self, current: PermutationSolution, guide: PermutationSolution) -> list[tuple[int, int]]:
-        # attribute = (element, position it occupies in the guide)
-        pos_cur = {v: p for p, v in enumerate(current.order)}
-        return [(v, p) for p, v in enumerate(guide.order) if pos_cur[v] != p]
-
-    def attribute_move(self, current: PermutationSolution, attribute: tuple[int, int]) -> tuple[Move, int]:
-        e, j = attribute
-        i = current.order.index(e)
-        if i == j:
-            raise ValueError(f"attribute {attribute} already present")
-        d = self._insert_delta(current.order, i, j)
-        return Move("insert", e, i, j, delta=d), d

@@ -135,13 +135,6 @@ class MaxCutInstance(ProblemInstance):
         bits = solution.bits
         return sum(w for i, j, w in self.edges if bits[i] != bits[j])
 
-    def flip_delta(self, solution: PartitionSolution, gains: GainTable, v: int) -> int:
-        return gains.gain[v]
-
-    def _gain_of(self, solution: PartitionSolution, v: int) -> int:
-        bits = solution.bits
-        return sum(w if bits[u] == bits[v] else -w for u, w in self.adj[v])
-
     def new_construction(self) -> _MaxCutBuilder:
         return _MaxCutBuilder(self)
 
@@ -181,13 +174,3 @@ class MaxCutInstance(ProblemInstance):
         reaches = len(diff) == 1
         return [PrStep(Move("transfer", j, delta=gains[j]), gains[j], reaches_guiding=reaches) for j in diff]
 
-    def absent_attributes(self, current: PartitionSolution, guide: PartitionSolution) -> list[tuple[int, int]]:
-        # attribute = (position, side bit in the guide)
-        return [(j, guide.bits[j]) for j in range(self.n) if current.bits[j] != guide.bits[j]]
-
-    def attribute_move(self, current: PartitionSolution, attribute: tuple[int, int]) -> tuple[Move, int]:
-        j, bit = attribute
-        if current.bits[j] == bit:
-            raise ValueError(f"attribute {attribute} already present")
-        d = self._gain_of(current, j)
-        return Move("transfer", j, delta=d), d

@@ -1,5 +1,5 @@
-"""Path relinking: interior walks in four directions, truncation, a minimum
-distance guard, exterior (diversifying) walks, and multi-parent relinking.
+"""Path relinking: interior walks in four directions, truncation and a minimum
+distance guard.
 
 Interior steps are restricted to moves that strictly reduce the symmetric
 difference to the guiding solution and the guiding solution itself is never
@@ -16,14 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import (
-    PARTITION,
-    ProblemInstance,
-    RandomStream,
-    Solution,
-    delta as delta_size,
-    evaluate,
-)
+from .core import ProblemInstance, RandomStream, Solution, delta as delta_size, evaluate
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -58,7 +51,6 @@ class PrConfig:
     min_distance: int = 4  # below this symmetric difference relinking is skipped
     in_path_ls: str = LS_NONE
     ls_every: int = 5
-    exterior_steps: int = 0  # nonzero runs the exterior walk instead of an interior one
 
     def __post_init__(self):
         if self.direction not in _DIRECTIONS:
@@ -75,8 +67,6 @@ class PrConfig:
             raise ValueError(f"unknown in-path local search policy: {self.in_path_ls!r}")
         if self.ls_every < 1:
             raise ValueError("ls_every must be >= 1")
-        if self.exterior_steps < 0:
-            raise ValueError("exterior_steps must be >= 0")
 
 
 @dataclass
@@ -84,12 +74,11 @@ class PathTrace:
     """Solutions visited between (never including) the endpoints.
 
     best_index points at the first visited solution attaining the maximum
-    objective, or None for an empty trace. guiding is None for multi-parent
-    traces, which have several guides.
+    objective, or None for an empty trace.
     """
 
     initiating: Solution
-    guiding: Optional[Solution]
+    guiding: Solution
     visited: list[tuple[Solution, int]] = field(default_factory=list)
     best_index: Optional[int] = None
 
@@ -193,8 +182,6 @@ def relink(
         raise TypeError("mismatched representations")
     if s == t:
         raise ValueError("relink endpoints must differ")
-    if cfg.exterior_steps > 0:
-        return exterior_relink(instance, s, t, cfg.exterior_steps, rng)
 
     fs = _ensure_objective(instance, s)
     ft = _ensure_objective(instance, t)
@@ -247,103 +234,3 @@ def relink(
             best.offer(improved, improved.cached_objective)
     return best.solution, trace
 
-
-def exterior_relink(
-    instance: ProblemInstance,
-    s: Solution,
-    t: Solution,
-    steps: int,
-    rng: RandomStream,
-) -> tuple[Solution, PathTrace]:
-    """Walk away from both endpoints by flipping positions they share.
-
-    Partition representations only. Every step strictly increases the
-    symmetric difference to both s and t; stops after `steps` flips or when no
-    shared position remains.
-    """
-    if instance.representation != PARTITION:
-        raise ValueError("exterior relinking is defined for partition representations only")
-    if s == t:
-        raise ValueError("relink endpoints must differ")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    fs = _ensure_objective(instance, s)
-    ft = _ensure_objective(instance, t)
-    best = _BestTracker()
-    best.offer(s if fs >= ft else t, max(fs, ft))
-    trace = PathTrace(initiating=s, guiding=t)
-
-    current = s.copy()
-    for _ in range(steps):
-        shared = [
-            j
-            for j in range(instance.n)
-            if s.bits[j] == t.bits[j] == current.bits[j]
-        ]
-        if not shared:
-            break
-        scored = [(instance.attribute_move(current, (j, 1 - current.bits[j]))[0], j) for j in shared]
-        chosen = scored[0][0]
-        for move, _ in scored[1:]:
-            if move.delta > chosen.delta:
-                chosen = move
-        instance.apply_move(current, chosen)
-        trace.visited.append((current.copy(), current.cached_objective))
-        best.offer(current, current.cached_objective)
-    if trace.visited:
-        objs = [obj for _, obj in trace.visited]
-        trace.best_index = objs.index(max(objs))
-    return best.solution, trace
-
-
-def multi_parent_relink(
-    instance: ProblemInstance,
-    s: Solution,
-    guides: list[Solution],
-    max_steps: int,
-    rng: RandomStream,
-) -> tuple[Solution, PathTrace]:
-    """Relink s toward a set of guides at once.
-
-    Step candidates are the guide attributes absent from the current solution,
-    weighted by how many guides carry them; the step incorporates a
-    maximum-frequency attribute, preferring the best objective delta and
-    breaking exact ties uniformly. Stops after max_steps incorporations or
-    when the candidate set empties.
-    """
-    if not guides:
-        raise ValueError("guides must be non-empty")
-    if any(type(g) is not type(s) for g in guides):
-        raise TypeError("mismatched representations")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    # a guide identical to s contributes no absent attributes; all-identical
-    # guide sets therefore terminate immediately with an empty trace
-    fs = _ensure_objective(instance, s)
-    for g in guides:
-        _ensure_objective(instance, g)
-    best = _BestTracker()
-    best.offer(s, fs)
-    trace = PathTrace(initiating=s, guiding=None)
-
-    current = s.copy()
-    for _ in range(max_steps):
-        counts: dict[tuple, int] = {}
-        for g in guides:
-            for attr in instance.absent_attributes(current, g):
-                counts[attr] = counts.get(attr, 0) + 1
-        if not counts:
-            break
-        fmax = max(counts.values())
-        pool = sorted(attr for attr, c in counts.items() if c == fmax)
-        scored = [instance.attribute_move(current, attr) for attr in pool]
-        dmax = max(d for _, d in scored)
-        ties = [move for move, d in scored if d == dmax]
-        chosen = rng.pick(ties)
-        instance.apply_move(current, chosen)
-        trace.visited.append((current.copy(), current.cached_objective))
-        best.offer(current, current.cached_objective)
-    if trace.visited:
-        objs = [obj for _, obj in trace.visited]
-        trace.best_index = objs.index(max(objs))
-    return best.solution, trace

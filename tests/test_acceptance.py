@@ -14,10 +14,10 @@ from grasppr.construction import RclConfig, construct
 from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, delta, evaluate
 from grasppr.drivers import RunConfig, run
 from grasppr.elite_set import EliteSet
-from grasppr.local_search import SearchDepth, enumerate_moves, local_search
+from grasppr.local_search import SearchDepth, local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
-from grasppr.path_relinking import PrConfig, exterior_relink, relink
+from grasppr.path_relinking import PrConfig, relink
 
 import oracles
 
@@ -70,7 +70,7 @@ def test_criterion_03_delta_evaluation_exactness():
         while checked < 5000:
             sol = PermutationSolution(oracles.rand_perm(r, 8))
             evaluate(inst, sol)
-            moves = list(enumerate_moves(inst, sol))
+            moves = list(inst.moves(sol))
             move = moves[r.randrange(len(moves))]
             before = sol.cached_objective
             inst.apply_move(sol, move)
@@ -83,7 +83,7 @@ def test_criterion_03_delta_evaluation_exactness():
         while checked < 5000:
             sol = PartitionSolution(oracles.rand_bits(r, 10))
             evaluate(inst, sol)
-            moves = list(enumerate_moves(inst, sol))
+            moves = list(inst.moves(sol))
             if not moves:  # a one-sided partition has no swap moves
                 continue
             move = moves[r.randrange(len(moves))]
@@ -148,13 +148,6 @@ def test_criterion_04_pr_path_laws():
         # guard: empty trace exactly when the endpoints are too close
         _, trace = relink(mc, s, t, guarded, RandomStream(1))
         assert (trace.visited == []) == (d0 < 4)
-
-        # exterior: strictly diverges from both endpoints at every step
-        _, trace = exterior_relink(mc, s, t, 3, RandomStream(1))
-        ds, dt = 0, d0
-        for v, _ in trace.visited:
-            assert delta(v, s) > ds and delta(v, t) > dt
-            ds, dt = delta(v, s), delta(v, t)
 
     guard_traps = 0
     for _ in range(1000):
@@ -234,7 +227,7 @@ def test_criterion_06_local_search_dominance():
             start = construct(inst, RclConfig(), rng)
             out = local_search(inst, start, SearchDepth.BEST_IMPROVING, rng)
             assert out.cached_objective >= start.cached_objective
-            locally_optimal = all(m.delta <= 0 for m in enumerate_moves(inst, start))
+            locally_optimal = all(m.delta <= 0 for m in inst.moves(start))
             assert (out.cached_objective == start.cached_objective) == locally_optimal
 
 

@@ -58,6 +58,10 @@ def test_parse_lolib_extra_entry_is_located():
     with pytest.raises(ParseError) as exc:
         parse_lolib("t\n2\n0 5 3 0 7\n")
     assert exc.value.line == 3 and exc.value.col == 9
+    # \x1c, \u0085 and the ideographic space separate tokens like a blank does
+    with pytest.raises(ParseError) as exc:
+        parse_lolib("t\n2\n0\x1c5\u00853\u30000\u3000\x1c7\n")
+    assert exc.value.line == 3 and exc.value.col == 10
 
 
 def test_parse_lolib_rejects_n_below_two():
@@ -364,6 +368,13 @@ def test_read_best_known(tmp_path):
     table = tmp_path / "best.csv"
     table.write_text("instance,value\n# curated 2024\nx,100\ny , -3\n")
     assert read_best_known(table) == {"x": 100, "y": -3}
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# note\ninstance,value\nlop-n10-a,3068\n")
+    assert read_best_known(commented) == {"lop-n10-a": 3068}
+    late = tmp_path / "late.csv"
+    late.write_text("# note\nx,100\ninstance,value\n")
+    with pytest.raises(ParseError, match="line 3: best-known value is not an integer"):
+        read_best_known(late)
     bad = tmp_path / "bad.csv"
     bad.write_text("x,100\ny\n")
     with pytest.raises(ParseError, match="instance,value"):

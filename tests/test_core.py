@@ -8,7 +8,6 @@ from grasppr.core import (
     RandomStream,
     delta,
     evaluate,
-    symmetric_difference,
 )
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
@@ -50,15 +49,13 @@ def test_symmetric_difference_worked_example():
     # 1-based (1,2,3,4) vs (3,4,2,1): every position disagrees
     a = PermutationSolution([0, 1, 2, 3])
     b = PermutationSolution([2, 3, 1, 0])
-    positions, size = symmetric_difference(a, b)
-    assert positions == {0, 1, 2, 3}
-    assert size == 4
     assert delta(a, b) == 4
+    assert delta(a, PermutationSolution([0, 1, 3, 2])) == 2
 
 
 def test_symmetric_difference_identity():
     a = PermutationSolution([2, 0, 1])
-    assert symmetric_difference(a, a) == (set(), 0)
+    assert delta(a, a) == 0
     b = PartitionSolution([0, 1, 1])
     assert delta(b, b) == 0
 
@@ -66,16 +63,17 @@ def test_symmetric_difference_identity():
 def test_symmetric_difference_partitions():
     a = PartitionSolution([0, 0, 1, 1])
     b = PartitionSolution([0, 1, 1, 1])
-    positions, size = symmetric_difference(a, b)
-    assert positions == {1}
-    assert size == 1
+    assert delta(a, b) == 1
+    assert delta(a, PartitionSolution([1, 1, 0, 0])) == 4
 
 
 def test_symmetric_difference_rejects_mixes():
     with pytest.raises(TypeError):
-        symmetric_difference(PermutationSolution([0, 1]), PartitionSolution([0, 1]))
+        delta(PermutationSolution([0, 1]), PartitionSolution([0, 1]))
+    with pytest.raises(TypeError):
+        delta(PartitionSolution([0, 1]), PermutationSolution([0, 1]))
     with pytest.raises(ValueError):
-        symmetric_difference(PartitionSolution([0, 1]), PartitionSolution([0, 1, 0]))
+        delta(PartitionSolution([0, 1]), PartitionSolution([0, 1, 0]))
 
 
 @settings(max_examples=200)

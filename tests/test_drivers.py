@@ -216,7 +216,6 @@ def test_run_config_validation():
         dict(iteration_limit=1, elite_k=0),
         dict(iteration_limit=1, d_th=0),
         dict(iteration_limit=1, guide_policy="closest"),
-        dict(iteration_limit=1, pr_period=0),
         dict(iteration_limit=1, static_sample=0),
     ):
         with pytest.raises(ValueError):

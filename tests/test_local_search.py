@@ -1,7 +1,7 @@
 import pytest
 
 from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, evaluate
-from grasppr.local_search import Move, SearchDepth, enumerate_moves, local_search
+from grasppr.local_search import Move, SearchDepth, local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 
@@ -39,7 +39,7 @@ def test_insert_neighborhood_size_n4():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(1), 4))
     sol = PermutationSolution([0, 1, 2, 3])
     evaluate(inst, sol)
-    moves = list(enumerate_moves(inst, sol))
+    moves = list(inst.moves(sol))
     assert len(moves) == 12  # n*(n-1)
     assert all(m.kind == "insert" for m in moves)
     assert not any(m.from_pos == m.to_pos for m in moves)  # null move excluded
@@ -49,7 +49,7 @@ def test_insert_scan_order():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(2), 4))
     sol = PermutationSolution([0, 1, 2, 3])
     evaluate(inst, sol)
-    keys = [(m.element, m.to_pos) for m in enumerate_moves(inst, sol)]
+    keys = [(m.element, m.to_pos) for m in inst.moves(sol)]
     assert keys == sorted(keys)  # element ascending, target position ascending
 
 
@@ -58,10 +58,10 @@ def test_transfer_neighborhood_size():
     inst = MaxCutInstance(7, edges)
     sol = PartitionSolution(oracles.rand_bits(oracles.make_rng(4), 7))
     evaluate(inst, sol)
-    moves = list(enumerate_moves(inst, sol))
+    moves = list(inst.moves(sol))
     assert len(moves) == 7
     assert [m.element for m in moves] == list(range(7))
-    offset = [m.element for m in enumerate_moves(inst, sol, offset=3)]
+    offset = [m.element for m in inst.moves(sol, offset=3)]
     assert offset == [3, 4, 5, 6, 0, 1, 2]
 
 
@@ -149,7 +149,7 @@ def test_apply_move_keeps_cache_consistent():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(16), 5))
     sol = PermutationSolution(oracles.rand_perm(oracles.make_rng(17), 5))
     evaluate(inst, sol)
-    for move in list(enumerate_moves(inst, sol))[:5]:
+    for move in list(inst.moves(sol))[:5]:
         scratch = sol.copy()
         inst.apply_move(scratch, move)
         assert scratch.cached_objective == oracles.lop_value(inst.cost, scratch.order)

@@ -30,11 +30,15 @@ def test_objective_plus_reverse_is_offdiagonal_total(seed):
 
 
 def test_append_gain():
+    # the builder's candidate gains are the objective increase of appending
     inst = LopInstance([[0, 5], [3, 0]])
-    assert inst.append_gain([], 0) == 0
-    assert inst.append_gain([], 1) == 0
-    assert inst.append_gain([0], 1) == 5
-    assert inst.append_gain([1], 0) == 3
+    b = inst.new_construction()
+    assert b.candidates() == [(0, 0), (1, 0)]
+    b.add(0)
+    assert b.candidates() == [(1, 5)]
+    b = inst.new_construction()
+    b.add(1)
+    assert b.candidates() == [(0, 3)]
 
 
 def test_append_gain_matches_reevaluation():
@@ -45,7 +49,10 @@ def test_append_gain_matches_reevaluation():
         order = oracles.rand_perm(r, 7)
         cut = r.randrange(1, 7)
         prefix, v = order[:cut], order[cut]
-        assert inst.append_gain(prefix, v) == (
+        b = inst.new_construction()
+        for u in prefix:
+            b.add(u)
+        assert dict(b.candidates())[v] == (
             oracles.lop_value(cost, prefix + [v]) - oracles.lop_value(cost, prefix)
         )
 
@@ -60,8 +67,9 @@ def test_builder_rejects_replacement():
 
 def test_insert_delta_2x2_example():
     inst = LopInstance([[0, 5], [3, 0]])
-    assert inst.insert_delta([0, 1], 0, 1) == -2  # 3 - 5, one reversed pair
-    assert inst.insert_delta([0, 1], 0, 0) == 0  # null move
+    moves = list(inst.moves(PermutationSolution([0, 1])))
+    # both insertions reverse the one pair, 3 - 5; null moves are never offered
+    assert [(m.element, m.from_pos, m.to_pos, m.delta) for m in moves] == [(0, 0, 1, -2), (1, 1, 0, -2)]
 
 
 def test_insert_delta_exactness_fuzz():
@@ -72,11 +80,14 @@ def test_insert_delta_exactness_fuzz():
         order = oracles.rand_perm(r, 8)
         elem = r.randrange(8)
         to_pos = r.randrange(8)
-        d = inst.insert_delta(order, elem, to_pos)
+        moves = {(m.element, m.to_pos): m for m in inst.moves(PermutationSolution(order))}
+        if order.index(elem) == to_pos:
+            assert (elem, to_pos) not in moves  # null move
+            continue
         after = list(order)
         after.remove(elem)
         after.insert(to_pos, elem)
-        assert d == oracles.lop_value(cost, after) - oracles.lop_value(cost, order)
+        assert moves[elem, to_pos].delta == oracles.lop_value(cost, after) - oracles.lop_value(cost, order)
 
 
 def test_swap_delta_exactness_fuzz():
@@ -152,23 +163,6 @@ def test_pr_candidates_rejects_identical_endpoints():
     sol = PermutationSolution([1, 0, 3, 2])
     with pytest.raises(ValueError):
         inst.pr_candidates(sol, sol.copy())
-
-
-def test_absent_attributes_and_attribute_move():
-    inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(29), 4))
-    cur = PermutationSolution([0, 1, 2, 3])
-    guide = PermutationSolution([0, 2, 1, 3])
-    attrs = inst.absent_attributes(cur, guide)
-    assert sorted(attrs) == [(1, 2), (2, 1)]
-    move, d = inst.attribute_move(cur, (2, 1))
-    assert (move.element, move.to_pos) == (2, 1)
-    scratch = cur.copy()
-    evaluate(inst, scratch)
-    inst.apply_move(scratch, move)
-    assert scratch.order == [0, 2, 1, 3]
-    assert d == oracles.lop_value(inst.cost, scratch.order) - oracles.lop_value(inst.cost, cur.order)
-    with pytest.raises(ValueError):
-        inst.attribute_move(cur, (0, 0))  # already in place
 
 
 def test_instance_validation():

@@ -127,18 +127,6 @@ def test_pr_candidates_rejects_identical_endpoints():
         K3.pr_candidates(sol, sol.copy())
 
 
-def test_absent_attributes_and_attribute_move():
-    cur = PartitionSolution([0, 0, 0])
-    guide = PartitionSolution([1, 1, 0])
-    assert K3.absent_attributes(cur, guide) == [(0, 1), (1, 1)]
-    evaluate(K3, cur)
-    move, d = K3.attribute_move(cur, (0, 1))
-    assert move.element == 0
-    assert d == 2  # flipping v0 out of the all-zero side cuts both its edges
-    with pytest.raises(ValueError):
-        K3.attribute_move(cur, (2, 0))  # already present
-
-
 def test_local_optimum_has_nonpositive_gains():
     from grasppr.core import RandomStream
     from grasppr.local_search import SearchDepth, local_search

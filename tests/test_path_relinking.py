@@ -1,7 +1,6 @@
 import pytest
 
 from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, delta, evaluate
-from grasppr.local_search import Move
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 from grasppr.path_relinking import (
@@ -10,8 +9,6 @@ from grasppr.path_relinking import (
     FORWARD,
     MIXED,
     PrConfig,
-    exterior_relink,
-    multi_parent_relink,
     relink,
 )
 
@@ -63,7 +60,8 @@ def test_mixed_second_step_move_mechanics():
     inst = LopInstance(S1_COST)
     head = PermutationSolution([2, 3, 1, 0])
     evaluate(inst, head)
-    move = Move("insert", 3, 1, 3, delta=inst.insert_delta(head.order, 3, 3))
+    move = next(m for m in inst.moves(head) if (m.element, m.to_pos) == (3, 3))
+    assert move.from_pos == 1
     inst.apply_move(head, move)
     assert head.order == [2, 1, 0, 3]
     assert head.cached_objective == oracles.lop_value(S1_COST, head.order)
@@ -218,115 +216,6 @@ def test_prconfig_validation():
         dict(min_distance=-1),
         dict(in_path_ls="sometimes"),
         dict(ls_every=0),
-        dict(exterior_steps=-2),
     ):
         with pytest.raises(ValueError):
             PrConfig(**bad)
-
-
-def test_exterior_first_step_flips_a_shared_position():
-    inst = MaxCutInstance(4, oracles.rand_edges(oracles.make_rng(42), 4, 0.9, 1, 9))
-    s = PartitionSolution([0, 0, 1, 1])
-    t = PartitionSolution([0, 1, 1, 1])
-    evaluate(inst, s)
-    evaluate(inst, t)
-    _, trace = exterior_relink(inst, s, t, 1, RandomStream(1))
-    assert len(trace.visited) == 1
-    v = trace.visited[0][0]
-    flipped = [j for j in range(4) if v.bits[j] != s.bits[j]]
-    assert flipped[0] in {0, 2, 3}  # shared positions only
-    assert delta(v, s) == 1 and delta(v, t) == 2
-
-
-def test_exterior_stops_at_full_divergence():
-    inst = MaxCutInstance(4, oracles.rand_edges(oracles.make_rng(43), 4, 0.9, 1, 9))
-    s = PartitionSolution([0, 0, 1, 1])
-    t = PartitionSolution([0, 1, 1, 1])
-    evaluate(inst, s)
-    evaluate(inst, t)
-    _, trace = exterior_relink(inst, s, t, 10, RandomStream(1))
-    assert len(trace.visited) == 3  # the three shared positions
-    final = trace.visited[-1][0]
-    assert all(final.bits[j] != s.bits[j] or final.bits[j] != t.bits[j] for j in range(4))
-
-
-def test_exterior_monotone_divergence_fuzz():
-    r = oracles.make_rng(44)
-    inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -5, 10))
-    for _ in range(100):
-        bits_s, bits_t = oracles.rand_bits(r, 10), oracles.rand_bits(r, 10)
-        if bits_s == bits_t:
-            continue
-        s, t = PartitionSolution(bits_s), PartitionSolution(bits_t)
-        evaluate(inst, s)
-        evaluate(inst, t)
-        _, trace = exterior_relink(inst, s, t, 6, RandomStream(7))
-        ds, dt = 0, delta(s, t)
-        for v, _ in trace.visited:
-            assert delta(v, s) > ds and delta(v, t) > dt
-            ds, dt = delta(v, s), delta(v, t)
-
-
-def test_exterior_rejects_permutations_and_bad_args():
-    inst = LopInstance(S1_COST)
-    a = PermutationSolution([0, 1, 2, 3])
-    b = PermutationSolution([1, 0, 2, 3])
-    with pytest.raises(ValueError):
-        exterior_relink(inst, a, b, 2, RandomStream(1))
-    s, t = _parts([0] * 6, [1] * 6)
-    with pytest.raises(ValueError):
-        exterior_relink(MC6, s, s.copy(), 2, RandomStream(1))
-    with pytest.raises(ValueError):
-        exterior_relink(MC6, s, t, 0, RandomStream(1))
-
-
-def test_exterior_via_relink_config():
-    s, t = _parts([0, 0, 1, 1, 0, 0], [0, 1, 1, 1, 0, 0])
-    _, trace = relink(MC6, s, t, PrConfig(exterior_steps=2), RandomStream(1))
-    assert len(trace.visited) == 2
-    assert delta(trace.visited[1][0], s) > delta(trace.visited[0][0], s)
-
-
-def test_multi_parent_frequency_dominance():
-    inst = MaxCutInstance(4, oracles.rand_edges(oracles.make_rng(45), 4, 0.9, 1, 9))
-    cur = PartitionSolution([0, 0, 0, 0])
-    g1 = PartitionSolution([1, 1, 0, 0])
-    g2 = PartitionSolution([1, 0, 1, 0])
-    for sol in (cur, g1, g2):
-        evaluate(inst, sol)
-    _, trace = multi_parent_relink(inst, cur, [g1, g2], 1, RandomStream(1))
-    assert trace.guiding is None
-    assert trace.visited[0][0].bits == [1, 0, 0, 0]  # position 0 appears in both guides
-
-
-def test_multi_parent_single_guide_matches_interior_candidates():
-    r = oracles.make_rng(46)
-    inst = MaxCutInstance(8, oracles.rand_edges(r, 8, 0.5, -5, 10))
-    cur = PartitionSolution(oracles.rand_bits(r, 8))
-    guide = PartitionSolution(oracles.rand_bits(r, 8))
-    if cur == guide:
-        guide.bits[0] ^= 1
-    evaluate(inst, cur)
-    evaluate(inst, guide)
-    _, trace = multi_parent_relink(inst, cur, [guide], 8, RandomStream(2))
-    # with one guide every step incorporates one differing position, so the
-    # walk lands exactly on the guide after |delta| steps
-    assert len(trace.visited) == delta(cur, guide)
-    assert trace.visited[-1][0] == guide
-
-
-def test_multi_parent_identical_guides_terminate_immediately():
-    s, _ = _parts([0] * 6, [1] * 6)
-    best, trace = multi_parent_relink(MC6, s, [s.copy(), s.copy()], 5, RandomStream(1))
-    assert trace.visited == []
-    assert best == s
-
-
-def test_multi_parent_validation():
-    s, t = _parts([0] * 6, [1] * 6)
-    with pytest.raises(ValueError):
-        multi_parent_relink(MC6, s, [], 3, RandomStream(1))
-    with pytest.raises(ValueError):
-        multi_parent_relink(MC6, s, [t], 0, RandomStream(1))
-    with pytest.raises(TypeError):
-        multi_parent_relink(MC6, s, [PermutationSolution(list(range(6)))], 3, RandomStream(1))
