@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ProblemInstance, RandomStream, Solution, evaluate
 
@@ -14,13 +13,13 @@ class SearchDepth(enum.Enum):
     BEST_IMPROVING = "best"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One neighborhood move with its exact objective delta.
 
     kinds: "insert" (permutation: element from_pos -> to_pos), "swap"
     (exchange two positions, or a vertex pair across the cut), "transfer"
-    (partition: flip element's side).
+    (partition: flip element's side). A tuple, so the neighborhood scans can
+    build millions of them cheaply; immutable and hashable.
     """
 
     kind: str

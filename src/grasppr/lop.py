@@ -8,7 +8,9 @@ behind the neighborhood flag for comparison runs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .core import PERMUTATION, PermutationSolution, ProblemInstance
 from .local_search import Move
@@ -71,6 +73,9 @@ class LopInstance(ProblemInstance):
         self.cost = tuple(rows)
         self.n = n
         self.neighborhood = neighborhood
+        # skew[e][u] = cost[e][u] - cost[u][e]; built on the first insert scan,
+        # so parsing alone (setup, construction-only cells) never pays for it
+        self._skew: Optional[tuple[tuple[int, ...], ...]] = None
 
     def evaluate(self, solution: PermutationSolution) -> int:
         order = solution.order
@@ -115,19 +120,33 @@ class LopInstance(ProblemInstance):
         # canonical scan order: element id ascending, target position ascending;
         # the permutation scan ignores offsets (first-improving stays canonical)
         order = solution.order
-        pos = [0] * self.n
-        for p, v in enumerate(order):
-            pos[v] = p
+        n = self.n
         if self.neighborhood == "insert":
-            for e in range(self.n):
+            if self._skew is None:
+                self._skew = tuple(
+                    tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost))
+                )
+            skew = self._skew
+            pos = [0] * n
+            for p, v in enumerate(order):
+                pos[v] = p
+            in_order = itemgetter(*order)  # n >= 2, so it always returns a tuple
+            for e in range(n):
+                # prefix[k] = sum of skew[e][order[p]] over p < k. Moving e from i
+                # to j < i gains prefix[i] - prefix[j]; to j > i it loses the
+                # skew of order[i+1..j], i.e. gains prefix[i] - prefix[j + 1]
+                # (skew[e][e] = 0, so prefix[i + 1] = prefix[i]). O(n) per element.
+                prefix = list(accumulate(in_order(skew[e]), initial=0))
                 i = pos[e]
-                for j in range(self.n):
-                    if j != i:
-                        yield Move("insert", e, i, j, delta=self._insert_delta(order, i, j))
+                base = prefix[i]
+                for j in range(i):
+                    yield Move("insert", e, i, j, None, base - prefix[j])
+                for j in range(i + 1, n):
+                    yield Move("insert", e, i, j, None, base - prefix[j + 1])
         else:
-            for i in range(self.n - 1):
-                for j in range(i + 1, self.n):
-                    yield Move("swap", order[i], i, j, other=order[j], delta=self._swap_delta(order, i, j))
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    yield Move("swap", order[i], i, j, order[j], self._swap_delta(order, i, j))
 
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
         order = solution.order

@@ -2,11 +2,14 @@
 
 Weights may be negative. The default neighborhood transfers one vertex across
 the cut; flip gains are kept in a GainTable so a transfer costs O(degree).
+Each instance caches the GainTable of the last partition it scanned, keyed by
+a private copy of its bits, so consecutive passes of a descent and
+consecutive relinking steps reuse it instead of rebuilding in O(m).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import PARTITION, PartitionSolution, ProblemInstance
 from .local_search import Move
@@ -123,6 +126,9 @@ class MaxCutInstance(ProblemInstance):
             adj[j].append((i, w))
         self.adj = tuple(tuple(a) for a in adj)
         self._weight = {(i, j): w for i, j, w in self.edges}
+        # gains of the partition in _gains.solution.bits (a private copy); valid
+        # for any solution with equal bits, rebuilt when they differ
+        self._gains: Optional[GainTable] = None
 
     @property
     def m(self) -> int:
@@ -138,30 +144,43 @@ class MaxCutInstance(ProblemInstance):
     def new_construction(self) -> _MaxCutBuilder:
         return _MaxCutBuilder(self)
 
+    def _gain_table(self, solution: PartitionSolution) -> GainTable:
+        table = self._gains
+        if table is None or table.solution.bits != solution.bits:
+            table = self._gains = GainTable(self, PartitionSolution(list(solution.bits)))
+        return table
+
     def moves(self, solution: PartitionSolution, offset: int = 0) -> Iterable[Move]:
-        gains = GainTable(self, solution).gain
+        # a copy: the cache follows any in-sync solution a caller moves mid-scan
+        gains = list(self._gain_table(solution).gain)
+        n = self.n
         if self.neighborhood == "transfer":
-            for k in range(self.n):
-                v = (offset + k) % self.n
-                yield Move("transfer", v, delta=gains[v])
+            for k in range(n):
+                v = (offset + k) % n
+                yield Move("transfer", v, None, None, None, gains[v])
         else:
             bits = solution.bits
-            for u in range(self.n):
+            for u in range(n):
                 if bits[u] != 1:
                     continue
-                for v in range(self.n):
+                for v in range(n):
                     if bits[v] == 0:
                         d = gains[u] + gains[v] + 2 * self.edge_weight(u, v)
-                        yield Move("swap", u, other=v, delta=d)
+                        yield Move("swap", u, None, None, v, d)
 
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:
         if move.kind == "transfer":
-            solution.bits[move.element] ^= 1
+            flipped = (move.element,)
         elif move.kind == "swap":
-            solution.bits[move.element] ^= 1
-            solution.bits[move.other] ^= 1
+            flipped = (move.element, move.other)
         else:
             raise ValueError(f"not a partition move: {move.kind}")
+        table = self._gains
+        in_sync = table is not None and table.solution.bits == solution.bits
+        for v in flipped:
+            solution.bits[v] ^= 1
+            if in_sync:
+                table.apply_flip(v)  # O(degree) instead of a later O(m) rebuild
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 
@@ -169,8 +188,8 @@ class MaxCutInstance(ProblemInstance):
         if current == guiding:
             raise ValueError("current and guiding coincide")
         # every flip of a differing position reduces the difference by exactly 1
-        gains = GainTable(self, current).gain
+        gains = self._gain_table(current).gain
         diff = [j for j in range(self.n) if current.bits[j] != guiding.bits[j]]
         reaches = len(diff) == 1
-        return [PrStep(Move("transfer", j, delta=gains[j]), gains[j], reaches_guiding=reaches) for j in diff]
+        return [PrStep(Move("transfer", j, None, None, None, gains[j]), gains[j], reaches_guiding=reaches) for j in diff]
 

@@ -3,20 +3,26 @@
 Each run is a deterministic function of (instance, config, seed) under an
 iteration budget, so every RunReport field except the wall-clock times must
 reproduce exactly. The expected values live in golden_trace.json; refactors
-and faster kernels must leave them unchanged. Regenerate (only for a named,
-justified behaviour change) with
+and faster kernels must leave them unchanged. The toys have n <= 14, so two
+larger runs (a LOP n = 50 matrix and a max-cut n = 800 graph, both generated
+here from fixed seeds) live in golden_trace_large.json. Regenerate both
+(only for a named, justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
 
 import json
+import random
 from pathlib import Path
 
 from grasppr import bench_io, drivers
+from grasppr.lop import LopInstance
+from grasppr.maxcut import MaxCutInstance
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY_DIR = ROOT / "instances" / "toy"
 GOLDEN = Path(__file__).resolve().parent / "golden_trace.json"
+GOLDEN_LARGE = Path(__file__).resolve().parent / "golden_trace_large.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -53,6 +59,34 @@ def compute_traces() -> dict:
     return traces
 
 
+def _large_lop() -> LopInstance:
+    r = random.Random(50)
+    return LopInstance([[0 if i == j else r.randint(0, 99) for j in range(50)] for i in range(50)])
+
+
+def _large_maxcut() -> MaxCutInstance:
+    # G-set-like: n = 800 at 1 % density, weights in [-3, 10]
+    r = random.Random(800)
+    n = 800
+    edges = [(i, j, r.randint(-3, 10)) for i in range(n) for j in range(i + 1, n) if r.random() < 0.01]
+    return MaxCutInstance(n, edges)
+
+
+# (key, problem, instance factory, options, iterations)
+LARGE_RUNS = (
+    ("evolutionary_pr/lop-n50/1", bench_io.LOP, _large_lop, {"variant": "evolutionary_pr", "elite-k": "2"}, 5),
+    ("dynamic_pr/maxcut-n800/1", bench_io.MAXCUT, _large_maxcut, {"variant": "dynamic_pr", "elite-k": "2"}, 3),
+)
+
+
+def compute_large_traces() -> dict:
+    traces = {}
+    for key, problem, make, options, iterations in LARGE_RUNS:
+        cfg = bench_io.build_run_config(problem, options, 1, None, iterations)
+        traces[key] = _trace(drivers.run(make(), cfg))
+    return traces
+
+
 def test_golden_traces_reproduce():
     expected = json.loads(GOLDEN.read_text())
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
@@ -66,7 +100,20 @@ def test_golden_traces_reproduce():
     assert not mismatched, f"{len(mismatched)} run(s) diverged, first: {mismatched[0]}"
 
 
+def test_large_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_LARGE.read_text())
+    # both runs relink, so the walks and in-path searches are frozen too
+    assert all(r["pr_calls"] > 0 for r in expected.values())
+    actual = compute_large_traces()
+    assert sorted(actual) == sorted(expected)
+    for key in sorted(actual):
+        assert actual[key] == expected[key], key
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(payload['runs'])} runs to {GOLDEN}")
+    large = compute_large_traces()
+    GOLDEN_LARGE.write_text(json.dumps(large, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(large)} runs to {GOLDEN_LARGE}")

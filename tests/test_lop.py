@@ -90,6 +90,32 @@ def test_insert_delta_exactness_fuzz():
         assert moves[elem, to_pos].delta == oracles.lop_value(cost, after) - oracles.lop_value(cost, order)
 
 
+def test_insert_scan_matches_reference_kernel():
+    # the prefix-sum scan must yield exactly the moves of the per-move
+    # reference (_insert_delta) in element-ascending, position-ascending
+    # order; every permutation puts some element at position 0 and n - 1
+    r = oracles.make_rng(25)
+    for n in (2, 3, 5, 17, 60):
+        # a non-zero diagonal must not leak into any delta
+        cost = [[r.randint(-50, 99) for _ in range(n)] for _ in range(n)]
+        inst = LopInstance(cost)
+        orders = [list(range(n)), list(reversed(range(n)))] + [oracles.rand_perm(r, n) for _ in range(4)]
+        for order in orders:
+            expected = []
+            for e in range(n):
+                i = order.index(e)
+                expected += [("insert", e, i, j, None, inst._insert_delta(order, i, j)) for j in range(n) if j != i]
+            got = [tuple(m) for m in inst.moves(PermutationSolution(list(order)))]
+            assert got == expected, (n, order)
+            base = oracles.lop_value(cost, order)
+            # the oracle is O(n^2) per move: check all moves up to n = 17, a sample beyond
+            checked = got if n <= 17 else [m for m in got if m[2] in (0, n - 1)] + r.sample(got, 60)
+            for _, e, i, j, _, d in checked:
+                after = list(order)
+                after.insert(j, after.pop(i))
+                assert d == oracles.lop_value(cost, after) - base
+
+
 def test_swap_delta_exactness_fuzz():
     r = oracles.make_rng(23)
     cost = oracles.rand_lop_matrix(r, 8, -50, 99)

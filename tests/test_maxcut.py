@@ -139,6 +139,96 @@ def test_local_optimum_has_nonpositive_gains():
     assert all(g <= 0 for g in GainTable(inst, out).gain)
 
 
+def _fresh_gains(inst, sol):
+    return GainTable(inst, PartitionSolution(list(sol.bits))).gain
+
+
+def _check_against_fresh(inst, sol, other):
+    """moves() and pr_candidates() deltas equal those of a freshly built GainTable."""
+    gains = _fresh_gains(inst, sol)
+    for m in inst.moves(sol, 3):
+        if m.kind == "transfer":
+            assert m.delta == gains[m.element]
+        else:
+            assert m.delta == gains[m.element] + gains[m.other] + 2 * inst.edge_weight(m.element, m.other)
+    if sol != other:
+        assert [(s.move.element, s.delta) for s in inst.pr_candidates(sol, other)] == [
+            (j, gains[j]) for j in range(inst.n) if sol.bits[j] != other.bits[j]
+        ]
+
+
+def test_gain_cache_under_interleaved_operations():
+    from grasppr.core import RandomStream
+    from grasppr.local_search import SearchDepth, local_search
+
+    r = oracles.make_rng(35)
+    edges = oracles.rand_edges(r, 12, 0.4, -5, 10)
+    for neighborhood in ("transfer", "swap"):
+        inst = MaxCutInstance(12, edges, neighborhood=neighborhood)
+        sols = [PartitionSolution(oracles.rand_bits(r, 12)) for _ in range(2)]
+        for sol in sols:
+            evaluate(inst, sol)
+        for _ in range(400):
+            cur, other = sols if r.random() < 0.5 else sols[::-1]  # alternate between two solutions
+            op = r.randrange(5)
+            if op == 0:  # apply a scanned move to the solution itself
+                moves = list(inst.moves(cur))
+                if moves:
+                    inst.apply_move(cur, r.choice(moves))
+            elif op == 1:  # apply a move to a copy in the middle of a scan
+                gains = _fresh_gains(inst, cur)
+                scan = inst.moves(cur, r.randrange(12))
+                seen = []
+                for m in scan:
+                    seen.append(m)
+                    if len(seen) == 2:
+                        inst.apply_move(cur.copy(), m)
+                for m in seen:
+                    if m.kind == "transfer":
+                        assert m.delta == gains[m.element]
+                    else:
+                        assert m.delta == gains[m.element] + gains[m.other] + 2 * inst.edge_weight(m.element, m.other)
+            elif op == 2:  # flip bits directly, outside apply_move
+                cur.bits[r.randrange(12)] ^= 1
+                evaluate(inst, cur)
+            elif op == 3:  # in-path style local search on a copy, then relinking candidates
+                local_search(inst, cur.copy(), SearchDepth.FIRST_IMPROVING, RandomStream(r.randrange(99)))
+            else:  # a relinking step taken on the solution itself
+                if cur != other:
+                    inst.apply_move(cur, r.choice(inst.pr_candidates(cur, other)).move)
+            assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
+            _check_against_fresh(inst, cur, other)
+            _check_against_fresh(inst, other, cur)
+
+
+def test_gain_cache_reused_across_a_descent(monkeypatch):
+    from grasppr import maxcut
+    from grasppr.core import RandomStream
+    from grasppr.local_search import Move, SearchDepth, local_search
+
+    builds = []
+    init = maxcut.GainTable.__init__
+
+    def counting_init(self, inst, solution):
+        builds.append(1)
+        init(self, inst, solution)
+
+    monkeypatch.setattr(maxcut.GainTable, "__init__", counting_init)
+    r = oracles.make_rng(36)
+    inst = MaxCutInstance(30, oracles.rand_edges(r, 30, 0.3, -5, 10))
+    start = PartitionSolution(oracles.rand_bits(r, 30))
+    evaluate(inst, start)
+    out = local_search(inst, start, SearchDepth.BEST_IMPROVING, RandomStream(1))
+    assert out.cached_objective > start.cached_objective
+    assert len(builds) == 1  # one rebuild for the start, O(degree) updates after it
+    guide = PartitionSolution([1 - b for b in out.bits])
+    inst.pr_candidates(out, guide)
+    assert len(builds) == 1  # the descent left the cache in sync with its result
+    inst.apply_move(guide, Move("transfer", 0))  # out of sync: the cache keeps following out
+    inst.pr_candidates(out, guide)
+    assert len(builds) == 1
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         MaxCutInstance(0, [])
