@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .core import ProblemInstance, RandomStream, Solution
@@ -36,17 +37,25 @@ class RclConfig:
             raise ValueError(f"alpha range must satisfy 0 <= low <= high <= 1, got [{self.alpha_low}, {self.alpha_high}]")
 
 
+def _value_threshold(g_max: int, alpha: float) -> float:
+    # an int gain is compared with this float exactly, so no rounding enters
+    return (1.0 - alpha) * g_max
+
+
+def _cardinality_cut(size: int, alpha: float) -> int:
+    return 1 + math.floor(alpha * (size - 1))
+
+
 def build_rcl_value(entries: Sequence[tuple], alpha: float) -> list:
     """Keys of candidates with g(v) >= (1 - alpha) * g_max, applied literally.
 
     With g_max < 0 and alpha > 0 the threshold rises above g_max and the
-    literal set is empty; construct() falls back to the greedy argmax set in
-    that case so construction stays total.
+    literal set is empty; rcl_from_entries falls back to the greedy argmax
+    set in that case so construction stays total.
     """
     if not entries:
         raise ConstructionError("empty candidate list")
-    g_max = max(g for _, g in entries)
-    threshold = (1.0 - alpha) * g_max
+    threshold = _value_threshold(max(g for _, g in entries), alpha)
     return [key for key, g in entries if g >= threshold]
 
 
@@ -57,7 +66,7 @@ def build_rcl_cardinality(entries: Sequence[tuple], alpha: float) -> list:
     """
     if not entries:
         raise ConstructionError("empty candidate list")
-    p_max = 1 + math.floor(alpha * (len(entries) - 1))
+    p_max = _cardinality_cut(len(entries), alpha)
     ranked = sorted(entries, key=lambda e: (-e[1], e[0]))
     return [key for key, _ in ranked[:p_max]]
 
@@ -67,28 +76,57 @@ def _greedy_keys(entries: Sequence[tuple]) -> list:
     return [key for key, g in entries if g == g_max]
 
 
+def rcl_from_entries(entries: Sequence[tuple], mode: str, alpha: float) -> list:
+    """The RCL of one step over (key, gain) entries in key order.
+
+    alpha == 0 gives the lowest key of the argmax set alone, so the step is
+    deterministic greedy and draws nothing. A value RCL that the literal
+    threshold emptied (g_max < 0) falls back to the argmax set so
+    construction stays total.
+    """
+    if not entries:
+        raise ConstructionError("empty candidate list")
+    if alpha == 0.0:
+        return [min(_greedy_keys(entries))]
+    if mode == VALUE:
+        return build_rcl_value(entries, alpha) or _greedy_keys(entries)
+    return build_rcl_cardinality(entries, alpha)
+
+
+def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: float) -> list:
+    """rcl_from_entries over candidates kept as {gain: keys sorted ascending}.
+
+    size is the number of keys in all buckets. Only the buckets the RCL
+    takes are read, so a step costs about the size of the RCL rather than
+    that of the candidate list.
+    """
+    if not buckets:
+        raise ConstructionError("empty candidate list")
+    g_max = max(buckets)
+    if alpha == 0.0:
+        return [buckets[g_max][0]]
+    if mode == VALUE:
+        threshold = _value_threshold(g_max, alpha)
+        taken = [keys for g, keys in buckets.items() if g >= threshold] or [buckets[g_max]]
+        return sorted(chain.from_iterable(taken))
+    p_max = _cardinality_cut(size, alpha)
+    out: list = []
+    for g in sorted(buckets, reverse=True):
+        out += buckets[g][: p_max - len(out)]
+        if len(out) == p_max:
+            break
+    return out
+
+
 def construct(instance: ProblemInstance, cfg: RclConfig, rng: RandomStream) -> Solution:
     """One semi-greedy construction: repeatedly pick uniformly from the RCL.
 
-    With alpha == 0 the step degenerates to deterministic greedy (lowest key
-    among the argmax set, no draw), making the whole construction a pure
-    function of the instance.
+    The builder lists each step's RCL (see rcl_from_entries for its rules);
+    with alpha == 0 every step is deterministic greedy, making the whole
+    construction a pure function of the instance.
     """
     builder = instance.new_construction()
     while not builder.complete:
-        entries = builder.candidates()
-        if not entries:
-            raise ConstructionError("empty candidate list")
         alpha = rng.alpha_in(cfg.alpha_low, cfg.alpha_high)
-        if alpha == 0.0:
-            key = min(_greedy_keys(entries))
-        else:
-            if cfg.mode == VALUE:
-                rcl = build_rcl_value(entries, alpha)
-                if not rcl:  # literal threshold emptied the list (g_max < 0)
-                    rcl = _greedy_keys(entries)
-            else:
-                rcl = build_rcl_cardinality(entries, alpha)
-            key = rng.pick(rcl)
-        builder.add(key)
+        builder.add(rng.pick(builder.rcl(cfg.mode, alpha)))
     return builder.build()

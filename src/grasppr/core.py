@@ -10,10 +10,15 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 PERMUTATION = "permutation"
 PARTITION = "partition"
+
+# what one moves() scan yields
+ALL_MOVES = "all"
+BEST_MOVE = "best"  # only the improving move of largest delta, the first on ties
+FIRST_MOVE = "first"  # only the first improving move
 
 
 @dataclass(eq=False)
@@ -103,11 +108,31 @@ class ProblemInstance(ABC):
 
     @abstractmethod
     def new_construction(self):
-        """Fresh construction builder: candidates() / add(key) / complete / build()."""
+        """Fresh construction builder: rcl(mode, alpha) / add(key) / complete / build().
+
+        rcl(mode, alpha) lists the restricted candidate keys of the next step
+        in the order construction draws from; a single key is the greedy
+        choice and costs no draw.
+        """
 
     @abstractmethod
-    def moves(self, solution: Solution, offset: int = 0):
-        """Neighborhood moves in canonical scan order, rotated by offset where supported."""
+    def moves(self, solution: Solution, offset: int = 0, pick: str = ALL_MOVES):
+        """One neighborhood scan in canonical order, rotated by offset where supported.
+
+        pick ALL_MOVES yields every move. BEST_MOVE and FIRST_MOVE yield only
+        the move that a best- or first-improving pass applies, or nothing at a
+        local optimum; adapters select it with a kernel that builds no Move
+        per candidate where they have one, and filter the full scan through
+        pick_moves otherwise.
+        """
+
+    def best_move(self, solution: Solution):
+        """The improving move of largest delta (ties: first in scan order), or None."""
+        return _last(self.moves(solution, 0, BEST_MOVE))
+
+    def first_move(self, solution: Solution, offset: int = 0):
+        """The first improving move in the scan rotated by offset, or None."""
+        return _last(self.moves(solution, offset, FIRST_MOVE))
 
     @abstractmethod
     def apply_move(self, solution: Solution, move) -> None:
@@ -130,6 +155,33 @@ def evaluate(instance: ProblemInstance, solution: Solution) -> int:
     value = instance.evaluate(solution)
     solution.cached_objective = value
     return value
+
+
+def pick_moves(moves: Iterable, pick: str) -> Iterator:
+    """The moves of a full scan, in scan order, that pick keeps (see ProblemInstance.moves)."""
+    if pick == ALL_MOVES:
+        yield from moves
+    elif pick == FIRST_MOVE:
+        for move in moves:
+            if move.delta > 0:
+                yield move
+                return
+    else:
+        best = None
+        for move in moves:
+            if move.delta > 0 and (best is None or move.delta > best.delta):
+                best = move
+        if best is not None:
+            yield best
+
+
+def _last(moves: Iterable):
+    # runs a BEST_MOVE / FIRST_MOVE scan to its end, so the scan has finished
+    # before its move is applied
+    chosen = None
+    for chosen in moves:
+        pass
+    return chosen
 
 
 _MASK64 = (1 << 64) - 1

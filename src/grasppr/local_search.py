@@ -18,8 +18,8 @@ class Move(NamedTuple):
 
     kinds: "insert" (permutation: element from_pos -> to_pos), "swap"
     (exchange two positions, or a vertex pair across the cut), "transfer"
-    (partition: flip element's side). A tuple, so the neighborhood scans can
-    build millions of them cheaply; immutable and hashable.
+    (partition: flip element's side). A tuple, so a moves() scan can build
+    many of them cheaply; immutable and hashable.
     """
 
     kind: str
@@ -38,6 +38,7 @@ def local_search(
 ) -> Solution:
     """Climb from start until no improving move remains; start is not mutated.
 
+    Each pass asks the instance for one move (best_move or first_move).
     Best-improving applies the maximum-delta move each pass (ties: first in
     scan order) and consumes no rng. First-improving applies the first
     improving move per scan; for problems that declare
@@ -48,21 +49,12 @@ def local_search(
     if sol.cached_objective is None:
         evaluate(instance, sol)
     if depth is SearchDepth.BEST_IMPROVING:
-        while True:
-            best: Optional[Move] = None
-            for move in instance.moves(sol):
-                if move.delta > 0 and (best is None or move.delta > best.delta):
-                    best = move
-            if best is None:
-                return sol
-            instance.apply_move(sol, best)
+        while (move := instance.best_move(sol)) is not None:
+            instance.apply_move(sol, move)
+        return sol
     while True:
         offset = rng.randrange(instance.n) if instance.randomized_first_improving else 0
-        improved = False
-        for move in instance.moves(sol, offset):
-            if move.delta > 0:
-                instance.apply_move(sol, move)
-                improved = True
-                break
-        if not improved:
+        move = instance.first_move(sol, offset)
+        if move is None:
             return sol
+        instance.apply_move(sol, move)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .core import PERMUTATION, PermutationSolution, ProblemInstance
+from .construction import rcl_from_entries
+from .core import ALL_MOVES, BEST_MOVE, PERMUTATION, PermutationSolution, ProblemInstance, pick_moves
 from .local_search import Move
 from .path_relinking import PrStep
 
@@ -35,6 +36,9 @@ class _LopBuilder:
 
     def candidates(self) -> list[tuple[int, int]]:
         return [(v, self.gain[v]) for v in range(self.inst.n) if not self.placed[v]]
+
+    def rcl(self, mode: str, alpha: float) -> list[int]:
+        return rcl_from_entries(self.candidates(), mode, alpha)
 
     def add(self, v: int) -> None:
         if self.placed[v]:
@@ -116,37 +120,72 @@ class LopInstance(ProblemInstance):
     def new_construction(self) -> _LopBuilder:
         return _LopBuilder(self)
 
-    def moves(self, solution: PermutationSolution, offset: int = 0) -> Iterable[Move]:
+    def _insert_prefixes(self, order: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
+        """(e, i, prefix) for each element e ascending, i its position.
+
+        prefix[k] = sum of skew[e][order[p]] over p < k. Moving e from i to
+        j < i gains prefix[i] - prefix[j]; to j > i it loses the skew of
+        order[i+1..j], i.e. gains prefix[i] - prefix[j + 1]. So prefix index
+        k stands for target k if k < i and k - 1 if k > i + 1, in scan order;
+        skew[e][e] = 0 makes prefix[i + 1] = prefix[i], so k = i and k = i + 1
+        never improve. O(n) per element, computed only when the caller asks
+        for the next one.
+        """
+        if self._skew is None:
+            self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
+        skew = self._skew
+        pos = [0] * self.n
+        for p, v in enumerate(order):
+            pos[v] = p
+        in_order = itemgetter(*order)  # n >= 2, so it always returns a tuple
+        for e in range(self.n):
+            yield e, pos[e], list(accumulate(in_order(skew[e]), initial=0))
+
+    def moves(self, solution: PermutationSolution, offset: int = 0, pick: str = ALL_MOVES) -> Iterator[Move]:
         # canonical scan order: element id ascending, target position ascending;
         # the permutation scan ignores offsets (first-improving stays canonical)
         order = solution.order
-        n = self.n
-        if self.neighborhood == "insert":
-            if self._skew is None:
-                self._skew = tuple(
-                    tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost))
-                )
-            skew = self._skew
-            pos = [0] * n
-            for p, v in enumerate(order):
-                pos[v] = p
-            in_order = itemgetter(*order)  # n >= 2, so it always returns a tuple
-            for e in range(n):
-                # prefix[k] = sum of skew[e][order[p]] over p < k. Moving e from i
-                # to j < i gains prefix[i] - prefix[j]; to j > i it loses the
-                # skew of order[i+1..j], i.e. gains prefix[i] - prefix[j + 1]
-                # (skew[e][e] = 0, so prefix[i + 1] = prefix[i]). O(n) per element.
-                prefix = list(accumulate(in_order(skew[e]), initial=0))
-                i = pos[e]
+        if self.neighborhood == "swap":
+            yield from pick_moves(self._swap_moves(order), pick)
+        elif pick == ALL_MOVES:
+            n = self.n
+            for e, i, prefix in self._insert_prefixes(order):
                 base = prefix[i]
                 for j in range(i):
                     yield Move("insert", e, i, j, None, base - prefix[j])
                 for j in range(i + 1, n):
                     yield Move("insert", e, i, j, None, base - prefix[j + 1])
         else:
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    yield Move("swap", order[i], i, j, order[j], self._swap_delta(order, i, j))
+            move = self._best_insert(order) if pick == BEST_MOVE else self._first_insert(order)
+            if move is not None:
+                yield move
+
+    def _swap_moves(self, order: Sequence[int]) -> Iterator[Move]:
+        n = self.n
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                yield Move("swap", order[i], i, j, order[j], self._swap_delta(order, i, j))
+
+    def _best_insert(self, order: Sequence[int]) -> Optional[Move]:
+        best, chosen = 0, None
+        for e, i, prefix in self._insert_prefixes(order):
+            # the first minimum is the first best target in scan order; prefix[i]
+            # and prefix[i + 1] equal base, so an improving minimum is never there
+            low = min(prefix)
+            if prefix[i] - low > best:
+                best, chosen = prefix[i] - low, (e, i, prefix.index(low))
+        if chosen is None:
+            return None
+        e, i, k = chosen
+        return Move("insert", e, i, k if k < i else k - 1, None, best)
+
+    def _first_insert(self, order: Sequence[int]) -> Optional[Move]:
+        for e, i, prefix in self._insert_prefixes(order):
+            base = prefix[i]
+            if min(prefix) < base:
+                k = list(map(base.__gt__, prefix)).index(True)  # first improving target
+                return Move("insert", e, i, k if k < i else k - 1, None, base - prefix[k])
+        return None
 
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
         order = solution.order

@@ -9,9 +9,11 @@ consecutive relinking steps reuse it instead of rebuilding in O(m).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from bisect import bisect_left, insort
+from typing import Iterator, Optional, Sequence
 
-from .core import PARTITION, PartitionSolution, ProblemInstance
+from .construction import rcl_from_buckets
+from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PARTITION, PartitionSolution, ProblemInstance, pick_moves
 from .local_search import Move
 from .path_relinking import PrStep
 
@@ -51,45 +53,58 @@ class GainTable:
 
 
 class _MaxCutBuilder:
-    """Assigns one (vertex, side) per step; the seed vertex is forced to side 1.
+    """Assigns one vertex per step; the seed vertex is forced to side 1.
 
-    g((v, side)) = weight toward already-assigned vertices on the other side,
-    i.e. the exact cut increase of the assignment.
+    Key 2v + side assigns v to side; its gain is the weight toward
+    already-assigned vertices on the other side, i.e. the exact cut increase
+    of the assignment. The unassigned keys sit in buckets by exact gain, each
+    bucket sorted, so a step reads the RCL off the top buckets instead of
+    scoring every candidate, and add() moves O(degree) keys between buckets.
     """
 
     def __init__(self, inst: "MaxCutInstance"):
         self.inst = inst
         self.assigned: list[int | None] = [None] * inst.n
-        # gain_to[side][v]: cut increase if v joins `side`
-        self.gain_to = [[0] * inst.n, [0] * inst.n]
+        self.gain = [0] * (2 * inst.n)  # per key
+        self.buckets: dict[int, list[int]] = {0: list(range(2 * inst.n))}  # gain -> sorted keys
         self.objective = 0
         self.count = 0
         if inst.n > 0:
             seed = max(range(inst.n), key=lambda v: (sum(w for _, w in inst.adj[v]), -v))
-            self.add((seed, 1))
+            self.add(2 * seed + 1)
 
     @property
     def complete(self) -> bool:
         return self.count == self.inst.n
 
-    def candidates(self) -> list[tuple[tuple[int, int], int]]:
-        out = []
-        for v in range(self.inst.n):
-            if self.assigned[v] is None:
-                out.append(((v, 0), self.gain_to[0][v]))
-                out.append(((v, 1), self.gain_to[1][v]))
-        return out
+    def rcl(self, mode: str, alpha: float) -> list[int]:
+        return rcl_from_buckets(self.buckets, 2 * (self.inst.n - self.count), mode, alpha)
 
-    def add(self, key: tuple[int, int]) -> None:
-        v, side = key
+    def _move_key(self, key: int, new: Optional[int]) -> None:
+        # take key out of its bucket and, unless new is None, into bucket new
+        g = self.gain[key]
+        keys = self.buckets[g]
+        del keys[bisect_left(keys, key)]
+        if not keys:
+            del self.buckets[g]
+        if new is not None:
+            self.gain[key] = new
+            insort(self.buckets.setdefault(new, []), key)
+
+    def add(self, key: int) -> None:
+        v, side = divmod(key, 2)
         if self.assigned[v] is not None:
             raise ValueError(f"vertex {v} already assigned")
-        self.objective += self.gain_to[side][v]
+        self.objective += self.gain[key]
         self.assigned[v] = side
         self.count += 1
+        self._move_key(2 * v, None)
+        self._move_key(2 * v + 1, None)
+        other = 1 - side
         for u, w in self.inst.adj[v]:
             if self.assigned[u] is None:
-                self.gain_to[1 - side][u] += w
+                k = 2 * u + other
+                self._move_key(k, self.gain[k] + w)
 
     def build(self) -> PartitionSolution:
         return PartitionSolution([s if s is not None else 0 for s in self.assigned], self.objective)
@@ -150,23 +165,38 @@ class MaxCutInstance(ProblemInstance):
             table = self._gains = GainTable(self, PartitionSolution(list(solution.bits)))
         return table
 
-    def moves(self, solution: PartitionSolution, offset: int = 0) -> Iterable[Move]:
-        # a copy: the cache follows any in-sync solution a caller moves mid-scan
-        gains = list(self._gain_table(solution).gain)
+    def moves(self, solution: PartitionSolution, offset: int = 0, pick: str = ALL_MOVES) -> Iterator[Move]:
+        if self.neighborhood == "swap":
+            yield from pick_moves(self._swap_moves(solution), pick)
+            return
+        gains = self._gain_table(solution).gain
         n = self.n
-        if self.neighborhood == "transfer":
+        if pick == BEST_MOVE:
+            best = max(gains)
+            if best > 0:
+                yield Move("transfer", gains.index(best), None, None, None, best)
+        elif pick == FIRST_MOVE:
+            improving = [g > 0 for g in gains[offset:] + gains[:offset]]
+            if True in improving:
+                v = (offset + improving.index(True)) % n
+                yield Move("transfer", v, None, None, None, gains[v])
+        else:
+            gains = list(gains)  # a copy: the cache follows any in-sync solution a caller moves mid-scan
             for k in range(n):
                 v = (offset + k) % n
                 yield Move("transfer", v, None, None, None, gains[v])
-        else:
-            bits = solution.bits
-            for u in range(n):
-                if bits[u] != 1:
-                    continue
-                for v in range(n):
-                    if bits[v] == 0:
-                        d = gains[u] + gains[v] + 2 * self.edge_weight(u, v)
-                        yield Move("swap", u, None, None, v, d)
+
+    def _swap_moves(self, solution: PartitionSolution) -> Iterator[Move]:
+        gains = list(self._gain_table(solution).gain)  # a copy, as for the transfer scan
+        bits = solution.bits
+        n = self.n
+        for u in range(n):
+            if bits[u] != 1:
+                continue
+            for v in range(n):
+                if bits[v] == 0:
+                    d = gains[u] + gains[v] + 2 * self.edge_weight(u, v)
+                    yield Move("swap", u, None, None, v, d)
 
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:
         if move.kind == "transfer":

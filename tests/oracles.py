@@ -117,6 +117,23 @@ class EliteMirror:
         return True, [victim[0]], None
 
 
+def best_move(moves):
+    """Best-improving selection over a moves() scan: largest delta > 0, first on ties."""
+    best = None
+    for move in moves:
+        if move.delta > 0 and (best is None or move.delta > best.delta):
+            best = move
+    return best
+
+
+def first_move(moves):
+    """First-improving selection over a moves() scan."""
+    for move in moves:
+        if move.delta > 0:
+            return move
+    return None
+
+
 def rand_lop_matrix(r, n, lo=0, hi=99):
     return [[0 if i == j else r.randint(lo, hi) for j in range(n)] for i in range(n)]
 

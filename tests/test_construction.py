@@ -10,6 +10,8 @@ from grasppr.construction import (
     build_rcl_cardinality,
     build_rcl_value,
     construct,
+    rcl_from_buckets,
+    rcl_from_entries,
 )
 from grasppr.core import RandomStream
 from grasppr.lop import LopInstance
@@ -140,6 +142,75 @@ def test_negative_gmax_falls_back_to_greedy_argmax():
     for _ in range(50):
         sol = construct(inst, RclConfig(alpha_low=0.9, alpha_high=1.0), rng)
         assert sorted(sol.order) == list(range(5))
+
+
+def _reference_rcl(entries, mode, alpha):
+    # the selection construct() made over the builders' (key, gain) lists
+    # before each builder owned its RCL
+    greedy = [key for key, g in entries if g == max(g for _, g in entries)]
+    if alpha == 0.0:
+        return [min(greedy)]
+    if mode == VALUE:
+        return build_rcl_value(entries, alpha) or greedy
+    return build_rcl_cardinality(entries, alpha)
+
+
+def _maxcut_entries(inst, assigned):
+    # key 2v + side gains the weight toward assigned vertices on the other side
+    return [
+        (2 * v + side, sum(w for u, w in inst.adj[v] if assigned[u] is not None and assigned[u] != side))
+        for v in range(inst.n)
+        if assigned[v] is None
+        for side in (0, 1)
+    ]
+
+
+def _lop_entries(inst, order):
+    return [(v, sum(inst.cost[u][v] for u in order)) for v in range(inst.n) if v not in order]
+
+
+def test_builder_rcl_matches_reference_selection():
+    # after every add, each builder's rcl equals the reference over entries
+    # computed from scratch; random adds reach states greedy steps never would
+    r = oracles.make_rng(43)
+    alphas = (0.0, 1e-9, 0.3, 0.5, 1.0)
+    instances = [
+        MaxCutInstance(12, oracles.rand_edges(r, 12, 0.4, -5, 10)),
+        MaxCutInstance(10, oracles.rand_edges(r, 10, 1.0, -9, -1)),  # g_max < 0 once both sides are used
+        MaxCutInstance(14, oracles.rand_edges(r, 14, 0.3, 1, 1)),  # ties everywhere
+        MaxCutInstance(16, oracles.rand_edges(r, 16, 0.5, -10**6, 10**6)),
+        LopInstance(oracles.rand_lop_matrix(r, 9, -20, 20)),
+    ]
+    negative_max = 0
+    for inst in instances:
+        for _ in range(4):
+            builder = inst.new_construction()
+            while not builder.complete:
+                if isinstance(inst, MaxCutInstance):
+                    entries = _maxcut_entries(inst, builder.assigned)
+                else:
+                    entries = _lop_entries(inst, builder.order)
+                negative_max += max(g for _, g in entries) < 0
+                for mode in (VALUE, CARDINALITY):
+                    for alpha in alphas:
+                        assert builder.rcl(mode, alpha) == _reference_rcl(entries, mode, alpha), (mode, alpha)
+                builder.add(r.choice(entries)[0])
+    assert negative_max > 0
+
+
+def test_rcl_from_buckets_matches_rcl_from_entries():
+    r = oracles.make_rng(44)
+    for size in (1, 2, 3, 8, 40):
+        for lo, hi in ((-3, 3), (-9, -1), (0, 0), (-10**6, 10**6)):
+            entries = [(k, r.randint(lo, hi)) for k in range(size)]
+            buckets = {}
+            for key, g in entries:
+                buckets.setdefault(g, []).append(key)
+            for mode in (VALUE, CARDINALITY):
+                for alpha in (0.0, 1e-9, 0.3, 0.5, 1.0):
+                    assert rcl_from_buckets(buckets, size, mode, alpha) == rcl_from_entries(entries, mode, alpha)
+    with pytest.raises(ConstructionError):
+        rcl_from_buckets({}, 0, VALUE, 0.5)
 
 
 def test_per_step_alpha_draw_count():

@@ -5,8 +5,11 @@ iteration budget, so every RunReport field except the wall-clock times must
 reproduce exactly. The expected values live in golden_trace.json; refactors
 and faster kernels must leave them unchanged. The toys have n <= 14, so two
 larger runs (a LOP n = 50 matrix and a max-cut n = 800 graph, both generated
-here from fixed seeds) live in golden_trace_large.json. Regenerate both
-(only for a named, justified behaviour change) with
+here from fixed seeds) live in golden_trace_large.json. Those runs use the
+value RCL and best-improving search only; golden_trace_paths.json freezes the
+cardinality RCL, first-improving search and the swap neighbourhoods on the
+toys, and the two larger runs with first-improving search. Regenerate all
+three (only for a named, justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
@@ -23,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOY_DIR = ROOT / "instances" / "toy"
 GOLDEN = Path(__file__).resolve().parent / "golden_trace.json"
 GOLDEN_LARGE = Path(__file__).resolve().parent / "golden_trace_large.json"
+GOLDEN_PATHS = Path(__file__).resolve().parent / "golden_trace_paths.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -87,6 +91,36 @@ def compute_large_traces() -> dict:
     return traces
 
 
+# search paths the value-RCL, best-improving traces above never take
+PATH_OPTIONS = {"first": {"depth": "first"}, "card": {"rcl-mode": "card"}}
+PATH_VARIANTS = (drivers.GRASP, drivers.DYNAMIC_PR)
+
+
+def _swap_instance(instance):
+    # the neighbourhood is no run option, so the swap instances are built here
+    if isinstance(instance, LopInstance):
+        return LopInstance(instance.cost, neighborhood="swap")
+    return MaxCutInstance(instance.n, instance.edges, neighborhood="swap")
+
+
+def compute_path_traces() -> dict:
+    traces = {}
+    for problem, path in _toys():
+        instance = bench_io.load_instance(path, problem)
+        for seed in SEEDS:
+            for name, extra in PATH_OPTIONS.items():
+                for variant in PATH_VARIANTS:
+                    options = {"variant": variant, **OPTIONS, **extra}
+                    cfg = bench_io.build_run_config(problem, options, seed, None, ITERATIONS)
+                    traces[f"{name}/{variant}/{path.stem}/{seed}"] = _trace(drivers.run(instance, cfg))
+            cfg = bench_io.build_run_config(problem, {"variant": drivers.GRASP, **OPTIONS}, seed, None, ITERATIONS)
+            traces[f"swap/{drivers.GRASP}/{path.stem}/{seed}"] = _trace(drivers.run(_swap_instance(instance), cfg))
+    for key, problem, make, options, iterations in LARGE_RUNS:
+        cfg = bench_io.build_run_config(problem, {**options, "depth": "first"}, 1, None, iterations)
+        traces[f"first/{key}"] = _trace(drivers.run(make(), cfg))
+    return traces
+
+
 def test_golden_traces_reproduce():
     expected = json.loads(GOLDEN.read_text())
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
@@ -110,6 +144,15 @@ def test_large_golden_traces_reproduce():
         assert actual[key] == expected[key], key
 
 
+def test_path_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_PATHS.read_text())
+    assert sum(r["pr_calls"] for k, r in expected.items() if f"/{drivers.DYNAMIC_PR}/" in k) > 0
+    actual = compute_path_traces()
+    assert sorted(actual) == sorted(expected)
+    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not mismatched, f"{len(mismatched)} run(s) diverged, first: {mismatched[0]}"
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -117,3 +160,6 @@ if __name__ == "__main__":
     large = compute_large_traces()
     GOLDEN_LARGE.write_text(json.dumps(large, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(large)} runs to {GOLDEN_LARGE}")
+    paths = compute_path_traces()
+    GOLDEN_PATHS.write_text(json.dumps(paths, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(paths)} runs to {GOLDEN_PATHS}")

@@ -116,6 +116,29 @@ def test_insert_scan_matches_reference_kernel():
                 assert d == oracles.lop_value(cost, after) - base
 
 
+def test_move_kernels_match_reference_selection():
+    # best_move / first_move pick what the selection loops over moves() pick,
+    # at every step of a climb down to the local optimum (capped at n = 60)
+    r = oracles.make_rng(41)
+    for n in (2, 3, 5, 17, 60):
+        matrices = (
+            [[r.randint(-50, 99) for _ in range(n)] for _ in range(n)],  # non-zero diagonal, negative entries
+            [[r.randint(0, 1) for _ in range(n)] for _ in range(n)],  # ties everywhere
+        )
+        for cost in matrices:
+            inst = LopInstance(cost)
+            for order in (list(range(n)), oracles.rand_perm(r, n), oracles.rand_perm(r, n)):
+                sol = PermutationSolution(order)
+                for _ in range(n if n < 60 else 8):
+                    best = inst.best_move(sol)
+                    assert best == oracles.best_move(inst.moves(sol)), (n, sol.order)
+                    first = inst.first_move(sol, r.randrange(n))  # the permutation scan ignores offsets
+                    assert first == oracles.first_move(inst.moves(sol)), (n, sol.order)
+                    if best is None:
+                        break
+                    inst.apply_move(sol, best if r.random() < 0.5 else first)
+
+
 def test_swap_delta_exactness_fuzz():
     r = oracles.make_rng(23)
     cost = oracles.rand_lop_matrix(r, 8, -50, 99)

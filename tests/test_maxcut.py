@@ -139,6 +139,25 @@ def test_local_optimum_has_nonpositive_gains():
     assert all(g <= 0 for g in GainTable(inst, out).gain)
 
 
+def test_move_kernels_match_reference_selection():
+    # best_move and first_move at every offset pick what the selection loops
+    # over moves() pick, at every step of a climb down to the local optimum
+    r = oracles.make_rng(42)
+    for n, p, lo, hi in ((1, 0.0, 1, 1), (2, 1.0, -5, 10), (9, 0.5, -1, 1), (30, 0.2, -5, 10), (30, 0.3, -9, -1)):
+        inst = MaxCutInstance(n, oracles.rand_edges(r, n, p, lo, hi))
+        sol = PartitionSolution(oracles.rand_bits(r, n))
+        evaluate(inst, sol)
+        while True:
+            best = inst.best_move(sol)
+            assert best == oracles.best_move(inst.moves(sol)), (n, sol.bits)
+            for offset in range(n):
+                assert inst.first_move(sol, offset) == oracles.first_move(inst.moves(sol, offset)), (n, offset)
+            if best is None:
+                break
+            inst.apply_move(sol, best if r.random() < 0.5 else inst.first_move(sol, r.randrange(n)))
+            assert sol.cached_objective == oracles.cut_value(inst.edges, sol.bits)
+
+
 def _fresh_gains(inst, sol):
     return GainTable(inst, PartitionSolution(list(sol.bits))).gain
 
