@@ -142,11 +142,38 @@ class ProblemInstance(ABC):
     def pr_candidates(self, current: Solution, guiding: Solution):
         """Path-relinking step candidates toward guiding (see path_relinking.PrStep)."""
 
+    def new_walk(self, a: Solution, b: Solution) -> "Walk":
+        """A relinking walk that moves a and b in place (see Walk)."""
+        return Walk(self, a, b)
+
     def check_dimensions(self, solution: Solution) -> None:
         if len(_payload(solution)) != self.n:
             raise ValueError(
                 f"dimension mismatch: solution has {len(_payload(solution))} entries, instance has n={self.n}"
             )
+
+
+class Walk:
+    """Relinking steps between two solutions, heads[0] and heads[1].
+
+    ranked(i, k) lists at most k steps that move heads[i] toward the other
+    head without reaching it, by descending delta, ties in candidate order
+    (ascending element for both problems); take(i, step) applies one of them
+    to heads[i]. This default ranks the full pr_candidates list each step;
+    an adapter whose candidates it can track across steps returns its own
+    walk from new_walk.
+    """
+
+    def __init__(self, instance: ProblemInstance, a: Solution, b: Solution):
+        self.instance = instance
+        self.heads = (a, b)
+
+    def ranked(self, i: int, k: int) -> list:
+        steps = [c for c in self.instance.pr_candidates(self.heads[i], self.heads[1 - i]) if not c.reaches_guiding]
+        return sorted(steps, key=lambda c: -c.delta)[:k]  # stable
+
+    def take(self, i: int, step) -> None:
+        self.instance.apply_move(self.heads[i], step.move)
 
 
 def evaluate(instance: ProblemInstance, solution: Solution) -> int:

@@ -8,6 +8,10 @@ permutations the insertion of a misplaced element into its guiding position
 is filtered by that rule, so a walk can stop early when only non-reducing
 insertions remain (e.g. the two endpoints differ by a non-adjacent
 transposition).
+
+Each problem owns its walk (ProblemInstance.new_walk): every step asks it
+for at most k ranked steps, k = 1 for greedy and rcl_size for grpr, and
+applies the one rng.pick chooses.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import ProblemInstance, RandomStream, Solution, delta as delta_size, evaluate
+from .core import ProblemInstance, RandomStream, Solution, Walk, delta as delta_size, evaluate
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -100,66 +104,29 @@ class _BestTracker:
             self.objective = obj
 
 
-def _select_step(cands: list[PrStep], cfg: PrConfig, rng: RandomStream) -> PrStep:
-    # adapters yield candidates in ascending element order, so keeping the
-    # first maximum gives the lowest-id tie-break in both branches
-    if cfg.step == GREEDY:
-        best = cands[0]
-        for c in cands[1:]:
-            if c.delta > best.delta:
-                best = c
-        return best
-    ranked = sorted(cands, key=lambda c: -c.delta)  # stable: id order within equal deltas
-    return rng.pick(ranked[: cfg.rcl_size])
-
-
 def _walk(
-    instance: ProblemInstance,
-    start: Solution,
-    guide: Solution,
+    walk: Walk,
+    alternate: bool,
     budget: int,
     cfg: PrConfig,
     rng: RandomStream,
     visit: Callable[[Solution], None],
 ) -> None:
-    current = start.copy()
-    steps = 0
-    while steps < budget:
-        cands = [c for c in instance.pr_candidates(current, guide) if not c.reaches_guiding]
-        if not cands:
-            return
-        chosen = _select_step(cands, cfg, rng)
-        instance.apply_move(current, chosen.move)
-        steps += 1
-        visit(current)
-
-
-def _walk_mixed(
-    instance: ProblemInstance,
-    worse: Solution,
-    better: Solution,
-    budget: int,
-    cfg: PrConfig,
-    rng: RandomStream,
-    visit: Callable[[Solution], None],
-) -> None:
-    # roles reverse after every accepted step; each head gets `budget` steps
-    heads = [worse.copy(), better.copy()]
+    # heads[0] moves toward heads[1]; with alternate the roles reverse after
+    # every accepted step (mixed). Each moving head gets `budget` steps.
+    # Greedy ranks one step and rng.pick of a single step draws nothing.
+    k = 1 if cfg.step == GREEDY else cfg.rcl_size
     steps = [0, 0]
     mover = 0
     while steps[mover] < budget:
-        cands = [
-            c
-            for c in instance.pr_candidates(heads[mover], heads[1 - mover])
-            if not c.reaches_guiding
-        ]
-        if not cands:
+        ranked = walk.ranked(mover, k)
+        if not ranked:
             return
-        chosen = _select_step(cands, cfg, rng)
-        instance.apply_move(heads[mover], chosen.move)
+        walk.take(mover, rng.pick(ranked))
         steps[mover] += 1
-        visit(heads[mover])
-        mover = 1 - mover
+        visit(walk.heads[mover])
+        if alternate:
+            mover = 1 - mover
 
 
 def relink(
@@ -216,15 +183,12 @@ def relink(
             best.offer(improved, improved.cached_objective)
 
     budget = math.ceil(cfg.truncation * (dsize - 1))
-    if cfg.direction == FORWARD:
-        _walk(instance, worse, better, budget, cfg, rng, visit)
-    elif cfg.direction == BACKWARD:
-        _walk(instance, better, worse, budget, cfg, rng, visit)
-    elif cfg.direction == BACK_AND_FORWARD:
-        _walk(instance, better, worse, budget, cfg, rng, visit)
-        _walk(instance, worse, better, budget, cfg, rng, visit)
+    if cfg.direction == MIXED:
+        _walk(instance.new_walk(worse.copy(), better.copy()), True, budget, cfg, rng, visit)
     else:
-        _walk_mixed(instance, worse, better, budget, cfg, rng, visit)
+        _walk(instance.new_walk(initiating.copy(), guiding), False, budget, cfg, rng, visit)
+        if cfg.direction == BACK_AND_FORWARD:
+            _walk(instance.new_walk(worse.copy(), better), False, budget, cfg, rng, visit)
 
     if trace.visited:
         objs = [obj for _, obj in trace.visited]

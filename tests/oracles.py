@@ -61,6 +61,22 @@ def maxcut_optimum_enum(n, edges):
     return best
 
 
+def top_relink_flips(edges, current, target, k):
+    """(position, gain) of the at most k best relinking flips of current toward
+    target, skipping a flip that reaches target: the stable top k of the full
+    scan in ascending position, by descending cut gain."""
+    base = cut_value(edges, current)
+    flips = []
+    for j in range(len(current)):
+        if current[j] != target[j]:
+            flipped = list(current)
+            flipped[j] ^= 1
+            flips.append((j, cut_value(edges, flipped) - base))
+    if len(flips) == 1:
+        return []
+    return sorted(flips, key=lambda f: -f[1])[:k]
+
+
 def reducing_insertions(order, target):
     """Elements whose insertion into their target position strictly shrinks
     the position-wise difference; the permutation analogue of a PR step."""

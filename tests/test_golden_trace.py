@@ -8,17 +8,24 @@ larger runs (a LOP n = 50 matrix and a max-cut n = 800 graph, both generated
 here from fixed seeds) live in golden_trace_large.json. Those runs use the
 value RCL and best-improving search only; golden_trace_paths.json freezes the
 cardinality RCL, first-improving search and the swap neighbourhoods on the
-toys, and the two larger runs with first-improving search. Regenerate all
-three (only for a named, justified behaviour change) with
+toys, and the two larger runs with first-improving search.
+golden_trace_relink.json freezes single relink calls over every direction,
+step rule, truncation and in-path policy, on a LOP toy, a max-cut toy and a
+generated max-cut graph with n = 120. Regenerate all four (only for a named,
+justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
 
+import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
 
-from grasppr import bench_io, drivers
+from grasppr import bench_io, drivers, path_relinking
+from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, evaluate
+from grasppr.local_search import SearchDepth, local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 
@@ -27,6 +34,7 @@ TOY_DIR = ROOT / "instances" / "toy"
 GOLDEN = Path(__file__).resolve().parent / "golden_trace.json"
 GOLDEN_LARGE = Path(__file__).resolve().parent / "golden_trace_large.json"
 GOLDEN_PATHS = Path(__file__).resolve().parent / "golden_trace_paths.json"
+GOLDEN_RELINK = Path(__file__).resolve().parent / "golden_trace_relink.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -121,6 +129,68 @@ def compute_path_traces() -> dict:
     return traces
 
 
+def _relink_maxcut() -> MaxCutInstance:
+    # +-1 weights, so equal flip gains are common and step tie-breaks matter
+    r = random.Random(120)
+    n = 120
+    edges = [(i, j, r.choice((-1, 1))) for i in range(n) for j in range(i + 1, n) if r.random() < 0.05]
+    return MaxCutInstance(n, edges)
+
+
+def _relink_instances():
+    yield "lop-n10-a", bench_io.load_instance(TOY_DIR / "lop-n10-a.mat", bench_io.LOP)
+    yield "mc-n12-pm", bench_io.load_instance(TOY_DIR / "mc-n12-pm.el", bench_io.MAXCUT)
+    yield "mc-n120", _relink_maxcut()
+
+
+RELINK_SEEDS = (1, 2)
+# (direction, step, truncation, in-path policy): every value a driver or an experiment can set
+RELINK_CONFIGS = tuple(
+    itertools.product(
+        (path_relinking.FORWARD, path_relinking.BACKWARD, path_relinking.BACK_AND_FORWARD, path_relinking.MIXED),
+        (path_relinking.GREEDY, path_relinking.GREEDY_RANDOMIZED),
+        (1.0, 0.5),
+        (path_relinking.LS_NONE, path_relinking.LS_ALL, path_relinking.LS_EVERY, path_relinking.LS_BEST),
+    )
+)
+
+
+def _endpoint_pairs(instance, seed):
+    """Two random solutions, and the local optima a best-improving descent reaches from them."""
+    r = random.Random(seed)
+    if isinstance(instance, LopInstance):
+        sols = [PermutationSolution(r.sample(range(instance.n), instance.n)) for _ in range(2)]
+    else:
+        sols = [PartitionSolution([r.randrange(2) for _ in range(instance.n)]) for _ in range(2)]
+    for sol in sols:
+        evaluate(instance, sol)
+    optima = [local_search(instance, sol, SearchDepth.BEST_IMPROVING, RandomStream(seed)) for sol in sols]
+    return {"random": sols, "optima": optima}
+
+
+def compute_relink_traces() -> dict:
+    traces = {}
+    for name, instance in _relink_instances():
+        for seed in RELINK_SEEDS:
+            for pair, (s, t) in _endpoint_pairs(instance, seed).items():
+                if s == t:
+                    continue
+                for direction, step, truncation, in_path in RELINK_CONFIGS:
+                    cfg = path_relinking.PrConfig(direction=direction, step=step, truncation=truncation, in_path_ls=in_path)
+                    rng = RandomStream(seed)
+                    best, trace = path_relinking.relink(instance, s.copy(), t.copy(), cfg, rng)
+                    path = "|".join(f"{bench_io.serialize_solution(sol)}={obj}" for sol, obj in trace.visited)
+                    traces[f"{name}/{seed}/{pair}/{direction}/{step}/{truncation}/{in_path}"] = {
+                        "best_objective": best.cached_objective,
+                        "best_solution": bench_io.serialize_solution(best),
+                        "steps": len(trace.visited),
+                        "path_sha256": hashlib.sha256(path.encode()).hexdigest(),  # visited solutions and objectives
+                        "best_index": trace.best_index,
+                        "rng_after": rng.randrange(2**31),  # the draws the walk consumed
+                    }
+    return traces
+
+
 def test_golden_traces_reproduce():
     expected = json.loads(GOLDEN.read_text())
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
@@ -153,6 +223,19 @@ def test_path_golden_traces_reproduce():
     assert not mismatched, f"{len(mismatched)} run(s) diverged, first: {mismatched[0]}"
 
 
+def test_relink_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_RELINK.read_text())
+    # every configuration walks somewhere on every instance
+    for name, _ in _relink_instances():
+        for config in RELINK_CONFIGS:
+            suffix = "/" + "/".join(map(str, config))
+            assert any(k.startswith(name + "/") and k.endswith(suffix) and r["steps"] for k, r in expected.items())
+    actual = compute_relink_traces()
+    assert sorted(actual) == sorted(expected)
+    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not mismatched, f"{len(mismatched)} relink call(s) diverged, first: {mismatched[0]}"
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -163,3 +246,6 @@ if __name__ == "__main__":
     paths = compute_path_traces()
     GOLDEN_PATHS.write_text(json.dumps(paths, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(paths)} runs to {GOLDEN_PATHS}")
+    relinks = compute_relink_traces()
+    GOLDEN_RELINK.write_text(json.dumps(relinks, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(relinks)} relink calls to {GOLDEN_RELINK}")

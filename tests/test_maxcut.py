@@ -248,6 +248,103 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     assert len(builds) == 1
 
 
+def _diff(a, b):
+    return [j for j in range(len(a.bits)) if a.bits[j] != b.bits[j]]
+
+
+@pytest.mark.parametrize("pm1", [False, True], ids=["negative", "pm1"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_walk_step_kernel_matches_reference(pm1, k):
+    """Every step of single-head and alternating walks: pr_candidates(..., size, diff)
+    equals the stable top k of the full scan, and the walk's diff stays the
+    ascending difference of its heads."""
+    r = oracles.make_rng(60 + k)
+    tied = 0
+    for trial in range(12):
+        n = r.randrange(6, 30)
+        edges = [(i, j, r.choice((-1, 1)) if pm1 else r.randint(-5, 3)) for i, j, _ in oracles.rand_edges(r, n, 0.3)]
+        inst = MaxCutInstance(n, edges)
+        a = PartitionSolution(oracles.rand_bits(r, n))
+        b = PartitionSolution(oracles.rand_bits(r, n))
+        if a == b:
+            continue
+        for sol in (a, b):
+            evaluate(inst, sol)
+        walk = inst.new_walk(a, b)
+        alternate = trial % 2 == 1
+        mover = 0
+        while True:
+            assert walk.diff == _diff(a, b)
+            cur, other = walk.heads[mover], walk.heads[1 - mover]
+            expected = oracles.top_relink_flips(edges, cur.bits, other.bits, k)
+            steps = inst.pr_candidates(cur, other, k, walk.diff)
+            assert [(s.move.element, s.delta) for s in steps] == expected
+            assert walk.ranked(mover, k) == steps
+            assert not any(s.reaches_guiding for s in steps)
+            if not steps:
+                assert len(walk.diff) == 1
+                break
+            gains = [g for _, g in oracles.top_relink_flips(edges, cur.bits, other.bits, n)]
+            tied += gains.count(gains[0]) > 1 or (k < len(gains) and gains[k - 1] == gains[k])
+            walk.take(mover, r.choice(steps))
+            assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
+            if alternate:
+                mover = 1 - mover
+    assert tied > 0  # the tie-breaks were exercised
+
+
+def test_gain_table_patched_or_rebuilt_equals_fresh(monkeypatch):
+    from grasppr import maxcut
+
+    builds = []
+    init = maxcut.GainTable.__init__
+
+    def counting_init(self, inst, solution):
+        builds.append(1)
+        init(self, inst, solution)
+
+    monkeypatch.setattr(maxcut.GainTable, "__init__", counting_init)
+    r = oracles.make_rng(61)
+    n = 40
+    limit = int(n * maxcut._PATCH_FRACTION)
+    for weights in ((-5, 10), (-1, 1)):
+        inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, *weights))
+        for flips in (1, limit - 1, limit, limit + 1, 3 * n // 4, n):
+            first = PartitionSolution(oracles.rand_bits(r, n))
+            table = inst._gain_table(first)
+            second = first.copy()
+            for v in r.sample(range(n), flips):
+                second.bits[v] ^= 1
+            fresh = _fresh_gains(inst, second)
+            before = len(builds)
+            patched = inst._gain_table(second)
+            assert patched.gain == fresh
+            assert patched.solution.bits == second.bits and patched.solution.bits is not second.bits
+            if flips <= limit:
+                assert patched is table and len(builds) == before  # patched in place, not rebuilt
+            else:
+                assert len(builds) == before + 1
+
+
+def test_walk_step_kernel_takes_size_and_diff_together():
+    a, b = PartitionSolution([0, 1, 0]), PartitionSolution([1, 0, 0])
+    for size, diff in ((2, None), (None, [0, 1])):
+        with pytest.raises(ValueError):
+            K3.pr_candidates(a, b, size, diff)
+
+
+def test_seed_vertex_computed_once_per_instance():
+    r = oracles.make_rng(62)
+    inst = MaxCutInstance(20, oracles.rand_edges(r, 20, 0.3, -5, 10))
+    heaviest = max(range(20), key=lambda v: (sum(inst.edge_weight(u, v) for u in range(20)), -v))
+    assert inst._seed is None  # not at parse time
+    assert inst.new_construction().assigned[heaviest] == 1
+    assert inst._seed == heaviest
+    other = (heaviest + 1) % 20
+    inst._seed = other  # later builders read the cached seed instead of recomputing it
+    assert inst.new_construction().assigned[other] == 1
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         MaxCutInstance(0, [])
