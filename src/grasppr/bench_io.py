@@ -15,8 +15,10 @@ import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 from pathlib import Path
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 from .construction import CARDINALITY, VALUE, RclConfig
 from .core import PartitionSolution, PermutationSolution, ProblemInstance, Solution
@@ -78,17 +80,38 @@ def _tokenize_line(raw: str, line_no: int) -> list[_Tok]:
 
 
 def _is_int(text: str) -> bool:
+    # isdecimal holds for exactly the characters int() reads as digits;
+    # isdigit also holds for superscripts such as '²', which int() rejects
     body = text[1:] if text[:1] in "+-" else text
-    return body.isdigit()
+    return body.isdecimal()
 
 
 def _as_int(tok: _Tok, what: str) -> int:
     if not _is_int(tok.text):
         raise ParseError(f"{what} is not an integer: {tok.text!r}", tok.line, tok.col)
-    value = int(tok.text)
+    try:
+        value = int(tok.text)
+    except ValueError:  # more digits than int() converts, so far outside 32 bits
+        raise ParseError(f"{what} outside 32-bit range: {len(tok.text)} characters", tok.line, tok.col) from None
     if not (-_INT32 <= value < _INT32):
         raise ParseError(f"{what} outside 32-bit range: {value}", tok.line, tok.col)
     return value
+
+
+def _plain_ints(tokens: Iterable[str]) -> Optional[list[int]]:
+    """The tokens as ints if int() takes each and all are in 32-bit range, else None.
+
+    The fast paths below use it on text without '_': int() then accepts
+    exactly the tokens _is_int does (an optional sign, then decimal digits),
+    so None means _as_int raises on some token.
+    """
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        return None
+    if values and (min(values) < -_INT32 or max(values) >= _INT32):
+        return None
+    return values
 
 
 def parse_lolib(text: str) -> LopInstance:
@@ -96,25 +119,41 @@ def parse_lolib(text: str) -> LopInstance:
 
     Leading lines that do not start with an integer are header text; the first
     is the customary instance name, further ones are tolerated with a warning.
+    Well-formed text is read in bulk; anything else is reread token by token
+    to raise a located ParseError.
     """
     lines = text.split("\n")
-    per_line = [_tokenize_line(raw, ln) for ln, raw in enumerate(lines, start=1)]
-
-    start = 0
     skipped = 0
-    while start < len(per_line):
-        toks = per_line[start]
-        if toks and _is_int(toks[0].text):
+    for start, raw in enumerate(lines):
+        first = raw.split(None, 1)
+        if first and _is_int(first[0]):
             break
-        if toks:
+        if first:
             skipped += 1
-        start += 1
     else:
         raise ParseError("no dimension line found", max(len(lines), 1))
     if skipped > 1:
         warnings.warn(f"skipped {skipped - 1} unexpected header line(s)", stacklevel=2)
 
-    flat = [t for toks in per_line[start:] for t in toks]
+    values = _lolib_fast(lines, start)
+    if values is None:
+        values = _lolib_located(lines, start)
+    n = values[0]
+    return LopInstance([values[i : i + n] for i in range(1, len(values), n)])
+
+
+def _lolib_fast(lines: list[str], start: int) -> Optional[list[int]]:
+    """[n, entries...] if lines[start:] hold n >= 2 and n*n plain 32-bit ints, else None."""
+    body = "\n".join(lines[start:])
+    values = None if "_" in body else _plain_ints(body.split())
+    if values is None or values[0] < 2 or len(values) != values[0] * values[0] + 1:
+        return None
+    return values
+
+
+def _lolib_located(lines: list[str], start: int) -> list[int]:
+    """[n, entries...] of lines[start:], or a ParseError at the first bad token."""
+    flat = [t for ln, raw in enumerate(lines[start:], start=start + 1) for t in _tokenize_line(raw, ln)]
     n = _as_int(flat[0], "dimension n")
     if n <= 1:
         raise ParseError(f"n must be >= 2, got {n}", flat[0].line, flat[0].col)
@@ -126,10 +165,7 @@ def parse_lolib(text: str) -> LopInstance:
     if len(entries) > need:
         extra = entries[need]
         raise ParseError(f"expected {need} matrix entries, found {len(entries)}", extra.line, extra.col)
-
-    values = [_as_int(t, "matrix entry") for t in entries]
-    cost = [values[i * n : (i + 1) * n] for i in range(n)]
-    return LopInstance(cost)
+    return [n] + [_as_int(t, "matrix entry") for t in entries]
 
 
 def serialize_lolib(instance: LopInstance, name: str = "instance") -> str:
@@ -140,7 +176,41 @@ def serialize_lolib(instance: LopInstance, name: str = "instance") -> str:
 
 
 def parse_edge_list(text: str) -> MaxCutInstance:
-    """Parse a weighted graph: "n m" header, then m "i j w" lines (1-based ids)."""
+    """Parse a weighted graph: "n m" header, then m "i j w" lines (1-based ids).
+
+    Well-formed text is read in bulk; anything else is reread token by token
+    to raise a located ParseError.
+    """
+    parsed = _edge_list_fast(text)
+    if parsed is None:
+        parsed = _edge_list_located(text)
+    try:
+        return MaxCutInstance(*parsed)
+    except ValueError as exc:  # duplicate edges whose summed weight leaves 32 bits
+        raise ParseError(str(exc)) from None
+
+
+def _edge_list_fast(text: str) -> Optional[tuple[int, list[tuple[int, int, int]]]]:
+    """(n, 0-based edges) if every line and token is well formed, else None."""
+    if "_" in text:
+        return None
+    rows = [toks for toks in map(str.split, text.split("\n")) if toks]
+    if not rows or len(rows[0]) != 2 or any(len(toks) != 3 for toks in rows[1:]):
+        return None
+    values = _plain_ints(chain.from_iterable(rows))
+    if values is None:
+        return None
+    n, m = values[0], values[1]
+    us, vs, ws = values[2::3], values[3::3], values[4::3]
+    if n < 1 or m != len(rows) - 1:
+        return None
+    if m and (min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs))):
+        return None
+    return n, [(u - 1, v - 1, w) for u, v, w in zip(us, vs, ws)]
+
+
+def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """(n, 0-based edges) of text, or a ParseError at the first bad line or token."""
     rows = [toks for ln, raw in enumerate(text.split("\n"), start=1) for toks in [_tokenize_line(raw, ln)] if toks]
     if not rows:
         raise ParseError("empty input", 1)
@@ -177,7 +247,7 @@ def parse_edge_list(text: str) -> MaxCutInstance:
         if i == j:
             raise ParseError(f"self-loop at vertex {i}", toks[0].line, toks[0].col)
         edges.append((i - 1, j - 1, w))
-    return MaxCutInstance(n, edges)
+    return n, edges
 
 
 def serialize_edge_list(instance: MaxCutInstance) -> str:
@@ -394,9 +464,35 @@ class RunRow:
     restarts: int
 
 
+# The instance of the last file this process parsed inside run_grid, as
+# {(problem, path): instance}: one entry, so consecutive cells on one file
+# (how the grids here are ordered) share one parse and memory stays bounded.
+# It is module state because pool workers get state only from an initializer
+# while run_cell keeps its one-argument, by-name form. None outside run_grid,
+# so nothing outlives a grid call in the calling process.
+_last_instance: Optional[dict[tuple[str, str], ProblemInstance]] = None
+
+
+def _keep_last_instance() -> None:
+    """Start an empty reuse cache; the process pool runs this in each worker."""
+    global _last_instance
+    _last_instance = {}
+
+
+def _cell_instance(spec: CellSpec) -> ProblemInstance:
+    cache = _last_instance
+    if cache is None:
+        return load_instance(spec.instance_path, spec.problem)
+    key = (spec.problem, spec.instance_path)
+    if key not in cache:
+        cache.clear()
+        cache[key] = load_instance(spec.instance_path, spec.problem)
+    return cache[key]
+
+
 def run_cell(spec: CellSpec) -> RunRow:
     try:
-        instance = load_instance(spec.instance_path, spec.problem)
+        instance = _cell_instance(spec)
         cfg = build_run_config(spec.problem, dict(spec.options), spec.seed, spec.time_limit, spec.iteration_limit)
         report = run(instance, cfg)
         return RunRow(
@@ -409,18 +505,29 @@ def run_cell(spec: CellSpec) -> RunRow:
             restarts=report.restarts,
         )
     except Exception as exc:
+        if _last_instance is not None:
+            _last_instance.clear()  # a failed run may leave the instance's caches half updated
         raise BenchError(
             f"cell failed (method={spec.method} instance={spec.instance_name} seed={spec.seed}): {exc}"
         ) from exc
 
 
 def run_grid(cells: Sequence[CellSpec], jobs: int = 1) -> list[RunRow]:
-    """Execute all cells; results are independent of scheduling and job count."""
+    """Execute all cells; results are independent of scheduling and job count.
+
+    Each worker parses a file once for a run of consecutive cells on it; the
+    file must not change during the call.
+    """
+    global _last_instance
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1 or len(cells) <= 1:
-        return [run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        _keep_last_instance()
+        try:
+            return [run_cell(c) for c in cells]
+        finally:
+            _last_instance = None
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_last_instance) as pool:
         return list(pool.map(run_cell, cells))
 
 
@@ -542,7 +649,10 @@ def read_best_known(path: Union[str, Path]) -> dict[str, int]:
             if k == 0:
                 continue  # header row
             raise ParseError(f"best-known value is not an integer: {value!r}", ln)
-        table[name] = int(value)
+        try:
+            table[name] = int(value)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"best-known value too long: {len(value)} characters", ln) from None
     return table
 
 

@@ -1,11 +1,15 @@
 import io
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasppr import bench_io
 from grasppr.bench_io import (
+    LOP,
+    MAXCUT,
     BenchError,
     CellSpec,
     OptionError,
@@ -29,7 +33,7 @@ from grasppr.bench_io import (
 )
 from grasppr.construction import CARDINALITY
 from grasppr.core import PartitionSolution, PermutationSolution, evaluate
-from grasppr.drivers import RunReport
+from grasppr.drivers import RunReport, run
 from grasppr.local_search import SearchDepth
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
@@ -145,12 +149,12 @@ def test_edge_list_round_trip():
 @settings(max_examples=150)
 @given(st.text(max_size=200))
 def test_lolib_parser_contains_failures(text):
-    # arbitrary text either parses or raises a controlled error
+    # arbitrary text either parses or raises a ParseError, never another exception
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             inst = parse_lolib(text)
-        except ValueError:
+        except ParseError:
             return
     assert isinstance(inst, LopInstance)
 
@@ -160,9 +164,173 @@ def test_lolib_parser_contains_failures(text):
 def test_edge_list_parser_contains_failures(text):
     try:
         inst = parse_edge_list(text)
-    except ValueError:
+    except ParseError:
         return
     assert isinstance(inst, MaxCutInstance)
+
+
+def test_superscript_digits_are_not_integers(tmp_path):
+    # str.isdigit holds for '²' and '³' but int() rejects them
+    with pytest.raises(ParseError) as exc:
+        parse_lolib("x\n2\n1 ² 3 4")
+    assert "not an integer" in str(exc.value) and (exc.value.line, exc.value.col) == (3, 3)
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list("2 1\n1 2 ³")
+    assert "not an integer" in str(exc.value) and (exc.value.line, exc.value.col) == (2, 5)
+    table = tmp_path / "best.csv"
+    table.write_text("a,1\nb,²\n")
+    with pytest.raises(ParseError, match="line 2: best-known value is not an integer"):
+        read_best_known(table)
+
+
+def test_numbers_beyond_int_digit_limit_are_parse_errors(tmp_path):
+    with pytest.raises(ParseError, match="outside 32-bit range") as exc:
+        parse_lolib("t\n2\n0 " + "9" * 5000 + " 3 0\n")
+    assert (exc.value.line, exc.value.col) == (3, 3)
+    table = tmp_path / "best.csv"
+    table.write_text("a,1\nb," + "9" * 5000 + "\n")
+    with pytest.raises(ParseError, match="line 2: best-known value too long"):
+        read_best_known(table)
+
+
+def test_merged_weight_overflow_is_a_parse_error():
+    with pytest.raises(ParseError, match="merged weight"):
+        parse_edge_list(f"2 2\n1 2 {2**31 - 1}\n2 1 1\n")
+
+
+# ---------------------------------------------------------------------------
+# differential checks: the bulk fast path against the located tokeniser
+
+_INT32 = 2**31
+_SEPARATORS = (" ", "  ", "\t", "\x1c", "\u0085", "\u3000", "\r")
+_DIGIT_ZEROS = (0x30, 0x660, 0x966, 0xFF10, 0x1D7CE)  # ASCII, Arabic-Indic, Devanagari, fullwidth, math bold
+
+
+def _spell(r, value):
+    """value as an int token: an optional '+', leading zeros, the digits of some script."""
+    sign = "-" if value < 0 else r.choice(("", "", "+"))
+    zero = r.choice(_DIGIT_ZEROS)
+    digits = "".join(chr(zero + int(d)) for d in "0" * r.choice((0, 0, 1, 3)) + str(abs(value)))
+    return sign + digits
+
+
+def _join(r, tokens, breaks):
+    out = []
+    for k, tok in enumerate(tokens):
+        if k:
+            out.append("\n" if breaks and r.random() < 0.2 else r.choice(_SEPARATORS))
+        out.append(tok)
+    return "".join(out)
+
+
+def _lop_text(r):
+    n = r.randint(2, 6)
+    values = [r.choice((0, 1, -1, 99, -_INT32, _INT32 - 1)) if r.random() < 0.2 else r.randint(-50, 50) for _ in range(n * n)]
+    header = r.choice(([], ["name"], ["name", "# comment", ""], ["x 1", "\u00b2 note", "\x1c", "-"]))
+    return "\n".join(header + [_join(r, [_spell(r, v) for v in [n, *values]], breaks=True)]) + r.choice(("", "\n", "\n\n"))
+
+
+def _edge_list_text(r):
+    n = r.randint(1, 7)
+    m = 0 if n == 1 or r.random() < 0.1 else r.randint(1, 8)
+    lines = [_join(r, [_spell(r, n), _spell(r, m)], breaks=False)]
+    for _ in range(m):
+        i, j = r.sample(range(1, n + 1), 2)
+        w = r.choice((-_INT32 // 8, _INT32 // 8 - 1)) if r.random() < 0.1 else r.randint(-9, 9)
+        lines.append(_join(r, [_spell(r, i), _spell(r, j), _spell(r, w)], breaks=False))
+    if m and r.random() < 0.3:  # a duplicate edge, reversed, merges with its twin
+        lines.append(lines[1])
+        lines[0] = _join(r, [_spell(r, n), _spell(r, m + 1)], breaks=False)
+    blank = r.choice(("", " ", "\u3000"))
+    return "\n".join(line + (f"\n{blank}" if r.random() < 0.2 else "") for line in lines)
+
+
+def _outcome(parse, text):
+    """What parse(text) returns or raises, and every warning with the frame it names."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            inst = parse(text)
+            result = ("ok", inst.cost) if isinstance(inst, LopInstance) else ("ok", inst.n, inst.edges)
+        except ParseError as exc:
+            result = ("error", str(exc), exc.line, exc.col)
+    return result, [(str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _located_outcome(parse, text):
+    with mock.patch.object(bench_io, "_lolib_fast", return_value=None), mock.patch.object(
+        bench_io, "_edge_list_fast", return_value=None
+    ):
+        return _outcome(parse, text)
+
+
+def test_fast_parse_equals_located_parse_on_valid_text():
+    r = oracles.make_rng(90)
+    for _ in range(300):
+        for parse, make, fallback in (
+            (parse_lolib, _lop_text, "_lolib_located"),
+            (parse_edge_list, _edge_list_text, "_edge_list_located"),
+        ):
+            text = make(r)
+            # valid text never reaches the located tokeniser
+            with mock.patch.object(bench_io, fallback, side_effect=AssertionError("fell back")):
+                fast = _outcome(parse, text)
+            assert fast[0][0] == "ok", (text, fast)
+            assert fast == _located_outcome(parse, text), text
+
+
+def _mutations(r, text, problem):
+    """Bad (and a few good) variants of a valid text, each with one targeted change."""
+    lines = text.split("\n")
+    body = [k for k, line in enumerate(lines) if line.split() and bench_io._is_int(line.split()[0])]
+    k = r.choice(body[1:] or body)
+    toks = lines[k].split()
+    # a valid graph header "2147483647 0" would build 2**31 adjacency lists
+    t = 1 if problem == MAXCUT and k == body[0] else r.randrange(len(toks))
+
+    def put(token):
+        return "\n".join(lines[:k] + [" ".join(toks[:t] + [token] + toks[t + 1 :])] + lines[k + 1 :])
+
+    yield put(toks[t][:1] + "_" + toks[t][1:] if len(toks[t]) > 1 else "1_0")
+    yield put("\u00b2")
+    yield put("1\u00b3")
+    yield put("1.5")
+    yield put("+")
+    yield put("9" * 5000)
+    for v in (_INT32, -_INT32 - 1, _INT32 - 1, -_INT32, 0, 1, -1):
+        yield put(str(v))
+    yield "\n".join(lines[:k] + [" ".join(toks[:t] + toks[t + 1 :])] + lines[k + 1 :])  # a token missing
+    yield "\n".join(lines[:k] + [" ".join(toks + ["7"])] + lines[k + 1 :])  # an extra token
+    yield text.replace("\n", " ", 1)
+    head = lines[body[0]].split()
+    if problem == LOP:
+        yield "\n".join(lines[: body[0]] + [" ".join(["1"] + head[1:])] + lines[body[0] + 1 :])  # n = 1
+        yield "t\n1\n0\n"
+        return
+    n = int(head[0])
+    if len(body) >= 3:  # a 2-token edge line balanced by a 4-token one
+        a, b = body[1], body[2]
+        moved = lines[a].split()
+        yield "\n".join(
+            lines[:a] + [" ".join(moved[:2])] + lines[a + 1 : b] + [lines[b] + " " + moved[2]] + lines[b + 1 :]
+        )
+    if len(body) >= 2:
+        edge = lines[body[1]].split()
+        for ids in (("0", edge[1]), (edge[0], str(n + 1)), (edge[0], edge[0])):  # ids 0, n + 1, a self-loop
+            yield "\n".join(lines[: body[1]] + [" ".join([*ids, edge[2]])] + lines[body[1] + 1 :])
+    yield "1 1\n1 1 0\n"
+
+
+def test_fast_parse_equals_located_parse_on_bad_text():
+    r = oracles.make_rng(91)
+    seen_errors = 0
+    for _ in range(60):
+        for parse, make, problem in ((parse_lolib, _lop_text, LOP), (parse_edge_list, _edge_list_text, MAXCUT)):
+            for text in _mutations(r, make(r), problem):
+                fast = _outcome(parse, text)
+                assert fast == _located_outcome(parse, text), text
+                seen_errors += fast[0][0] == "error"
+    assert seen_errors > 1000
 
 
 def test_serialize_solution_forms():
@@ -434,3 +602,83 @@ def test_run_cell_wraps_failures_with_context(tmp_path):
         run_cell(spec)
     msg = str(exc.value)
     assert "method=grasp" in msg and "instance=missing" in msg and "seed=4" in msg
+
+
+def _write_instances(tmp_path, seed=74):
+    r = oracles.make_rng(seed)
+    lop_path = tmp_path / "p.mat"
+    lop_path.write_text(serialize_lolib(LopInstance(oracles.rand_lop_matrix(r, 7)), name="p"))
+    mc_path = tmp_path / "q.el"
+    mc_path.write_text(serialize_edge_list(MaxCutInstance(12, oracles.rand_edges(r, 12, 0.4, -5, 9))))
+    return {LOP: lop_path, MAXCUT: mc_path}
+
+
+def _mixed_cells(paths):
+    # cells on one file come together and mix methods, so a reused instance
+    # arrives with its skew, gain and seed-vertex caches already warm
+    methods = (
+        ("semigreedy", (("variant", "semigreedy"),)),
+        ("grasp", ()),
+        ("dynamic_pr", (("elite-k", "2"), ("variant", "dynamic_pr"))),
+    )
+    return [
+        CellSpec(problem, str(path), path.stem, label, options, seed, None, 6)
+        for problem, path in paths.items()
+        for label, options in methods
+        for seed in (1, 2)
+    ]
+
+
+def _fresh_rows(cells):
+    rows = []
+    for c in cells:
+        report = run(load_instance(c.instance_path, c.problem), build_run_config(c.problem, dict(c.options), c.seed, None, c.iteration_limit))
+        rows.append((c.method, c.instance_name, c.seed, report.best_objective, report.iterations, report.restarts))
+    return rows
+
+
+def _strip(rows):
+    return [(r.method, r.instance, r.seed, r.best_objective, r.iterations, r.restarts) for r in rows]
+
+
+def test_run_grid_reuses_one_parse_per_file_run(tmp_path):
+    cells = _mixed_cells(_write_instances(tmp_path))
+    fresh = _fresh_rows(cells)
+    with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
+        assert _strip(run_grid(cells, jobs=1)) == fresh
+    assert loads.call_count == 2  # one parse per file
+    assert bench_io._last_instance is None  # nothing outlives the call
+    assert _strip(run_grid(cells, jobs=2)) == fresh
+    # the cache holds one file: alternating files reparse every cell
+    alternating = [cells[0], cells[-1], cells[1], cells[-2]]
+    with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
+        assert _strip(run_grid(alternating, jobs=1)) == _fresh_rows(alternating)
+    assert loads.call_count == 4
+
+
+def test_run_grid_sees_a_file_rewritten_between_calls(tmp_path):
+    paths = _write_instances(tmp_path)
+    cells = _mixed_cells(paths)[:2]
+    for jobs in (1, 2):
+        before = _strip(run_grid(cells, jobs))
+        paths[LOP].write_text(serialize_lolib(LopInstance(oracles.rand_lop_matrix(oracles.make_rng(jobs), 7)), name="p"))
+        after = _strip(run_grid(cells, jobs))
+        assert after == _fresh_rows(cells) and after != before
+
+
+def test_failed_cell_leaves_no_cached_instance(tmp_path):
+    good = _mixed_cells(_write_instances(tmp_path))[0]
+    bad = CellSpec(good.problem, good.instance_path, good.instance_name, "bad", (("variant", "nope"),), 1, None, 1)
+    with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
+        with pytest.raises(BenchError):
+            run_grid([good, bad], jobs=1)
+        assert bench_io._last_instance is None  # dropped although run_grid raised
+        bench_io._keep_last_instance()
+        try:
+            run_cell(good)
+            with pytest.raises(BenchError):
+                run_cell(bad)
+            run_cell(good)
+        finally:
+            bench_io._last_instance = None
+    assert loads.call_count == 1 + 2  # the failed cell dropped the parse it shared

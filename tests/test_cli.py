@@ -110,6 +110,15 @@ def test_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_superscript_digit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "sup.mat"
+    bad.write_text("x\n2\n1 \u00b2 3 4\n")
+    code = main(["validate", "--problem", "lop", "--instance", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 3, col 3: matrix entry is not an integer" in err
+
+
 def test_missing_instance_exits_74(tmp_path, capsys):
     code, _, err = _solve(
         ["--problem", "lop", "--instance", str(tmp_path / "nope.mat"), "--iters", "1"], capsys
