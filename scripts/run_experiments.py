@@ -10,8 +10,7 @@ experiment 7 is wall-clock-based by design.
 import argparse
 from pathlib import Path
 
-from grasppr import MaxCutInstance, RunConfig, bench_io, drivers, load_instance
-from grasppr.lop import LopInstance
+from grasppr import RunConfig, bench_io, drivers, load_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 TOYS = ROOT / "instances" / "toy"
@@ -59,19 +58,6 @@ def exp2_local_search(args, out_root):
     ]
     for problem in PROBLEMS:
         run_table(f"exp2_local_search_{problem}", problem, methods, args, out_root)
-    # preliminary check from the writeup: swap neighborhoods lose to insert/transfer
-    print("== exp2 preliminary: swap vs insert neighborhoods (single seed)")
-    for problem in PROBLEMS:
-        for path in toy_paths(problem)[:1]:
-            base = load_instance(path, problem)
-            if problem == bench_io.LOP:
-                swapped = LopInstance(base.cost, neighborhood="swap")
-            else:
-                swapped = MaxCutInstance(base.n, base.edges, neighborhood="swap")
-            cfg = RunConfig(variant="grasp", seed=args.seeds[0], iteration_limit=args.iters)
-            fi = drivers.run(base, cfg).best_objective
-            fs = drivers.run(swapped, cfg).best_objective
-            print(f"   {path.stem}: insert/transfer={fi} swap={fs}")
 
 
 def exp3_direction(args, out_root):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 PERMUTATION = "permutation"
 PARTITION = "partition"
@@ -117,13 +117,13 @@ class ProblemInstance(ABC):
 
     @abstractmethod
     def moves(self, solution: Solution, offset: int = 0, pick: str = ALL_MOVES):
-        """One neighborhood scan in canonical order, rotated by offset where supported.
+        """One neighbourhood scan in canonical order, rotated by offset where supported.
 
-        pick ALL_MOVES yields every move. BEST_MOVE and FIRST_MOVE yield only
-        the move that a best- or first-improving pass applies, or nothing at a
-        local optimum; adapters select it with a kernel that builds no Move
-        per candidate where they have one, and filter the full scan through
-        pick_moves otherwise.
+        Each problem has one move kind: insert for permutations, transfer
+        for partitions. pick ALL_MOVES yields every move. BEST_MOVE and
+        FIRST_MOVE yield only the move that a best- or first-improving pass
+        applies, or nothing at a local optimum; adapters select it with a
+        kernel that builds no Move per candidate.
         """
 
     def best_move(self, solution: Solution):
@@ -182,24 +182,6 @@ def evaluate(instance: ProblemInstance, solution: Solution) -> int:
     value = instance.evaluate(solution)
     solution.cached_objective = value
     return value
-
-
-def pick_moves(moves: Iterable, pick: str) -> Iterator:
-    """The moves of a full scan, in scan order, that pick keeps (see ProblemInstance.moves)."""
-    if pick == ALL_MOVES:
-        yield from moves
-    elif pick == FIRST_MOVE:
-        for move in moves:
-            if move.delta > 0:
-                yield move
-                return
-    else:
-        best = None
-        for move in moves:
-            if move.delta > 0 and (best is None or move.delta > best.delta):
-                best = move
-        if best is not None:
-            yield best
 
 
 def _last(moves: Iterable):

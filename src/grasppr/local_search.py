@@ -1,4 +1,4 @@
-"""Hill climbing over problem-defined neighborhoods, first- or best-improving."""
+"""Hill climbing over a problem-defined neighbourhood, first- or best-improving."""
 
 from __future__ import annotations
 
@@ -14,19 +14,17 @@ class SearchDepth(enum.Enum):
 
 
 class Move(NamedTuple):
-    """One neighborhood move with its exact objective delta.
+    """One neighbourhood move with its exact objective delta.
 
-    kinds: "insert" (permutation: element from_pos -> to_pos), "swap"
-    (exchange two positions, or a vertex pair across the cut), "transfer"
-    (partition: flip element's side). A tuple, so a moves() scan can build
-    many of them cheaply; immutable and hashable.
+    kinds: "insert" (permutation: element from_pos -> to_pos) and "transfer"
+    (partition: flip element's side; no positions). A tuple, so a moves()
+    scan can build many of them cheaply; immutable and hashable.
     """
 
     kind: str
     element: int
     from_pos: Optional[int] = None
     to_pos: Optional[int] = None
-    other: Optional[int] = None  # second element of a partition swap
     delta: int = 0
 
 

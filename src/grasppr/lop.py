@@ -1,9 +1,9 @@
 """Linear ordering problem: maximize the sum of matrix entries above the diagonal.
 
 A solution is an ordering of the n vertices; vertex a placed before vertex b
-contributes cost[a][b]. The default neighborhood is insert (move one vertex to
-another position); a swap neighborhood and swap-based relinking candidates sit
-behind the neighborhood flag for comparison runs.
+contributes cost[a][b]. The neighbourhood is insert (move one vertex to
+another position), and relinking steps insert a misplaced vertex at its
+guiding position.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_entries
-from .core import ALL_MOVES, BEST_MOVE, PERMUTATION, PermutationSolution, ProblemInstance, pick_moves
+from .core import ALL_MOVES, BEST_MOVE, PERMUTATION, PermutationSolution, ProblemInstance
 from .local_search import Move
 from .path_relinking import PrStep
 
@@ -58,12 +58,10 @@ class _LopBuilder:
 class LopInstance(ProblemInstance):
     representation = PERMUTATION
 
-    def __init__(self, cost: Sequence[Sequence[int]], neighborhood: str = "insert"):
+    def __init__(self, cost: Sequence[Sequence[int]]):
         n = len(cost)
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        if neighborhood not in ("insert", "swap"):
-            raise ValueError(f"unknown neighborhood: {neighborhood!r}")
         rows = []
         for i, row in enumerate(cost):
             if len(row) != n:
@@ -76,7 +74,6 @@ class LopInstance(ProblemInstance):
             rows.append(tuple(row))
         self.cost = tuple(rows)
         self.n = n
-        self.neighborhood = neighborhood
         # skew[e][u] = cost[e][u] - cost[u][e]; built on the first insert scan,
         # so parsing alone (setup, construction-only cells) never pays for it
         self._skew: Optional[tuple[tuple[int, ...], ...]] = None
@@ -107,16 +104,6 @@ class LopInstance(ProblemInstance):
                 d += cost[e][u] - cost[u][e]
         return d
 
-    def _swap_delta(self, order: Sequence[int], i: int, j: int) -> int:
-        # exchange positions i < j
-        a, b = order[i], order[j]
-        cost = self.cost
-        d = cost[b][a] - cost[a][b]
-        for p in range(i + 1, j):
-            u = order[p]
-            d += (cost[b][u] - cost[u][b]) + (cost[u][a] - cost[a][u])
-        return d
-
     def new_construction(self) -> _LopBuilder:
         return _LopBuilder(self)
 
@@ -145,26 +132,18 @@ class LopInstance(ProblemInstance):
         # canonical scan order: element id ascending, target position ascending;
         # the permutation scan ignores offsets (first-improving stays canonical)
         order = solution.order
-        if self.neighborhood == "swap":
-            yield from pick_moves(self._swap_moves(order), pick)
-        elif pick == ALL_MOVES:
+        if pick == ALL_MOVES:
             n = self.n
             for e, i, prefix in self._insert_prefixes(order):
                 base = prefix[i]
                 for j in range(i):
-                    yield Move("insert", e, i, j, None, base - prefix[j])
+                    yield Move("insert", e, i, j, base - prefix[j])
                 for j in range(i + 1, n):
-                    yield Move("insert", e, i, j, None, base - prefix[j + 1])
+                    yield Move("insert", e, i, j, base - prefix[j + 1])
         else:
             move = self._best_insert(order) if pick == BEST_MOVE else self._first_insert(order)
             if move is not None:
                 yield move
-
-    def _swap_moves(self, order: Sequence[int]) -> Iterator[Move]:
-        n = self.n
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                yield Move("swap", order[i], i, j, order[j], self._swap_delta(order, i, j))
 
     def _best_insert(self, order: Sequence[int]) -> Optional[Move]:
         best, chosen = 0, None
@@ -177,33 +156,28 @@ class LopInstance(ProblemInstance):
         if chosen is None:
             return None
         e, i, k = chosen
-        return Move("insert", e, i, k if k < i else k - 1, None, best)
+        return Move("insert", e, i, k if k < i else k - 1, best)
 
     def _first_insert(self, order: Sequence[int]) -> Optional[Move]:
         for e, i, prefix in self._insert_prefixes(order):
             base = prefix[i]
             if min(prefix) < base:
                 k = list(map(base.__gt__, prefix)).index(True)  # first improving target
-                return Move("insert", e, i, k if k < i else k - 1, None, base - prefix[k])
+                return Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
         return None
 
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
-        order = solution.order
-        if move.kind == "insert":
-            e = order.pop(move.from_pos)
-            order.insert(move.to_pos, e)
-        elif move.kind == "swap":
-            i, j = move.from_pos, move.to_pos
-            order[i], order[j] = order[j], order[i]
-        else:
+        if move.kind != "insert":
             raise ValueError(f"not a permutation move: {move.kind}")
+        order = solution.order
+        order.insert(move.to_pos, order.pop(move.from_pos))
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 
     def pr_candidates(self, current: PermutationSolution, guiding: PermutationSolution) -> list[PrStep]:
-        """Insertions (or swaps, per the neighborhood flag) of misplaced elements
-        into their guiding position, kept only when they strictly reduce the
-        position-wise difference to the guiding solution."""
+        """Insertions of misplaced elements into their guiding position, kept
+        only when they strictly reduce the position-wise difference to the
+        guiding solution."""
         if current == guiding:
             raise ValueError("current and guiding coincide")
         cur, tgt = current.order, guiding.order
@@ -218,18 +192,12 @@ class LopInstance(ProblemInstance):
             i, j = pos_cur[e], pos_tgt[e]
             if i == j:
                 continue
-            if self.neighborhood == "insert":
-                scratch = list(cur)
-                scratch.pop(i)
-                scratch.insert(j, e)
-                move = Move("insert", e, i, j, delta=self._insert_delta(cur, i, j))
-            else:
-                scratch = list(cur)
-                scratch[i], scratch[j] = scratch[j], scratch[i]
-                lo, hi = min(i, j), max(i, j)
-                move = Move("swap", cur[lo], lo, hi, other=cur[hi], delta=self._swap_delta(cur, lo, hi))
+            scratch = list(cur)
+            scratch.pop(i)
+            scratch.insert(j, e)
             new_size = sum(1 for p in range(self.n) if scratch[p] != tgt[p])
             if new_size < base:
-                steps.append(PrStep(move, move.delta, reaches_guiding=(new_size == 0)))
+                d = self._insert_delta(cur, i, j)
+                steps.append(PrStep(Move("insert", e, i, j, d), d, reaches_guiding=(new_size == 0)))
         return steps
 

@@ -1,12 +1,12 @@
 """Max-cut: maximize total weight of edges crossing a two-sided vertex partition.
 
-Weights may be negative. The default neighborhood transfers one vertex across
-the cut; flip gains are kept in a GainTable so a transfer costs O(degree).
-Each instance caches the GainTable of the last partition it scanned, keyed by
-a private copy of its bits, so consecutive passes of a descent and
-consecutive relinking steps reuse it. A partition that differs from the
-cached one in a few vertices (say, a relinking step after an in-path local
-search) patches it flip by flip instead of rebuilding it in O(m).
+Weights may be negative. The neighbourhood transfers one vertex across the
+cut, as does each relinking step; flip gains are kept in a GainTable so a
+transfer costs O(degree). Each instance caches the GainTable of the last
+partition it scanned, keyed by a private copy of its bits, so consecutive
+passes of a descent and consecutive relinking steps reuse it. A partition that
+differs from the cached one in a few vertices (say, a relinking step after an
+in-path local search) patches it flip by flip instead of rebuilding it in O(m).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
-from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PARTITION, PartitionSolution, ProblemInstance, Walk, pick_moves
+from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PARTITION, PartitionSolution, ProblemInstance, Walk
 from .local_search import Move
 from .path_relinking import PrStep
 
@@ -78,8 +78,7 @@ class _MaxCutBuilder:
         self.buckets: dict[int, list[int]] = {0: list(range(2 * inst.n))}  # gain -> sorted keys
         self.objective = 0
         self.count = 0
-        if inst.n > 0:
-            self.add(2 * inst._seed_vertex() + 1)
+        self.add(2 * inst._seed_vertex() + 1)
 
     @property
     def complete(self) -> bool:
@@ -122,11 +121,9 @@ class MaxCutInstance(ProblemInstance):
     representation = PARTITION
     randomized_first_improving = True  # per-pass scan offset, see local_search
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int, int]], neighborhood: str = "transfer"):
+    def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if neighborhood not in ("transfer", "swap"):
-            raise ValueError(f"unknown neighborhood: {neighborhood!r}")
         merged: dict[tuple[int, int], int] = {}
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -142,13 +139,11 @@ class MaxCutInstance(ProblemInstance):
                 raise ValueError(f"merged weight on edge ({i},{j}) outside 32-bit range: {w}")
         self.n = n
         self.edges = tuple(sorted((i, j, w) for (i, j), w in merged.items()))
-        self.neighborhood = neighborhood
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for i, j, w in self.edges:
             adj[i].append((j, w))
             adj[j].append((i, w))
         self.adj = tuple(tuple(a) for a in adj)
-        self._weight = {(i, j): w for i, j, w in self.edges}
         # gains of the partition in _gains.solution.bits (a private copy); valid
         # for any solution with equal bits, patched or rebuilt when they differ
         self._gains: Optional[GainTable] = None
@@ -167,9 +162,6 @@ class MaxCutInstance(ProblemInstance):
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def edge_weight(self, u: int, v: int) -> int:
-        return self._weight.get((u, v) if u < v else (v, u), 0)
 
     def evaluate(self, solution: PartitionSolution) -> int:
         bits = solution.bits
@@ -192,51 +184,31 @@ class MaxCutInstance(ProblemInstance):
         return table
 
     def moves(self, solution: PartitionSolution, offset: int = 0, pick: str = ALL_MOVES) -> Iterator[Move]:
-        if self.neighborhood == "swap":
-            yield from pick_moves(self._swap_moves(solution), pick)
-            return
         gains = self._gain_table(solution).gain
         n = self.n
         if pick == BEST_MOVE:
             best = max(gains)
             if best > 0:
-                yield Move("transfer", gains.index(best), None, None, None, best)
+                yield Move("transfer", gains.index(best), None, None, best)
         elif pick == FIRST_MOVE:
             improving = [g > 0 for g in gains[offset:] + gains[:offset]]
             if True in improving:
                 v = (offset + improving.index(True)) % n
-                yield Move("transfer", v, None, None, None, gains[v])
+                yield Move("transfer", v, None, None, gains[v])
         else:
             gains = list(gains)  # a copy: the cache follows any in-sync solution a caller moves mid-scan
             for k in range(n):
                 v = (offset + k) % n
-                yield Move("transfer", v, None, None, None, gains[v])
-
-    def _swap_moves(self, solution: PartitionSolution) -> Iterator[Move]:
-        gains = list(self._gain_table(solution).gain)  # a copy, as for the transfer scan
-        bits = solution.bits
-        n = self.n
-        for u in range(n):
-            if bits[u] != 1:
-                continue
-            for v in range(n):
-                if bits[v] == 0:
-                    d = gains[u] + gains[v] + 2 * self.edge_weight(u, v)
-                    yield Move("swap", u, None, None, v, d)
+                yield Move("transfer", v, None, None, gains[v])
 
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:
-        if move.kind == "transfer":
-            flipped = (move.element,)
-        elif move.kind == "swap":
-            flipped = (move.element, move.other)
-        else:
+        if move.kind != "transfer":
             raise ValueError(f"not a partition move: {move.kind}")
         table = self._gains
         in_sync = table is not None and table.solution.bits == solution.bits
-        for v in flipped:
-            solution.bits[v] ^= 1
-            if in_sync:
-                table.apply_flip(v)  # O(degree) instead of a later O(m) rebuild
+        solution.bits[move.element] ^= 1
+        if in_sync:
+            table.apply_flip(move.element)  # O(degree) instead of a later O(m) rebuild
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 
@@ -276,7 +248,7 @@ class MaxCutInstance(ProblemInstance):
             top = [max(diff, key=gains.__getitem__)]  # the first maximum: the lowest position
         else:
             top = heapq.nsmallest(size, diff, key=lambda j: -gains[j])  # stable, as sorted(...)[:size]
-        return [PrStep(Move("transfer", j, None, None, None, gains[j]), gains[j], reaches) for j in top]
+        return [PrStep(Move("transfer", j, None, None, gains[j]), gains[j], reaches) for j in top]
 
 
 class _MaxCutWalk(Walk):

@@ -7,8 +7,8 @@ and faster kernels must leave them unchanged. The toys have n <= 14, so two
 larger runs (a LOP n = 50 matrix and a max-cut n = 800 graph, both generated
 here from fixed seeds) live in golden_trace_large.json. Those runs use the
 value RCL and best-improving search only; golden_trace_paths.json freezes the
-cardinality RCL, first-improving search and the swap neighbourhoods on the
-toys, and the two larger runs with first-improving search.
+cardinality RCL and first-improving search on the toys, and the two larger
+runs with first-improving search.
 golden_trace_relink.json freezes single relink calls over every direction,
 step rule, truncation and in-path policy, on a LOP toy, a max-cut toy and a
 generated max-cut graph with n = 120. Regenerate all four (only for a named,
@@ -104,13 +104,6 @@ PATH_OPTIONS = {"first": {"depth": "first"}, "card": {"rcl-mode": "card"}}
 PATH_VARIANTS = (drivers.GRASP, drivers.DYNAMIC_PR)
 
 
-def _swap_instance(instance):
-    # the neighbourhood is no run option, so the swap instances are built here
-    if isinstance(instance, LopInstance):
-        return LopInstance(instance.cost, neighborhood="swap")
-    return MaxCutInstance(instance.n, instance.edges, neighborhood="swap")
-
-
 def compute_path_traces() -> dict:
     traces = {}
     for problem, path in _toys():
@@ -121,8 +114,6 @@ def compute_path_traces() -> dict:
                     options = {"variant": variant, **OPTIONS, **extra}
                     cfg = bench_io.build_run_config(problem, options, seed, None, ITERATIONS)
                     traces[f"{name}/{variant}/{path.stem}/{seed}"] = _trace(drivers.run(instance, cfg))
-            cfg = bench_io.build_run_config(problem, {"variant": drivers.GRASP, **OPTIONS}, seed, None, ITERATIONS)
-            traces[f"swap/{drivers.GRASP}/{path.stem}/{seed}"] = _trace(drivers.run(_swap_instance(instance), cfg))
     for key, problem, make, options, iterations in LARGE_RUNS:
         cfg = bench_io.build_run_config(problem, {**options, "depth": "first"}, 1, None, iterations)
         traces[f"first/{key}"] = _trace(drivers.run(make(), cfg))

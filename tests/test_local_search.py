@@ -162,18 +162,17 @@ def test_move_rejects_foreign_kind():
         inst.apply_move(sol, Move("transfer", 0))
 
 
-@pytest.mark.parametrize("neighborhood", ["insert", "swap", "transfer", "maxcut-swap"])
+@pytest.mark.parametrize("neighborhood", ["insert", "transfer"])
 @pytest.mark.parametrize("depth", list(SearchDepth))
 def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     # a descent runs one moves() scan per pass, each drained before its move
     # is applied, so timing moves() times every pass of the search
     r = oracles.make_rng(18)
-    if neighborhood in ("insert", "swap"):
-        inst = LopInstance(oracles.rand_lop_matrix(r, 7), neighborhood=neighborhood)
+    if neighborhood == "insert":
+        inst = LopInstance(oracles.rand_lop_matrix(r, 7))
         start = PermutationSolution(oracles.rand_perm(r, 7))
     else:
-        kind = "swap" if neighborhood == "maxcut-swap" else "transfer"
-        inst = MaxCutInstance(9, oracles.rand_edges(r, 9, 0.5, -3, 9), neighborhood=kind)
+        inst = MaxCutInstance(9, oracles.rand_edges(r, 9, 0.5, -3, 9))
         start = PartitionSolution(oracles.rand_bits(r, 9))
     events = []
     scan, apply = inst.moves, inst.apply_move
@@ -190,25 +189,3 @@ def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     assert passes == events.count("apply") + 1 >= 2
     assert events == ["open", "close", "apply"] * (passes - 1) + ["open", "close"]
 
-
-def test_swap_scans_pick_what_the_full_scan_selects():
-    # the swap neighbourhoods select through pick_moves over their full scan;
-    # 0/1 costs and ±1 weights make ties for the best delta common
-    r = oracles.make_rng(20)
-    tied = 0
-    for _ in range(4):
-        for inst, sol in (
-            (LopInstance([[r.randint(0, 1) for _ in range(6)] for _ in range(6)], neighborhood="swap"),
-             PermutationSolution(oracles.rand_perm(r, 6))),
-            (MaxCutInstance(8, oracles.rand_edges(r, 8, 0.6, -1, 1), neighborhood="swap"),
-             PartitionSolution(oracles.rand_bits(r, 8))),
-        ):
-            evaluate(inst, sol)
-            while (best := inst.best_move(sol)) is not None:
-                assert best == oracles.best_move(inst.moves(sol))
-                tied += sum(m.delta == best.delta for m in inst.moves(sol)) > 1
-                for offset in range(inst.n):
-                    assert inst.first_move(sol, offset) == oracles.first_move(inst.moves(sol, offset))
-                inst.apply_move(sol, best)
-            assert oracles.first_move(inst.moves(sol)) is None
-    assert tied > 0

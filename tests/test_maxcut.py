@@ -72,25 +72,8 @@ def test_gain_table_random_flip_sequences():
 def test_duplicate_edges_merge_by_sum():
     inst = MaxCutInstance(3, [(0, 1, 3), (1, 0, 4), (1, 2, 1)])
     assert inst.m == 2
-    assert inst.edge_weight(0, 1) == 7
+    assert inst.edges == ((0, 1, 7), (1, 2, 1))
     assert inst.evaluate(PartitionSolution([1, 0, 0])) == 7
-
-
-def test_swap_neighborhood_delta():
-    r = oracles.make_rng(32)
-    inst = MaxCutInstance(8, oracles.rand_edges(r, 8, 0.6, -5, 10), neighborhood="swap")
-    for _ in range(100):
-        bits = oracles.rand_bits(r, 8)
-        if len(set(bits)) < 2:
-            continue
-        sol = PartitionSolution(bits)
-        evaluate(inst, sol)
-        for move in inst.moves(sol):
-            scratch = sol.copy()
-            inst.apply_move(scratch, move)
-            assert move.delta == oracles.cut_value(inst.edges, scratch.bits) - oracles.cut_value(
-                inst.edges, sol.bits
-            )
 
 
 def test_pr_candidates_count_and_deltas():
@@ -166,10 +149,7 @@ def _check_against_fresh(inst, sol, other):
     """moves() and pr_candidates() deltas equal those of a freshly built GainTable."""
     gains = _fresh_gains(inst, sol)
     for m in inst.moves(sol, 3):
-        if m.kind == "transfer":
-            assert m.delta == gains[m.element]
-        else:
-            assert m.delta == gains[m.element] + gains[m.other] + 2 * inst.edge_weight(m.element, m.other)
+        assert m.delta == gains[m.element]
     if sol != other:
         assert [(s.move.element, s.delta) for s in inst.pr_candidates(sol, other)] == [
             (j, gains[j]) for j in range(inst.n) if sol.bits[j] != other.bits[j]
@@ -182,42 +162,38 @@ def test_gain_cache_under_interleaved_operations():
 
     r = oracles.make_rng(35)
     edges = oracles.rand_edges(r, 12, 0.4, -5, 10)
-    for neighborhood in ("transfer", "swap"):
-        inst = MaxCutInstance(12, edges, neighborhood=neighborhood)
-        sols = [PartitionSolution(oracles.rand_bits(r, 12)) for _ in range(2)]
-        for sol in sols:
-            evaluate(inst, sol)
-        for _ in range(400):
-            cur, other = sols if r.random() < 0.5 else sols[::-1]  # alternate between two solutions
-            op = r.randrange(5)
-            if op == 0:  # apply a scanned move to the solution itself
-                moves = list(inst.moves(cur))
-                if moves:
-                    inst.apply_move(cur, r.choice(moves))
-            elif op == 1:  # apply a move to a copy in the middle of a scan
-                gains = _fresh_gains(inst, cur)
-                scan = inst.moves(cur, r.randrange(12))
-                seen = []
-                for m in scan:
-                    seen.append(m)
-                    if len(seen) == 2:
-                        inst.apply_move(cur.copy(), m)
-                for m in seen:
-                    if m.kind == "transfer":
-                        assert m.delta == gains[m.element]
-                    else:
-                        assert m.delta == gains[m.element] + gains[m.other] + 2 * inst.edge_weight(m.element, m.other)
-            elif op == 2:  # flip bits directly, outside apply_move
-                cur.bits[r.randrange(12)] ^= 1
-                evaluate(inst, cur)
-            elif op == 3:  # in-path style local search on a copy, then relinking candidates
-                local_search(inst, cur.copy(), SearchDepth.FIRST_IMPROVING, RandomStream(r.randrange(99)))
-            else:  # a relinking step taken on the solution itself
-                if cur != other:
-                    inst.apply_move(cur, r.choice(inst.pr_candidates(cur, other)).move)
-            assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
-            _check_against_fresh(inst, cur, other)
-            _check_against_fresh(inst, other, cur)
+    inst = MaxCutInstance(12, edges)
+    sols = [PartitionSolution(oracles.rand_bits(r, 12)) for _ in range(2)]
+    for sol in sols:
+        evaluate(inst, sol)
+    for _ in range(400):
+        cur, other = sols if r.random() < 0.5 else sols[::-1]  # alternate between two solutions
+        op = r.randrange(5)
+        if op == 0:  # apply a scanned move to the solution itself
+            moves = list(inst.moves(cur))
+            if moves:
+                inst.apply_move(cur, r.choice(moves))
+        elif op == 1:  # apply a move to a copy in the middle of a scan
+            gains = _fresh_gains(inst, cur)
+            scan = inst.moves(cur, r.randrange(12))
+            seen = []
+            for m in scan:
+                seen.append(m)
+                if len(seen) == 2:
+                    inst.apply_move(cur.copy(), m)
+            for m in seen:
+                assert m.delta == gains[m.element]
+        elif op == 2:  # flip bits directly, outside apply_move
+            cur.bits[r.randrange(12)] ^= 1
+            evaluate(inst, cur)
+        elif op == 3:  # in-path style local search on a copy, then relinking candidates
+            local_search(inst, cur.copy(), SearchDepth.FIRST_IMPROVING, RandomStream(r.randrange(99)))
+        else:  # a relinking step taken on the solution itself
+            if cur != other:
+                inst.apply_move(cur, r.choice(inst.pr_candidates(cur, other)).move)
+        assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
+        _check_against_fresh(inst, cur, other)
+        _check_against_fresh(inst, other, cur)
 
 
 def test_gain_cache_reused_across_a_descent(monkeypatch):
@@ -336,7 +312,7 @@ def test_walk_step_kernel_takes_size_and_diff_together():
 def test_seed_vertex_computed_once_per_instance():
     r = oracles.make_rng(62)
     inst = MaxCutInstance(20, oracles.rand_edges(r, 20, 0.3, -5, 10))
-    heaviest = max(range(20), key=lambda v: (sum(inst.edge_weight(u, v) for u in range(20)), -v))
+    heaviest = max(range(20), key=lambda v: (sum(w for _, w in inst.adj[v]), -v))
     assert inst._seed is None  # not at parse time
     assert inst.new_construction().assigned[heaviest] == 1
     assert inst._seed == heaviest
@@ -356,8 +332,8 @@ def test_instance_validation():
         MaxCutInstance(3, [(0, 1, 0.5)])  # non-integer weight
     with pytest.raises(ValueError):
         MaxCutInstance(3, [(0, 1, 2**30), (1, 0, 2**30)])  # merged weight overflows
-    with pytest.raises(ValueError):
-        MaxCutInstance(3, [], neighborhood="insert")
+    with pytest.raises(TypeError):
+        MaxCutInstance(3, [], neighborhood="transfer")  # one move kind, no neighbourhood option
 
 
 def test_edges_are_canonical():
