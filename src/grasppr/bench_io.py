@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import eq
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .construction import CARDINALITY, VALUE, RclConfig
 from .core import PartitionSolution, PermutationSolution, ProblemInstance, Solution
-from .drivers import GRASP, VARIANTS, RunConfig, RunReport, run
+from .drivers import VARIANTS, RunConfig, RunReport, run
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM
 from .local_search import SearchDepth
 from .lop import LopInstance
@@ -31,6 +31,8 @@ from .path_relinking import (
     BACK_AND_FORWARD,
     BACKWARD,
     FORWARD,
+    GREEDY,
+    GREEDY_RANDOMIZED,
     LS_ALL,
     LS_BEST,
     LS_EVERY,
@@ -280,74 +282,107 @@ def serialize_solution(solution: Solution) -> str:
 # run configuration from flat string options (CLI flags, config files,
 # benchmark method specs all funnel through here)
 
-_DIRECTIONS = {
-    "forward": FORWARD,
-    "backward": BACKWARD,
-    "bf": BACK_AND_FORWARD,
-    "back_and_forward": BACK_AND_FORWARD,
-    "mixed": MIXED,
-}
-_RCL_MODES = {"value": VALUE, "card": CARDINALITY}
-_DEPTHS = {"first": SearchDepth.FIRST_IMPROVING, "best": SearchDepth.BEST_IMPROVING}
-_GUIDES = (UNIFORM, PROPORTIONAL_DELTA)
-
-# winners of the per-problem tuning runs, used when flags stay unset
-_PROBLEM_PR_DEFAULTS = {
-    LOP: {"direction": MIXED, "step": "grpr", "in_path_ls": LS_BEST, "ls_every": 5},
-    MAXCUT: {"direction": FORWARD, "step": "greedy", "in_path_ls": LS_EVERY, "ls_every": 5},
-}
-
-OPTION_KEYS = (
-    "variant",
-    "direction",
-    "step",
-    "rcl-size",
-    "trunc",
-    "min-dist",
-    "inpath-ls",
-    "depth",
-    "alpha-min",
-    "alpha-max",
-    "rcl-mode",
-    "elite-k",
-    "dth",
-    "guide",
-    "kappa",
-    "static-sample",
-)
-
 
 class OptionError(ValueError):
     """A flag/config/method option failed to parse or validate."""
 
 
-def _opt_int(options: dict, key: str) -> Optional[int]:
-    if key not in options:
-        return None
-    raw = options.pop(key)
+def int_option(key: str, raw) -> int:
     try:
         return int(raw)
     except (TypeError, ValueError):
         raise OptionError(f"{key}: expected an integer, got {raw!r}") from None
 
 
-def _opt_float(options: dict, key: str) -> Optional[float]:
-    if key not in options:
-        return None
-    raw = options.pop(key)
+def float_option(key: str, raw) -> float:
     try:
         return float(raw)
     except (TypeError, ValueError):
         raise OptionError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def _opt_choice(options: dict, key: str, table: Mapping[str, object]):
-    if key not in options:
-        return None
-    raw = str(options.pop(key))
-    if raw not in table:
-        raise OptionError(f"{key}: expected one of {'|'.join(table)}, got {raw!r}")
-    return table[raw]
+def _choice(table: Mapping[str, object]) -> Callable[[str, object], object]:
+    def parse(key: str, raw) -> object:
+        raw = str(raw)
+        if raw not in table:
+            raise OptionError(f"{key}: expected one of {'|'.join(table)}, got {raw!r}")
+        return table[raw]
+
+    return parse
+
+
+def _names(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
+
+
+def _inpath_ls(key: str, raw) -> dict[str, object]:
+    raw = str(raw)
+    if raw in (LS_NONE, LS_ALL, LS_BEST):
+        return {"in_path_ls": raw}
+    if not raw.startswith(f"{LS_EVERY}:"):
+        raise OptionError(f"{key}: expected none|all|every:Q|best, got {raw!r}")
+    try:
+        return {"in_path_ls": LS_EVERY, "ls_every": int(raw.split(":", 1)[1])}
+    except ValueError:
+        raise OptionError(f"{key}: bad period in {raw!r}") from None
+
+
+@dataclass(frozen=True)
+class Option:
+    """One search option: a flag, config-file key and method-spec key at once."""
+
+    key: str
+    config: str  # the config it sets: "run", "rcl" or "pr"
+    field: Optional[str]  # None when parse returns {field: value} for several fields
+    parse: Callable[[str, object], object]  # (key, raw text) -> value, or OptionError
+    metavar: str
+    help: str  # argparse help text, so a literal % is written %%
+
+
+# Every search option, in the order flags are listed and parsed. Unset options
+# keep the defaults of RunConfig, RclConfig and PrConfig.
+OPTIONS = (
+    Option("variant", "run", "variant", _choice(_names(*VARIANTS)), "V",
+           "semigreedy | grasp | static_pr | dynamic_pr | evolutionary_pr (default grasp)"),
+    Option("direction", "pr", "direction",
+           _choice({"forward": FORWARD, "backward": BACKWARD, "bf": BACK_AND_FORWARD,
+                    "back_and_forward": BACK_AND_FORWARD, "mixed": MIXED}), "D",
+           "relink direction: forward | backward | bf | mixed (default: mixed for lop, forward for maxcut)"),
+    Option("step", "pr", "step", _choice(_names(GREEDY, GREEDY_RANDOMIZED)), "S",
+           "relink step selection: greedy | grpr (default: grpr for lop, greedy for maxcut)"),
+    Option("rcl-size", "pr", "rcl_size", int_option, "N", "candidate moves kept per grpr step (default 3)"),
+    Option("trunc", "pr", "truncation", float_option, "RHO",
+           "fraction of each relink path walked, in (0,1] (default 1.0)"),
+    Option("min-dist", "pr", "min_distance", int_option, "N",
+           "skip relinking below this symmetric difference (default 4)"),
+    Option("inpath-ls", "pr", None, _inpath_ls, "P",
+           "local search along the path: none | all | every:Q | best (default: best for lop, every:5 for maxcut)"),
+    Option("depth", "run", "depth",
+           _choice({"first": SearchDepth.FIRST_IMPROVING, "best": SearchDepth.BEST_IMPROVING}), "D",
+           "local search rule: first | best (default best)"),
+    Option("alpha-min", "rcl", "alpha_low", float_option, "F",
+           "lower end of the construction greediness range (default 0.0)"),
+    Option("alpha-max", "rcl", "alpha_high", float_option, "F",
+           "upper end of the construction greediness range; 0 means pure greedy (default 0.3)"),
+    Option("rcl-mode", "rcl", "mode", _choice({"value": VALUE, "card": CARDINALITY}), "M",
+           "candidate restriction: value | card (default value)"),
+    Option("elite-k", "run", "elite_k", int_option, "N", "elite pool capacity (default 10)"),
+    Option("dth", "run", "d_th", int_option, "N", "pool diversity threshold (default: 5%% of n, at least 1)"),
+    Option("guide", "run", "guide_policy", _choice(_names(UNIFORM, PROPORTIONAL_DELTA)), "G",
+           "guide selection: uniform | pdelta (default uniform)"),
+    Option("kappa", "run", "restart_kappa", int_option, "N",
+           "restart after N iterations without improvement (dynamic_pr and evolutionary_pr only;"
+           " default: no restarts)"),
+    Option("static-sample", "run", "static_sample", int_option, "N",
+           "constructions before the static relinking phase (default 100)"),
+)
+OPTION_KEYS = tuple(opt.key for opt in OPTIONS)
+
+# winners of the per-problem tuning runs, where they differ from PrConfig's defaults
+_PROBLEM_PR_DEFAULTS = {
+    LOP: {"direction": MIXED, "step": GREEDY_RANDOMIZED, "in_path_ls": LS_BEST},
+    MAXCUT: {"in_path_ls": LS_EVERY},
+}
 
 
 def build_run_config(
@@ -359,78 +394,28 @@ def build_run_config(
 ) -> RunConfig:
     """Translate flat string options into a validated RunConfig.
 
-    Unset keys fall back to the per-problem defaults; unknown keys are errors.
+    Unset keys keep the config dataclasses' defaults, over which the problem's
+    relinking defaults apply; unknown keys are errors.
     """
     if problem not in PROBLEMS:
         raise OptionError(f"unknown problem: {problem!r}")
-    opts = dict(options)
-    pr_defaults = _PROBLEM_PR_DEFAULTS[problem]
-
-    variant = str(opts.pop("variant", GRASP))
-    if variant not in VARIANTS:
-        raise OptionError(f"variant: expected one of {'|'.join(VARIANTS)}, got {variant!r}")
-
-    direction = _opt_choice(opts, "direction", _DIRECTIONS)
-    step = _opt_choice(opts, "step", {"greedy": "greedy", "grpr": "grpr"})
-    rcl_size = _opt_int(opts, "rcl-size")
-    trunc = _opt_float(opts, "trunc")
-    min_dist = _opt_int(opts, "min-dist")
-
-    in_path_ls, ls_every = None, None
-    if "inpath-ls" in opts:
-        raw = str(opts.pop("inpath-ls"))
-        if raw in (LS_NONE, LS_ALL, LS_BEST):
-            in_path_ls = raw
-        elif raw.startswith(f"{LS_EVERY}:"):
-            in_path_ls = LS_EVERY
-            try:
-                ls_every = int(raw.split(":", 1)[1])
-            except ValueError:
-                raise OptionError(f"inpath-ls: bad period in {raw!r}") from None
-        else:
-            raise OptionError(f"inpath-ls: expected none|all|every:Q|best, got {raw!r}")
-
-    depth = _opt_choice(opts, "depth", _DEPTHS)
-    alpha_min = _opt_float(opts, "alpha-min")
-    alpha_max = _opt_float(opts, "alpha-max")
-    rcl_mode = _opt_choice(opts, "rcl-mode", _RCL_MODES)
-    elite_k = _opt_int(opts, "elite-k")
-    dth = _opt_int(opts, "dth")
-    guide = _opt_choice(opts, "guide", {g: g for g in _GUIDES})
-    kappa = _opt_int(opts, "kappa")
-    static_sample = _opt_int(opts, "static-sample")
-
-    if opts:
-        raise OptionError(f"unknown option(s): {', '.join(sorted(opts))}")
+    fields: dict[str, dict] = {"run": {}, "rcl": {}, "pr": dict(_PROBLEM_PR_DEFAULTS[problem])}
+    for opt in OPTIONS:
+        if opt.key in options:
+            value = opt.parse(opt.key, options[opt.key])
+            fields[opt.config].update(value if opt.field is None else {opt.field: value})
+    unknown = set(options).difference(OPTION_KEYS)
+    if unknown:
+        raise OptionError(f"unknown option(s): {', '.join(sorted(unknown))}")
 
     try:
-        rcl = RclConfig(
-            mode=rcl_mode if rcl_mode is not None else VALUE,
-            alpha_low=alpha_min if alpha_min is not None else 0.0,
-            alpha_high=alpha_max if alpha_max is not None else 0.3,
-        )
-        pr = PrConfig(
-            direction=direction if direction is not None else pr_defaults["direction"],
-            step=step if step is not None else pr_defaults["step"],
-            rcl_size=rcl_size if rcl_size is not None else 3,
-            truncation=trunc if trunc is not None else 1.0,
-            min_distance=min_dist if min_dist is not None else 4,
-            in_path_ls=in_path_ls if in_path_ls is not None else pr_defaults["in_path_ls"],
-            ls_every=ls_every if ls_every is not None else pr_defaults["ls_every"],
-        )
         return RunConfig(
-            variant=variant,
             seed=seed,
             time_limit=time_limit,
             iteration_limit=iteration_limit,
-            restart_kappa=kappa,
-            rcl=rcl,
-            depth=depth if depth is not None else SearchDepth.BEST_IMPROVING,
-            pr=pr,
-            elite_k=elite_k if elite_k is not None else 10,
-            d_th=dth,
-            guide_policy=guide if guide is not None else UNIFORM,
-            static_sample=static_sample if static_sample is not None else 100,
+            rcl=RclConfig(**fields["rcl"]),
+            pr=PrConfig(**fields["pr"]),
+            **fields["run"],
         )
     except ValueError as exc:
         raise OptionError(str(exc)) from None

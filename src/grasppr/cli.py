@@ -1,9 +1,10 @@
 """Command-line surface: solve one instance, benchmark a grid, validate files.
 
 Exit codes: 0 success, 2 instance parse failure, 64 bad flags or options,
-74 I/O failure, 1 benchmark cell crash. Flag values stay strings until one
-shared translation layer (bench_io.build_run_config) parses them, so command
-line, config file and benchmark method specs all validate identically.
+74 I/O failure, 1 benchmark cell crash. The search flags are the rows of
+bench_io.OPTIONS, and their values stay strings until one shared translation
+layer (bench_io.build_run_config) parses them, so command line, config file
+and benchmark method specs all validate identically.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bench_io
-from .bench_io import BenchError, CellSpec, OptionError, ParseError
+from .bench_io import BenchError, CellSpec, OptionError, ParseError, float_option, int_option
 from .drivers import run
 
 EXIT_OK = 0
@@ -26,10 +27,6 @@ _RUN_KEYS = ("time", "iters", "seed", "seeds")
 _CONFIG_KEYS = bench_io.OPTION_KEYS + _RUN_KEYS
 
 
-class UsageError(Exception):
-    """Bad flag combination or option value; maps to exit code 64."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -39,29 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_option_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("search options")
-    g.add_argument("--variant", metavar="V",
-                   help="semigreedy | grasp | static_pr | dynamic_pr | evolutionary_pr (default grasp)")
-    g.add_argument("--direction", metavar="D",
-                   help="relink direction: forward | backward | bf | mixed (default: mixed for lop, forward for maxcut)")
-    g.add_argument("--step", metavar="S",
-                   help="relink step selection: greedy | grpr (default: grpr for lop, greedy for maxcut)")
-    g.add_argument("--rcl-size", metavar="N", help="candidate moves kept per grpr step (default 3)")
-    g.add_argument("--trunc", metavar="RHO", help="fraction of each relink path walked, in (0,1] (default 1.0)")
-    g.add_argument("--min-dist", metavar="N", help="skip relinking below this symmetric difference (default 4)")
-    g.add_argument("--inpath-ls", metavar="P",
-                   help="local search along the path: none | all | every:Q | best (default: best for lop, every:5 for maxcut)")
-    g.add_argument("--depth", metavar="D", help="local search rule: first | best (default best)")
-    g.add_argument("--alpha-min", metavar="F", help="lower end of the construction greediness range (default 0.0)")
-    g.add_argument("--alpha-max", metavar="F",
-                   help="upper end of the construction greediness range; 0 means pure greedy (default 0.3)")
-    g.add_argument("--rcl-mode", metavar="M", help="candidate restriction: value | card (default value)")
-    g.add_argument("--elite-k", metavar="N", help="elite pool capacity (default 10)")
-    g.add_argument("--dth", metavar="N", help="pool diversity threshold (default: 5%% of n, at least 1)")
-    g.add_argument("--guide", metavar="G", help="guide selection: uniform | pdelta (default uniform)")
-    g.add_argument("--kappa", metavar="N",
-                   help="restart after N iterations without improvement (default: no restarts)")
-    g.add_argument("--static-sample", metavar="N",
-                   help="constructions before the static relinking phase (default 100)")
+    for opt in bench_io.OPTIONS:
+        g.add_argument(f"--{opt.key}", metavar=opt.metavar, help=opt.help)
 
 
 def _add_stop_flags(p: argparse.ArgumentParser) -> None:
@@ -110,20 +86,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_int(name: str, raw) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(name: str, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name}: expected a number, got {raw!r}") from None
-
-
 def _read_config(path: str) -> dict[str, str]:
     opts: dict[str, str] = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -131,11 +93,11 @@ def _read_config(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
+            raise OptionError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{ln}: unknown key {key!r}")
+            raise OptionError(f"{path}:{ln}: unknown key {key!r}")
         opts[key] = value
     return opts
 
@@ -157,10 +119,10 @@ def _merged_run_value(args, config: dict[str, str], key: str):
 def _stop_limits(args, config) -> tuple[Optional[float], Optional[int]]:
     raw_time = _merged_run_value(args, config, "time")
     raw_iters = _merged_run_value(args, config, "iters")
-    time_limit = _parse_float("time", raw_time) if raw_time is not None else None
-    iteration_limit = _parse_int("iters", raw_iters) if raw_iters is not None else None
+    time_limit = float_option("time", raw_time) if raw_time is not None else None
+    iteration_limit = int_option("iters", raw_iters) if raw_iters is not None else None
     if time_limit is None and iteration_limit is None:
-        raise UsageError("need a stopping rule: --time and/or --iters")
+        raise OptionError("need a stopping rule: --time and/or --iters")
     return time_limit, iteration_limit
 
 
@@ -169,13 +131,10 @@ def _cmd_solve(args) -> int:
     options = _merged_options(args, config)
     time_limit, iteration_limit = _stop_limits(args, config)
     raw_seed = _merged_run_value(args, config, "seed")
-    seed = _parse_int("seed", raw_seed) if raw_seed is not None else 1
+    seed = int_option("seed", raw_seed) if raw_seed is not None else 1
 
     instance = bench_io.load_instance(args.instance, args.problem)
-    try:
-        cfg = bench_io.build_run_config(args.problem, options, seed, time_limit, iteration_limit)
-    except OptionError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = bench_io.build_run_config(args.problem, options, seed, time_limit, iteration_limit)
 
     report = run(instance, cfg)
     stem = Path(args.instance).stem
@@ -208,15 +167,15 @@ def _parse_method_spec(spec: str) -> dict[str, str]:
     parts = spec.split(":")
     variant = parts[0].strip()
     if not variant:
-        raise UsageError(f"empty variant in method spec {spec!r}")
+        raise OptionError(f"empty variant in method spec {spec!r}")
     opts = {"variant": variant}
     for part in parts[1:]:
         if "=" not in part:
-            raise UsageError(f"method option {part!r} must be key=value (in {spec!r})")
+            raise OptionError(f"method option {part!r} must be key=value (in {spec!r})")
         key, value = part.split("=", 1)
         key, value = key.strip(), value.strip()
         if key == "variant" or key not in bench_io.OPTION_KEYS:
-            raise UsageError(f"unknown method option {key!r} (in {spec!r})")
+            raise OptionError(f"unknown method option {key!r} (in {spec!r})")
         opts[key] = value
     return opts
 
@@ -227,14 +186,14 @@ def _cmd_bench(args) -> int:
     time_limit, iteration_limit = _stop_limits(args, config)
 
     raw_seeds = _merged_run_value(args, config, "seeds")
-    seeds = [_parse_int("seeds", s) for s in str(raw_seeds).split(",")] if raw_seeds is not None else [1]
-    jobs = _parse_int("jobs", args.jobs) if args.jobs is not None else 1
+    seeds = [int_option("seeds", s) for s in str(raw_seeds).split(",")] if raw_seeds is not None else [1]
+    jobs = int_option("jobs", args.jobs) if args.jobs is not None else 1
     if jobs < 1:
-        raise UsageError("jobs must be >= 1")
+        raise OptionError("jobs must be >= 1")
 
     labels = args.method
     if len(set(labels)) != len(labels):
-        raise UsageError("duplicate method specs")
+        raise OptionError("duplicate method specs")
     methods = []
     for spec in labels:
         merged = dict(baseline)
@@ -242,13 +201,13 @@ def _cmd_bench(args) -> int:
         try:  # validate now so a bad spec fails before any cell runs
             bench_io.build_run_config(args.problem, merged, seeds[0], time_limit, iteration_limit)
         except OptionError as exc:
-            raise UsageError(f"method {spec!r}: {exc}") from None
+            raise OptionError(f"method {spec!r}: {exc}") from None
         methods.append((spec, tuple(sorted(merged.items()))))
 
     instance_dir = Path(args.instances)
     paths = sorted(instance_dir.glob(bench_io.INSTANCE_GLOB[args.problem]))
     if not paths:
-        raise UsageError(
+        raise OptionError(
             f"no instances matching {bench_io.INSTANCE_GLOB[args.problem]!r} in {instance_dir}"
         )
     best_known = bench_io.read_best_known(args.best_known) if args.best_known else None
@@ -281,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except OptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -1,6 +1,6 @@
-"""Top-level search drivers: multi-start GRASP and its relinking hybrids.
+"""Top-level search: multi-start GRASP and its relinking hybrids, one run().
 
-All drivers share one bookkeeping object (DriverState) and one iteration
+All variants share one bookkeeping object (DriverState) and one iteration
 shape: construct, improve, update the incumbent. The hybrids differ only in
 when solutions enter the elite pool and when pairs of solutions get relinked.
 Control flow never branches on wall-clock values unless a time limit is set,
@@ -39,7 +39,7 @@ class RunConfig:
     seed: int = 1
     time_limit: Optional[float] = None
     iteration_limit: Optional[int] = None
-    restart_kappa: Optional[int] = None  # stagnation restarts; None disables
+    restart_kappa: Optional[int] = None  # stagnation restarts of the dynamic loop; None disables
     rcl: RclConfig = field(default_factory=RclConfig)
     depth: SearchDepth = SearchDepth.BEST_IMPROVING
     pr: PrConfig = field(default_factory=PrConfig)
@@ -55,6 +55,8 @@ class RunConfig:
             raise ValueError("need a time_limit or an iteration_limit")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not math.isfinite(self.time_limit):
+            raise ValueError("time_limit must be finite")
         if self.iteration_limit is not None and self.iteration_limit < 1:
             raise ValueError("iteration_limit must be >= 1")
         if self.restart_kappa is not None and self.restart_kappa < 1:
@@ -67,6 +69,8 @@ class RunConfig:
             raise ValueError(f"unknown guide policy: {self.guide_policy!r}")
         if self.static_sample < 1:
             raise ValueError("static_sample must be >= 1")
+        if self.restart_kappa is not None and self.variant not in (DYNAMIC_PR, EVOLUTIONARY_PR):
+            raise ValueError(f"restart_kappa applies only to {DYNAMIC_PR} and {EVOLUTIONARY_PR}, not {self.variant}")
 
 
 @dataclass
@@ -141,7 +145,7 @@ def _improve(state: DriverState, sol: Solution) -> Solution:
     return local_search(state.instance, sol, state.cfg.depth, state.rng)
 
 
-def _grasp_iteration(state: DriverState, with_ls: bool = True) -> Solution:
+def _grasp_iteration(state: DriverState, with_ls: bool) -> Solution:
     sol = construct(state.instance, state.cfg.rcl, state.rng)
     if sol.cached_objective is None:
         evaluate(state.instance, sol)
@@ -204,115 +208,48 @@ def _report(state: DriverState) -> RunReport:
     )
 
 
-def _require_variant(cfg: RunConfig, variant: str) -> None:
-    if cfg.variant != variant:
-        raise ValueError(f"config variant is {cfg.variant!r}, driver expects {variant!r}")
+def run(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
+    """Run the variant cfg.variant names.
 
-
-def run_semigreedy(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
-    """Construction-only multi-start, the no-local-search baseline."""
-    _require_variant(cfg, SEMIGREEDY)
+    semigreedy: construction only. grasp: construction plus local search.
+    static_pr: static_sample grasp iterations fill the pool, then its pairs
+    are relinked. dynamic_pr: each locally optimal solution is relinked with
+    a guide from the pool as the run goes. evolutionary_pr: a dynamic phase
+    (half the time limit, if set), then the pool is relinked to exhaustion.
+    """
     state = _new_state(instance, cfg, rng)
-    while _should_iterate(state):
-        state.iterations += 1
-        state.improved_this_iteration = False
-        _grasp_iteration(state, with_ls=False)
-    return _report(state)
-
-
-def run_grasp(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
-    """Plain multi-start: semi-greedy construction plus local search."""
-    _require_variant(cfg, GRASP)
-    state = _new_state(instance, cfg, rng)
-    while _should_iterate(state):
-        state.iterations += 1
-        state.improved_this_iteration = False
-        _grasp_iteration(state)
-    return _report(state)
-
-
-def _dynamic_iteration(state: DriverState) -> None:
-    sol = _grasp_iteration(state)
-    if state.epoch_iterations <= state.cfg.elite_k:
-        # the first k iterations of each epoch seed the pool; duplicates may
-        # be rejected, so relinking starts on schedule even if the pool is small
-        state.elite.try_add(sol)
-        return
-    guide = state.elite.select_guide(sol, state.cfg.guide_policy, state.rng)
-    if guide is None or guide == sol:
-        return  # nothing to relink against
-    result = _relink_pipeline(state, sol, guide)
-    state.elite.try_add(result)
-
-
-def _dynamic_loop(state: DriverState, phase_deadline: Optional[float] = None) -> None:
-    while _should_iterate(state, phase_deadline):
+    dynamic = cfg.variant in (DYNAMIC_PR, EVOLUTIONARY_PR)
+    sample = cfg.static_sample if cfg.variant == STATIC_PR else math.inf
+    phase_deadline = None
+    if cfg.variant == EVOLUTIONARY_PR and cfg.time_limit is not None:
+        phase_deadline = state.started + cfg.time_limit / 2.0
+    while _should_iterate(state, phase_deadline) and state.iterations < sample:
         state.iterations += 1
         state.epoch_iterations += 1
         state.improved_this_iteration = False
-        _dynamic_iteration(state)
+        sol = _grasp_iteration(state, with_ls=cfg.variant != SEMIGREEDY)
+        if cfg.variant == STATIC_PR or (dynamic and state.epoch_iterations <= cfg.elite_k):
+            # every static sample enters the pool; a dynamic pool is seeded by
+            # the first k iterations of each epoch, and as duplicates may be
+            # rejected, relinking starts on schedule even if the pool is small
+            state.elite.try_add(sol)
+        elif dynamic:
+            guide = state.elite.select_guide(sol, cfg.guide_policy, state.rng)
+            if guide is not None and guide != sol:  # else nothing to relink against
+                state.elite.try_add(_relink_pipeline(state, sol, guide))
         _close_iteration(state)
 
-
-def run_dynamic_pr(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
-    """Relink each locally optimal solution with the pool as the run goes."""
-    _require_variant(cfg, DYNAMIC_PR)
-    state = _new_state(instance, cfg, rng)
-    _dynamic_loop(state)
+    if cfg.variant in (STATIC_PR, EVOLUTIONARY_PR):
+        # Relink unrelinked pool pairs, lowest indices first, until none is
+        # left. A static pool is frozen, so each pair is relinked once.
+        # Evolutionary outcomes are resubmitted, and each admission spawns
+        # fresh pairs; the loop still ends, because every admission strictly
+        # raises the pool's objective multiset, which lives in a finite space.
+        while not _time_up(state):
+            pair = state.elite.next_unrelinked_pair()
+            if pair is None:
+                break
+            result = _relink_pipeline(state, *pair)
+            if cfg.variant == EVOLUTIONARY_PR:
+                state.elite.try_add(result)
     return _report(state)
-
-
-def run_static_pr(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
-    """Sample first, relink later: the pool is frozen before any relinking."""
-    _require_variant(cfg, STATIC_PR)
-    state = _new_state(instance, cfg, rng)
-    while _should_iterate(state) and state.iterations < cfg.static_sample:
-        state.iterations += 1
-        state.improved_this_iteration = False
-        sol = _grasp_iteration(state)
-        state.elite.try_add(sol)
-    # relink every unordered pair once; outcomes are never resubmitted
-    members = state.elite.members
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if _time_up(state):
-                return _report(state)
-            _relink_pipeline(state, members[i][0], members[j][0])
-    return _report(state)
-
-
-def run_evolutionary_pr(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
-    """Dynamic phase, then relink the pool to exhaustion.
-
-    Post-phase admissions spawn fresh unrelinked pairs, so the loop keeps
-    going until the pool stops changing. Termination is guaranteed: every
-    admission strictly raises the pool's objective multiset, which lives in
-    a finite space.
-    """
-    _require_variant(cfg, EVOLUTIONARY_PR)
-    state = _new_state(instance, cfg, rng)
-    phase_deadline = None
-    if cfg.time_limit is not None:
-        phase_deadline = state.started + cfg.time_limit / 2.0
-    _dynamic_loop(state, phase_deadline)
-    while not _time_up(state):
-        pair = state.elite.next_unrelinked_pair()
-        if pair is None:
-            break
-        result = _relink_pipeline(state, pair[0], pair[1])
-        state.elite.try_add(result)
-    return _report(state)
-
-
-_DISPATCH = {
-    SEMIGREEDY: run_semigreedy,
-    GRASP: run_grasp,
-    STATIC_PR: run_static_pr,
-    DYNAMIC_PR: run_dynamic_pr,
-    EVOLUTIONARY_PR: run_evolutionary_pr,
-}
-
-
-def run(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
-    """Dispatch on cfg.variant."""
-    return _DISPATCH[cfg.variant](instance, cfg, rng)

@@ -33,11 +33,11 @@ from grasppr.bench_io import (
 )
 from grasppr.construction import CARDINALITY
 from grasppr.core import PartitionSolution, PermutationSolution, evaluate
-from grasppr.drivers import RunReport, run
+from grasppr.drivers import RunConfig, RunReport, run
 from grasppr.local_search import SearchDepth
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
-from grasppr.path_relinking import BACK_AND_FORWARD
+from grasppr.path_relinking import BACK_AND_FORWARD, PrConfig
 
 import oracles
 
@@ -358,12 +358,16 @@ def test_build_run_config_lop_defaults():
     assert cfg.rcl.alpha_low == 0.0 and cfg.rcl.alpha_high == 0.3
     assert cfg.depth == SearchDepth.BEST_IMPROVING
     assert cfg.elite_k == 10 and cfg.guide_policy == "uniform"
+    # every other default comes from the dataclasses
+    lop_pr = PrConfig(direction="mixed", step="grpr", in_path_ls="best")
+    assert cfg == RunConfig(seed=3, iteration_limit=50, pr=lop_pr)
 
 
 def test_build_run_config_maxcut_defaults():
     cfg = build_run_config("maxcut", {}, seed=1, time_limit=2.0, iteration_limit=None)
     assert cfg.pr.direction == "forward" and cfg.pr.step == "greedy"
     assert cfg.pr.in_path_ls == "every" and cfg.pr.ls_every == 5
+    assert cfg == RunConfig(seed=1, time_limit=2.0, pr=PrConfig(in_path_ls="every"))
 
 
 def test_build_run_config_overrides():
@@ -419,6 +423,11 @@ def test_build_run_config_errors():
         build_run_config("lop", {"alpha-max": "2.0"}, **base)
     with pytest.raises(OptionError):
         build_run_config("lop", {}, seed=1, time_limit=None, iteration_limit=None)
+    for time_limit in (float("nan"), float("inf")):
+        with pytest.raises(OptionError, match="time_limit must be finite"):
+            build_run_config("lop", {}, seed=1, time_limit=time_limit, iteration_limit=5)
+    with pytest.raises(OptionError, match="restart_kappa applies only to"):
+        build_run_config("lop", {"variant": "static_pr", "kappa": "3"}, **base)
 
 
 def test_compute_stats_single_method():

@@ -138,6 +138,13 @@ def test_usage_errors_exit_64(k3_path, capsys):
         ["--problem", "maxcut", "--instance", k3_path, "--iters", "1", "--direction", "up"], capsys
     )
     assert code == 64 and "direction" in err
+    # a time limit that never expires
+    for budget in ("nan", "inf"):
+        code, _, err = _solve(["--problem", "maxcut", "--instance", k3_path, "--time", budget], capsys)
+        assert code == 64 and "time_limit must be finite" in err
+    # restarts with a variant that has no dynamic loop
+    code, _, err = _solve(["--problem", "maxcut", "--instance", k3_path, "--iters", "1", "--kappa", "2"], capsys)
+    assert code == 64 and "restart_kappa applies only to dynamic_pr and evolutionary_pr" in err
     # bad subcommand / no subcommand
     assert main(["conquer"]) == 64
     capsys.readouterr()
@@ -292,6 +299,11 @@ def test_bench_rejects_bad_method_specs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 64, spec
         assert fragment in err
+    # a baseline kappa fails on the first method it does not apply to, before any cell runs
+    code = main([*base, "--kappa", "3", "--method", "dynamic_pr", "--method", "grasp"])
+    err = capsys.readouterr().err
+    assert code == 64 and "method 'grasp': restart_kappa applies only to" in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_bench_empty_instance_dir(tmp_path, capsys):

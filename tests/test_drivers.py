@@ -10,9 +10,6 @@ from grasppr.drivers import (
     default_diversity_threshold,
     maybe_restart,
     run,
-    run_grasp,
-    run_semigreedy,
-    run_static_pr,
 )
 from grasppr.elite_set import EliteSet
 from grasppr.local_search import SearchDepth, local_search
@@ -29,7 +26,7 @@ GREEDY_RCL = RclConfig(alpha_low=0.0, alpha_high=0.0)
 
 def test_single_greedy_iteration_equals_manual_pipeline():
     cfg = RunConfig(variant="grasp", seed=123, iteration_limit=1, rcl=GREEDY_RCL)
-    report = run_grasp(LOP10, cfg)
+    report = run(LOP10, cfg)
     sol = construct(LOP10, GREEDY_RCL, RandomStream(123))
     sol = local_search(LOP10, sol, SearchDepth.BEST_IMPROVING, RandomStream(123))
     assert report.best_solution.order == sol.order
@@ -64,7 +61,7 @@ def test_reports_bit_identical_across_runs():
 
 def test_semigreedy_is_raw_construction():
     cfg = RunConfig(variant="semigreedy", seed=9, iteration_limit=8)
-    report = run_semigreedy(LOP10, cfg)
+    report = run(LOP10, cfg)
     rng = RandomStream(9)
     best = max(construct(LOP10, cfg.rcl, rng).cached_objective for _ in range(8))
     assert report.best_objective == best
@@ -107,18 +104,23 @@ def test_dynamic_pr_pdelta_relinks_varied_pool():
 
 
 def test_static_pr_relinks_each_pool_pair_once():
-    cfg = RunConfig(variant="static_pr", seed=17, iteration_limit=30, static_sample=30, elite_k=4)
-    report = run_static_pr(LOP10, cfg)
-    # replay the sampling phase: same stream, same admissions
-    rng = RandomStream(17)
-    pool = EliteSet(4, default_diversity_threshold(LOP10.n))
-    for _ in range(30):
-        sol = local_search(LOP10, construct(LOP10, cfg.rcl, rng), SearchDepth.BEST_IMPROVING, rng)
-        pool.try_add(sol)
-    k = len(pool)
-    assert report.pr_calls == k * (k - 1) // 2 <= 6
-    assert report.best_objective >= pool.best_objective()
-    assert report.iterations == 30
+    # on MC12 the pool would admit relinking outcomes, if they were resubmitted
+    for inst, cfg in (
+        (LOP10, RunConfig(variant="static_pr", seed=17, iteration_limit=30, static_sample=30, elite_k=4)),
+        (MC12, RunConfig(variant="static_pr", seed=4, iteration_limit=5, static_sample=5, elite_k=4,
+                         rcl=RclConfig(alpha_high=1.0), depth=SearchDepth.FIRST_IMPROVING)),
+    ):
+        report = run(inst, cfg)
+        # replay the sampling phase: same stream, same admissions
+        rng = RandomStream(cfg.seed)
+        pool = EliteSet(4, default_diversity_threshold(inst.n))
+        for _ in range(cfg.static_sample):
+            sol = local_search(inst, construct(inst, cfg.rcl, rng), cfg.depth, rng)
+            pool.try_add(sol)
+        k = len(pool)
+        assert report.pr_calls == k * (k - 1) // 2 <= 6
+        assert report.best_objective >= pool.best_objective()
+        assert report.iterations == cfg.static_sample
 
 
 def test_evolutionary_pr_terminates_without_time_limit():
@@ -211,6 +213,9 @@ def test_run_config_validation():
         dict(variant="annealing", iteration_limit=1),
         dict(),  # no stopping rule at all
         dict(time_limit=0.0),
+        dict(time_limit=float("nan")),
+        dict(time_limit=float("inf")),
+        dict(time_limit=float("nan"), iteration_limit=1),
         dict(iteration_limit=0),
         dict(iteration_limit=1, restart_kappa=0),
         dict(iteration_limit=1, elite_k=0),
@@ -220,12 +225,12 @@ def test_run_config_validation():
     ):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-
-
-def test_driver_rejects_mismatched_variant():
-    cfg = RunConfig(variant="semigreedy", iteration_limit=1)
-    with pytest.raises(ValueError):
-        run_grasp(LOP10, cfg)
+    # restarts act on the dynamic loop only; the other variants would ignore kappa
+    for variant in ("semigreedy", "grasp", "static_pr"):
+        with pytest.raises(ValueError, match="restart_kappa applies only to dynamic_pr and evolutionary_pr"):
+            RunConfig(variant=variant, iteration_limit=1, restart_kappa=1)
+    for variant in ("dynamic_pr", "evolutionary_pr"):
+        assert RunConfig(variant=variant, iteration_limit=1, restart_kappa=1).restart_kappa == 1
 
 
 def test_run_dispatches_every_variant():
