@@ -2,11 +2,15 @@
 """Regenerate the bundled toy instances under instances/toy/.
 
 Everything is seeded, so reruns are byte-identical. Sizes are picked to keep
-the whole benchmark suite runnable on a laptop in seconds.
+the whole benchmark suite runnable on a laptop in seconds. The files are
+written by the package's own serializers, so run it with the package
+importable, e.g. `PYTHONPATH=src python3 scripts/make_toy_instances.py`.
 """
 
 import random
 from pathlib import Path
+
+from grasppr import LopInstance, MaxCutInstance, bench_io
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "instances" / "toy"
@@ -18,9 +22,7 @@ def lop_matrix(n: int, seed: int, lo: int = 0, hi: int = 99) -> list[list[int]]:
 
 
 def write_lop(name: str, cost: list[list[int]]) -> None:
-    n = len(cost)
-    lines = [name, str(n)] + [" ".join(map(str, row)) for row in cost]
-    (OUT / f"{name}.mat").write_text("\n".join(lines) + "\n")
+    (OUT / f"{name}.mat").write_text(bench_io.serialize_lolib(LopInstance(cost), name))
 
 
 def random_graph(n: int, p: float, seed: int, weights: tuple[int, int]) -> list[tuple[int, int, int]]:
@@ -44,8 +46,7 @@ def random_signed_graph(n: int, p: float, seed: int) -> list[tuple[int, int, int
 
 
 def write_maxcut(name: str, n: int, edges: list[tuple[int, int, int]]) -> None:
-    lines = [f"{n} {len(edges)}"] + [f"{i + 1} {j + 1} {w}" for i, j, w in edges]
-    (OUT / f"{name}.el").write_text("\n".join(lines) + "\n")
+    (OUT / f"{name}.el").write_text(bench_io.serialize_edge_list(MaxCutInstance(n, edges)))
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ experiment 7 is wall-clock-based by design.
 import argparse
 from pathlib import Path
 
-from grasppr import RunConfig, bench_io, drivers, load_instance
+from grasppr import bench_io, drivers, load_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 TOYS = ROOT / "instances" / "toy"
@@ -108,7 +108,8 @@ def exp7_profiles(args, out_root):
     for problem, fname in targets.items():
         instance = load_instance(TOYS / fname, problem)
         for variant in ("semigreedy", "grasp", "evolutionary_pr"):
-            cfg = RunConfig(variant=variant, seed=args.seeds[0], time_limit=args.profile_time)
+            # the CLI's translation, so each problem's relinking defaults apply
+            cfg = bench_io.build_run_config(problem, {"variant": variant}, args.seeds[0], args.profile_time, None)
             report = drivers.run(instance, cfg)
             dest = out / f"{Path(fname).stem}-{variant}.csv"
             with open(dest, "w") as sink:

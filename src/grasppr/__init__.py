@@ -18,7 +18,7 @@ from .elite_set import AddResult, EliteSet
 from .local_search import Move, SearchDepth, local_search
 from .lop import LopInstance
 from .maxcut import MaxCutInstance
-from .path_relinking import PathTrace, PrConfig, PrStep, relink
+from .path_relinking import PathTrace, PrConfig, relink
 
 __all__ = [
     "AddResult",
@@ -31,7 +31,6 @@ __all__ = [
     "PathTrace",
     "PermutationSolution",
     "PrConfig",
-    "PrStep",
     "ProblemInstance",
     "RandomStream",
     "RclConfig",

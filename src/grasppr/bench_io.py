@@ -288,17 +288,22 @@ class OptionError(ValueError):
 
 
 def int_option(key: str, raw) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise OptionError(f"{key}: expected an integer, got {raw!r}") from None
+    # text or a true int only: int() would truncate 2.5 and read True as 1
+    if isinstance(raw, (str, int)) and not isinstance(raw, bool):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise OptionError(f"{key}: expected an integer, got {raw!r}")
 
 
 def float_option(key: str, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise OptionError(f"{key}: expected a number, got {raw!r}") from None
+    if not isinstance(raw, bool):  # float() would read True as 1.0
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise OptionError(f"{key}: expected a number, got {raw!r}")
 
 
 def _choice(table: Mapping[str, object]) -> Callable[[str, object], object]:

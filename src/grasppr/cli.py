@@ -187,6 +187,8 @@ def _cmd_bench(args) -> int:
 
     raw_seeds = _merged_run_value(args, config, "seeds")
     seeds = [int_option("seeds", s) for s in str(raw_seeds).split(",")] if raw_seeds is not None else [1]
+    if len(set(seeds)) != len(seeds):
+        raise OptionError("duplicate seeds")
     jobs = int_option("jobs", args.jobs) if args.jobs is not None else 1
     if jobs < 1:
         raise OptionError("jobs must be >= 1")

@@ -12,9 +12,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-PERMUTATION = "permutation"
-PARTITION = "partition"
-
 # what one moves() scan yields
 ALL_MOVES = "all"
 BEST_MOVE = "best"  # only the improving move of largest delta, the first on ties
@@ -82,7 +79,7 @@ def delta(a: Solution, b: Solution) -> int:
     partitions {j : a.bits[j] != b.bits[j]}.
     """
     if type(a) is not type(b):
-        raise TypeError(f"mixed representations: {type(a).__name__} vs {type(b).__name__}")
+        raise TypeError(f"mixed solution types: {type(a).__name__} vs {type(b).__name__}")
     pa, pb = _payload(a), _payload(b)
     if len(pa) != len(pb):
         raise ValueError(f"dimension mismatch: {len(pa)} vs {len(pb)}")
@@ -92,11 +89,10 @@ def delta(a: Solution, b: Solution) -> int:
 class ProblemInstance(ABC):
     """Immutable problem data plus the hooks the generic search modules drive.
 
-    Concrete adapters provide construction, move enumeration and
-    path-relinking candidates.
+    Concrete adapters provide construction, move enumeration and a
+    relinking walk.
     """
 
-    representation: str  # PERMUTATION or PARTITION
     n: int
 
     # first-improving passes draw a random scan offset only when this is set
@@ -139,12 +135,8 @@ class ProblemInstance(ABC):
         """Apply a move in place, keeping cached_objective consistent."""
 
     @abstractmethod
-    def pr_candidates(self, current: Solution, guiding: Solution):
-        """Path-relinking step candidates toward guiding (see path_relinking.PrStep)."""
-
     def new_walk(self, a: Solution, b: Solution) -> "Walk":
         """A relinking walk that moves a and b in place (see Walk)."""
-        return Walk(self, a, b)
 
     def check_dimensions(self, solution: Solution) -> None:
         if len(_payload(solution)) != self.n:
@@ -156,12 +148,11 @@ class ProblemInstance(ABC):
 class Walk:
     """Relinking steps between two solutions, heads[0] and heads[1].
 
-    ranked(i, k) lists at most k steps that move heads[i] toward the other
-    head without reaching it, by descending delta, ties in candidate order
-    (ascending element for both problems); take(i, step) applies one of them
-    to heads[i]. This default ranks the full pr_candidates list each step;
-    an adapter whose candidates it can track across steps returns its own
-    walk from new_walk.
+    ranked(i, k) is the instance's pr_candidates(heads[i], heads[1 - i], k):
+    at most k Moves that take heads[i] toward the other head without
+    reaching it, by descending delta, ties to the lower element. take(i,
+    move) applies one of them to heads[i]. A problem that tracks state
+    across steps subclasses it.
     """
 
     def __init__(self, instance: ProblemInstance, a: Solution, b: Solution):
@@ -169,11 +160,10 @@ class Walk:
         self.heads = (a, b)
 
     def ranked(self, i: int, k: int) -> list:
-        steps = [c for c in self.instance.pr_candidates(self.heads[i], self.heads[1 - i]) if not c.reaches_guiding]
-        return sorted(steps, key=lambda c: -c.delta)[:k]  # stable
+        return self.instance.pr_candidates(self.heads[i], self.heads[1 - i], k)
 
-    def take(self, i: int, step) -> None:
-        self.instance.apply_move(self.heads[i], step.move)
+    def take(self, i: int, move) -> None:
+        self.instance.apply_move(self.heads[i], move)
 
 
 def evaluate(instance: ProblemInstance, solution: Solution) -> int:

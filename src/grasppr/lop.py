@@ -13,9 +13,8 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_entries
-from .core import ALL_MOVES, BEST_MOVE, PERMUTATION, PermutationSolution, ProblemInstance
+from .core import ALL_MOVES, BEST_MOVE, PermutationSolution, ProblemInstance, Walk
 from .local_search import Move
-from .path_relinking import PrStep
 
 _INT32 = 2**31
 
@@ -56,8 +55,6 @@ class _LopBuilder:
 
 
 class LopInstance(ProblemInstance):
-    representation = PERMUTATION
-
     def __init__(self, cost: Sequence[Sequence[int]]):
         n = len(cost)
         if n < 2:
@@ -174,10 +171,13 @@ class LopInstance(ProblemInstance):
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 
-    def pr_candidates(self, current: PermutationSolution, guiding: PermutationSolution) -> list[PrStep]:
-        """Insertions of misplaced elements into their guiding position, kept
-        only when they strictly reduce the position-wise difference to the
-        guiding solution."""
+    def new_walk(self, a: PermutationSolution, b: PermutationSolution) -> Walk:
+        return Walk(self, a, b)
+
+    def pr_candidates(self, current: PermutationSolution, guiding: PermutationSolution, k: int) -> list[Move]:
+        """At most k insertions of a misplaced element into its guiding
+        position that strictly reduce the position-wise difference to guiding
+        without reaching it, by descending delta, ties to the lower element."""
         if current == guiding:
             raise ValueError("current and guiding coincide")
         cur, tgt = current.order, guiding.order
@@ -187,7 +187,7 @@ class LopInstance(ProblemInstance):
             pos_cur[cur[p]] = p
             pos_tgt[tgt[p]] = p
         base = sum(1 for p in range(self.n) if cur[p] != tgt[p])
-        steps: list[PrStep] = []
+        steps: list[Move] = []
         for e in range(self.n):
             i, j = pos_cur[e], pos_tgt[e]
             if i == j:
@@ -195,9 +195,6 @@ class LopInstance(ProblemInstance):
             scratch = list(cur)
             scratch.pop(i)
             scratch.insert(j, e)
-            new_size = sum(1 for p in range(self.n) if scratch[p] != tgt[p])
-            if new_size < base:
-                d = self._insert_delta(cur, i, j)
-                steps.append(PrStep(Move("insert", e, i, j, d), d, reaches_guiding=(new_size == 0)))
-        return steps
-
+            if 0 < sum(1 for p in range(self.n) if scratch[p] != tgt[p]) < base:
+                steps.append(Move("insert", e, i, j, self._insert_delta(cur, i, j)))
+        return sorted(steps, key=lambda m: -m.delta)[:k]  # stable: ties keep ascending e

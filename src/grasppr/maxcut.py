@@ -16,9 +16,8 @@ from bisect import bisect_left, insort
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
-from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PARTITION, PartitionSolution, ProblemInstance, Walk
+from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PartitionSolution, ProblemInstance, Walk
 from .local_search import Move
-from .path_relinking import PrStep
 
 _INT32 = 2**31
 # a gain cache that differs from the asked-for partition in at most this
@@ -118,7 +117,6 @@ class _MaxCutBuilder:
 
 
 class MaxCutInstance(ProblemInstance):
-    representation = PARTITION
     randomized_first_improving = True  # per-pass scan offset, see local_search
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
@@ -216,39 +214,23 @@ class MaxCutInstance(ProblemInstance):
         return _MaxCutWalk(self, a, b)
 
     def pr_candidates(
-        self,
-        current: PartitionSolution,
-        guiding: PartitionSolution,
-        size: Optional[int] = None,
-        diff: Optional[list[int]] = None,
-    ) -> list[PrStep]:
-        """Flips of the positions where current and guiding differ.
-
-        Called with current and guiding alone: every such flip, ascending.
-        A walk passes size and diff together, diff being the differing
-        positions in ascending order as it keeps them, and gets only the at
-        most size flips that do not reach guiding, by descending gain with
-        ties to the lower position: one step in O(len(diff)) instead of O(n),
-        building at most size Moves.
+        self, current: PartitionSolution, guiding: PartitionSolution, k: int, diff: list[int]
+    ) -> list[Move]:
+        """At most k flips of the positions where current and guiding differ,
+        without the one flip that reaches guiding, by descending gain with
+        ties to the lower position. diff lists those positions in ascending
+        order, as the walk keeps them, so a step costs O(len(diff)), not O(n).
         """
-        if (size is None) != (diff is None):
-            raise ValueError("size and diff are passed together")
-        if diff is None:
-            diff = [j for j in range(self.n) if current.bits[j] != guiding.bits[j]]
         if not diff:
             raise ValueError("current and guiding coincide")
-        # every flip of a differing position reduces the difference by exactly 1
+        if len(diff) == 1:
+            return []  # its one flip reaches guiding
         gains = self._gain_table(current).gain
-        reaches = len(diff) == 1
-        if size is None:
-            top = diff
-        elif reaches:
-            top = []
-        elif size == 1:
+        if k == 1:
             top = [max(diff, key=gains.__getitem__)]  # the first maximum: the lowest position
         else:
-            top = heapq.nsmallest(size, diff, key=lambda j: -gains[j])  # stable, as sorted(...)[:size]
-        return [PrStep(Move("transfer", j, None, None, gains[j]), gains[j], reaches) for j in top]
+            top = heapq.nsmallest(k, diff, key=lambda j: -gains[j])  # stable, as sorted(...)[:k]
+        return [Move("transfer", j, None, None, gains[j]) for j in top]
 
 
 class _MaxCutWalk(Walk):
@@ -263,9 +245,9 @@ class _MaxCutWalk(Walk):
         super().__init__(inst, a, b)
         self.diff = [j for j, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y]
 
-    def ranked(self, i: int, k: int) -> list[PrStep]:
+    def ranked(self, i: int, k: int) -> list[Move]:
         return self.instance.pr_candidates(self.heads[i], self.heads[1 - i], k, self.diff)
 
-    def take(self, i: int, step: PrStep) -> None:
-        self.instance.apply_move(self.heads[i], step.move)
-        del self.diff[bisect_left(self.diff, step.move.element)]
+    def take(self, i: int, move: Move) -> None:
+        super().take(i, move)
+        del self.diff[bisect_left(self.diff, move.element)]

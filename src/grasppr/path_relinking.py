@@ -10,7 +10,7 @@ insertions remain (e.g. the two endpoints differ by a non-adjacent
 transposition).
 
 Each problem owns its walk (ProblemInstance.new_walk): every step asks it
-for at most k ranked steps, k = 1 for greedy and rcl_size for grpr, and
+for at most k ranked Moves, k = 1 for greedy and rcl_size for grpr, and
 applies the one rng.pick chooses.
 """
 
@@ -35,15 +35,6 @@ LS_NONE = "none"
 LS_ALL = "all"
 LS_EVERY = "every"
 LS_BEST = "best"
-
-
-@dataclass(frozen=True)
-class PrStep:
-    """A candidate relinking move produced by a problem adapter."""
-
-    move: object
-    delta: int
-    reaches_guiding: bool
 
 
 @dataclass
@@ -114,7 +105,7 @@ def _walk(
 ) -> None:
     # heads[0] moves toward heads[1]; with alternate the roles reverse after
     # every accepted step (mixed). Each moving head gets `budget` steps.
-    # Greedy ranks one step and rng.pick of a single step draws nothing.
+    # Greedy ranks one move and rng.pick of a single move draws nothing.
     k = 1 if cfg.step == GREEDY else cfg.rcl_size
     steps = [0, 0]
     mover = 0
@@ -146,7 +137,7 @@ def relink(
     search outputs (the trace always records the raw, unimproved path).
     """
     if type(s) is not type(t):
-        raise TypeError("mismatched representations")
+        raise TypeError("mismatched solution types")
     if s == t:
         raise ValueError("relink endpoints must differ")
 

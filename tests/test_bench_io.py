@@ -408,6 +408,15 @@ def test_build_run_config_errors():
         build_run_config("lop", {"warmth": "3"}, **base)
     with pytest.raises(OptionError, match="expected an integer"):
         build_run_config("lop", {"elite-k": "many"}, **base)
+    # a library caller's non-integer or bool values are not truncated or read as 1
+    for key, raw in (("elite-k", 2.5), ("elite-k", "2.5"), ("rcl-size", True), ("min-dist", None)):
+        with pytest.raises(OptionError, match="expected an integer"):
+            build_run_config("lop", {key: raw}, **base)
+    for raw in (True, False, None, "much"):
+        with pytest.raises(OptionError, match="expected a number"):
+            build_run_config("lop", {"trunc": raw}, **base)
+    cfg = build_run_config("lop", {"elite-k": 4, "trunc": 1, "alpha-max": 0.25}, **base)
+    assert (cfg.elite_k, cfg.pr.truncation, cfg.rcl.alpha_high) == (4, 1.0, 0.25)
     with pytest.raises(OptionError, match="direction"):
         build_run_config("lop", {"direction": "up"}, **base)
     with pytest.raises(OptionError, match="inpath-ls"):

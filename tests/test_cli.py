@@ -283,6 +283,18 @@ def test_bench_rejects_duplicate_method_labels(tmp_path, capsys):
     assert code == 64 and "duplicate" in err
 
 
+def test_bench_rejects_duplicate_seeds(tmp_path, capsys):
+    inst_dir = _write_bench_dir(tmp_path)
+    for seeds in ("1,1", "2,1,02"):
+        code = main([
+            "bench", "--problem", "lop", "--instances", str(inst_dir),
+            "--method", "grasp", "--seeds", seeds, "--iters", "1", "--out", str(tmp_path / "dup"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 64 and "duplicate seeds" in err
+        assert not (tmp_path / "dup").exists()
+
+
 def test_bench_rejects_bad_method_specs(tmp_path, capsys):
     inst_dir = _write_bench_dir(tmp_path)
     base = [

@@ -145,30 +145,29 @@ def test_pr_candidates_worked_example():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(24), 4))
     cur = PermutationSolution([0, 1, 2, 3])
     tgt = PermutationSolution([2, 3, 1, 0])
-    steps = inst.pr_candidates(cur, tgt)
+    steps = inst.pr_candidates(cur, tgt, 4)
     assert len(steps) == 4
-    assert sorted(s.move.element for s in steps) == [0, 1, 2, 3]
-    assert not any(s.reaches_guiding for s in steps)
+    assert sorted(m.element for m in steps) == [0, 1, 2, 3]
+    assert [m.delta for m in steps] == sorted((m.delta for m in steps), reverse=True)
 
 
 def test_pr_candidates_adjacent_transposition():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(25), 4))
     cur = PermutationSolution([0, 2, 1, 3])
     tgt = PermutationSolution([0, 1, 2, 3])
-    steps = inst.pr_candidates(cur, tgt)
-    # either element's insertion repairs both positions at once
-    assert len(steps) == 2
-    assert all(s.reaches_guiding for s in steps)
+    # either element's insertion repairs both positions at once, so it
+    # reaches guiding and is no relinking step
+    assert inst.pr_candidates(cur, tgt, 4) == []
 
 
 def test_pr_candidates_trap_pairs_yield_nothing():
     # non-adjacent transpositions: no insertion reduces the position-wise
     # difference, so the strictly-reducing filter leaves nothing
     inst3 = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(26), 3))
-    assert inst3.pr_candidates(PermutationSolution([2, 1, 0]), PermutationSolution([0, 1, 2])) == []
+    assert inst3.pr_candidates(PermutationSolution([2, 1, 0]), PermutationSolution([0, 1, 2]), 3) == []
     inst6 = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(27), 6))
     assert inst6.pr_candidates(
-        PermutationSolution([2, 1, 0, 5, 4, 3]), PermutationSolution([0, 1, 2, 3, 4, 5])
+        PermutationSolution([2, 1, 0, 5, 4, 3]), PermutationSolution([0, 1, 2, 3, 4, 5]), 6
     ) == []
 
 
@@ -181,23 +180,56 @@ def test_pr_candidates_strictly_reduce_difference():
         if cur == tgt:
             continue
         base = oracles.position_delta(cur.order, tgt.order)
-        for step in inst.pr_candidates(cur, tgt):
+        for move in inst.pr_candidates(cur, tgt, 7):
             scratch = cur.copy()
             scratch.cached_objective = evaluate(inst, scratch)
-            inst.apply_move(scratch, step.move)
+            inst.apply_move(scratch, move)
             after = oracles.position_delta(scratch.order, tgt.order)
-            assert after < base
-            assert step.reaches_guiding == (after == 0)
-            assert step.delta == oracles.lop_value(inst.cost, scratch.order) - oracles.lop_value(
+            assert 0 < after < base
+            assert move.delta == oracles.lop_value(inst.cost, scratch.order) - oracles.lop_value(
                 inst.cost, cur.order
             )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_pr_candidates_match_reference_ranking(k):
+    """pr_candidates(cur, tgt, k) is the stable top k, by delta, of the
+    reference's reducing insertions in ascending element order, without the
+    ones that reach tgt."""
+    r = oracles.make_rng(70 + k)
+    tied = reached = 0
+    for trial in range(150):
+        n = r.randrange(3, 9)
+        inst = LopInstance(oracles.rand_lop_matrix(r, n, -2, 2))
+        cur, tgt = oracles.rand_perm(r, n), oracles.rand_perm(r, n)
+        if trial % 3 == 0:  # one insertion apart, so some insertion reaches tgt
+            tgt = list(cur)
+            tgt.insert(r.randrange(n), tgt.pop(r.randrange(n)))
+        if cur == tgt:
+            continue
+        steps = []
+        for e in sorted(oracles.reducing_insertions(cur, tgt)):
+            after = list(cur)
+            after.remove(e)
+            after.insert(tgt.index(e), e)
+            if after == tgt:
+                reached += 1
+            else:
+                steps.append((e, oracles.lop_value(inst.cost, after) - oracles.lop_value(inst.cost, cur)))
+        expected = sorted(steps, key=lambda s: -s[1])[:k]
+        got = inst.pr_candidates(PermutationSolution(list(cur)), PermutationSolution(list(tgt)), k)
+        assert [(m.element, m.delta) for m in got] == expected, (cur, tgt)
+        assert all(m.from_pos == cur.index(m.element) and m.to_pos == tgt.index(m.element) for m in got)
+        deltas = sorted((d for _, d in steps), reverse=True)
+        tied += any(deltas[i] == deltas[i + 1] for i in range(min(k, len(deltas) - 1)))
+    assert tied > 0 and reached > 0  # the tie-breaks and the reaching filter were exercised
 
 
 def test_pr_candidates_rejects_identical_endpoints():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(30), 4))
     sol = PermutationSolution([1, 0, 3, 2])
     with pytest.raises(ValueError):
-        inst.pr_candidates(sol, sol.copy())
+        inst.pr_candidates(sol, sol.copy(), 4)
 
 
 def test_instance_validation():

@@ -10,6 +10,10 @@ import oracles
 K3 = MaxCutInstance(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
 
+def _diff(a, b):
+    return [j for j in range(len(a.bits)) if a.bits[j] != b.bits[j]]
+
+
 def test_cut_value_examples():
     assert K3.evaluate(PartitionSolution([1, 0, 0])) == 2
     assert K3.evaluate(PartitionSolution([0, 0, 0])) == 0
@@ -82,32 +86,27 @@ def test_pr_candidates_count_and_deltas():
     cur = PartitionSolution([0] * 8)
     tgt = PartitionSolution([1] * 8)
     evaluate(inst, cur)
-    steps = inst.pr_candidates(cur, tgt)
+    steps = inst.pr_candidates(cur, tgt, 8, _diff(cur, tgt))
     assert len(steps) == 8  # one flip per differing position
-    assert not any(s.reaches_guiding for s in steps)
-    for step in steps:
+    assert [m.delta for m in steps] == sorted((m.delta for m in steps), reverse=True)
+    for move in steps:
         scratch = cur.copy()
-        inst.apply_move(scratch, step.move)
-        assert step.delta == oracles.cut_value(inst.edges, scratch.bits)
+        inst.apply_move(scratch, move)
+        assert move.delta == oracles.cut_value(inst.edges, scratch.bits)
 
 
 def test_pr_candidates_single_difference_reaches():
-    inst = K3
     cur = PartitionSolution([1, 0, 0])
     tgt = PartitionSolution([1, 0, 1])
-    evaluate(inst, cur)
-    steps = inst.pr_candidates(cur, tgt)
-    assert len(steps) == 1
-    assert steps[0].reaches_guiding
-    scratch = cur.copy()
-    inst.apply_move(scratch, steps[0].move)
-    assert scratch == tgt
+    evaluate(K3, cur)
+    # the one flip reaches guiding, so it is no relinking step
+    assert K3.pr_candidates(cur, tgt, 3, _diff(cur, tgt)) == []
 
 
 def test_pr_candidates_rejects_identical_endpoints():
     sol = PartitionSolution([1, 0, 1])
     with pytest.raises(ValueError):
-        K3.pr_candidates(sol, sol.copy())
+        K3.pr_candidates(sol, sol.copy(), 3, [])
 
 
 def test_local_optimum_has_nonpositive_gains():
@@ -150,9 +149,10 @@ def _check_against_fresh(inst, sol, other):
     gains = _fresh_gains(inst, sol)
     for m in inst.moves(sol, 3):
         assert m.delta == gains[m.element]
-    if sol != other:
-        assert [(s.move.element, s.delta) for s in inst.pr_candidates(sol, other)] == [
-            (j, gains[j]) for j in range(inst.n) if sol.bits[j] != other.bits[j]
+    diff = _diff(sol, other)
+    if len(diff) > 1:
+        assert sorted((m.element, m.delta) for m in inst.pr_candidates(sol, other, inst.n, diff)) == [
+            (j, gains[j]) for j in diff
         ]
 
 
@@ -189,8 +189,9 @@ def test_gain_cache_under_interleaved_operations():
         elif op == 3:  # in-path style local search on a copy, then relinking candidates
             local_search(inst, cur.copy(), SearchDepth.FIRST_IMPROVING, RandomStream(r.randrange(99)))
         else:  # a relinking step taken on the solution itself
-            if cur != other:
-                inst.apply_move(cur, r.choice(inst.pr_candidates(cur, other)).move)
+            steps = inst.pr_candidates(cur, other, 12, _diff(cur, other)) if cur != other else []
+            if steps:
+                inst.apply_move(cur, r.choice(steps))
         assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
         _check_against_fresh(inst, cur, other)
         _check_against_fresh(inst, other, cur)
@@ -217,21 +218,17 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     assert out.cached_objective > start.cached_objective
     assert len(builds) == 1  # one rebuild for the start, O(degree) updates after it
     guide = PartitionSolution([1 - b for b in out.bits])
-    inst.pr_candidates(out, guide)
+    inst.pr_candidates(out, guide, 30, _diff(out, guide))
     assert len(builds) == 1  # the descent left the cache in sync with its result
     inst.apply_move(guide, Move("transfer", 0))  # out of sync: the cache keeps following out
-    inst.pr_candidates(out, guide)
+    inst.pr_candidates(out, guide, 30, _diff(out, guide))
     assert len(builds) == 1
-
-
-def _diff(a, b):
-    return [j for j in range(len(a.bits)) if a.bits[j] != b.bits[j]]
 
 
 @pytest.mark.parametrize("pm1", [False, True], ids=["negative", "pm1"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_walk_step_kernel_matches_reference(pm1, k):
-    """Every step of single-head and alternating walks: pr_candidates(..., size, diff)
+    """Every step of single-head and alternating walks: pr_candidates(..., k, diff)
     equals the stable top k of the full scan, and the walk's diff stays the
     ascending difference of its heads."""
     r = oracles.make_rng(60 + k)
@@ -254,9 +251,8 @@ def test_walk_step_kernel_matches_reference(pm1, k):
             cur, other = walk.heads[mover], walk.heads[1 - mover]
             expected = oracles.top_relink_flips(edges, cur.bits, other.bits, k)
             steps = inst.pr_candidates(cur, other, k, walk.diff)
-            assert [(s.move.element, s.delta) for s in steps] == expected
+            assert [(m.element, m.delta) for m in steps] == expected
             assert walk.ranked(mover, k) == steps
-            assert not any(s.reaches_guiding for s in steps)
             if not steps:
                 assert len(walk.diff) == 1
                 break
@@ -300,13 +296,6 @@ def test_gain_table_patched_or_rebuilt_equals_fresh(monkeypatch):
                 assert patched is table and len(builds) == before  # patched in place, not rebuilt
             else:
                 assert len(builds) == before + 1
-
-
-def test_walk_step_kernel_takes_size_and_diff_together():
-    a, b = PartitionSolution([0, 1, 0]), PartitionSolution([1, 0, 0])
-    for size, diff in ((2, None), (None, [0, 1])):
-        with pytest.raises(ValueError):
-            K3.pr_candidates(a, b, size, diff)
 
 
 def test_seed_vertex_computed_once_per_instance():
