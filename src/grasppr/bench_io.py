@@ -26,7 +26,7 @@ from .drivers import VARIANTS, RunConfig, RunReport, run
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM
 from .local_search import SearchDepth
 from .lop import LopInstance
-from .maxcut import MaxCutInstance
+from .maxcut import MAX_VERTICES, MaxCutInstance
 from .path_relinking import (
     BACK_AND_FORWARD,
     BACKWARD,
@@ -204,7 +204,7 @@ def _edge_list_fast(text: str) -> Optional[tuple[int, list[tuple[int, int, int]]
         return None
     n, m = values[0], values[1]
     us, vs, ws = values[2::3], values[3::3], values[4::3]
-    if n < 1 or m != len(rows) - 1:
+    if not (1 <= n <= MAX_VERTICES) or m != len(rows) - 1:
         return None
     if m and (min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs))):
         return None
@@ -224,6 +224,8 @@ def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     m = _as_int(header[1], "edge count m")
     if n < 1:
         raise ParseError(f"n must be >= 1, got {n}", header[0].line, header[0].col)
+    if n > MAX_VERTICES:
+        raise ParseError(f"n must be <= {MAX_VERTICES}, got {n}", header[0].line, header[0].col)
     if m < 0:
         raise ParseError(f"m must be >= 0, got {m}", header[1].line, header[1].col)
 
@@ -288,8 +290,9 @@ class OptionError(ValueError):
 
 
 def int_option(key: str, raw) -> int:
-    # text or a true int only: int() would truncate 2.5 and read True as 1
-    if isinstance(raw, (str, int)) and not isinstance(raw, bool):
+    # text without '_' or a true int only: int() would truncate 2.5, read True
+    # as 1 and read 1_0 as 10, where the instance parsers reject '_'
+    if (isinstance(raw, str) and "_" not in raw) or (isinstance(raw, int) and not isinstance(raw, bool)):
         try:
             return int(raw)
         except ValueError:
@@ -298,7 +301,8 @@ def int_option(key: str, raw) -> int:
 
 
 def float_option(key: str, raw) -> float:
-    if not isinstance(raw, bool):  # float() would read True as 1.0
+    # float() would read True as 1.0 and 1_0 as 10.0
+    if not isinstance(raw, bool) and not (isinstance(raw, str) and "_" in raw):
         try:
             return float(raw)
         except (TypeError, ValueError):
@@ -326,10 +330,13 @@ def _inpath_ls(key: str, raw) -> dict[str, object]:
         return {"in_path_ls": raw}
     if not raw.startswith(f"{LS_EVERY}:"):
         raise OptionError(f"{key}: expected none|all|every:Q|best, got {raw!r}")
-    try:
-        return {"in_path_ls": LS_EVERY, "ls_every": int(raw.split(":", 1)[1])}
-    except ValueError:
-        raise OptionError(f"{key}: bad period in {raw!r}") from None
+    period = raw.split(":", 1)[1]
+    if "_" not in period:  # as in int_option
+        try:
+            return {"in_path_ls": LS_EVERY, "ls_every": int(period)}
+        except ValueError:
+            pass
+    raise OptionError(f"{key}: bad period in {raw!r}")
 
 
 @dataclass(frozen=True)

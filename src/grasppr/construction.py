@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Sequence
 
 from .core import ProblemInstance, RandomStream, Solution
@@ -46,55 +47,32 @@ def _cardinality_cut(size: int, alpha: float) -> int:
     return 1 + math.floor(alpha * (size - 1))
 
 
-def build_rcl_value(entries: Sequence[tuple], alpha: float) -> list:
-    """Keys of candidates with g(v) >= (1 - alpha) * g_max, applied literally.
+def rcl_from_columns(keys: Sequence, gains: Sequence[int], mode: str, alpha: float) -> list:
+    """The RCL of one step over candidate keys in ascending order and their gains.
 
-    With g_max < 0 and alpha > 0 the threshold rises above g_max and the
-    literal set is empty; rcl_from_entries falls back to the greedy argmax
-    set in that case so construction stays total.
+    The value RCL keeps the keys with g >= (1 - alpha) * g_max, applied
+    literally; the cardinality RCL keeps the p_max = 1 + floor(alpha * (|CL| - 1))
+    most attractive keys, ties to the lowest key. alpha == 0 gives the lowest
+    key of the argmax set alone, so the step is deterministic greedy and draws
+    nothing. With g_max < 0 and alpha > 0 the literal threshold rises above
+    g_max and empties the value RCL; it then falls back to the argmax set so
+    construction stays total. Each rule is one pass over the columns in C.
     """
-    if not entries:
+    if not keys:
         raise ConstructionError("empty candidate list")
-    threshold = _value_threshold(max(g for _, g in entries), alpha)
-    return [key for key, g in entries if g >= threshold]
-
-
-def build_rcl_cardinality(entries: Sequence[tuple], alpha: float) -> list:
-    """Keys of the p_max = 1 + floor(alpha * (|CL| - 1)) most attractive candidates.
-
-    Boundary ties are resolved by lowest key so the cut is deterministic.
-    """
-    if not entries:
-        raise ConstructionError("empty candidate list")
-    p_max = _cardinality_cut(len(entries), alpha)
-    ranked = sorted(entries, key=lambda e: (-e[1], e[0]))
-    return [key for key, _ in ranked[:p_max]]
-
-
-def _greedy_keys(entries: Sequence[tuple]) -> list:
-    g_max = max(g for _, g in entries)
-    return [key for key, g in entries if g == g_max]
-
-
-def rcl_from_entries(entries: Sequence[tuple], mode: str, alpha: float) -> list:
-    """The RCL of one step over (key, gain) entries in key order.
-
-    alpha == 0 gives the lowest key of the argmax set alone, so the step is
-    deterministic greedy and draws nothing. A value RCL that the literal
-    threshold emptied (g_max < 0) falls back to the argmax set so
-    construction stays total.
-    """
-    if not entries:
-        raise ConstructionError("empty candidate list")
+    g_max = max(gains)
     if alpha == 0.0:
-        return [min(_greedy_keys(entries))]
+        return [keys[gains.index(g_max)]]
     if mode == VALUE:
-        return build_rcl_value(entries, alpha) or _greedy_keys(entries)
-    return build_rcl_cardinality(entries, alpha)
+        threshold = _value_threshold(g_max, alpha)
+        literal = list(compress(keys, map(threshold.__le__, gains)))
+        return literal or list(compress(keys, map(eq, gains, repeat(g_max))))
+    ranked = sorted(range(len(keys)), key=gains.__getitem__, reverse=True)  # stable: ties keep key order
+    return list(map(keys.__getitem__, ranked[: _cardinality_cut(len(keys), alpha)]))
 
 
 def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: float) -> list:
-    """rcl_from_entries over candidates kept as {gain: keys sorted ascending}.
+    """rcl_from_columns over candidates kept as {gain: keys sorted ascending}.
 
     size is the number of keys in all buckets. Only the buckets the RCL
     takes are read, so a step costs about the size of the RCL rather than
@@ -121,7 +99,7 @@ def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: floa
 def construct(instance: ProblemInstance, cfg: RclConfig, rng: RandomStream) -> Solution:
     """One semi-greedy construction: repeatedly pick uniformly from the RCL.
 
-    The builder lists each step's RCL (see rcl_from_entries for its rules);
+    The builder lists each step's RCL (see rcl_from_columns for its rules);
     with alpha == 0 every step is deterministic greedy, making the whole
     construction a pure function of the instance.
     """

@@ -8,11 +8,12 @@ guiding position.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import itemgetter
+from bisect import bisect_left
+from itertools import accumulate, chain
+from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .construction import rcl_from_entries
+from .construction import rcl_from_columns
 from .core import ALL_MOVES, BEST_MOVE, PermutationSolution, ProblemInstance, Walk
 from .local_search import Move
 
@@ -20,35 +21,34 @@ _INT32 = 2**31
 
 
 class _LopBuilder:
-    """Appends one vertex per step; g(v) = objective increase of appending v."""
+    """Appends one vertex per step; g(v) = objective increase of appending v.
+
+    The unplaced vertices stay ascending, their gains in a parallel list: the
+    two columns rcl_from_columns reads, both updated in one pass per add().
+    """
 
     def __init__(self, inst: "LopInstance"):
         self.inst = inst
         self.order: list[int] = []
-        self.placed = [False] * inst.n
-        self.gain = [0] * inst.n  # sum of cost[u][v] over placed u
+        self.unplaced = list(range(inst.n))
+        self.gains = [0] * inst.n  # gains[i]: sum of cost[u][unplaced[i]] over placed u
         self.objective = 0
 
     @property
     def complete(self) -> bool:
-        return len(self.order) == self.inst.n
-
-    def candidates(self) -> list[tuple[int, int]]:
-        return [(v, self.gain[v]) for v in range(self.inst.n) if not self.placed[v]]
+        return not self.unplaced
 
     def rcl(self, mode: str, alpha: float) -> list[int]:
-        return rcl_from_entries(self.candidates(), mode, alpha)
+        return rcl_from_columns(self.unplaced, self.gains, mode, alpha)
 
     def add(self, v: int) -> None:
-        if self.placed[v]:
-            raise ValueError(f"vertex {v} already placed")
-        self.objective += self.gain[v]
+        i = bisect_left(self.unplaced, v)
+        if self.unplaced[i : i + 1] != [v]:
+            raise ValueError(f"vertex {v} already placed or not in 0..{self.inst.n - 1}")
+        del self.unplaced[i]
+        self.objective += self.gains.pop(i)
         self.order.append(v)
-        self.placed[v] = True
-        row = self.inst.cost[v]
-        for w in range(self.inst.n):
-            if not self.placed[w]:
-                self.gain[w] += row[w]
+        self.gains = list(map(add, self.gains, map(self.inst.cost[v].__getitem__, self.unplaced)))
 
     def build(self) -> PermutationSolution:
         return PermutationSolution(self.order, self.objective)
@@ -59,17 +59,21 @@ class LopInstance(ProblemInstance):
         n = len(cost)
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        rows = []
-        for i, row in enumerate(cost):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-            for j, w in enumerate(row):
-                if not isinstance(w, int) or isinstance(w, bool):
-                    raise ValueError(f"non-integer cost at ({i},{j}): {w!r}")
-                if not (-_INT32 <= w < _INT32):
-                    raise ValueError(f"cost at ({i},{j}) outside 32-bit range: {w}")
-            rows.append(tuple(row))
-        self.cost = tuple(rows)
+        rows = tuple(map(tuple, cost))
+        entries = list(chain.from_iterable(rows))
+        exact_ints = set(map(len, cost)) == {n} and set(map(type, entries)) == {int}
+        if not (exact_ints and -_INT32 <= min(entries) and max(entries) < _INT32):
+            # entry by entry, to raise at the first fault in row order, or to
+            # accept int subclasses other than bool
+            for i, row in enumerate(cost):
+                if len(row) != n:
+                    raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+                for j, w in enumerate(row):
+                    if not isinstance(w, int) or isinstance(w, bool):
+                        raise ValueError(f"non-integer cost at ({i},{j}): {w!r}")
+                    if not (-_INT32 <= w < _INT32):
+                        raise ValueError(f"cost at ({i},{j}) outside 32-bit range: {w}")
+        self.cost = rows
         self.n = n
         # skew[e][u] = cost[e][u] - cost[u][e]; built on the first insert scan,
         # so parsing alone (setup, construction-only cells) never pays for it

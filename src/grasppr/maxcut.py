@@ -20,6 +20,9 @@ from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PartitionSolution, ProblemIn
 from .local_search import Move
 
 _INT32 = 2**31
+# 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
+# must not allocate an adjacency list per claimed vertex
+MAX_VERTICES = 2**20
 # a gain cache that differs from the asked-for partition in at most this
 # fraction of the vertices is patched flip by flip instead of rebuilt: on
 # n = 800 random (degree 8) and torus (degree 4) graphs a patch costs about
@@ -122,6 +125,8 @@ class MaxCutInstance(ProblemInstance):
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"n must be <= {MAX_VERTICES}, got {n}")
         merged: dict[tuple[int, int], int] = {}
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):

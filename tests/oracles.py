@@ -5,6 +5,7 @@ internals: full-matrix sums, explicit enumeration, bitmask DP. Slow is fine;
 these only run at test scale.
 """
 
+import math
 import random
 from itertools import permutations
 
@@ -94,6 +95,36 @@ def reducing_insertions(order, target):
         if position_delta(l, target) < base:
             out.append(e)
     return out
+
+
+def build_rcl_value(entries, alpha):
+    """Keys of the (key, gain) entries with g >= (1 - alpha) * g_max, applied
+    literally: with g_max < 0 and alpha > 0 the set is empty."""
+    threshold = (1.0 - alpha) * max(g for _, g in entries)
+    return [key for key, g in entries if g >= threshold]
+
+
+def build_rcl_cardinality(entries, alpha):
+    """Keys of the p_max = 1 + floor(alpha * (|CL| - 1)) largest gains, ties to the lowest key."""
+    p_max = 1 + math.floor(alpha * (len(entries) - 1))
+    ranked = sorted(entries, key=lambda e: (-e[1], e[0]))
+    return [key for key, _ in ranked[:p_max]]
+
+
+def _greedy_keys(entries):
+    g_max = max(g for _, g in entries)
+    return [key for key, g in entries if g == g_max]
+
+
+def rcl_from_entries(entries, mode, alpha):
+    """The documented RCL of one construction step over (key, gain) entries:
+    the lowest argmax key for alpha 0, else the value or cardinality list,
+    with the argmax set when the literal value threshold empties it."""
+    if alpha == 0.0:
+        return [min(_greedy_keys(entries))]
+    if mode == "value":
+        return build_rcl_value(entries, alpha) or _greedy_keys(entries)
+    return build_rcl_cardinality(entries, alpha)
 
 
 class EliteMirror:

@@ -193,6 +193,20 @@ def test_numbers_beyond_int_digit_limit_are_parse_errors(tmp_path):
         read_best_known(table)
 
 
+def test_vertex_count_is_capped():
+    # a header alone may not claim more vertices than MAX_VERTICES; both the
+    # fast and the located path refuse it before any graph is built
+    cap = bench_io.MAX_VERTICES
+    assert bench_io._edge_list_fast(f"{cap} 0\n") == (cap, [])
+    for n in (cap + 1, 2**31 - 1):
+        text = f"{n} 0\n"
+        assert bench_io._edge_list_fast(text) is None
+        with mock.patch.object(bench_io, "MaxCutInstance", side_effect=AssertionError("graph built")):
+            with pytest.raises(ParseError, match=f"n must be <= {cap}, got {n}") as exc:
+                parse_edge_list(text)
+        assert (exc.value.line, exc.value.col) == (1, 1)
+
+
 def test_merged_weight_overflow_is_a_parse_error():
     with pytest.raises(ParseError, match="merged weight"):
         parse_edge_list(f"2 2\n1 2 {2**31 - 1}\n2 1 1\n")
@@ -409,10 +423,11 @@ def test_build_run_config_errors():
     with pytest.raises(OptionError, match="expected an integer"):
         build_run_config("lop", {"elite-k": "many"}, **base)
     # a library caller's non-integer or bool values are not truncated or read as 1
-    for key, raw in (("elite-k", 2.5), ("elite-k", "2.5"), ("rcl-size", True), ("min-dist", None)):
+    for key, raw in (("elite-k", 2.5), ("elite-k", "2.5"), ("rcl-size", True), ("min-dist", None), ("elite-k", "1_0")):
         with pytest.raises(OptionError, match="expected an integer"):
             build_run_config("lop", {key: raw}, **base)
-    for raw in (True, False, None, "much"):
+    # '_' is not a digit separator in options, as in instance files
+    for raw in (True, False, None, "much", "0_5", "1_0.5"):
         with pytest.raises(OptionError, match="expected a number"):
             build_run_config("lop", {"trunc": raw}, **base)
     cfg = build_run_config("lop", {"elite-k": 4, "trunc": 1, "alpha-max": 0.25}, **base)
@@ -421,8 +436,9 @@ def test_build_run_config_errors():
         build_run_config("lop", {"direction": "up"}, **base)
     with pytest.raises(OptionError, match="inpath-ls"):
         build_run_config("lop", {"inpath-ls": "sometimes"}, **base)
-    with pytest.raises(OptionError, match="bad period"):
-        build_run_config("lop", {"inpath-ls": "every:x"}, **base)
+    for period in ("x", "1_0"):
+        with pytest.raises(OptionError, match="bad period"):
+            build_run_config("lop", {"inpath-ls": f"every:{period}"}, **base)
     with pytest.raises(OptionError, match="variant"):
         build_run_config("lop", {"variant": "annealing"}, **base)
     with pytest.raises(OptionError, match="unknown problem"):

@@ -138,6 +138,9 @@ def test_usage_errors_exit_64(k3_path, capsys):
         ["--problem", "maxcut", "--instance", k3_path, "--iters", "1", "--direction", "up"], capsys
     )
     assert code == 64 and "direction" in err
+    # a number with a digit separator
+    code, _, err = _solve(["--problem", "maxcut", "--instance", k3_path, "--iters", "1_0"], capsys)
+    assert code == 64 and "iters: expected an integer, got '1_0'" in err
     # a time limit that never expires
     for budget in ("nan", "inf"):
         code, _, err = _solve(["--problem", "maxcut", "--instance", k3_path, "--time", budget], capsys)

@@ -7,11 +7,9 @@ from grasppr.construction import (
     VALUE,
     ConstructionError,
     RclConfig,
-    build_rcl_cardinality,
-    build_rcl_value,
     construct,
     rcl_from_buckets,
-    rcl_from_entries,
+    rcl_from_columns,
 )
 from grasppr.core import RandomStream
 from grasppr.lop import LopInstance
@@ -22,48 +20,57 @@ import oracles
 CL = [("a", 10), ("b", 9), ("c", 5)]
 
 
+def _columns(entries, mode, alpha):
+    keys, gains = map(list, zip(*entries)) if entries else ([], [])
+    return rcl_from_columns(keys, gains, mode, alpha)
+
+
 def test_value_rcl_thresholds():
-    assert set(build_rcl_value(CL, 0.2)) == {"a", "b"}  # threshold 8
-    assert set(build_rcl_value(CL, 0.0)) == {"a"}
-    assert set(build_rcl_value(CL, 1.0)) == {"a", "b", "c"}
+    assert set(_columns(CL, VALUE, 0.2)) == {"a", "b"}  # threshold 8
+    assert set(_columns(CL, VALUE, 0.0)) == {"a"}
+    assert set(_columns(CL, VALUE, 1.0)) == {"a", "b", "c"}
 
 
 def test_value_rcl_literal_threshold_on_negative_max():
     # (1-alpha)*g_max rises above g_max when g_max < 0; the literal set empties
+    # and the kernel falls back to the argmax set
     entries = [(0, -10), (1, -4)]
-    assert build_rcl_value(entries, 0.5) == []
-    assert build_rcl_value(entries, 0.0) == [1]
+    assert oracles.build_rcl_value(entries, 0.5) == []
+    assert _columns(entries, VALUE, 0.5) == [1]
+    assert oracles.build_rcl_value(entries, 0.0) == [1]
+    assert _columns(entries, VALUE, 0.0) == [1]
 
 
 def test_cardinality_rcl_pmax():
     cl10 = [(i, 100 - i) for i in range(10)]
-    assert len(build_rcl_cardinality(cl10, 0.3)) == 3  # 1 + floor(0.3*9)
-    assert len(build_rcl_cardinality(cl10, 0.0)) == 1
-    assert len(build_rcl_cardinality(cl10, 1.0)) == 10
-    assert build_rcl_cardinality(CL, 0.0) == ["a"]
+    assert len(_columns(cl10, CARDINALITY, 0.3)) == 3  # 1 + floor(0.3*9)
+    assert len(_columns(cl10, CARDINALITY, 0.0)) == 1
+    assert len(_columns(cl10, CARDINALITY, 1.0)) == 10
+    assert _columns(CL, CARDINALITY, 0.0) == ["a"]
 
 
 def test_cardinality_rcl_boundary_tie_lowest_id():
-    entries = [(3, 7), (1, 7), (2, 9)]
+    entries = [(1, 7), (2, 9), (3, 7)]
     # p_max = 2: ranked (2,9) then the g=7 tie, cut keeps the lower id
-    assert build_rcl_cardinality(entries, 0.5) == [2, 1]
+    assert _columns(entries, CARDINALITY, 0.5) == [2, 1]
 
 
 def test_empty_candidate_list_rejected():
     with pytest.raises(ConstructionError):
-        build_rcl_value([], 0.1)
+        _columns([], VALUE, 0.1)
     with pytest.raises(ConstructionError):
-        build_rcl_cardinality([], 0.1)
+        _columns([], CARDINALITY, 0.1)
 
 
 @settings(max_examples=120)
-@given(st.lists(st.tuples(st.integers(0, 50), st.integers(-100, 100)), min_size=1, max_size=12),
-       st.floats(0.0, 1.0))
-def test_value_rcl_matches_brute_force_filter(entries, alpha):
-    got = build_rcl_value(entries, alpha)
-    g_max = max(g for _, g in entries)
-    want = [k for k, g in entries if g >= (1.0 - alpha) * g_max]
-    assert got == want
+@given(st.lists(st.integers(-100, 100), min_size=1, max_size=12), st.floats(0.0, 1.0))
+def test_value_rcl_matches_brute_force_filter(gains, alpha):
+    keys = list(range(len(gains)))
+    g_max = max(gains)
+    literal = [k for k, g in zip(keys, gains) if g >= (1.0 - alpha) * g_max]
+    assert oracles.build_rcl_value(list(zip(keys, gains)), alpha) == literal
+    want = literal or [k for k, g in zip(keys, gains) if g == g_max]
+    assert rcl_from_columns(keys, gains, VALUE, alpha) == (want[:1] if alpha == 0.0 else want)
 
 
 def test_rcl_config_validation():
@@ -144,17 +151,6 @@ def test_negative_gmax_falls_back_to_greedy_argmax():
         assert sorted(sol.order) == list(range(5))
 
 
-def _reference_rcl(entries, mode, alpha):
-    # the selection construct() made over the builders' (key, gain) lists
-    # before each builder owned its RCL
-    greedy = [key for key, g in entries if g == max(g for _, g in entries)]
-    if alpha == 0.0:
-        return [min(greedy)]
-    if mode == VALUE:
-        return build_rcl_value(entries, alpha) or greedy
-    return build_rcl_cardinality(entries, alpha)
-
-
 def _maxcut_entries(inst, assigned):
     # key 2v + side gains the weight toward assigned vertices on the other side
     return [
@@ -180,8 +176,12 @@ def test_builder_rcl_matches_reference_selection():
         MaxCutInstance(14, oracles.rand_edges(r, 14, 0.3, 1, 1)),  # ties everywhere
         MaxCutInstance(16, oracles.rand_edges(r, 16, 0.5, -10**6, 10**6)),
         LopInstance(oracles.rand_lop_matrix(r, 9, -20, 20)),
+        LopInstance(oracles.rand_lop_matrix(r, 2, -20, 20)),
+        LopInstance(oracles.rand_lop_matrix(r, 12, 0, 1)),  # ties everywhere
+        LopInstance(oracles.rand_lop_matrix(r, 8, -9, -1)),  # g_max < 0 from the second step on
+        LopInstance([[r.choice((-(2**31 - 1), 2**31 - 1)) for _ in range(10)] for _ in range(10)]),
     ]
-    negative_max = 0
+    negative_max = {MaxCutInstance: 0, LopInstance: 0}
     for inst in instances:
         for _ in range(4):
             builder = inst.new_construction()
@@ -190,12 +190,12 @@ def test_builder_rcl_matches_reference_selection():
                     entries = _maxcut_entries(inst, builder.assigned)
                 else:
                     entries = _lop_entries(inst, builder.order)
-                negative_max += max(g for _, g in entries) < 0
+                negative_max[type(inst)] += max(g for _, g in entries) < 0
                 for mode in (VALUE, CARDINALITY):
                     for alpha in alphas:
-                        assert builder.rcl(mode, alpha) == _reference_rcl(entries, mode, alpha), (mode, alpha)
+                        assert builder.rcl(mode, alpha) == oracles.rcl_from_entries(entries, mode, alpha), (mode, alpha)
                 builder.add(r.choice(entries)[0])
-    assert negative_max > 0
+    assert all(negative_max.values())
 
 
 def test_rcl_from_buckets_matches_rcl_from_entries():
@@ -208,7 +208,9 @@ def test_rcl_from_buckets_matches_rcl_from_entries():
                 buckets.setdefault(g, []).append(key)
             for mode in (VALUE, CARDINALITY):
                 for alpha in (0.0, 1e-9, 0.3, 0.5, 1.0):
-                    assert rcl_from_buckets(buckets, size, mode, alpha) == rcl_from_entries(entries, mode, alpha)
+                    want = oracles.rcl_from_entries(entries, mode, alpha)
+                    assert rcl_from_buckets(buckets, size, mode, alpha) == want
+                    assert _columns(entries, mode, alpha) == want
     with pytest.raises(ConstructionError):
         rcl_from_buckets({}, 0, VALUE, 0.5)
 

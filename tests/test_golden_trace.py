@@ -11,8 +11,11 @@ cardinality RCL and first-improving search on the toys, and the two larger
 runs with first-improving search.
 golden_trace_relink.json freezes single relink calls over every direction,
 step rule, truncation and in-path policy, on a LOP toy, a max-cut toy and a
-generated max-cut graph with n = 120. Regenerate all four (only for a named,
-justified behaviour change) with
+generated max-cut graph with n = 120. golden_trace_construct.json freezes
+semi-greedy LOP constructions alone (n = 2, 30 and 150, both RCL modes,
+collapsed and open alpha ranges), which the driver runs above start from a
+value RCL only. Regenerate all five (only for a named, justified behaviour
+change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
@@ -24,6 +27,7 @@ import random
 from pathlib import Path
 
 from grasppr import bench_io, drivers, path_relinking
+from grasppr.construction import CARDINALITY, VALUE, RclConfig, construct
 from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, evaluate
 from grasppr.local_search import SearchDepth, local_search
 from grasppr.lop import LopInstance
@@ -35,6 +39,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden_trace.json"
 GOLDEN_LARGE = Path(__file__).resolve().parent / "golden_trace_large.json"
 GOLDEN_PATHS = Path(__file__).resolve().parent / "golden_trace_paths.json"
 GOLDEN_RELINK = Path(__file__).resolve().parent / "golden_trace_relink.json"
+GOLDEN_CONSTRUCT = Path(__file__).resolve().parent / "golden_trace_construct.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -182,6 +187,42 @@ def compute_relink_traces() -> dict:
     return traces
 
 
+def _construct_lop(n: int, seed: int, low: int, high: int) -> LopInstance:
+    r = random.Random(seed)
+    return LopInstance([[0 if i == j else r.randint(low, high) for j in range(n)] for i in range(n)])
+
+
+CONSTRUCT_INSTANCES = (
+    ("n2", lambda: _construct_lop(2, 2, -20, 20)),
+    ("n30", lambda: _construct_lop(30, 30, 0, 99)),
+    ("n30-ties", lambda: _construct_lop(30, 31, 0, 1)),  # equal gains at every step
+    ("n30-negative", lambda: _construct_lop(30, 32, -9, -1)),  # g_max < 0: the value RCL falls back
+    ("n150", lambda: _construct_lop(150, 150, 0, 99)),
+)
+CONSTRUCT_ALPHAS = ((0.0, 0.0), (0.0, 0.3), (0.2, 0.7), (1.0, 1.0))
+CONSTRUCT_SEEDS = (1, 2)
+CONSTRUCTIONS = 3  # consecutive constructions from one stream
+
+
+def compute_construct_traces() -> dict:
+    traces = {}
+    for name, make in CONSTRUCT_INSTANCES:
+        instance = make()
+        for mode in (VALUE, CARDINALITY):
+            for low, high in CONSTRUCT_ALPHAS:
+                cfg = RclConfig(mode=mode, alpha_low=low, alpha_high=high)
+                for seed in CONSTRUCT_SEEDS:
+                    rng = RandomStream(seed)
+                    sols = [construct(instance, cfg, rng) for _ in range(CONSTRUCTIONS)]
+                    orders = "|".join(map(bench_io.serialize_solution, sols))
+                    traces[f"{name}/{mode}/{low}-{high}/{seed}"] = {
+                        "objectives": [sol.cached_objective for sol in sols],
+                        "orders_sha256": hashlib.sha256(orders.encode()).hexdigest(),
+                        "rng_after": rng.randrange(2**31),  # the draws the constructions consumed
+                    }
+    return traces
+
+
 def test_golden_traces_reproduce():
     expected = json.loads(GOLDEN.read_text())
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
@@ -227,6 +268,14 @@ def test_relink_golden_traces_reproduce():
     assert not mismatched, f"{len(mismatched)} relink call(s) diverged, first: {mismatched[0]}"
 
 
+def test_construct_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_CONSTRUCT.read_text())
+    actual = compute_construct_traces()
+    assert sorted(actual) == sorted(expected)
+    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not mismatched, f"{len(mismatched)} construction run(s) diverged, first: {mismatched[0]}"
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -240,3 +289,6 @@ if __name__ == "__main__":
     relinks = compute_relink_traces()
     GOLDEN_RELINK.write_text(json.dumps(relinks, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(relinks)} relink calls to {GOLDEN_RELINK}")
+    constructs = compute_construct_traces()
+    GOLDEN_CONSTRUCT.write_text(json.dumps(constructs, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(constructs)} construction runs to {GOLDEN_CONSTRUCT}")

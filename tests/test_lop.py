@@ -29,16 +29,21 @@ def test_objective_plus_reverse_is_offdiagonal_total(seed):
     ) == total
 
 
+def _candidates(builder):
+    # (vertex, gain) of each unplaced vertex, ascending
+    return list(zip(builder.unplaced, builder.gains))
+
+
 def test_append_gain():
     # the builder's candidate gains are the objective increase of appending
     inst = LopInstance([[0, 5], [3, 0]])
     b = inst.new_construction()
-    assert b.candidates() == [(0, 0), (1, 0)]
+    assert _candidates(b) == [(0, 0), (1, 0)]
     b.add(0)
-    assert b.candidates() == [(1, 5)]
+    assert _candidates(b) == [(1, 5)]
     b = inst.new_construction()
     b.add(1)
-    assert b.candidates() == [(0, 3)]
+    assert _candidates(b) == [(0, 3)]
 
 
 def test_append_gain_matches_reevaluation():
@@ -52,7 +57,7 @@ def test_append_gain_matches_reevaluation():
         b = inst.new_construction()
         for u in prefix:
             b.add(u)
-        assert dict(b.candidates())[v] == (
+        assert dict(_candidates(b))[v] == (
             oracles.lop_value(cost, prefix + [v]) - oracles.lop_value(cost, prefix)
         )
 
@@ -243,6 +248,21 @@ def test_instance_validation():
         LopInstance([[0, 1.5], [2, 0]])  # non-integer
     with pytest.raises(ValueError):
         LopInstance([[0, 2**31], [2, 0]])  # over 32-bit
+    # the first fault in row order is reported, wherever the bulk check finds it
+    with pytest.raises(ValueError, match=r"^non-integer cost at \(0,1\): True$"):
+        LopInstance([[0, True], [2, 0]])
+    with pytest.raises(ValueError, match=r"^non-integer cost at \(0,1\): 1.5$"):
+        LopInstance([[0, 1.5], [2]])  # before the short row 1
+    with pytest.raises(ValueError, match=r"^row 1 has 1 entries, expected 2$"):
+        LopInstance([[0, 1], [2]])
+    with pytest.raises(ValueError, match=rf"^cost at \(1,0\) outside 32-bit range: {-2**31 - 1}$"):
+        LopInstance([[0, 2**31 - 1], [-2**31 - 1, 0]])
+    # int subclasses other than bool are accepted, and the 32-bit ends too
+    class Weight(int):
+        pass
+
+    inst = LopInstance([[0, Weight(7)], [-2**31, 2**31 - 1]])
+    assert inst.cost == ((0, 7), (-2**31, 2**31 - 1)) and type(inst.cost[0][1]) is Weight
     with pytest.raises(TypeError):
         LopInstance([[0, 1], [2, 0]], neighborhood="insert")  # one move kind, no neighbourhood option
 

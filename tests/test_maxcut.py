@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasppr.core import PartitionSolution, evaluate
-from grasppr.maxcut import GainTable, MaxCutInstance
+from grasppr.maxcut import MAX_VERTICES, GainTable, MaxCutInstance
 
 import oracles
 
@@ -313,6 +313,8 @@ def test_seed_vertex_computed_once_per_instance():
 def test_instance_validation():
     with pytest.raises(ValueError):
         MaxCutInstance(0, [])
+    with pytest.raises(ValueError, match="n must be <="):
+        MaxCutInstance(MAX_VERTICES + 1, [])  # refused before any adjacency list is allocated
     with pytest.raises(ValueError):
         MaxCutInstance(3, [(0, 3, 1)])  # vertex out of range
     with pytest.raises(ValueError):
