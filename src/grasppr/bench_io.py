@@ -154,13 +154,14 @@ def _lolib_fast(lines: list[str], start: int) -> Optional[list[int]]:
 
 
 def _lolib_located(lines: list[str], start: int) -> list[int]:
-    """[n, entries...] of lines[start:], or a ParseError at the first bad token."""
-    flat = [t for ln, raw in enumerate(lines[start:], start=start + 1) for t in _tokenize_line(raw, ln)]
-    n = _as_int(flat[0], "dimension n")
+    """[n, entries...] of lines[start:] (dimension checked first), or a ParseError at the first bad token."""
+    head = _tokenize_line(lines[start], start + 1)
+    n = _as_int(head[0], "dimension n")
     if n <= 1:
-        raise ParseError(f"n must be >= 2, got {n}", flat[0].line, flat[0].col)
+        raise ParseError(f"n must be >= 2, got {n}", head[0].line, head[0].col)
 
-    entries = flat[1:]
+    rest = enumerate(lines[start + 1 :], start=start + 2)
+    entries = head[1:] + [t for ln, raw in rest for t in _tokenize_line(raw, ln)]
     need = n * n
     if len(entries) < need:
         raise ParseError(f"expected {need} matrix entries, found {len(entries)}", len(lines))
@@ -212,12 +213,12 @@ def _edge_list_fast(text: str) -> Optional[tuple[int, list[tuple[int, int, int]]
 
 
 def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """(n, 0-based edges) of text, or a ParseError at the first bad line or token."""
-    rows = [toks for ln, raw in enumerate(text.split("\n"), start=1) for toks in [_tokenize_line(raw, ln)] if toks]
-    if not rows:
+    """(n, 0-based edges) of text (header checked first), or a ParseError at the first bad line or token."""
+    numbered = enumerate(text.split("\n"), start=1)
+    rows = (toks for ln, raw in numbered for toks in [_tokenize_line(raw, ln)] if toks)
+    header = next(rows, None)
+    if header is None:
         raise ParseError("empty input", 1)
-
-    header = rows[0]
     if len(header) != 2:
         raise ParseError(f"header must be 'n m', found {len(header)} token(s)", header[0].line, header[0].col)
     n = _as_int(header[0], "vertex count n")
@@ -229,7 +230,7 @@ def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     if m < 0:
         raise ParseError(f"m must be >= 0, got {m}", header[1].line, header[1].col)
 
-    body = rows[1:]
+    body = list(rows)
     if len(body) != m:
         if len(body) < m:
             last = body[-1][0].line if body else header[0].line
@@ -632,7 +633,7 @@ def write_stats_csv(stats: ExperimentStats, sink: IO[str]) -> None:
 def read_best_known(path: Union[str, Path]) -> dict[str, int]:
     """Load "instance,value" lines; blank lines and "#" comments are skipped.
 
-    A header row is tolerated as the first line that is neither.
+    A header row is tolerated as the first line that is neither; a repeated instance is a ParseError.
     """
     table: dict[str, int] = {}
     numbered = enumerate(Path(path).read_text().splitlines(), start=1)
@@ -646,6 +647,8 @@ def read_best_known(path: Union[str, Path]) -> dict[str, int]:
             if k == 0:
                 continue  # header row
             raise ParseError(f"best-known value is not an integer: {value!r}", ln)
+        if name in table:
+            raise ParseError(f"duplicate best-known row for {name!r}", ln)
         try:
             table[name] = int(value)
         except ValueError:  # more digits than int() converts

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 # what one moves() scan yields
-ALL_MOVES = "all"
 BEST_MOVE = "best"  # only the improving move of largest delta, the first on ties
 FIRST_MOVE = "first"  # only the first improving move
 
@@ -112,14 +111,15 @@ class ProblemInstance(ABC):
         """
 
     @abstractmethod
-    def moves(self, solution: Solution, offset: int = 0, pick: str = ALL_MOVES):
-        """One neighbourhood scan in canonical order, rotated by offset where supported.
+    def moves(self, solution: Solution, offset: int, pick: str):
+        """One neighbourhood scan: the move one local-search pass applies, if any.
 
         Each problem has one move kind: insert for permutations, transfer
-        for partitions. pick ALL_MOVES yields every move. BEST_MOVE and
-        FIRST_MOVE yield only the move that a best- or first-improving pass
-        applies, or nothing at a local optimum; adapters select it with a
-        kernel that builds no Move per candidate.
+        for partitions. pick BEST_MOVE yields the improving move of largest
+        delta, the first in canonical scan order on ties; FIRST_MOVE the
+        first improving move of that order rotated by offset, where
+        supported. Adapters select it with a kernel that builds no Move per
+        candidate.
         """
 
     def best_move(self, solution: Solution):

@@ -107,13 +107,11 @@ class DriverState:
     improved_this_iteration: bool = False
 
 
-def _new_state(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream]) -> DriverState:
-    if rng is None:
-        rng = RandomStream(cfg.seed)
+def _new_state(instance: ProblemInstance, cfg: RunConfig) -> DriverState:
     d_th = cfg.d_th if cfg.d_th is not None else default_diversity_threshold(instance.n)
     started = time.monotonic()
     deadline = started + cfg.time_limit if cfg.time_limit is not None else None
-    return DriverState(instance, cfg, rng, EliteSet(cfg.elite_k, d_th), started, deadline)
+    return DriverState(instance, cfg, RandomStream(cfg.seed), EliteSet(cfg.elite_k, d_th), started, deadline)
 
 
 def _should_iterate(state: DriverState, phase_deadline: Optional[float] = None) -> bool:
@@ -208,7 +206,7 @@ def _report(state: DriverState) -> RunReport:
     )
 
 
-def run(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] = None) -> RunReport:
+def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
     """Run the variant cfg.variant names.
 
     semigreedy: construction only. grasp: construction plus local search.
@@ -217,7 +215,7 @@ def run(instance: ProblemInstance, cfg: RunConfig, rng: Optional[RandomStream] =
     a guide from the pool as the run goes. evolutionary_pr: a dynamic phase
     (half the time limit, if set), then the pool is relinked to exhaustion.
     """
-    state = _new_state(instance, cfg, rng)
+    state = _new_state(instance, cfg)
     dynamic = cfg.variant in (DYNAMIC_PR, EVOLUTIONARY_PR)
     sample = cfg.static_sample if cfg.variant == STATIC_PR else math.inf
     phase_deadline = None

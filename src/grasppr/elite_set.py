@@ -125,8 +125,6 @@ class EliteSet:
         if not self._members:
             raise ValueError("elite set is empty")
         if policy == UNIFORM:
-            if len(self._members) == 1:
-                return self._members[0].solution
             return rng.pick([m.solution for m in self._members])
         if policy != PROPORTIONAL_DELTA:
             raise ValueError(f"unknown guide policy: {policy!r}")

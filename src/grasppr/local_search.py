@@ -17,8 +17,8 @@ class Move(NamedTuple):
     """One neighbourhood move with its exact objective delta.
 
     kinds: "insert" (permutation: element from_pos -> to_pos) and "transfer"
-    (partition: flip element's side; no positions). A tuple, so a moves()
-    scan can build many of them cheaply; immutable and hashable.
+    (partition: flip element's side; no positions). The move a local-search
+    pass applies and a relinking step are both Moves; immutable and hashable.
     """
 
     kind: str

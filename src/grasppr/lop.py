@@ -14,7 +14,7 @@ from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_columns
-from .core import ALL_MOVES, BEST_MOVE, PermutationSolution, ProblemInstance, Walk
+from .core import BEST_MOVE, PermutationSolution, ProblemInstance, Walk
 from .local_search import Move
 
 _INT32 = 2**31
@@ -75,8 +75,9 @@ class LopInstance(ProblemInstance):
                         raise ValueError(f"cost at ({i},{j}) outside 32-bit range: {w}")
         self.cost = rows
         self.n = n
-        # skew[e][u] = cost[e][u] - cost[u][e]; built on the first insert scan,
-        # so parsing alone (setup, construction-only cells) never pays for it
+        # skew[e][u] = cost[e][u] - cost[u][e]; built by _skew_rows on the first
+        # insert scan or relinking step, so parsing alone (setup,
+        # construction-only cells) never pays for it
         self._skew: Optional[tuple[tuple[int, ...], ...]] = None
 
     def evaluate(self, solution: PermutationSolution) -> int:
@@ -89,24 +90,13 @@ class LopInstance(ProblemInstance):
                 total += row[order[j]]
         return total
 
-    def _insert_delta(self, order: Sequence[int], from_pos: int, to_pos: int) -> int:
-        # exact objective change of moving order[from_pos] to to_pos, O(|i - j|)
-        e = order[from_pos]
-        cost = self.cost
-        d = 0
-        if to_pos > from_pos:
-            # e jumps after the crossed block
-            for p in range(from_pos + 1, to_pos + 1):
-                u = order[p]
-                d += cost[u][e] - cost[e][u]
-        else:
-            for p in range(to_pos, from_pos):
-                u = order[p]
-                d += cost[e][u] - cost[u][e]
-        return d
-
     def new_construction(self) -> _LopBuilder:
         return _LopBuilder(self)
+
+    def _skew_rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._skew is None:
+            self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
+        return self._skew
 
     def _insert_prefixes(self, order: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
         """(e, i, prefix) for each element e ascending, i its position.
@@ -119,9 +109,7 @@ class LopInstance(ProblemInstance):
         never improve. O(n) per element, computed only when the caller asks
         for the next one.
         """
-        if self._skew is None:
-            self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
-        skew = self._skew
+        skew = self._skew_rows()
         pos = [0] * self.n
         for p, v in enumerate(order):
             pos[v] = p
@@ -129,22 +117,13 @@ class LopInstance(ProblemInstance):
         for e in range(self.n):
             yield e, pos[e], list(accumulate(in_order(skew[e]), initial=0))
 
-    def moves(self, solution: PermutationSolution, offset: int = 0, pick: str = ALL_MOVES) -> Iterator[Move]:
+    def moves(self, solution: PermutationSolution, offset: int, pick: str) -> Iterator[Move]:
         # canonical scan order: element id ascending, target position ascending;
         # the permutation scan ignores offsets (first-improving stays canonical)
         order = solution.order
-        if pick == ALL_MOVES:
-            n = self.n
-            for e, i, prefix in self._insert_prefixes(order):
-                base = prefix[i]
-                for j in range(i):
-                    yield Move("insert", e, i, j, base - prefix[j])
-                for j in range(i + 1, n):
-                    yield Move("insert", e, i, j, base - prefix[j + 1])
-        else:
-            move = self._best_insert(order) if pick == BEST_MOVE else self._first_insert(order)
-            if move is not None:
-                yield move
+        move = self._best_insert(order) if pick == BEST_MOVE else self._first_insert(order)
+        if move is not None:
+            yield move
 
     def _best_insert(self, order: Sequence[int]) -> Optional[Move]:
         best, chosen = 0, None
@@ -191,6 +170,7 @@ class LopInstance(ProblemInstance):
             pos_cur[cur[p]] = p
             pos_tgt[tgt[p]] = p
         base = sum(1 for p in range(self.n) if cur[p] != tgt[p])
+        skew = self._skew_rows()
         steps: list[Move] = []
         for e in range(self.n):
             i, j = pos_cur[e], pos_tgt[e]
@@ -200,5 +180,7 @@ class LopInstance(ProblemInstance):
             scratch.pop(i)
             scratch.insert(j, e)
             if 0 < sum(1 for p in range(self.n) if scratch[p] != tgt[p]) < base:
-                steps.append(Move("insert", e, i, j, self._insert_delta(cur, i, j)))
+                # e gains skew[e][u] for each u it jumps ahead of, loses it for each it falls behind
+                d = sum(map(skew[e].__getitem__, cur[j:i] if j < i else cur[i + 1 : j + 1]))
+                steps.append(Move("insert", e, i, j, d if j < i else -d))
         return sorted(steps, key=lambda m: -m.delta)[:k]  # stable: ties keep ascending e

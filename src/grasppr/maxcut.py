@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
-from .core import ALL_MOVES, BEST_MOVE, FIRST_MOVE, PartitionSolution, ProblemInstance, Walk
+from .core import BEST_MOVE, PartitionSolution, ProblemInstance, Walk
 from .local_search import Move
 
 _INT32 = 2**31
@@ -186,22 +186,16 @@ class MaxCutInstance(ProblemInstance):
             table = self._gains = GainTable(self, PartitionSolution(list(solution.bits)))
         return table
 
-    def moves(self, solution: PartitionSolution, offset: int = 0, pick: str = ALL_MOVES) -> Iterator[Move]:
+    def moves(self, solution: PartitionSolution, offset: int, pick: str) -> Iterator[Move]:
         gains = self._gain_table(solution).gain
-        n = self.n
         if pick == BEST_MOVE:
             best = max(gains)
             if best > 0:
                 yield Move("transfer", gains.index(best), None, None, best)
-        elif pick == FIRST_MOVE:
+        else:
             improving = [g > 0 for g in gains[offset:] + gains[:offset]]
             if True in improving:
-                v = (offset + improving.index(True)) % n
-                yield Move("transfer", v, None, None, gains[v])
-        else:
-            gains = list(gains)  # a copy: the cache follows any in-sync solution a caller moves mid-scan
-            for k in range(n):
-                v = (offset + k) % n
+                v = (offset + improving.index(True)) % self.n
                 yield Move("transfer", v, None, None, gains[v])
 
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:

@@ -134,12 +134,15 @@ def relink(
     backward from the better one, back_and_forward concatenates a backward and
     a forward pass, mixed alternates heads. The returned best is the maximum
     over the better endpoint, the visited solutions, and any in-path local
-    search outputs (the trace always records the raw, unimproved path).
+    search outputs (the trace always records the raw, unimproved path). ls is
+    the in-path local search, required unless cfg.in_path_ls is none.
     """
     if type(s) is not type(t):
         raise TypeError("mismatched solution types")
     if s == t:
         raise ValueError("relink endpoints must differ")
+    if ls is None and cfg.in_path_ls != LS_NONE:
+        raise ValueError(f"in-path local search {cfg.in_path_ls!r} needs ls")
 
     fs = _ensure_objective(instance, s)
     ft = _ensure_objective(instance, t)
@@ -157,11 +160,6 @@ def relink(
     dsize = delta_size(s, t)
     if dsize < cfg.min_distance:
         return best.solution, trace
-
-    if ls is None and cfg.in_path_ls != LS_NONE:
-        from .local_search import SearchDepth, local_search
-
-        ls = lambda sol: local_search(instance, sol, SearchDepth.BEST_IMPROVING, rng)
 
     def visit(sol: Solution) -> None:
         obj = sol.cached_objective

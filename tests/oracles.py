@@ -1,13 +1,15 @@
 """Reference implementations the tests check the package against.
 
 Everything here is deliberately naive and independent of the package
-internals: full-matrix sums, explicit enumeration, bitmask DP. Slow is fine;
-these only run at test scale.
+internals (it shares only the Move type): full-matrix sums, explicit
+enumeration, bitmask DP. Slow is fine; these only run at test scale.
 """
 
 import math
 import random
 from itertools import permutations
+
+from grasppr.local_search import Move
 
 
 def lop_value(cost, order):
@@ -164,8 +166,48 @@ class EliteMirror:
         return True, [victim[0]], None
 
 
+def insert_delta(cost, order, i, j):
+    """Objective change of moving order[i] to position j, summed over the crossed block."""
+    e = order[i]
+    if j > i:  # e falls behind order[i+1..j]
+        return sum(cost[u][e] - cost[e][u] for u in order[i + 1 : j + 1])
+    return sum(cost[e][u] - cost[u][e] for u in order[j:i])  # e jumps ahead of order[j..i-1]
+
+
+def all_moves(instance, solution, offset=0):
+    """Every move of the neighbourhood with its exact delta, in the package's
+    canonical scan order: LOP inserts by element, then target position,
+    ascending (offset ignored); max-cut transfers by vertex, rotated to start
+    at offset. Each LOP element gets one running sum over cost per side of
+    its position, so a scan is O(n^2); each max-cut gain is summed from adj."""
+    if hasattr(solution, "order"):
+        order, cost = solution.order, instance.cost
+        n = len(order)
+        moves = []
+        for e in range(n):
+            i = order.index(e)
+            deltas = {}
+            d = 0
+            for j in range(i - 1, -1, -1):
+                d += cost[e][order[j]] - cost[order[j]][e]
+                deltas[j] = d
+            d = 0
+            for j in range(i + 1, n):
+                d += cost[order[j]][e] - cost[e][order[j]]
+                deltas[j] = d
+            moves += [Move("insert", e, i, j, deltas[j]) for j in sorted(deltas)]
+        return moves
+    bits = solution.bits
+    n = len(bits)
+    moves = []
+    for v in [(offset + k) % n for k in range(n)]:
+        gain = sum(w if bits[u] == bits[v] else -w for u, w in instance.adj[v])
+        moves.append(Move("transfer", v, None, None, gain))
+    return moves
+
+
 def best_move(moves):
-    """Best-improving selection over a moves() scan: largest delta > 0, first on ties."""
+    """Best-improving selection over an all_moves() scan: largest delta > 0, first on ties."""
     best = None
     for move in moves:
         if move.delta > 0 and (best is None or move.delta > best.delta):
@@ -174,7 +216,7 @@ def best_move(moves):
 
 
 def first_move(moves):
-    """First-improving selection over a moves() scan."""
+    """First-improving selection over an all_moves() scan."""
     for move in moves:
         if move.delta > 0:
             return move

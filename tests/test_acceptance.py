@@ -61,29 +61,26 @@ def test_criterion_02_maxcut_oracle_optimality():
 
 
 def test_criterion_03_delta_evaluation_exactness():
-    # 10^4 (solution, move) pairs per problem, integer equality between the
-    # incremental delta and full re-evaluation
+    # 10^4 solutions per problem, integer equality between full re-evaluation
+    # and the incremental delta of the package's best and first move and of
+    # one random move of the reference scan
     r = oracles.make_rng(103)
-    inst = LopInstance(oracles.rand_lop_matrix(r, 8, -50, 99))
-    for _ in range(10000):
-        sol = PermutationSolution(oracles.rand_perm(r, 8))
-        evaluate(inst, sol)
-        moves = list(inst.moves(sol))
-        move = moves[r.randrange(len(moves))]
-        before = sol.cached_objective
-        inst.apply_move(sol, move)
-        assert oracles.lop_value(inst.cost, sol.order) == before + move.delta
-        assert sol.cached_objective == before + move.delta
-    inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -9, 9))
-    for _ in range(10000):
-        sol = PartitionSolution(oracles.rand_bits(r, 10))
-        evaluate(inst, sol)
-        moves = list(inst.moves(sol))
-        move = moves[r.randrange(len(moves))]
-        before = sol.cached_objective
-        inst.apply_move(sol, move)
-        assert oracles.cut_value(inst.edges, sol.bits) == before + move.delta
-        assert sol.cached_objective == before + move.delta
+    lop = LopInstance(oracles.rand_lop_matrix(r, 8, -50, 99))
+    mc = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -9, 9))
+    for inst, new, value in (
+        (lop, lambda: PermutationSolution(oracles.rand_perm(r, 8)), lambda sol: oracles.lop_value(lop.cost, sol.order)),
+        (mc, lambda: PartitionSolution(oracles.rand_bits(r, 10)), lambda sol: oracles.cut_value(mc.edges, sol.bits)),
+    ):
+        for _ in range(10000):
+            sol = new()
+            before = evaluate(inst, sol)
+            moves = oracles.all_moves(inst, sol)
+            picked = (moves[r.randrange(len(moves))], inst.best_move(sol), inst.first_move(sol, r.randrange(inst.n)))
+            for move in filter(None, picked):
+                after = sol.copy()
+                inst.apply_move(after, move)
+                assert value(after) == before + move.delta
+                assert after.cached_objective == before + move.delta
 
 
 def _usable_insertions(order, target):
@@ -219,7 +216,7 @@ def test_criterion_06_local_search_dominance():
             start = construct(inst, RclConfig(), rng)
             out = local_search(inst, start, SearchDepth.BEST_IMPROVING, rng)
             assert out.cached_objective >= start.cached_objective
-            locally_optimal = all(m.delta <= 0 for m in inst.moves(start))
+            locally_optimal = all(m.delta <= 0 for m in oracles.all_moves(inst, start))
             assert (out.cached_objective == start.cached_objective) == locally_optimal
 
 

@@ -207,6 +207,22 @@ def test_vertex_count_is_capped():
         assert (exc.value.line, exc.value.col) == (1, 1)
 
 
+def test_located_parsers_check_the_header_first():
+    # a fault on the header or dimension line is raised before any body line is tokenized
+    cap = bench_io.MAX_VERTICES
+    edges = "".join(f"{i} {i + 1} 1\n" for i in range(1, 50))
+    for parse, text, message, tokenized in (
+        (parse_edge_list, f"{cap + 1} 49\n" + edges, f"line 1, col 1: n must be <= {cap}", [1]),
+        (parse_edge_list, "50 -1\n" + edges, "line 1, col 4: m must be >= 0", [1]),
+        (parse_edge_list, "\n50\n" + edges, "line 2, col 1: header must be 'n m'", [1, 2]),
+        (parse_lolib, "t\n1\n" + "0 1\n" * 50, "line 2, col 1: n must be >= 2, got 1", [2]),
+    ):
+        with mock.patch.object(bench_io, "_tokenize_line", wraps=bench_io._tokenize_line) as tokenize:
+            with pytest.raises(ParseError, match=message):
+                parse(text)
+        assert [c.args[1] for c in tokenize.call_args_list] == tokenized
+
+
 def test_merged_weight_overflow_is_a_parse_error():
     with pytest.raises(ParseError, match="merged weight"):
         parse_edge_list(f"2 2\n1 2 {2**31 - 1}\n2 1 1\n")
@@ -585,6 +601,14 @@ def test_read_best_known(tmp_path):
     notint.write_text("x,100\ny,lots\n")
     with pytest.raises(ParseError, match="not an integer"):
         read_best_known(notint)
+
+
+def test_read_best_known_rejects_duplicate_rows(tmp_path):
+    # a second row for one instance would silently replace the first
+    table = tmp_path / "best.csv"
+    table.write_text("instance,value\nx,100\n# again\nx,5\n")
+    with pytest.raises(ParseError, match="line 4: duplicate best-known row for 'x'"):
+        read_best_known(table)
 
 
 def _grid_cells(tmp_path):

@@ -174,7 +174,8 @@ def compute_relink_traces() -> dict:
                 for direction, step, truncation, in_path in RELINK_CONFIGS:
                     cfg = path_relinking.PrConfig(direction=direction, step=step, truncation=truncation, in_path_ls=in_path)
                     rng = RandomStream(seed)
-                    best, trace = path_relinking.relink(instance, s.copy(), t.copy(), cfg, rng)
+                    ls = lambda sol: local_search(instance, sol, SearchDepth.BEST_IMPROVING, rng)
+                    best, trace = path_relinking.relink(instance, s.copy(), t.copy(), cfg, rng, ls=ls)
                     path = "|".join(f"{bench_io.serialize_solution(sol)}={obj}" for sol, obj in trace.visited)
                     traces[f"{name}/{seed}/{pair}/{direction}/{step}/{truncation}/{in_path}"] = {
                         "best_objective": best.cached_objective,

@@ -39,7 +39,7 @@ def test_insert_neighborhood_size_n4():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(1), 4))
     sol = PermutationSolution([0, 1, 2, 3])
     evaluate(inst, sol)
-    moves = list(inst.moves(sol))
+    moves = oracles.all_moves(inst, sol)
     assert len(moves) == 12  # n*(n-1)
     assert all(m.kind == "insert" for m in moves)
     assert not any(m.from_pos == m.to_pos for m in moves)  # null move excluded
@@ -49,7 +49,7 @@ def test_insert_scan_order():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(2), 4))
     sol = PermutationSolution([0, 1, 2, 3])
     evaluate(inst, sol)
-    keys = [(m.element, m.to_pos) for m in inst.moves(sol)]
+    keys = [(m.element, m.to_pos) for m in oracles.all_moves(inst, sol)]
     assert keys == sorted(keys)  # element ascending, target position ascending
 
 
@@ -58,10 +58,10 @@ def test_transfer_neighborhood_size():
     inst = MaxCutInstance(7, edges)
     sol = PartitionSolution(oracles.rand_bits(oracles.make_rng(4), 7))
     evaluate(inst, sol)
-    moves = list(inst.moves(sol))
+    moves = oracles.all_moves(inst, sol)
     assert len(moves) == 7
     assert [m.element for m in moves] == list(range(7))
-    offset = [m.element for m in inst.moves(sol, offset=3)]
+    offset = [m.element for m in oracles.all_moves(inst, sol, offset=3)]
     assert offset == [3, 4, 5, 6, 0, 1, 2]
 
 
@@ -149,7 +149,7 @@ def test_apply_move_keeps_cache_consistent():
     inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(16), 5))
     sol = PermutationSolution(oracles.rand_perm(oracles.make_rng(17), 5))
     evaluate(inst, sol)
-    for move in list(inst.moves(sol))[:5]:
+    for move in oracles.all_moves(inst, sol)[:5]:
         scratch = sol.copy()
         inst.apply_move(scratch, move)
         assert scratch.cached_objective == oracles.lop_value(inst.cost, scratch.order)

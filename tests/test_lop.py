@@ -72,7 +72,7 @@ def test_builder_rejects_replacement():
 
 def test_insert_delta_2x2_example():
     inst = LopInstance([[0, 5], [3, 0]])
-    moves = list(inst.moves(PermutationSolution([0, 1])))
+    moves = oracles.all_moves(inst, PermutationSolution([0, 1]))
     # both insertions reverse the one pair, 3 - 5; null moves are never offered
     assert [(m.element, m.from_pos, m.to_pos, m.delta) for m in moves] == [(0, 0, 1, -2), (1, 1, 0, -2)]
 
@@ -85,7 +85,7 @@ def test_insert_delta_exactness_fuzz():
         order = oracles.rand_perm(r, 8)
         elem = r.randrange(8)
         to_pos = r.randrange(8)
-        moves = {(m.element, m.to_pos): m for m in inst.moves(PermutationSolution(order))}
+        moves = {(m.element, m.to_pos): m for m in oracles.all_moves(inst, PermutationSolution(order))}
         if order.index(elem) == to_pos:
             assert (elem, to_pos) not in moves  # null move
             continue
@@ -96,8 +96,8 @@ def test_insert_delta_exactness_fuzz():
 
 
 def test_insert_scan_matches_reference_kernel():
-    # the prefix-sum scan must yield exactly the moves of the per-move
-    # reference (_insert_delta) in element-ascending, position-ascending
+    # the running-sum reference scan must yield exactly the moves of the
+    # per-move reference (insert_delta) in element-ascending, position-ascending
     # order; every permutation puts some element at position 0 and n - 1
     r = oracles.make_rng(25)
     for n in (2, 3, 5, 17, 60):
@@ -109,11 +109,11 @@ def test_insert_scan_matches_reference_kernel():
             expected = []
             for e in range(n):
                 i = order.index(e)
-                expected += [("insert", e, i, j, inst._insert_delta(order, i, j)) for j in range(n) if j != i]
-            got = [tuple(m) for m in inst.moves(PermutationSolution(list(order)))]
+                expected += [("insert", e, i, j, oracles.insert_delta(cost, order, i, j)) for j in range(n) if j != i]
+            got = [tuple(m) for m in oracles.all_moves(inst, PermutationSolution(list(order)))]
             assert got == expected, (n, order)
             base = oracles.lop_value(cost, order)
-            # the oracle is O(n^2) per move: check all moves up to n = 17, a sample beyond
+            # lop_value is O(n^2) per move: check all moves up to n = 17, a sample beyond
             checked = got if n <= 17 else [m for m in got if m[2] in (0, n - 1)] + r.sample(got, 60)
             for _, e, i, j, d in checked:
                 after = list(order)
@@ -122,7 +122,7 @@ def test_insert_scan_matches_reference_kernel():
 
 
 def test_move_kernels_match_reference_selection():
-    # best_move / first_move pick what the selection loops over moves() pick,
+    # best_move / first_move pick what the selection loops over the reference scan pick,
     # at every step of a climb down to the local optimum (capped at n = 60)
     r = oracles.make_rng(41)
     for n in (2, 3, 5, 17, 60):
@@ -136,9 +136,9 @@ def test_move_kernels_match_reference_selection():
                 sol = PermutationSolution(order)
                 for _ in range(n if n < 60 else 8):
                     best = inst.best_move(sol)
-                    assert best == oracles.best_move(inst.moves(sol)), (n, sol.order)
+                    assert best == oracles.best_move(oracles.all_moves(inst, sol)), (n, sol.order)
                     first = inst.first_move(sol, r.randrange(n))  # the permutation scan ignores offsets
-                    assert first == oracles.first_move(inst.moves(sol)), (n, sol.order)
+                    assert first == oracles.first_move(oracles.all_moves(inst, sol)), (n, sol.order)
                     if best is None:
                         break
                     inst.apply_move(sol, best if r.random() < 0.5 else first)

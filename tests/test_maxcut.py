@@ -123,7 +123,7 @@ def test_local_optimum_has_nonpositive_gains():
 
 def test_move_kernels_match_reference_selection():
     # best_move and first_move at every offset pick what the selection loops
-    # over moves() pick, at every step of a climb down to the local optimum
+    # over the reference scan pick, at every step of a climb down to the local optimum
     r = oracles.make_rng(42)
     for n, p, lo, hi in ((1, 0.0, 1, 1), (2, 1.0, -5, 10), (9, 0.5, -1, 1), (30, 0.2, -5, 10), (30, 0.3, -9, -1)):
         inst = MaxCutInstance(n, oracles.rand_edges(r, n, p, lo, hi))
@@ -131,13 +131,32 @@ def test_move_kernels_match_reference_selection():
         evaluate(inst, sol)
         while True:
             best = inst.best_move(sol)
-            assert best == oracles.best_move(inst.moves(sol)), (n, sol.bits)
+            assert best == oracles.best_move(oracles.all_moves(inst, sol)), (n, sol.bits)
             for offset in range(n):
-                assert inst.first_move(sol, offset) == oracles.first_move(inst.moves(sol, offset)), (n, offset)
+                expected = oracles.first_move(oracles.all_moves(inst, sol, offset))
+                assert inst.first_move(sol, offset) == expected, (n, offset)
             if best is None:
                 break
             inst.apply_move(sol, best if r.random() < 0.5 else inst.first_move(sol, r.randrange(n)))
             assert sol.cached_objective == oracles.cut_value(inst.edges, sol.bits)
+
+
+def test_all_moves_oracle_matches_cut_value():
+    # the reference scan the kernels are checked against: every transfer in
+    # vertex order rotated by offset, each delta the cut change of its flip
+    r = oracles.make_rng(43)
+    for n in (1, 2, 9, 20):
+        inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.5, -5, 10))
+        for _ in range(5):
+            bits = oracles.rand_bits(r, n)
+            base = oracles.cut_value(inst.edges, bits)
+            offset = r.randrange(n)
+            moves = oracles.all_moves(inst, PartitionSolution(bits), offset)
+            assert [m.element for m in moves] == [(offset + k) % n for k in range(n)]
+            for m in moves:
+                flipped = list(bits)
+                flipped[m.element] ^= 1
+                assert m.delta == oracles.cut_value(inst.edges, flipped) - base
 
 
 def _fresh_gains(inst, sol):
@@ -145,10 +164,9 @@ def _fresh_gains(inst, sol):
 
 
 def _check_against_fresh(inst, sol, other):
-    """moves() and pr_candidates() deltas equal those of a freshly built GainTable."""
+    """The gain cache and pr_candidates() deltas equal those of a freshly built GainTable."""
     gains = _fresh_gains(inst, sol)
-    for m in inst.moves(sol, 3):
-        assert m.delta == gains[m.element]
+    assert inst._gain_table(sol).gain == gains
     diff = _diff(sol, other)
     if len(diff) > 1:
         assert sorted((m.element, m.delta) for m in inst.pr_candidates(sol, other, inst.n, diff)) == [
@@ -158,7 +176,7 @@ def _check_against_fresh(inst, sol, other):
 
 def test_gain_cache_under_interleaved_operations():
     from grasppr.core import RandomStream
-    from grasppr.local_search import SearchDepth, local_search
+    from grasppr.local_search import Move, SearchDepth, local_search
 
     r = oracles.make_rng(35)
     edges = oracles.rand_edges(r, 12, 0.4, -5, 10)
@@ -169,20 +187,14 @@ def test_gain_cache_under_interleaved_operations():
     for _ in range(400):
         cur, other = sols if r.random() < 0.5 else sols[::-1]  # alternate between two solutions
         op = r.randrange(5)
-        if op == 0:  # apply a scanned move to the solution itself
-            moves = list(inst.moves(cur))
-            if moves:
-                inst.apply_move(cur, r.choice(moves))
-        elif op == 1:  # apply a move to a copy in the middle of a scan
-            gains = _fresh_gains(inst, cur)
-            scan = inst.moves(cur, r.randrange(12))
-            seen = []
-            for m in scan:
-                seen.append(m)
-                if len(seen) == 2:
-                    inst.apply_move(cur.copy(), m)
-            for m in seen:
-                assert m.delta == gains[m.element]
+        if op == 0:  # apply a flip priced by the cache to the solution itself
+            v = r.randrange(12)
+            inst.apply_move(cur, Move("transfer", v, None, None, inst._gain_table(cur).gain[v]))
+        elif op == 1:  # apply a chosen move to a copy, so the cache follows the copy
+            move = inst.first_move(cur, r.randrange(12))
+            if move is not None:
+                assert move.delta == _fresh_gains(inst, cur)[move.element]
+                inst.apply_move(cur.copy(), move)
         elif op == 2:  # flip bits directly, outside apply_move
             cur.bits[r.randrange(12)] ^= 1
             evaluate(inst, cur)

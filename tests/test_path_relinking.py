@@ -60,7 +60,7 @@ def test_mixed_second_step_move_mechanics():
     inst = LopInstance(S1_COST)
     head = PermutationSolution([2, 3, 1, 0])
     evaluate(inst, head)
-    move = next(m for m in inst.moves(head) if (m.element, m.to_pos) == (3, 3))
+    move = next(m for m in oracles.all_moves(inst, head) if (m.element, m.to_pos) == (3, 3))
     assert move.from_pos == 1
     inst.apply_move(head, move)
     assert head.order == [2, 1, 0, 3]
@@ -183,6 +183,13 @@ def test_in_path_ls_best_only_once_at_best():
     best_idx = trace.best_index
     assert calls[0].bits == trace.visited[best_idx][0].bits
     assert best.cached_objective == 10**6
+
+
+def test_in_path_policy_needs_ls():
+    s, t = _parts([0] * 6, [1] * 6)
+    for policy in ("all", "every", "best"):
+        with pytest.raises(ValueError, match=f"in-path local search '{policy}' needs ls"):
+            relink(MC6, s, t, PrConfig(in_path_ls=policy), RandomStream(1))
 
 
 def test_best_index_earliest_maximum():
