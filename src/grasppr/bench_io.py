@@ -16,12 +16,11 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from operator import eq
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Mapping, Optional, Sequence, Union
 
 from .construction import CARDINALITY, VALUE, RclConfig
-from .core import PartitionSolution, PermutationSolution, ProblemInstance, Solution
+from .core import _INT32, PartitionSolution, PermutationSolution, ProblemInstance, Solution
 from .drivers import VARIANTS, RunConfig, RunReport, run
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM
 from .local_search import SearchDepth
@@ -41,7 +40,6 @@ from .path_relinking import (
     PrConfig,
 )
 
-_INT32 = 1 << 31
 _TOKEN = re.compile(r"\S+")
 
 LOP = "lop"
@@ -100,20 +98,12 @@ def _as_int(tok: _Tok, what: str) -> int:
     return value
 
 
-def _plain_ints(tokens: Iterable[str]) -> Optional[list[int]]:
-    """The tokens as ints if int() takes each and all are in 32-bit range, else None.
-
-    The fast paths below use it on text without '_': int() then accepts
-    exactly the tokens _is_int does (an optional sign, then decimal digits),
-    so None means _as_int raises on some token.
-    """
+def _built(build: Callable[..., ProblemInstance], *args) -> ProblemInstance:
+    """build(*args); a fault no token holds (say, a merged weight out of range) as an unplaced ParseError."""
     try:
-        values = list(map(int, tokens))
-    except ValueError:
-        return None
-    if values and (min(values) < -_INT32 or max(values) >= _INT32):
-        return None
-    return values
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_lolib(text: str) -> LopInstance:
@@ -121,8 +111,8 @@ def parse_lolib(text: str) -> LopInstance:
 
     Leading lines that do not start with an integer are header text; the first
     is the customary instance name, further ones are tolerated with a warning.
-    Well-formed text is read in bulk; anything else is reread token by token
-    to raise a located ParseError.
+    Text is read in bulk and handed to LopInstance; text that it or the bulk
+    read rejects is reread token by token to raise a located ParseError.
     """
     lines = text.split("\n")
     skipped = 0
@@ -137,20 +127,30 @@ def parse_lolib(text: str) -> LopInstance:
     if skipped > 1:
         warnings.warn(f"skipped {skipped - 1} unexpected header line(s)", stacklevel=2)
 
-    values = _lolib_fast(lines, start)
-    if values is None:
-        values = _lolib_located(lines, start)
+    inst = _lolib_fast(lines, start)
+    return inst if inst is not None else _built(_square, _lolib_located(lines, start))
+
+
+def _square(values: list[int]) -> LopInstance:
+    """LopInstance of [n, entries...] whose entries count n*n."""
     n = values[0]
     return LopInstance([values[i : i + n] for i in range(1, len(values), n)])
 
 
-def _lolib_fast(lines: list[str], start: int) -> Optional[list[int]]:
-    """[n, entries...] if lines[start:] hold n >= 2 and n*n plain 32-bit ints, else None."""
+def _lolib_fast(lines: list[str], start: int) -> Optional[LopInstance]:
+    """The instance of lines[start:] if int() reads n and n*n entries that LopInstance takes, else None.
+
+    On text without '_', int() reads exactly the tokens _is_int accepts: both readers give the same values.
+    """
     body = "\n".join(lines[start:])
-    values = None if "_" in body else _plain_ints(body.split())
-    if values is None or values[0] < 2 or len(values) != values[0] * values[0] + 1:
+    if "_" in body:
         return None
-    return values
+    try:
+        values = list(map(int, body.split()))
+        # n < 1 gives no rows, or a zero range() step: a ValueError either way
+        return _square(values) if len(values) == values[0] * values[0] + 1 else None
+    except ValueError:
+        return None
 
 
 def _lolib_located(lines: list[str], start: int) -> list[int]:
@@ -181,35 +181,30 @@ def serialize_lolib(instance: LopInstance, name: str = "instance") -> str:
 def parse_edge_list(text: str) -> MaxCutInstance:
     """Parse a weighted graph: "n m" header, then m "i j w" lines (1-based ids).
 
-    Well-formed text is read in bulk; anything else is reread token by token
-    to raise a located ParseError.
+    Text is read in bulk and handed to MaxCutInstance; text that it or the
+    bulk read rejects is reread token by token to raise a located ParseError.
     """
-    parsed = _edge_list_fast(text)
-    if parsed is None:
-        parsed = _edge_list_located(text)
+    inst = _edge_list_fast(text)
+    return inst if inst is not None else _built(MaxCutInstance, *_edge_list_located(text))
+
+
+def _edge_list_fast(text: str) -> Optional[MaxCutInstance]:
+    """The graph of text if int() reads an "n m" line and m "i j w" lines that MaxCutInstance takes, else None."""
     try:
-        return MaxCutInstance(*parsed)
-    except ValueError as exc:  # duplicate edges whose summed weight leaves 32 bits
-        raise ParseError(str(exc)) from None
-
-
-def _edge_list_fast(text: str) -> Optional[tuple[int, list[tuple[int, int, int]]]]:
-    """(n, 0-based edges) if every line and token is well formed, else None."""
-    if "_" in text:
+        return MaxCutInstance(*_edge_list_values(text))
+    except ValueError:
         return None
+
+
+def _edge_list_values(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """(n, 0-based edges) read by str.split and int() alone; its tokens are freed before the graph is built."""
     rows = [toks for toks in map(str.split, text.split("\n")) if toks]
-    if not rows or len(rows[0]) != 2 or any(len(toks) != 3 for toks in rows[1:]):
-        return None
-    values = _plain_ints(chain.from_iterable(rows))
-    if values is None:
-        return None
-    n, m = values[0], values[1]
-    us, vs, ws = values[2::3], values[3::3], values[4::3]
-    if not (1 <= n <= MAX_VERTICES) or m != len(rows) - 1:
-        return None
-    if m and (min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs))):
-        return None
-    return n, [(u - 1, v - 1, w) for u, v, w in zip(us, vs, ws)]
+    if "_" in text or not rows or len(rows[0]) != 2 or any(len(toks) != 3 for toks in rows[1:]):
+        raise ValueError("not an 'n m' line and 'i j w' lines of plain ints")
+    values = list(map(int, chain.from_iterable(rows)))
+    if values[1] != len(rows) - 1:
+        raise ValueError("m does not count the edge lines")
+    return values[0], [(u - 1, v - 1, w) for u, v, w in zip(values[2::3], values[3::3], values[4::3])]
 
 
 def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:

@@ -1,8 +1,9 @@
 """Problem-agnostic building blocks: solutions, the problem interface, seeded RNG.
 
 Objectives are exact Python ints throughout (maximization); no floats enter the
-solver core. Instances validate that individual weights fit 32-bit so that any
-objective sum fits comfortably in 64 bits.
+solver core. The instance constructors alone judge instance values (the parsers
+only read text): each given weight, and each merged max-cut weight, must fit 32
+bits, so that any objective sum fits comfortably in 64 bits.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+_INT32 = 2**31  # instance weights w satisfy -_INT32 <= w < _INT32
 
 # what one moves() scan yields
 BEST_MOVE = "best"  # only the improving move of largest delta, the first on ties
@@ -23,10 +26,6 @@ class PermutationSolution:
 
     order: list[int]
     cached_objective: Optional[int] = None
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
     def copy(self) -> "PermutationSolution":
         return PermutationSolution(list(self.order), self.cached_objective)
@@ -45,10 +44,6 @@ class PartitionSolution:
 
     bits: list[int]
     cached_objective: Optional[int] = None
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
 
     def copy(self) -> "PartitionSolution":
         return PartitionSolution(list(self.bits), self.cached_objective)

@@ -14,10 +14,8 @@ from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_columns
-from .core import BEST_MOVE, PermutationSolution, ProblemInstance, Walk
+from .core import _INT32, BEST_MOVE, PermutationSolution, ProblemInstance, Walk
 from .local_search import Move
-
-_INT32 = 2**31
 
 
 class _LopBuilder:
@@ -60,9 +58,8 @@ class LopInstance(ProblemInstance):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
         rows = tuple(map(tuple, cost))
-        entries = list(chain.from_iterable(rows))
-        exact_ints = set(map(len, cost)) == {n} and set(map(type, entries)) == {int}
-        if not (exact_ints and -_INT32 <= min(entries) and max(entries) < _INT32):
+        exact_ints = set(map(len, rows)) == {n} and set(map(type, chain.from_iterable(rows))) == {int}
+        if not (exact_ints and -_INT32 <= min(map(min, rows)) and max(map(max, rows)) < _INT32):
             # entry by entry, to raise at the first fault in row order, or to
             # accept int subclasses other than bool
             for i, row in enumerate(cost):

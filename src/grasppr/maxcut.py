@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
-from .core import BEST_MOVE, PartitionSolution, ProblemInstance, Walk
+from .core import _INT32, BEST_MOVE, PartitionSolution, ProblemInstance, Walk
 from .local_search import Move
 
-_INT32 = 2**31
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
 # must not allocate an adjacency list per claimed vertex
 MAX_VERTICES = 2**20
@@ -123,20 +123,30 @@ class MaxCutInstance(ProblemInstance):
     randomized_first_improving = True  # per-pass scan offset, see local_search
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"n must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if n > MAX_VERTICES:
             raise ValueError(f"n must be <= {MAX_VERTICES}, got {n}")
         merged: dict[tuple[int, int], int] = {}
-        for i, j, w in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"vertex out of range in edge ({i},{j})")
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise ValueError(f"non-integer weight on edge ({i},{j}): {w!r}")
-            key = (i, j) if i < j else (j, i)
-            merged[key] = merged.get(key, 0) + w
+        try:
+            for i, j, w in edges:
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"vertex out of range in edge ({i},{j})")
+                if i == j:
+                    raise ValueError(f"self-loop on vertex {i}")
+                if not isinstance(w, int) or isinstance(w, bool) or not (-_INT32 <= w < _INT32):
+                    raise ValueError(f"weight on edge ({i},{j}) is not a 32-bit int: {w!r}")
+                key = (i, j) if i < j else (j, i)
+                merged[key] = merged.get(key, 0) + w
+        except TypeError as exc:  # an endpoint that does not compare with ints
+            raise ValueError(f"edges must be (i, j, w) int triples: {exc}") from None
+        # endpoint types in bulk: the range test above lets bools and floats such as 1.0 through
+        if set(map(type, chain.from_iterable(merged))) - {int}:
+            for v in chain.from_iterable(merged):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"non-integer vertex: {v!r}")
         for (i, j), w in merged.items():
             if not (-_INT32 <= w < _INT32):
                 raise ValueError(f"merged weight on edge ({i},{j}) outside 32-bit range: {w}")

@@ -194,16 +194,18 @@ def test_numbers_beyond_int_digit_limit_are_parse_errors(tmp_path):
 
 
 def test_vertex_count_is_capped():
-    # a header alone may not claim more vertices than MAX_VERTICES; both the
-    # fast and the located path refuse it before any graph is built
+    # a header alone may not claim more vertices than MAX_VERTICES: the
+    # constructor refuses it before it allocates, so the fast path declines,
+    # and the located path raises at the header without building a graph
     cap = bench_io.MAX_VERTICES
-    assert bench_io._edge_list_fast(f"{cap} 0\n") == (cap, [])
+    assert bench_io._edge_list_fast(f"{cap} 0\n").n == cap
     for n in (cap + 1, 2**31 - 1):
         text = f"{n} 0\n"
         assert bench_io._edge_list_fast(text) is None
-        with mock.patch.object(bench_io, "MaxCutInstance", side_effect=AssertionError("graph built")):
+        with mock.patch.object(bench_io, "MaxCutInstance", wraps=MaxCutInstance) as build:
             with pytest.raises(ParseError, match=f"n must be <= {cap}, got {n}") as exc:
                 parse_edge_list(text)
+        assert build.call_count == 1  # the fast path's, refused
         assert (exc.value.line, exc.value.col) == (1, 1)
 
 
@@ -226,6 +228,20 @@ def test_located_parsers_check_the_header_first():
 def test_merged_weight_overflow_is_a_parse_error():
     with pytest.raises(ParseError, match="merged weight"):
         parse_edge_list(f"2 2\n1 2 {2**31 - 1}\n2 1 1\n")
+
+
+def test_each_edge_weight_is_judged_before_merging():
+    # the constructor rejects what the located reader rejects: these two weights would merge to 5
+    with pytest.raises(ParseError, match=f"^line 2, col 5: edge weight outside 32-bit range: {2**40}$"):
+        parse_edge_list(f"2 2\n1 2 {2**40}\n1 2 {-2**40 + 5}\n")
+
+
+def test_parse_lolib_raises_only_parse_errors():
+    # a constructor fault that the located reader does not place is still a ParseError
+    with mock.patch.object(bench_io, "LopInstance", side_effect=ValueError("refused")):
+        with pytest.raises(ParseError, match="^refused$") as exc:
+            parse_lolib("t\n2\n0 1\n2 0\n")
+    assert (exc.value.line, exc.value.col) == (None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,33 @@ def test_instance_validation():
         MaxCutInstance(3, [], neighborhood="transfer")  # one move kind, no neighbourhood option
 
 
+def test_every_weight_fits_32_bits():
+    # each given weight is judged, not only the merged one: these two would merge to 5
+    with pytest.raises(ValueError, match=rf"^weight on edge \(0,1\) is not a 32-bit int: {2**40}$"):
+        MaxCutInstance(2, [(0, 1, 2**40), (0, 1, -2**40 + 5)])
+    with pytest.raises(ValueError, match="is not a 32-bit int"):
+        MaxCutInstance(2, [(0, 1, -2**31 - 1)])
+    assert MaxCutInstance(2, [(0, 1, 2**31 - 1), (1, 0, -2**31)]).edges == ((0, 1, -1),)
+
+
+def test_vertex_count_and_endpoints_are_ints():
+    for n in (True, 3.0, "3", None):
+        with pytest.raises(ValueError, match="n must be an int"):
+            MaxCutInstance(n, [])
+    for edge in ((True, 0, 5), (2, True, 5), (1.0, 0, 5), (0.5, 2, 5)):
+        with pytest.raises(ValueError, match="non-integer vertex"):
+            MaxCutInstance(3, [(0, 2, 1), edge])
+    for edge in (("1", 0, 5), (None, 0, 5)):
+        with pytest.raises(ValueError, match=r"^edges must be \(i, j, w\) int triples"):
+            MaxCutInstance(3, [edge])
+
+    class Vertex(int):
+        pass
+
+    # int subclasses other than bool are accepted, as LopInstance accepts them
+    assert MaxCutInstance(3, [(Vertex(2), 0, 5)]).edges == ((0, 2, 5),)
+
+
 def test_edges_are_canonical():
     inst = MaxCutInstance(4, [(2, 0, 1), (3, 1, 2)])
     assert inst.edges == ((0, 2, 1), (1, 3, 2))
