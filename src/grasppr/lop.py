@@ -8,14 +8,22 @@ guiding position.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from itertools import accumulate, chain
-from operator import add, itemgetter
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_columns
 from .core import _INT32, BEST_MOVE, PermutationSolution, ProblemInstance, Walk
 from .local_search import Move
+
+# The insert scan packs one 64-bit field per element into a
+# Python int. |skew| < 2^32, so |prefix| <= n * 2^32 < 2^62 for any n a matrix
+# can have: a prefix biased by 2^62 stays in [0, 2^63), below each field's
+# guard bit 63, and no field borrows from or carries into the next.
+_FIELD_BIAS, _FIELD_GUARD = 1 << 62, 1 << 63
+_SKEW_OFFSET = 1 << 32  # added to each skew entry so struct packs it unsigned
 
 
 class _LopBuilder:
@@ -76,6 +84,9 @@ class LopInstance(ProblemInstance):
         # insert scan or relinking step, so parsing alone (setup,
         # construction-only cells) never pays for it
         self._skew: Optional[tuple[tuple[int, ...], ...]] = None
+        # the packed columns of the insert scan, built by _packed on its
+        # first call, likewise never at parse time
+        self._columns: Optional[tuple] = None
 
     def evaluate(self, solution: PermutationSolution) -> int:
         order = solution.order
@@ -95,25 +106,6 @@ class LopInstance(ProblemInstance):
             self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
         return self._skew
 
-    def _insert_prefixes(self, order: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
-        """(e, i, prefix) for each element e ascending, i its position.
-
-        prefix[k] = sum of skew[e][order[p]] over p < k. Moving e from i to
-        j < i gains prefix[i] - prefix[j]; to j > i it loses the skew of
-        order[i+1..j], i.e. gains prefix[i] - prefix[j + 1]. So prefix index
-        k stands for target k if k < i and k - 1 if k > i + 1, in scan order;
-        skew[e][e] = 0 makes prefix[i + 1] = prefix[i], so k = i and k = i + 1
-        never improve. O(n) per element, computed only when the caller asks
-        for the next one.
-        """
-        skew = self._skew_rows()
-        pos = [0] * self.n
-        for p, v in enumerate(order):
-            pos[v] = p
-        in_order = itemgetter(*order)  # n >= 2, so it always returns a tuple
-        for e in range(self.n):
-            yield e, pos[e], list(accumulate(in_order(skew[e]), initial=0))
-
     def moves(self, solution: PermutationSolution, offset: int, pick: str) -> Iterator[Move]:
         # canonical scan order: element id ascending, target position ascending;
         # the permutation scan ignores offsets (first-improving stays canonical)
@@ -122,26 +114,75 @@ class LopInstance(ProblemInstance):
         if move is not None:
             yield move
 
+    def _packed(self) -> tuple:
+        """(columns, masks, bias, guard): columns[u] holds skew[e][u] in
+        64-bit field e, masks[u] selects field u, and bias and guard hold
+        2^62 and 2^63 in every field."""
+        if self._columns is None:
+            n = self.n
+            ones = ((1 << 64 * n) - 1) // ((1 << 64) - 1)  # 1 in every field
+            offset, pack = ones * _SKEW_OFFSET, struct.Struct(f"<{n}Q").pack
+            # skew is antisymmetric, so column u is row u negated
+            columns = tuple(
+                offset - int.from_bytes(pack(*map(_SKEW_OFFSET.__add__, row)), "little") for row in self._skew_rows()
+            )
+            masks = tuple(((1 << 64) - 1) << 64 * u for u in range(n))
+            self._columns = (columns, masks, ones * _FIELD_BIAS, ones * _FIELD_GUARD)
+        return self._columns
+
+    def _insert_gains(self, order: Sequence[int]) -> tuple[int, ...]:
+        """gains[e]: the largest gain of moving element e, 0 if none improves.
+
+        One pass over order for all elements at once: after k vertices, field
+        e of p is 2^62 + prefix_e[k] (see _prefix); base collects prefix_e[i]
+        at e's own position i, and low keeps the field-wise minimum of p over
+        k = 0..n. The min is SWAR: bit 63 of (low | guard) - p stays set where
+        low >= p, and spread over the field's low 63 bits it selects p there.
+        """
+        columns, masks, p, guard = self._packed()
+        low, base = p, 0
+        for u in order:
+            base |= p & masks[u]
+            p += columns[u]
+            ge = ((low | guard) - p) & guard
+            low ^= (low ^ p) & (ge - (ge >> 63))
+        # base >= low in every field, so one subtraction gives every gain
+        return struct.unpack(f"<{self.n}Q", (base - low).to_bytes(8 * self.n, "little"))
+
+    def _prefix(self, e: int, order: Sequence[int]) -> list[int]:
+        """prefix[k] = sum of skew[e][order[p]] over p < k, for k = 0..n.
+
+        With i the position of e, moving e to j < i gains prefix[i] -
+        prefix[j]; to j > i it loses the skew of order[i+1..j], i.e. gains
+        prefix[i] - prefix[j + 1]. So prefix index k stands for target k if
+        k < i and k - 1 if k > i + 1, in scan order; skew[e][e] = 0 makes
+        prefix[i + 1] = prefix[i], so k = i and k = i + 1 never improve.
+        """
+        return list(accumulate(map(self._skew_rows()[e].__getitem__, order), initial=0))
+
     def _best_insert(self, order: Sequence[int]) -> Optional[Move]:
-        best, chosen = 0, None
-        for e, i, prefix in self._insert_prefixes(order):
-            # the first minimum is the first best target in scan order; prefix[i]
-            # and prefix[i + 1] equal base, so an improving minimum is never there
-            low = min(prefix)
-            if prefix[i] - low > best:
-                best, chosen = prefix[i] - low, (e, i, prefix.index(low))
-        if chosen is None:
+        # the lowest element of largest gain, and its first minimum: the
+        # first best target in scan order
+        gains = self._insert_gains(order)
+        best = max(gains)
+        if best <= 0:
             return None
-        e, i, k = chosen
+        e = gains.index(best)
+        i = order.index(e)
+        prefix = self._prefix(e, order)
+        k = prefix.index(min(prefix))
         return Move("insert", e, i, k if k < i else k - 1, best)
 
     def _first_insert(self, order: Sequence[int]) -> Optional[Move]:
-        for e, i, prefix in self._insert_prefixes(order):
-            base = prefix[i]
-            if min(prefix) < base:
-                k = list(map(base.__gt__, prefix)).index(True)  # first improving target
-                return Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
-        return None
+        # the lowest improving element, and its first improving target
+        e = next((e for e, gain in enumerate(self._insert_gains(order)) if gain > 0), None)
+        if e is None:
+            return None
+        i = order.index(e)
+        prefix = self._prefix(e, order)
+        base = prefix[i]
+        k = list(map(base.__gt__, prefix)).index(True)
+        return Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
 
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
         if move.kind != "insert":

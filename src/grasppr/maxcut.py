@@ -131,6 +131,7 @@ class MaxCutInstance(ProblemInstance):
             raise ValueError(f"n must be <= {MAX_VERTICES}, got {n}")
         merged: dict[tuple[int, int], int] = {}
         try:
+            edges = list(edges)  # read twice: by this loop and by the endpoint type pass below
             for i, j, w in edges:
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"vertex out of range in edge ({i},{j})")
@@ -142,9 +143,13 @@ class MaxCutInstance(ProblemInstance):
                 merged[key] = merged.get(key, 0) + w
         except TypeError as exc:  # an endpoint that does not compare with ints
             raise ValueError(f"edges must be (i, j, w) int triples: {exc}") from None
-        # endpoint types in bulk: the range test above lets bools and floats such as 1.0 through
-        if set(map(type, chain.from_iterable(merged))) - {int}:
-            for v in chain.from_iterable(merged):
+        # endpoint types in bulk: the range test above lets bools and floats such as 1.0 through.
+        # Over the given edges, not the merged keys: a dict keeps the first of equal keys, so
+        # (True, 0) after (0, 1) would merge away unseen. An int-subclass weight takes the fallback
+        # too.
+        types = list(map(type, chain.from_iterable(edges)))
+        if types.count(int) != len(types):
+            for v in chain.from_iterable((i, j) for i, j, _ in edges):
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError(f"non-integer vertex: {v!r}")
         for (i, j), w in merged.items():

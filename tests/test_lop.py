@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasppr.bench_io import build_run_config, load_instance, serialize_lolib
 from grasppr.core import PermutationSolution, evaluate
+from grasppr.drivers import run
 from grasppr.lop import LopInstance
 
 import oracles
@@ -142,6 +144,47 @@ def test_move_kernels_match_reference_selection():
                     if best is None:
                         break
                     inst.apply_move(sol, best if r.random() < 0.5 else first)
+
+
+def test_best_move_at_32_bit_extremes():
+    # the best-improving scan keeps every element's prefix sums in one 64-bit
+    # field of a single int: entries at both 32-bit ends drive those sums to
+    # +-(n - 1) * (2^32 - 1), where a missing bias, guard bit or base read
+    # would corrupt a neighbouring field
+    lo, hi = -2**31, 2**31 - 1
+
+    class Weight(int):
+        pass
+
+    r = oracles.make_rng(43)
+    for n in (2, 3, 17, 60, 100):
+        matrices = (
+            [[r.choice((lo, 0, hi)) for _ in range(n)] for _ in range(n)],
+            [[hi if i < j else lo for j in range(n)] for i in range(n)],  # the largest skew, both signs
+            [[Weight(r.choice((lo, 0, hi))) for _ in range(n)] for _ in range(n)],  # int subclass entries
+        )
+        for cost in matrices:
+            inst = LopInstance(cost)
+            for order in (list(range(n)), list(reversed(range(n))), oracles.rand_perm(r, n)):
+                sol = PermutationSolution(order)
+                for _ in range(n if n < 100 else 8):
+                    best = inst.best_move(sol)
+                    assert best == oracles.best_move(oracles.all_moves(inst, sol)), (n, sol.order)
+                    if best is None:
+                        break
+                    inst.apply_move(sol, best)
+
+
+def test_packed_columns_wait_for_the_first_best_improving_scan(tmp_path):
+    # parsing and construction-only runs (the semigreedy grid cells) never
+    # pay for the insert scan's tables
+    path = tmp_path / "m.mat"
+    path.write_text(serialize_lolib(LopInstance(oracles.rand_lop_matrix(oracles.make_rng(44), 12))))
+    inst = load_instance(path, "lop")
+    report = run(inst, build_run_config("lop", {"variant": "semigreedy"}, 1, None, 3))
+    assert inst._columns is None and inst._skew is None
+    inst.best_move(PermutationSolution(list(report.best_solution.order)))
+    assert inst._columns is not None
 
 
 def test_pr_candidates_worked_example():

@@ -355,6 +355,12 @@ def test_vertex_count_and_endpoints_are_ints():
     for edge in ((True, 0, 5), (2, True, 5), (1.0, 0, 5), (0.5, 2, 5)):
         with pytest.raises(ValueError, match="non-integer vertex"):
             MaxCutInstance(3, [(0, 2, 1), edge])
+    # equal to an earlier int edge, so it would merge into that edge's key unseen
+    for edge in ((True, 0, 5), (1.0, 0, 5)):
+        with pytest.raises(ValueError, match="non-integer vertex"):
+            MaxCutInstance(3, [(0, 1, 5), edge])
+        with pytest.raises(ValueError, match="non-integer vertex"):
+            MaxCutInstance(3, (e for e in [(0, 1, 5), edge]))  # edges read once
     for edge in (("1", 0, 5), (None, 0, 5)):
         with pytest.raises(ValueError, match=r"^edges must be \(i, j, w\) int triples"):
             MaxCutInstance(3, [edge])
