@@ -127,7 +127,10 @@ def main():
     ap.add_argument("--out", default=str(ROOT / "results"), help="output root (default results/)")
     ap.add_argument("--only", help="run a single experiment: 1..7")
     args = ap.parse_args()
-    args.seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        args.seeds = bench_io.seed_list(args.seeds)
+    except bench_io.OptionError as exc:
+        ap.error(str(exc))
 
     out_root = Path(args.out)
     steps = {

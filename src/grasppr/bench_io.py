@@ -264,7 +264,9 @@ def load_instance(path: Union[str, Path], problem: str) -> ProblemInstance:
     try:
         return parse_lolib(text) if problem == LOP else parse_edge_list(text)
     except ParseError as exc:
-        raise ParseError(f"{path}: {exc.args[0]}") from None
+        located = ParseError(f"{path}: {exc.args[0]}")
+        located.line, located.col = exc.line, exc.col
+        raise located from None
 
 
 def serialize_solution(solution: Solution) -> str:
@@ -294,6 +296,14 @@ def int_option(key: str, raw) -> int:
         except ValueError:
             pass
     raise OptionError(f"{key}: expected an integer, got {raw!r}")
+
+
+def seed_list(raw: str) -> list[int]:
+    """Comma-separated seeds; a repeated seed is an OptionError."""
+    seeds = [int_option("seeds", s) for s in raw.split(",")]
+    if len(set(seeds)) != len(seeds):
+        raise OptionError("duplicate seeds")
+    return seeds
 
 
 def float_option(key: str, raw) -> float:

@@ -5,14 +5,19 @@ Exit codes: 0 success, 2 instance parse failure, 64 bad flags or options,
 bench_io.OPTIONS, and their values stay strings until one shared translation
 layer (bench_io.build_run_config) parses them, so command line, config file
 and benchmark method specs all validate identically.
+
+Config-file lines and method-spec parts share one key=value reader, where an
+unknown or repeated key is a usage error. A config file fills only the unset
+flags of its own command.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import bench_io
 from .bench_io import BenchError, CellSpec, OptionError, ParseError, float_option, int_option
@@ -23,8 +28,9 @@ EXIT_PARSE = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-_RUN_KEYS = ("time", "iters", "seed", "seeds")
-_CONFIG_KEYS = bench_io.OPTION_KEYS + _RUN_KEYS
+_SOLVE_KEYS = bench_io.OPTION_KEYS + ("time", "iters", "seed")
+_BENCH_KEYS = bench_io.OPTION_KEYS + ("time", "iters", "seeds")
+_SPEC_KEYS = tuple(key for key in bench_io.OPTION_KEYS if key != "variant")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,20 +56,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="grasppr", description="GRASP with path relinking for ordering and cut problems.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar="COMMAND")
 
-    def add_solve(name: str, help_text: str, profile_required: bool) -> None:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--problem", required=True, choices=list(bench_io.PROBLEMS), help="problem kind")
-        p.add_argument("--instance", required=True, metavar="PATH", help="instance file")
-        p.add_argument("--seed", metavar="U64", help="random seed (default 1)")
-        _add_stop_flags(p)
-        _add_option_flags(p)
-        p.add_argument("--out", metavar="PATH", help="write the best solution to this file")
-        p.add_argument("--profile", metavar="PATH", required=profile_required,
-                       help="write the incumbent trajectory CSV to this file")
-        p.set_defaults(func=_cmd_solve)
-
-    add_solve("solve", "run one configured search on one instance", False)
-    add_solve("profile", "run one search and record the incumbent trajectory", True)
+    p = sub.add_parser("solve", help="run one configured search on one instance")
+    p.add_argument("--problem", required=True, choices=list(bench_io.PROBLEMS), help="problem kind")
+    p.add_argument("--instance", required=True, metavar="PATH", help="instance file")
+    p.add_argument("--seed", metavar="U64", help="random seed (default 1)")
+    _add_stop_flags(p)
+    _add_option_flags(p)
+    p.add_argument("--out", metavar="PATH", help="write the best solution to this file")
+    p.add_argument("--profile", metavar="PATH", help="write the incumbent trajectory CSV to this file")
+    p.set_defaults(func=_cmd_solve)
 
     b = sub.add_parser("bench", help="run a (method x instance x seed) grid and tabulate results")
     b.add_argument("--problem", required=True, choices=list(bench_io.PROBLEMS), help="problem kind")
@@ -86,55 +87,56 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_config(path: str) -> dict[str, str]:
-    opts: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise OptionError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise OptionError(f"{path}:{ln}: unknown key {key!r}")
-        opts[key] = value
-    return opts
+def _read_pairs(items: Iterable[tuple[str, str]], keys: Sequence[str]) -> dict[str, str]:
+    """(where, 'key=value') items as a dict; a part without '=', an unknown key or a repeated key is an OptionError."""
+    pairs: dict[str, str] = {}
+    for where, item in items:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise OptionError(f"{where}expected key=value, got {item!r}")
+        if key not in keys:
+            raise OptionError(f"{where}unknown key {key!r}")
+        if key in pairs:
+            raise OptionError(f"{where}repeated key {key!r}")
+        pairs[key] = value.strip()
+    return pairs
 
 
-def _merged_options(args, config: dict[str, str]) -> dict[str, str]:
-    options = {k: v for k, v in config.items() if k in bench_io.OPTION_KEYS}
-    for key in bench_io.OPTION_KEYS:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            options[key] = value
-    return options
+def _fill_from_config(args, keys: Sequence[str]) -> None:
+    """Set each flag left unset from the --config file, whose keys must be this command's."""
+    if not args.config:
+        return
+    lines = Path(args.config).read_text().splitlines()
+    items = [(f"{args.config}:{ln}: ", raw) for ln, raw in enumerate(lines, start=1)
+             if raw.strip() and not raw.strip().startswith("#")]
+    flags = vars(args)
+    for key, value in _read_pairs(items, keys).items():
+        if flags[key.replace("-", "_")] is None:
+            flags[key.replace("-", "_")] = value
 
 
-def _merged_run_value(args, config: dict[str, str], key: str):
-    value = getattr(args, key, None)
-    return value if value is not None else config.get(key)
+def _options(args) -> dict[str, str]:
+    """The search options set by a flag or by the config file."""
+    values = {key: getattr(args, key.replace("-", "_")) for key in bench_io.OPTION_KEYS}
+    return {key: value for key, value in values.items() if value is not None}
 
 
-def _stop_limits(args, config) -> tuple[Optional[float], Optional[int]]:
-    raw_time = _merged_run_value(args, config, "time")
-    raw_iters = _merged_run_value(args, config, "iters")
-    time_limit = float_option("time", raw_time) if raw_time is not None else None
-    iteration_limit = int_option("iters", raw_iters) if raw_iters is not None else None
+def _stop_limits(args) -> tuple[Optional[float], Optional[int]]:
+    time_limit = float_option("time", args.time) if args.time is not None else None
+    iteration_limit = int_option("iters", args.iters) if args.iters is not None else None
     if time_limit is None and iteration_limit is None:
         raise OptionError("need a stopping rule: --time and/or --iters")
     return time_limit, iteration_limit
 
 
 def _cmd_solve(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    options = _merged_options(args, config)
-    time_limit, iteration_limit = _stop_limits(args, config)
-    raw_seed = _merged_run_value(args, config, "seed")
-    seed = int_option("seed", raw_seed) if raw_seed is not None else 1
+    _fill_from_config(args, _SOLVE_KEYS)
+    time_limit, iteration_limit = _stop_limits(args)
+    seed = int_option("seed", args.seed) if args.seed is not None else 1
 
     instance = bench_io.load_instance(args.instance, args.problem)
-    cfg = bench_io.build_run_config(args.problem, options, seed, time_limit, iteration_limit)
+    cfg = bench_io.build_run_config(args.problem, _options(args), seed, time_limit, iteration_limit)
 
     report = run(instance, cfg)
     stem = Path(args.instance).stem
@@ -164,31 +166,18 @@ def _cmd_validate(args) -> int:
 
 
 def _parse_method_spec(spec: str) -> dict[str, str]:
-    parts = spec.split(":")
-    variant = parts[0].strip()
-    if not variant:
-        raise OptionError(f"empty variant in method spec {spec!r}")
-    opts = {"variant": variant}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise OptionError(f"method option {part!r} must be key=value (in {spec!r})")
-        key, value = part.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key == "variant" or key not in bench_io.OPTION_KEYS:
-            raise OptionError(f"unknown method option {key!r} (in {spec!r})")
-        opts[key] = value
-    return opts
+    variant, colon, rest = spec.partition(":")
+    if not variant.strip():
+        raise OptionError("empty variant")
+    # split only at a ':' that starts a new key=value part, so a value keeps its own ':'
+    parts = re.split(r":(?=[^:=]*=)", rest) if colon else []
+    return {"variant": variant.strip(), **_read_pairs((("", part) for part in parts), _SPEC_KEYS)}
 
 
 def _cmd_bench(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    baseline = _merged_options(args, config)
-    time_limit, iteration_limit = _stop_limits(args, config)
-
-    raw_seeds = _merged_run_value(args, config, "seeds")
-    seeds = [int_option("seeds", s) for s in str(raw_seeds).split(",")] if raw_seeds is not None else [1]
-    if len(set(seeds)) != len(seeds):
-        raise OptionError("duplicate seeds")
+    _fill_from_config(args, _BENCH_KEYS)
+    time_limit, iteration_limit = _stop_limits(args)
+    seeds = bench_io.seed_list(args.seeds) if args.seeds is not None else [1]
     jobs = int_option("jobs", args.jobs) if args.jobs is not None else 1
     if jobs < 1:
         raise OptionError("jobs must be >= 1")
@@ -198,9 +187,8 @@ def _cmd_bench(args) -> int:
         raise OptionError("duplicate method specs")
     methods = []
     for spec in labels:
-        merged = dict(baseline)
-        merged.update(_parse_method_spec(spec))
         try:  # validate now so a bad spec fails before any cell runs
+            merged = {**_options(args), **_parse_method_spec(spec)}
             bench_io.build_run_config(args.problem, merged, seeds[0], time_limit, iteration_limit)
         except OptionError as exc:
             raise OptionError(f"method {spec!r}: {exc}") from None

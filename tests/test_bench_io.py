@@ -392,6 +392,14 @@ def test_load_instance_prefixes_the_path(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_instance(bad, "lop")
     assert str(bad) in str(exc.value)
+    edges = tmp_path / "broken.el"
+    edges.write_text("3 1\n1 4 5\n")
+    with pytest.raises(ParseError) as exc:
+        load_instance(edges, "maxcut")
+    with pytest.raises(ParseError) as direct:
+        parse_edge_list(edges.read_text())
+    assert (exc.value.line, exc.value.col) == (direct.value.line, direct.value.col) == (2, 3)
+    assert str(exc.value) == f"{edges}: {direct.value}"
     with pytest.raises(ValueError, match="unknown problem"):
         load_instance(bad, "tsp")
 

@@ -66,16 +66,13 @@ def test_solve_writes_solution_file(lop_path, k3_path, tmp_path, capsys):
     assert len(bits) == 3 and set(bits) <= {"0", "1"}
 
 
-def test_profile_subcommand_requires_target(k3_path, tmp_path, capsys):
-    code = main(["profile", "--problem", "maxcut", "--instance", k3_path, "--iters", "5"])
-    capsys.readouterr()
-    assert code == 64
+def test_solve_profile_writes_trajectory(k3_path, tmp_path, capsys):
     prof = tmp_path / "prof.csv"
-    code = main(
-        ["profile", "--problem", "maxcut", "--instance", k3_path, "--iters", "5",
-         "--profile", str(prof)]
-    )
-    out = capsys.readouterr().out
+    args = ["--problem", "maxcut", "--instance", k3_path, "--iters", "5", "--profile", str(prof)]
+    assert main(["profile", *args]) == 64  # no such subcommand
+    capsys.readouterr()
+    assert not prof.exists()
+    code, out, _ = _solve(args, capsys)
     assert code == 0
     lines = prof.read_text().splitlines()
     assert lines[0] == "elapsed_s,objective"
@@ -194,6 +191,54 @@ def test_config_file_rejects_unknown_keys(lop_path, tmp_path, capsys):
         ["--problem", "lop", "--instance", lop_path, "--iters", "1", "--config", str(config)], capsys
     )
     assert code == 64 and "key=value" in err
+
+
+def test_config_file_holds_only_its_own_commands_keys(lop_path, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seeds = 5,6\n")
+    code, _, err = _solve(
+        ["--problem", "lop", "--instance", lop_path, "--iters", "1", "--config", str(config)], capsys
+    )
+    assert code == 64 and "unknown key 'seeds'" in err
+    config.write_text("seed = 5\n")
+    code = main([
+        "bench", "--problem", "lop", "--instances", str(_write_bench_dir(tmp_path)), "--method", "grasp",
+        "--iters", "1", "--config", str(config), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 64 and "unknown key 'seed'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_keys_exit_64(lop_path, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("iters = 3\niters = 7\n")
+    code, _, err = _solve(["--problem", "lop", "--instance", lop_path, "--config", str(config)], capsys)
+    assert code == 64 and "repeated key 'iters'" in err
+    code = main([
+        "bench", "--problem", "lop", "--instances", str(_write_bench_dir(tmp_path)),
+        "--method", "grasp:elite-k=2:elite-k=3", "--iters", "1", "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 64 and "repeated key 'elite-k'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_method_spec_value_may_hold_colons(tmp_path, capsys):
+    inst_dir = _write_bench_dir(tmp_path)
+    base = ["bench", "--problem", "lop", "--instances", str(inst_dir), "--seeds", "1,2", "--iters", "4"]
+    runs = {
+        "spec": ["--method", "dynamic_pr:inpath-ls=every:3"],
+        "flag": ["--inpath-ls", "every:3", "--method", "dynamic_pr"],
+    }
+    results = {}
+    for name, extra in runs.items():
+        assert main([*base, *extra, "--out", str(tmp_path / name)]) == 0, name
+        rows = [line.split(",") for line in (tmp_path / name / "results.csv").read_text().splitlines()[1:]]
+        results[name] = sorted((r[1], r[2], r[3], r[4]) for r in rows)  # instance, seed, best, iterations
+    capsys.readouterr()
+    assert len(results["spec"]) == 2 * 2
+    assert results["spec"] == results["flag"]
 
 
 def _write_bench_dir(tmp_path):
