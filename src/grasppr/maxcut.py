@@ -2,18 +2,29 @@
 
 Weights may be negative. The neighbourhood transfers one vertex across the
 cut, as does each relinking step; flip gains are kept in a GainTable so a
-transfer costs O(degree). Each instance caches the GainTable of the last
-partition it scanned, keyed by a private copy of its bits, so consecutive
-passes of a descent and consecutive relinking steps reuse it. A partition that
-differs from the cached one in a few vertices (say, a relinking step after an
-in-path local search) patches it flip by flip instead of rebuilding it in O(m).
+transfer costs O(degree). A GainTable also keeps pos, the vertices of
+positive gain, and a local-search pass picks from pos, so a pass next to a
+local optimum costs O(len(pos)), not O(n).
+
+Each instance caches a few GainTables, most recently used first, each over a
+private copy of its bits; a call uses the table whose bits equal its
+solution's. A table's owner is the solution whose moves apply_move applies
+to it in place (held weakly, so the cache pins no caller's solution). A move
+on another live solution with the same bits forks the table (O(n) copies,
+no O(m) rebuild), so a walk head, the copy an in-path search descends from
+it and the other head of a mixed walk each keep their own table. A solution
+that matches no table patches the most recent one flip by flip, or rebuilds
+one in O(m) when more than half of the vertices differ. The bits comparison
+is the only test of validity, so flipping bits by hand is safe.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from bisect import bisect_left, insort
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
@@ -23,20 +34,29 @@ from .local_search import Move
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
 # must not allocate an adjacency list per claimed vertex
 MAX_VERTICES = 2**20
-# a gain cache that differs from the asked-for partition in at most this
-# fraction of the vertices is patched flip by flip instead of rebuilt: on
-# n = 800 random (degree 8) and torus (degree 4) graphs a patch costs about
-# as much as a rebuild when 40-50 % of the vertices differ, and twice as much
-# when all do
+# a gain table that differs from the asked-for partition in at most this
+# fraction of the vertices is patched flip by flip instead of rebuilt. On
+# n = 800 random (degree 8) and torus (degree 4) graphs, with apply_flip
+# keeping the positive-gain set, a patch costs as much as a rebuild when
+# ~40 % of the vertices differ, and 1.2-1.3x one at 50 % (medians of 40,
+# random partitions). The limit stays at a half: in a seed-1 maxcut-dynpr
+# pass, 10 of 24 cache misses differ in 40-50 % of the vertices, and each
+# patch there costs at most ~0.2 ms more than the O(m) rebuild it saves
 _PATCH_FRACTION = 0.5
+# cached gain tables per instance: two walk heads and an in-path search copy of each
+_TABLES = 4
 
 
 class GainTable:
-    """gain[v] = cut change if v switched sides, kept exact across flips."""
+    """gain[v] = cut change if v switched sides, kept exact across flips.
+
+    pos is the set of vertices with a positive gain: the improving transfers.
+    """
 
     def __init__(self, inst: "MaxCutInstance", solution: PartitionSolution):
         self.inst = inst
         self.solution = solution
+        self.owner = None
         bits = solution.bits
         self.gain = [0] * inst.n
         for v in range(inst.n):
@@ -44,22 +64,52 @@ class GainTable:
             for u, w in inst.adj[v]:
                 g += w if bits[u] == bits[v] else -w
             self.gain[v] = g
+        self.pos = set(compress(range(inst.n), map((0).__lt__, self.gain)))
+
+    @property
+    def owner(self) -> Optional[PartitionSolution]:
+        """The solution object whose moves the instance's cache applies to this
+        table in place (see MaxCutInstance._gain_table); None until a move
+        claims it, and again once that solution is gone."""
+        return None if self._owner is None else self._owner()
+
+    @owner.setter
+    def owner(self, solution: Optional[PartitionSolution]) -> None:
+        self._owner = None if solution is None else weakref.ref(solution)
+
+    def fork(self, owner: Optional[PartitionSolution]) -> "GainTable":
+        """A copy of this table for owner, in O(n) list copies: no O(m) rebuild."""
+        twin = object.__new__(GainTable)
+        twin.inst = self.inst
+        twin.solution = PartitionSolution(list(self.solution.bits))
+        twin.owner = owner
+        twin.gain = list(self.gain)
+        twin.pos = set(self.pos)
+        return twin
 
     def apply_flip(self, v: int) -> int:
         """Flip v in place; returns the objective delta. O(degree(v))."""
-        d = self.gain[v]
+        gain, pos = self.gain, self.pos
+        d = gain[v]
         bits = self.solution.bits
         old_side = bits[v]
         bits[v] ^= 1
         if self.solution.cached_objective is not None:
             self.solution.cached_objective += d
-        self.gain[v] = -d
+        gain[v] = -d
+        if d > 0:
+            pos.discard(v)
+        elif d < 0:
+            pos.add(v)
         for u, w in self.inst.adj[v]:
             # neighbors previously on v's side lose 2w of gain, others regain it
-            if bits[u] == old_side:
-                self.gain[u] -= 2 * w
-            else:
-                self.gain[u] += 2 * w
+            was = gain[u]
+            g = gain[u] = was - 2 * w if bits[u] == old_side else was + 2 * w
+            if g > 0:
+                if was <= 0:
+                    pos.add(u)
+            elif was > 0:
+                pos.discard(u)
         return d
 
 
@@ -162,9 +212,9 @@ class MaxCutInstance(ProblemInstance):
             adj[i].append((j, w))
             adj[j].append((i, w))
         self.adj = tuple(tuple(a) for a in adj)
-        # gains of the partition in _gains.solution.bits (a private copy); valid
-        # for any solution with equal bits, patched or rebuilt when they differ
-        self._gains: Optional[GainTable] = None
+        # gain tables, most recently used first, each over a private copy of
+        # its bits; see _gain_table
+        self._tables: list[GainTable] = []
         self._seed: Optional[int] = None  # see _seed_vertex
 
     def _seed_vertex(self) -> int:
@@ -188,38 +238,67 @@ class MaxCutInstance(ProblemInstance):
     def new_construction(self) -> _MaxCutBuilder:
         return _MaxCutBuilder(self)
 
-    def _gain_table(self, solution: PartitionSolution) -> GainTable:
-        table = self._gains
-        if table is not None and table.solution.bits != solution.bits:
-            diff = [v for v, (a, b) in enumerate(zip(table.solution.bits, solution.bits)) if a != b]
-            if len(diff) <= self.n * _PATCH_FRACTION:
-                for v in diff:
-                    table.apply_flip(v)  # O(degree) each; gains are exact, so equal to a rebuild
-            else:
-                table = None
-        if table is None:
-            table = self._gains = GainTable(self, PartitionSolution(list(solution.bits)))
+    def _matching_table(self, solution: PartitionSolution) -> Optional[GainTable]:
+        """The cached table whose bits equal solution's, moved to the front; None if none does."""
+        tables = self._tables
+        bits = solution.bits
+        for i, table in enumerate(tables):
+            if table.solution.bits == bits:
+                if i:
+                    tables.insert(0, tables.pop(i))
+                return table
+        return None
+
+    def _cache(self, table: GainTable) -> GainTable:
+        self._tables.insert(0, table)
+        del self._tables[_TABLES:]
         return table
 
+    def _gain_table(self, solution: PartitionSolution) -> GainTable:
+        """A table whose bits equal solution's: a cached one if any, else the
+        most recent table patched across the differing vertices (forked first
+        if another solution owns it), else a rebuild."""
+        table = self._matching_table(solution)
+        if table is not None:
+            return table
+        if self._tables:
+            base = self._tables[0]
+            diff = list(compress(range(self.n), map(ne, base.solution.bits, solution.bits)))
+            if len(diff) <= self.n * _PATCH_FRACTION:
+                owner = base.owner
+                if owner is not None and owner is not solution:
+                    base = self._cache(base.fork(None))  # base stays valid for its owner
+                for v in diff:
+                    base.apply_flip(v)  # O(degree) each; gains are exact, so equal to a rebuild
+                return base
+        return self._cache(GainTable(self, PartitionSolution(list(solution.bits))))
+
     def moves(self, solution: PartitionSolution, offset: int, pick: str) -> Iterator[Move]:
-        gains = self._gain_table(solution).gain
+        table = self._gain_table(solution)
+        gains, pos = table.gain, table.pos
+        if not pos:
+            return
         if pick == BEST_MOVE:
-            best = max(gains)
-            if best > 0:
-                yield Move("transfer", gains.index(best), None, None, best)
+            best = max(map(gains.__getitem__, pos))
+            v = min(compress(pos, map(best.__eq__, map(gains.__getitem__, pos))))
         else:
-            improving = [g > 0 for g in gains[offset:] + gains[:offset]]
-            if True in improving:
-                v = (offset + improving.index(True)) % self.n
-                yield Move("transfer", v, None, None, gains[v])
+            v = min(compress(pos, map(offset.__le__, pos)), default=None)  # first at or after offset
+            if v is None:
+                v = min(pos)  # the scan wrapped around
+        yield Move("transfer", v, None, None, gains[v])
 
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:
         if move.kind != "transfer":
             raise ValueError(f"not a partition move: {move.kind}")
-        table = self._gains
-        in_sync = table is not None and table.solution.bits == solution.bits
+        table = self._matching_table(solution)
+        if table is not None:
+            owner = table.owner
+            if owner is None:
+                table.owner = solution
+            elif owner is not solution:
+                table = self._cache(table.fork(solution))  # the old table stays valid for its owner
         solution.bits[move.element] ^= 1
-        if in_sync:
+        if table is not None:
             table.apply_flip(move.element)  # O(degree) instead of a later O(m) rebuild
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta

@@ -375,3 +375,217 @@ def test_vertex_count_and_endpoints_are_ints():
 def test_edges_are_canonical():
     inst = MaxCutInstance(4, [(2, 0, 1), (3, 1, 2)])
     assert inst.edges == ((0, 2, 1), (1, 3, 2))
+
+
+def _positive(table):
+    return {v for v in range(len(table.gain)) if table.gain[v] > 0}
+
+
+def _pm1_or_signed(r, n, p, pm1):
+    return [(i, j, r.choice((-1, 1)) if pm1 else w) for i, j, w in oracles.rand_edges(r, n, p, -5, 10)]
+
+
+@pytest.mark.parametrize("pm1", [False, True], ids=["signed", "pm1"])
+def test_positive_gain_set_after_every_update(pm1):
+    # pos is exactly the set of positive gains after every apply_flip, patch,
+    # rebuild and fork, and the gains stay those of a fresh table
+    from grasppr.local_search import Move
+
+    r = oracles.make_rng(70 + pm1)
+    n = 40
+    inst = MaxCutInstance(n, _pm1_or_signed(r, n, 0.2, pm1))
+    sol = PartitionSolution(oracles.rand_bits(r, n))
+    evaluate(inst, sol)
+    table = GainTable(inst, PartitionSolution(list(sol.bits)))  # a rebuild
+    assert table.pos == _positive(table)
+    for _ in range(300):
+        table.apply_flip(r.randrange(n))
+        assert table.pos == _positive(table)
+    twin = table.fork(sol)
+    assert twin.pos == table.pos and twin.pos is not table.pos and twin.gain is not table.gain
+    assert twin.solution.bits == table.solution.bits and twin.solution.bits is not table.solution.bits
+    for _ in range(50):  # patched or rebuilt caches, then moves through them, then forks
+        for v in r.sample(range(n), r.randrange(1, n)):
+            sol.bits[v] ^= 1
+        evaluate(inst, sol)
+        cached = inst._gain_table(sol)
+        assert cached.pos == _positive(cached) and cached.gain == _fresh_gains(inst, sol)
+        mover = sol if r.random() < 0.5 else sol.copy()  # a copy forks the table sol owns
+        for _ in range(3):
+            v = r.randrange(n)
+            inst.apply_move(mover, Move("transfer", v, None, None, inst._gain_table(mover).gain[v]))
+            for t in inst._tables:
+                assert t.pos == _positive(t)
+                assert t.gain == _fresh_gains(inst, t.solution)
+
+
+@pytest.mark.parametrize("pm1", [False, True], ids=["signed", "pm1"])
+def test_picks_equal_reference_scan_at_every_pass(pm1):
+    # best_move and first_move at every offset equal the selection over the
+    # full reference scan at every pass of descents from random starts and
+    # from constructions; with +-1 weights, ties among the best do occur
+    from grasppr.construction import RclConfig, construct
+    from grasppr.core import RandomStream
+
+    r = oracles.make_rng(80 + pm1)
+    ties = set()  # was the best gain tied?
+    for trial in range(8):
+        n = r.randrange(20, 60)
+        inst = MaxCutInstance(n, _pm1_or_signed(r, n, 0.15, pm1))
+        if trial % 2:
+            sol = construct(inst, RclConfig(alpha_low=0.0, alpha_high=0.6), RandomStream(trial))
+        else:
+            sol = PartitionSolution(oracles.rand_bits(r, n))
+        evaluate(inst, sol)
+        while True:
+            best = inst.best_move(sol)
+            scan = oracles.all_moves(inst, sol)
+            assert best == oracles.best_move(scan), (n, sol.bits)
+            for offset in range(n):
+                assert inst.first_move(sol, offset) == oracles.first_move(oracles.all_moves(inst, sol, offset))
+            if best is None:
+                break
+            ties.add([m.delta for m in scan].count(best.delta) > 1)
+            inst.apply_move(sol, best if r.random() < 0.7 else inst.first_move(sol, r.randrange(n)))
+    assert ties == {True, False}
+
+
+def _count_cache_work(monkeypatch):
+    """Counts of GainTable builds, forks and flips applied to any table (moves and patches)."""
+    from grasppr import maxcut
+
+    counts = {"builds": 0, "flips": 0, "forks": 0}
+    init, apply_flip, fork = maxcut.GainTable.__init__, maxcut.GainTable.apply_flip, maxcut.GainTable.fork
+
+    def counting_init(self, inst, solution):
+        counts["builds"] += 1
+        init(self, inst, solution)
+
+    def counting_flip(self, v):
+        counts["flips"] += 1
+        return apply_flip(self, v)
+
+    def counting_fork(self, owner):
+        counts["forks"] += 1
+        return fork(self, owner)
+
+    monkeypatch.setattr(maxcut.GainTable, "__init__", counting_init)
+    monkeypatch.setattr(maxcut.GainTable, "apply_flip", counting_flip)
+    monkeypatch.setattr(maxcut.GainTable, "fork", counting_fork)
+    return counts
+
+
+@pytest.mark.parametrize("in_path", ["none", "all"])
+@pytest.mark.parametrize("direction", ["forward", "mixed"])
+def test_walk_heads_keep_their_gain_tables(monkeypatch, direction, in_path):
+    # after its first step, a head's ranked() call finds its own table: no
+    # rebuild and no patch, whether an in-path search (every step) or the
+    # other head of a mixed walk moved in between
+    from grasppr.core import RandomStream
+    from grasppr.local_search import SearchDepth, local_search
+    from grasppr.path_relinking import PrConfig, relink
+
+    counts = _count_cache_work(monkeypatch)
+    r = oracles.make_rng(100)
+    n = 120
+    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.05, -5, 10))
+    a, b = (PartitionSolution(oracles.rand_bits(r, n)) for _ in range(2))
+    for sol in (a, b):
+        evaluate(inst, sol)
+    new_walk = inst.new_walk
+    first_calls = set()
+    steady = []  # cache work done inside every later ranked() call
+
+    def spying_walk(x, y):
+        walk = new_walk(x, y)
+        ranked = walk.ranked
+
+        def spying_ranked(i, k):
+            before = dict(counts)
+            out = ranked(i, k)
+            if i in first_calls:
+                steady.append((counts["builds"] - before["builds"], counts["flips"] - before["flips"]))
+            first_calls.add(i)
+            fresh = _fresh_gains(inst, walk.heads[i])  # counted outside the call above
+            assert all(m.delta == fresh[m.element] for m in out)
+            return out
+
+        walk.ranked = spying_ranked
+        return walk
+
+    monkeypatch.setattr(inst, "new_walk", spying_walk)
+    cfg = PrConfig(direction=direction, in_path_ls=in_path, min_distance=1)
+
+    def ls(sol):
+        return local_search(inst, sol, SearchDepth.BEST_IMPROVING, RandomStream(1))
+
+    relink(inst, a, b, cfg, RandomStream(2), ls)
+    assert len(steady) > 40
+    assert set(steady) == {(0, 0)}
+    if in_path == "all":
+        assert counts["forks"] > 10  # the in-path searches moved copies of the heads
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["forward", "mixed"])
+def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
+    # a walk head owns its table and a copy of it, moved as an in-path search
+    # moves it, owns a fork; bits flipped by hand on either still give exact
+    # gains, picks and relinking deltas
+    from grasppr.local_search import Move
+
+    r = oracles.make_rng(110 + mixed)
+    n = 50
+    edges = oracles.rand_edges(r, n, 0.1, -5, 10)
+    inst = MaxCutInstance(n, edges)
+    a, b = (PartitionSolution(oracles.rand_bits(r, n)) for _ in range(2))
+    for sol in (a, b):
+        evaluate(inst, sol)
+    walk = inst.new_walk(a, b)
+    mover = 0
+    for step in range(30):
+        cur, other = walk.heads[mover], walk.heads[1 - mover]
+        steps = walk.ranked(mover, n)
+        if not steps:
+            break
+        assert [(m.element, m.delta) for m in steps] == oracles.top_relink_flips(edges, cur.bits, other.bits, n)
+        walk.take(mover, steps[0])
+        copy = cur.copy()
+        v = r.randrange(n)
+        inst.apply_move(copy, Move("transfer", v, None, None, inst._gain_table(copy).gain[v]))
+        assert inst._gain_table(copy).owner is copy and inst._gain_table(cur).owner is cur
+        owner = copy if step % 2 else cur
+        owner.bits[r.randrange(n)] ^= 1
+        evaluate(inst, owner)
+        walk.diff = _diff(a, b)
+        for sol in (cur, copy):
+            assert inst._gain_table(sol).gain == _fresh_gains(inst, sol)
+            assert inst.best_move(sol) == oracles.best_move(oracles.all_moves(inst, sol))
+        if mixed:
+            mover = 1 - mover
+    assert step > 10
+
+
+def test_gain_table_holds_its_owner_weakly():
+    # the cache pins no caller's solution: once its owner is gone, a table is
+    # unowned again and the next move on a solution with its bits claims it
+    import gc
+    import weakref
+
+    from grasppr.local_search import Move
+
+    r = oracles.make_rng(120)
+    n = 30
+    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, -5, 10))
+    sol = PartitionSolution(oracles.rand_bits(r, n))
+    evaluate(inst, sol)
+    inst.apply_move(sol, Move("transfer", 0, None, None, inst._gain_table(sol).gain[0]))
+    table = inst._gain_table(sol)
+    assert table.owner is sol
+    gone = weakref.ref(sol)
+    heir = sol.copy()
+    del sol
+    gc.collect()
+    assert gone() is None and table.owner is None
+    inst.apply_move(heir, Move("transfer", 1, None, None, table.gain[1]))
+    assert inst._gain_table(heir) is table and table.owner is heir
+    assert table.gain == _fresh_gains(inst, heir)
