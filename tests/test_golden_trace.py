@@ -14,8 +14,10 @@ step rule, truncation and in-path policy, on a LOP toy, a max-cut toy and a
 generated max-cut graph with n = 120. golden_trace_construct.json freezes
 semi-greedy LOP constructions alone (n = 2, 30 and 150, both RCL modes,
 collapsed and open alpha ranges), which the driver runs above start from a
-value RCL only. Regenerate all five (only for a named, justified behaviour
-change) with
+value RCL only; golden_trace_construct_maxcut.json does the same for max-cut
+(a random n = 800 graph, a 20x40 +-1 torus and a signed n = 120 graph on
+which the value RCL falls back). Regenerate all six (only for a named,
+justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
@@ -40,6 +42,7 @@ GOLDEN_LARGE = Path(__file__).resolve().parent / "golden_trace_large.json"
 GOLDEN_PATHS = Path(__file__).resolve().parent / "golden_trace_paths.json"
 GOLDEN_RELINK = Path(__file__).resolve().parent / "golden_trace_relink.json"
 GOLDEN_CONSTRUCT = Path(__file__).resolve().parent / "golden_trace_construct.json"
+GOLDEN_CONSTRUCT_MAXCUT = Path(__file__).resolve().parent / "golden_trace_construct_maxcut.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -224,6 +227,59 @@ def compute_construct_traces() -> dict:
     return traces
 
 
+def _construct_random_maxcut() -> MaxCutInstance:
+    # unit weights at 1 % density, like the maxcut-dynpr random graphs
+    r = random.Random(801)
+    n = 800
+    return MaxCutInstance(n, [(i, j, 1) for i in range(n) for j in range(i + 1, n) if r.random() < 0.01])
+
+
+def _construct_torus() -> MaxCutInstance:
+    # 20x40 toroidal grid with +-1 weights: large gain ties, and many steps with g_max = 0
+    r = random.Random(2040)
+    rows, cols = 20, 40
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            for u in (i * cols + (j + 1) % cols, ((i + 1) % rows) * cols + j):
+                edges.append((v, u, r.choice((-1, 1))))
+    return MaxCutInstance(rows * cols, edges)
+
+
+def _construct_signed_maxcut() -> MaxCutInstance:
+    # weights in [-5, 5]: late steps have g_max < 0, where the value RCL falls back to the argmax set
+    r = random.Random(121)
+    n = 120
+    return MaxCutInstance(n, [(i, j, r.randint(-5, 5)) for i in range(n) for j in range(i + 1, n) if r.random() < 0.1])
+
+
+CONSTRUCT_MAXCUT_INSTANCES = (
+    ("n800", _construct_random_maxcut),
+    ("torus20x40", _construct_torus),
+    ("n120-signed", _construct_signed_maxcut),
+)
+
+
+def compute_construct_maxcut_traces() -> dict:
+    traces = {}
+    for name, make in CONSTRUCT_MAXCUT_INSTANCES:
+        instance = make()
+        for mode in (VALUE, CARDINALITY):
+            for low, high in CONSTRUCT_ALPHAS:
+                cfg = RclConfig(mode=mode, alpha_low=low, alpha_high=high)
+                for seed in CONSTRUCT_SEEDS:
+                    rng = RandomStream(seed)
+                    sols = [construct(instance, cfg, rng) for _ in range(CONSTRUCTIONS)]
+                    bits = "|".join(map(bench_io.serialize_solution, sols))
+                    traces[f"{name}/{mode}/{low}-{high}/{seed}"] = {
+                        "objectives": [sol.cached_objective for sol in sols],
+                        "bits_sha256": hashlib.sha256(bits.encode()).hexdigest(),
+                        "rng_after": rng.randrange(2**31),  # the draws the constructions consumed
+                    }
+    return traces
+
+
 def test_golden_traces_reproduce():
     expected = json.loads(GOLDEN.read_text())
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
@@ -277,6 +333,21 @@ def test_construct_golden_traces_reproduce():
     assert not mismatched, f"{len(mismatched)} construction run(s) diverged, first: {mismatched[0]}"
 
 
+def test_construct_maxcut_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_CONSTRUCT_MAXCUT.read_text())
+    # the signed graph reaches g_max < 0 under greedy steps, so the value fallback is frozen too
+    builder = _construct_signed_maxcut().new_construction()
+    negative_max = 0
+    while not builder.complete:
+        negative_max += max(builder.buckets) < 0
+        builder.add(builder.rcl(VALUE, 0.0)[0])
+    assert negative_max
+    actual = compute_construct_maxcut_traces()
+    assert sorted(actual) == sorted(expected)
+    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not mismatched, f"{len(mismatched)} max-cut construction run(s) diverged, first: {mismatched[0]}"
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -293,3 +364,6 @@ if __name__ == "__main__":
     constructs = compute_construct_traces()
     GOLDEN_CONSTRUCT.write_text(json.dumps(constructs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(constructs)} construction runs to {GOLDEN_CONSTRUCT}")
+    maxcut_constructs = compute_construct_maxcut_traces()
+    GOLDEN_CONSTRUCT_MAXCUT.write_text(json.dumps(maxcut_constructs, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(maxcut_constructs)} max-cut construction runs to {GOLDEN_CONSTRUCT_MAXCUT}")
