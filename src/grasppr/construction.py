@@ -74,9 +74,12 @@ def rcl_from_columns(keys: Sequence, gains: Sequence[int], mode: str, alpha: flo
 def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: float) -> list:
     """rcl_from_columns over candidates kept as {gain: keys sorted ascending}.
 
-    size is the number of keys in all buckets. Only the buckets the RCL
-    takes are read, so a step costs about the size of the RCL rather than
-    that of the candidate list.
+    size is the number of keys in all buckets. A value step costs about the
+    number of buckets when one bucket passes the threshold (or the g_max < 0
+    fallback takes the top bucket): that bucket is the RCL, returned as is,
+    without a copy. Only a step that takes several buckets merges their keys.
+    The returned list may therefore be the caller's own bucket: read it
+    before the buckets change again, and never mutate it.
     """
     if not buckets:
         raise ConstructionError("empty candidate list")
@@ -85,8 +88,10 @@ def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: floa
         return [buckets[g_max][0]]
     if mode == VALUE:
         threshold = _value_threshold(g_max, alpha)
-        taken = [keys for g, keys in buckets.items() if g >= threshold] or [buckets[g_max]]
-        return sorted(chain.from_iterable(taken))
+        taken = [keys for g, keys in buckets.items() if g >= threshold]
+        if len(taken) > 1:
+            return sorted(chain.from_iterable(taken))
+        return taken[0] if taken else buckets[g_max]
     p_max = _cardinality_cut(size, alpha)
     out: list = []
     for g in sorted(buckets, reverse=True):

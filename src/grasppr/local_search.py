@@ -41,13 +41,17 @@ def local_search(
     scan order) and consumes no rng. First-improving applies the first
     improving move per scan; for problems that declare
     randomized_first_improving a fresh scan offset is drawn each pass so the
-    scan is not biased toward low vertex ids.
+    scan is not biased toward low vertex ids. A move that does not improve
+    raises RuntimeError: the instance's kernel is wrong, and applying the
+    move could cycle forever.
     """
     sol = start.copy()
     if sol.cached_objective is None:
         evaluate(instance, sol)
     if depth is SearchDepth.BEST_IMPROVING:
         while (move := instance.best_move(sol)) is not None:
+            if move.delta <= 0:
+                raise RuntimeError(f"best_move returned a non-improving move: {move}")
             instance.apply_move(sol, move)
         return sol
     while True:
@@ -55,4 +59,6 @@ def local_search(
         move = instance.first_move(sol, offset)
         if move is None:
             return sol
+        if move.delta <= 0:
+            raise RuntimeError(f"first_move returned a non-improving move: {move}")
         instance.apply_move(sol, move)

@@ -137,33 +137,35 @@ class _MaxCutBuilder:
         return self.count == self.inst.n
 
     def rcl(self, mode: str, alpha: float) -> list[int]:
+        """This step's RCL; it may be one of the builder's buckets, so read it before the next add."""
         return rcl_from_buckets(self.buckets, 2 * (self.inst.n - self.count), mode, alpha)
-
-    def _move_key(self, key: int, new: Optional[int]) -> None:
-        # take key out of its bucket and, unless new is None, into bucket new
-        g = self.gain[key]
-        keys = self.buckets[g]
-        del keys[bisect_left(keys, key)]
-        if not keys:
-            del self.buckets[g]
-        if new is not None:
-            self.gain[key] = new
-            insort(self.buckets.setdefault(new, []), key)
 
     def add(self, key: int) -> None:
         v, side = divmod(key, 2)
-        if self.assigned[v] is not None:
+        assigned, gain, buckets = self.assigned, self.gain, self.buckets
+        if assigned[v] is not None:
             raise ValueError(f"vertex {v} already assigned")
-        self.objective += self.gain[key]
-        self.assigned[v] = side
+        self.objective += gain[key]
+        assigned[v] = side
         self.count += 1
-        self._move_key(2 * v, None)
-        self._move_key(2 * v + 1, None)
+        for k in (2 * v, 2 * v + 1):  # both of v's keys leave the candidate list
+            g = gain[k]
+            keys = buckets[g]
+            del keys[bisect_left(keys, k)]
+            if not keys:
+                del buckets[g]
         other = 1 - side
         for u, w in self.inst.adj[v]:
-            if self.assigned[u] is None:
+            if assigned[u] is None:  # key k moves from bucket g to bucket g + w
                 k = 2 * u + other
-                self._move_key(k, self.gain[k] + w)
+                g = gain[k]
+                keys = buckets[g]
+                del keys[bisect_left(keys, k)]
+                if not keys:
+                    del buckets[g]
+                g += w
+                gain[k] = g
+                insort(buckets.setdefault(g, []), k)
 
     def build(self) -> PartitionSolution:
         return PartitionSolution([s if s is not None else 0 for s in self.assigned], self.objective)

@@ -198,6 +198,32 @@ def test_builder_rcl_matches_reference_selection():
     assert all(negative_max.values())
 
 
+def test_maxcut_value_rcl_bucket_and_merge_steps_match_reference():
+    # a value step that one bucket passes returns that bucket itself (no copy);
+    # a step that several pass merges them. On signed mid-size graphs both
+    # occur, and the g_max < 0 fallback too; every step equals the reference
+    r = oracles.make_rng(45)
+    rng = RandomStream(45)
+    alphas = (0.3, 0.5, 1.0)
+    steps = {"bucket": 0, "merged": 0, "fallback": 0}
+    for n, p in ((60, 0.2), (80, 0.15), (100, 0.1)):
+        inst = MaxCutInstance(n, oracles.rand_edges(r, n, p, -5, 5))
+        for construction in range(2):
+            builder = inst.new_construction()
+            while not builder.complete:
+                entries = _maxcut_entries(inst, builder.assigned)
+                for alpha in alphas:
+                    for mode in (VALUE, CARDINALITY):
+                        assert builder.rcl(mode, alpha) == oracles.rcl_from_entries(entries, mode, alpha), (n, mode, alpha)
+                    rcl = builder.rcl(VALUE, alpha)
+                    if any(rcl is keys for keys in builder.buckets.values()):
+                        steps["fallback" if max(builder.buckets) < 0 else "bucket"] += 1
+                    else:
+                        steps["merged"] += 1
+                builder.add(rng.pick(builder.rcl(VALUE, alphas[construction])))
+    assert all(steps.values()), steps
+
+
 def test_rcl_from_buckets_matches_rcl_from_entries():
     r = oracles.make_rng(44)
     for size in (1, 2, 3, 8, 40):

@@ -189,3 +189,29 @@ def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     assert passes == events.count("apply") + 1 >= 2
     assert events == ["open", "close", "apply"] * (passes - 1) + ["open", "close"]
 
+
+class _NonImprovingK3(MaxCutInstance):
+    """K3 whose kernels always offer a zero-delta flip of vertex 0, as a stale gain cache would."""
+
+    def __init__(self):
+        super().__init__(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+        self.asked = 0
+
+    def _stale(self):
+        self.asked += 1
+        assert self.asked <= 5, "local_search kept applying a non-improving move"
+        return Move("transfer", 0, delta=0)
+
+    def best_move(self, solution):
+        return self._stale()
+
+    def first_move(self, solution, offset):
+        return self._stale()
+
+
+@pytest.mark.parametrize("depth", list(SearchDepth))
+def test_non_improving_move_raises_instead_of_looping(depth):
+    inst = _NonImprovingK3()
+    with pytest.raises(RuntimeError, match="non-improving move"):
+        local_search(inst, PartitionSolution([0, 1, 1]), depth, RandomStream(1))
+    assert inst.asked == 1
