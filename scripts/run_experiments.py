@@ -8,6 +8,7 @@ experiment 7 is wall-clock-based by design.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 from grasppr import bench_io, drivers, load_instance
@@ -125,14 +126,6 @@ def main():
     ap.add_argument("--profile-time", type=float, default=2.0,
                     help="seconds per experiment-7 run (default 2.0)")
     ap.add_argument("--out", default=str(ROOT / "results"), help="output root (default results/)")
-    ap.add_argument("--only", help="run a single experiment: 1..7")
-    args = ap.parse_args()
-    try:
-        args.seeds = bench_io.seed_list(args.seeds)
-    except bench_io.OptionError as exc:
-        ap.error(str(exc))
-
-    out_root = Path(args.out)
     steps = {
         "1": exp1_construction,
         "2": exp2_local_search,
@@ -142,6 +135,21 @@ def main():
         "6": exp6_strategy,
         "7": exp7_profiles,
     }
+    ap.add_argument("--only", choices=sorted(steps), help="run a single experiment: 1..7")
+    args = ap.parse_args()
+    # checked here, so a bad value is a usage error before any cell runs
+    if args.iters < 1:
+        ap.error(f"--iters must be >= 1, got {args.iters}")
+    if args.jobs < 1:
+        ap.error(f"--jobs must be >= 1, got {args.jobs}")
+    if not (args.profile_time > 0 and math.isfinite(args.profile_time)):
+        ap.error(f"--profile-time must be finite and > 0, got {args.profile_time}")
+    try:
+        args.seeds = bench_io.seed_list(args.seeds)
+    except bench_io.OptionError as exc:
+        ap.error(str(exc))
+
+    out_root = Path(args.out)
     chosen = [args.only] if args.only else sorted(steps)
     for key in chosen:
         steps[key](args, out_root)

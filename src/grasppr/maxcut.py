@@ -7,15 +7,14 @@ positive gain, and a local-search pass picks from pos, so a pass next to a
 local optimum costs O(len(pos)), not O(n).
 
 Each instance caches a few GainTables, most recently used first, each over a
-private copy of its bits; a call uses the table whose bits equal its
-solution's. A table's owner is the solution whose moves apply_move applies
-to it in place (held weakly, so the cache pins no caller's solution). A move
-on another live solution with the same bits forks the table (O(n) copies,
-no O(m) rebuild), so a walk head, the copy an in-path search descends from
-it and the other head of a mixed walk each keep their own table. A solution
-that matches no table patches the most recent one flip by flip, or rebuilds
-one in O(m) when more than half of the vertices differ. The bits comparison
-is the only test of validity, so flipping bits by hand is safe.
+private copy of its bits. A lookup has two outcomes: the table whose bits
+equal the asking solution's, or a fresh O(m) build that the asking solution
+owns. A table's owner is the solution whose moves apply_move applies to it
+in place (held weakly, so the cache pins no caller's solution). A move by any
+other solution with the same bits forks the table (O(n) copies, no O(m)
+rebuild), so a walk head, the copy an in-path search descends from it and the
+other head of a mixed walk each keep their own table. The bits comparison is
+the only test of validity, so flipping bits by hand is safe.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import heapq
 import weakref
 from bisect import bisect_left, insort
 from itertools import chain, compress
-from operator import ne
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
@@ -34,15 +32,6 @@ from .local_search import Move
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
 # must not allocate an adjacency list per claimed vertex
 MAX_VERTICES = 2**20
-# a gain table that differs from the asked-for partition in at most this
-# fraction of the vertices is patched flip by flip instead of rebuilt. On
-# n = 800 random (degree 8) and torus (degree 4) graphs, with apply_flip
-# keeping the positive-gain set, a patch costs as much as a rebuild when
-# ~40 % of the vertices differ, and 1.2-1.3x one at 50 % (medians of 40,
-# random partitions). The limit stays at a half: in a seed-1 maxcut-dynpr
-# pass, 10 of 24 cache misses differ in 40-50 % of the vertices, and each
-# patch there costs at most ~0.2 ms more than the O(m) rebuild it saves
-_PATCH_FRACTION = 0.5
 # cached gain tables per instance: two walk heads and an in-path search copy of each
 _TABLES = 4
 
@@ -69,15 +58,15 @@ class GainTable:
     @property
     def owner(self) -> Optional[PartitionSolution]:
         """The solution object whose moves the instance's cache applies to this
-        table in place (see MaxCutInstance._gain_table); None until a move
-        claims it, and again once that solution is gone."""
+        table in place: the solution the cache built or forked it for (see
+        MaxCutInstance._gain_table); None once that solution is gone."""
         return None if self._owner is None else self._owner()
 
     @owner.setter
     def owner(self, solution: Optional[PartitionSolution]) -> None:
         self._owner = None if solution is None else weakref.ref(solution)
 
-    def fork(self, owner: Optional[PartitionSolution]) -> "GainTable":
+    def fork(self, owner: PartitionSolution) -> "GainTable":
         """A copy of this table for owner, in O(n) list copies: no O(m) rebuild."""
         twin = object.__new__(GainTable)
         twin.inst = self.inst
@@ -257,23 +246,12 @@ class MaxCutInstance(ProblemInstance):
         return table
 
     def _gain_table(self, solution: PartitionSolution) -> GainTable:
-        """A table whose bits equal solution's: a cached one if any, else the
-        most recent table patched across the differing vertices (forked first
-        if another solution owns it), else a rebuild."""
+        """The cached table whose bits equal solution's, else a fresh one that solution owns."""
         table = self._matching_table(solution)
-        if table is not None:
-            return table
-        if self._tables:
-            base = self._tables[0]
-            diff = list(compress(range(self.n), map(ne, base.solution.bits, solution.bits)))
-            if len(diff) <= self.n * _PATCH_FRACTION:
-                owner = base.owner
-                if owner is not None and owner is not solution:
-                    base = self._cache(base.fork(None))  # base stays valid for its owner
-                for v in diff:
-                    base.apply_flip(v)  # O(degree) each; gains are exact, so equal to a rebuild
-                return base
-        return self._cache(GainTable(self, PartitionSolution(list(solution.bits))))
+        if table is None:
+            table = self._cache(GainTable(self, PartitionSolution(list(solution.bits))))
+            table.owner = solution
+        return table
 
     def moves(self, solution: PartitionSolution, offset: int, pick: str) -> Iterator[Move]:
         table = self._gain_table(solution)
@@ -293,12 +271,8 @@ class MaxCutInstance(ProblemInstance):
         if move.kind != "transfer":
             raise ValueError(f"not a partition move: {move.kind}")
         table = self._matching_table(solution)
-        if table is not None:
-            owner = table.owner
-            if owner is None:
-                table.owner = solution
-            elif owner is not solution:
-                table = self._cache(table.fork(solution))  # the old table stays valid for its owner
+        if table is not None and table.owner is not solution:
+            table = self._cache(table.fork(solution))  # the old table stays valid for its owner
         solution.bits[move.element] ^= 1
         if table is not None:
             table.apply_flip(move.element)  # O(degree) instead of a later O(m) rebuild

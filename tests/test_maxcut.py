@@ -277,37 +277,35 @@ def test_walk_step_kernel_matches_reference(pm1, k):
     assert tied > 0  # the tie-breaks were exercised
 
 
-def test_gain_table_patched_or_rebuilt_equals_fresh(monkeypatch):
-    from grasppr import maxcut
+def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
+    # however many vertices differ from the cached tables, a miss makes exactly
+    # one build: exact gains over a private copy of the bits, owned by the
+    # asking solution, whose next move then applies to it in place
+    from grasppr.local_search import Move
 
-    builds = []
-    init = maxcut.GainTable.__init__
-
-    def counting_init(self, inst, solution):
-        builds.append(1)
-        init(self, inst, solution)
-
-    monkeypatch.setattr(maxcut.GainTable, "__init__", counting_init)
+    counts = _count_cache_work(monkeypatch)
     r = oracles.make_rng(61)
     n = 40
-    limit = int(n * maxcut._PATCH_FRACTION)
     for weights in ((-5, 10), (-1, 1)):
         inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, *weights))
-        for flips in (1, limit - 1, limit, limit + 1, 3 * n // 4, n):
+        for flips in (1, n // 4, n // 2, n // 2 + 1, n):
             first = PartitionSolution(oracles.rand_bits(r, n))
-            table = inst._gain_table(first)
+            inst._gain_table(first)
             second = first.copy()
             for v in r.sample(range(n), flips):
                 second.bits[v] ^= 1
             fresh = _fresh_gains(inst, second)
-            before = len(builds)
-            patched = inst._gain_table(second)
-            assert patched.gain == fresh
-            assert patched.solution.bits == second.bits and patched.solution.bits is not second.bits
-            if flips <= limit:
-                assert patched is table and len(builds) == before  # patched in place, not rebuilt
-            else:
-                assert len(builds) == before + 1
+            before = dict(counts)
+            table = inst._gain_table(second)
+            assert counts == {**before, "builds": before["builds"] + 1}
+            assert table.gain == fresh
+            assert table.solution.bits == second.bits and table.solution.bits is not second.bits
+            assert table.owner is second
+            v = r.randrange(n)
+            inst.apply_move(second, Move("transfer", v, None, None, table.gain[v]))
+            assert counts == {**before, "builds": before["builds"] + 1, "flips": before["flips"] + 1}
+            assert inst._gain_table(second) is table
+            assert table.gain == _fresh_gains(inst, second)
 
 
 def test_seed_vertex_computed_once_per_instance():
@@ -387,8 +385,8 @@ def _pm1_or_signed(r, n, p, pm1):
 
 @pytest.mark.parametrize("pm1", [False, True], ids=["signed", "pm1"])
 def test_positive_gain_set_after_every_update(pm1):
-    # pos is exactly the set of positive gains after every apply_flip, patch,
-    # rebuild and fork, and the gains stay those of a fresh table
+    # pos is exactly the set of positive gains after every apply_flip, build
+    # and fork, and the gains stay those of a fresh table
     from grasppr.local_search import Move
 
     r = oracles.make_rng(70 + pm1)
@@ -404,7 +402,7 @@ def test_positive_gain_set_after_every_update(pm1):
     twin = table.fork(sol)
     assert twin.pos == table.pos and twin.pos is not table.pos and twin.gain is not table.gain
     assert twin.solution.bits == table.solution.bits and twin.solution.bits is not table.solution.bits
-    for _ in range(50):  # patched or rebuilt caches, then moves through them, then forks
+    for _ in range(50):  # built caches, then moves through them, then forks
         for v in r.sample(range(n), r.randrange(1, n)):
             sol.bits[v] ^= 1
         evaluate(inst, sol)
@@ -451,7 +449,7 @@ def test_picks_equal_reference_scan_at_every_pass(pm1):
 
 
 def _count_cache_work(monkeypatch):
-    """Counts of GainTable builds, forks and flips applied to any table (moves and patches)."""
+    """Counts of GainTable builds, forks and flips applied to any table by moves."""
     from grasppr import maxcut
 
     counts = {"builds": 0, "flips": 0, "forks": 0}
@@ -479,8 +477,8 @@ def _count_cache_work(monkeypatch):
 @pytest.mark.parametrize("direction", ["forward", "mixed"])
 def test_walk_heads_keep_their_gain_tables(monkeypatch, direction, in_path):
     # after its first step, a head's ranked() call finds its own table: no
-    # rebuild and no patch, whether an in-path search (every step) or the
-    # other head of a mixed walk moved in between
+    # build and no flip, whether an in-path search (every step) or the other
+    # head of a mixed walk moved in between
     from grasppr.core import RandomStream
     from grasppr.local_search import SearchDepth, local_search
     from grasppr.path_relinking import PrConfig, relink
@@ -565,9 +563,10 @@ def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
     assert step > 10
 
 
-def test_gain_table_holds_its_owner_weakly():
-    # the cache pins no caller's solution: once its owner is gone, a table is
-    # unowned again and the next move on a solution with its bits claims it
+def test_gain_table_holds_its_owner_weakly(monkeypatch):
+    # the cache pins no caller's solution: once its owner is gone, a table has
+    # none, and a move by another solution with its bits forks it with exact
+    # gains and leaves the old table as it was
     import gc
     import weakref
 
@@ -575,10 +574,10 @@ def test_gain_table_holds_its_owner_weakly():
 
     r = oracles.make_rng(120)
     n = 30
-    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, -5, 10))
+    edges = oracles.rand_edges(r, n, 0.2, -5, 10)
+    inst = MaxCutInstance(n, edges)
     sol = PartitionSolution(oracles.rand_bits(r, n))
     evaluate(inst, sol)
-    inst.apply_move(sol, Move("transfer", 0, None, None, inst._gain_table(sol).gain[0]))
     table = inst._gain_table(sol)
     assert table.owner is sol
     gone = weakref.ref(sol)
@@ -586,6 +585,12 @@ def test_gain_table_holds_its_owner_weakly():
     del sol
     gc.collect()
     assert gone() is None and table.owner is None
+    old = (list(table.solution.bits), list(table.gain), set(table.pos))
+    counts = _count_cache_work(monkeypatch)
     inst.apply_move(heir, Move("transfer", 1, None, None, table.gain[1]))
-    assert inst._gain_table(heir) is table and table.owner is heir
-    assert table.gain == _fresh_gains(inst, heir)
+    assert counts == {"builds": 0, "flips": 1, "forks": 1}
+    twin = inst._gain_table(heir)
+    assert twin is not table and twin.owner is heir
+    assert twin.gain == _fresh_gains(inst, heir) and twin.pos == _positive(twin)
+    assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
+    assert (table.solution.bits, table.gain, table.pos) == old
