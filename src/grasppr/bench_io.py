@@ -257,11 +257,30 @@ def serialize_edge_list(instance: MaxCutInstance) -> str:
     return "\n".join(out) + "\n"
 
 
+def read_utf8(path: Union[str, Path]) -> str:
+    """The file's text decoded as UTF-8 whatever the locale, with universal
+    newlines; a byte that is not UTF-8 is a ParseError at its line and column."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _newlines(data[: exc.start].decode("utf-8"))
+        raise ParseError(
+            f"not UTF-8: byte 0x{data[exc.start]:02x}", head.count("\n") + 1, len(head) - head.rfind("\n")
+        ) from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    # the test first: replace() scans the whole text even when "\r" is absent
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_instance(path: Union[str, Path], problem: str) -> ProblemInstance:
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
-    text = Path(path).read_text()
     try:
+        text = read_utf8(path)
         return parse_lolib(text) if problem == LOP else parse_edge_list(text)
     except ParseError as exc:
         located = ParseError(f"{path}: {exc.args[0]}")
@@ -530,7 +549,8 @@ def run_grid(cells: Sequence[CellSpec], jobs: int = 1) -> list[RunRow]:
             return [run_cell(c) for c in cells]
         finally:
             _last_instance = None
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_keep_last_instance) as pool:
+    # the pool starts all its workers up front, so no more than there are cells
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)), initializer=_keep_last_instance) as pool:
         return list(pool.map(run_cell, cells))
 
 
@@ -641,7 +661,7 @@ def read_best_known(path: Union[str, Path]) -> dict[str, int]:
     A header row is tolerated as the first line that is neither; a repeated instance is a ParseError.
     """
     table: dict[str, int] = {}
-    numbered = enumerate(Path(path).read_text().splitlines(), start=1)
+    numbered = enumerate(read_utf8(path).splitlines(), start=1)
     content = [(ln, raw) for ln, raw in numbered if raw.strip() and not raw.strip().startswith("#")]
     for k, (ln, raw) in enumerate(content):
         parts = [p.strip() for p in raw.split(",")]

@@ -107,7 +107,10 @@ def _fill_from_config(args, keys: Sequence[str]) -> None:
     """Set each flag left unset from the --config file, whose keys must be this command's."""
     if not args.config:
         return
-    lines = Path(args.config).read_text().splitlines()
+    try:
+        lines = bench_io.read_utf8(args.config).splitlines()
+    except ParseError as exc:
+        raise OptionError(f"{args.config}: {exc}") from None
     items = [(f"{args.config}:{ln}: ", raw) for ln, raw in enumerate(lines, start=1)
              if raw.strip() and not raw.strip().startswith("#")]
     flags = vars(args)

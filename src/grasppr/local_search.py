@@ -48,17 +48,15 @@ def local_search(
     sol = start.copy()
     if sol.cached_objective is None:
         evaluate(instance, sol)
-    if depth is SearchDepth.BEST_IMPROVING:
-        while (move := instance.best_move(sol)) is not None:
-            if move.delta <= 0:
-                raise RuntimeError(f"best_move returned a non-improving move: {move}")
-            instance.apply_move(sol, move)
-        return sol
+    best = depth is SearchDepth.BEST_IMPROVING
     while True:
-        offset = rng.randrange(instance.n) if instance.randomized_first_improving else 0
-        move = instance.first_move(sol, offset)
+        if best:
+            move = instance.best_move(sol)
+        else:
+            offset = rng.randrange(instance.n) if instance.randomized_first_improving else 0
+            move = instance.first_move(sol, offset)
         if move is None:
             return sol
         if move.delta <= 0:
-            raise RuntimeError(f"first_move returned a non-improving move: {move}")
+            raise RuntimeError(f"{depth.value}_move returned a non-improving move: {move}")
         instance.apply_move(sol, move)

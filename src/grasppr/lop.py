@@ -109,8 +109,7 @@ class LopInstance(ProblemInstance):
     def moves(self, solution: PermutationSolution, offset: int, pick: str) -> Iterator[Move]:
         # canonical scan order: element id ascending, target position ascending;
         # the permutation scan ignores offsets (first-improving stays canonical)
-        order = solution.order
-        move = self._best_insert(order) if pick == BEST_MOVE else self._first_insert(order)
+        move = self._insert_move(solution.order, pick != BEST_MOVE)
         if move is not None:
             yield move
 
@@ -160,28 +159,19 @@ class LopInstance(ProblemInstance):
         """
         return list(accumulate(map(self._skew_rows()[e].__getitem__, order), initial=0))
 
-    def _best_insert(self, order: Sequence[int]) -> Optional[Move]:
-        # the lowest element of largest gain, and its first minimum: the
-        # first best target in scan order
+    def _insert_move(self, order: Sequence[int], first: bool) -> Optional[Move]:
+        # best: the lowest element of largest gain and its first minimum, the
+        # first best target in scan order; first: the lowest improving
+        # element and its first improving target
         gains = self._insert_gains(order)
-        best = max(gains)
-        if best <= 0:
+        gain = next(filter((0).__lt__, gains), 0) if first else max(gains)
+        if gain <= 0:
             return None
-        e = gains.index(best)
-        i = order.index(e)
-        prefix = self._prefix(e, order)
-        k = prefix.index(min(prefix))
-        return Move("insert", e, i, k if k < i else k - 1, best)
-
-    def _first_insert(self, order: Sequence[int]) -> Optional[Move]:
-        # the lowest improving element, and its first improving target
-        e = next((e for e, gain in enumerate(self._insert_gains(order)) if gain > 0), None)
-        if e is None:
-            return None
+        e = gains.index(gain)
         i = order.index(e)
         prefix = self._prefix(e, order)
         base = prefix[i]
-        k = list(map(base.__gt__, prefix)).index(True)
+        k = list(map(base.__gt__, prefix)).index(True) if first else prefix.index(base - gain)
         return Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
 
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:

@@ -10,17 +10,16 @@ Each instance caches a few GainTables, most recently used first, each over a
 private copy of its bits. A lookup has two outcomes: the table whose bits
 equal the asking solution's, or a fresh O(m) build that the asking solution
 owns. A table's owner is the solution whose moves apply_move applies to it
-in place (held weakly, so the cache pins no caller's solution). A move by any
-other solution with the same bits forks the table (O(n) copies, no O(m)
-rebuild), so a walk head, the copy an in-path search descends from it and the
-other head of a mixed walk each keep their own table. The bits comparison is
-the only test of validity, so flipping bits by hand is safe.
+in place. A move by any other solution with the same bits forks the table
+(O(n) copies, no O(m) rebuild), so a walk head, the copy an in-path search
+descends from it and the other head of a mixed walk each keep their own
+table. The bits comparison is the only test of validity, so flipping bits by
+hand is safe.
 """
 
 from __future__ import annotations
 
 import heapq
-import weakref
 from bisect import bisect_left, insort
 from itertools import chain, compress
 from typing import Iterator, Optional, Sequence
@@ -45,7 +44,7 @@ class GainTable:
     def __init__(self, inst: "MaxCutInstance", solution: PartitionSolution):
         self.inst = inst
         self.solution = solution
-        self.owner = None
+        self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _gain_table
         bits = solution.bits
         self.gain = [0] * inst.n
         for v in range(inst.n):
@@ -54,17 +53,6 @@ class GainTable:
                 g += w if bits[u] == bits[v] else -w
             self.gain[v] = g
         self.pos = set(compress(range(inst.n), map((0).__lt__, self.gain)))
-
-    @property
-    def owner(self) -> Optional[PartitionSolution]:
-        """The solution object whose moves the instance's cache applies to this
-        table in place: the solution the cache built or forked it for (see
-        MaxCutInstance._gain_table); None once that solution is gone."""
-        return None if self._owner is None else self._owner()
-
-    @owner.setter
-    def owner(self, solution: Optional[PartitionSolution]) -> None:
-        self._owner = None if solution is None else weakref.ref(solution)
 
     def fork(self, owner: PartitionSolution) -> "GainTable":
         """A copy of this table for owner, in O(n) list copies: no O(m) rebuild."""

@@ -386,6 +386,22 @@ def test_serialize_solution_forms():
         serialize_solution([0, 1])
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_instance_reads_utf8_with_universal_newlines(tmp_path, newline):
+    # any line ending reads as one line break, and a byte that is not UTF-8
+    # is a ParseError at its line and column, as a bad token is
+    lines = "t\n4\n0 3 9 1\n2 0 4 0\n5 1 0 2\n0 8 3 0\n"
+    text = lines.replace("\n", newline)
+    path = tmp_path / "p.mat"
+    path.write_bytes(text.encode())
+    assert load_instance(path, LOP).cost == parse_lolib(lines).cost
+    path.write_bytes(text.replace("5 1", "5 \xb9").encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        load_instance(path, LOP)
+    assert (exc.value.line, exc.value.col) == (5, 3)
+    assert str(exc.value) == f"{path}: line 5, col 3: not UTF-8: byte 0xb9"
+
+
 def test_load_instance_prefixes_the_path(tmp_path):
     bad = tmp_path / "broken.mat"
     bad.write_text("t\n1\n0\n")
@@ -667,6 +683,34 @@ def test_run_grid_parallel_matches_sequential(tmp_path):
     assert strip(seq) == strip(par)
     with pytest.raises(ValueError):
         run_grid(cells, jobs=0)
+
+
+def test_run_grid_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # the pool starts all its workers up front; a fake pool records how many
+    # were asked for and maps in this process, so no worker ever starts
+    cells = _grid_cells(tmp_path)
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer):
+            asked.append(max_workers)
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    expected = run_grid(cells, jobs=1)
+    monkeypatch.setattr(bench_io, "_last_instance", None)  # restored after the initializer set it
+    monkeypatch.setattr(bench_io, "ProcessPoolExecutor", SerialPool)
+    for jobs, workers in ((64, 4), (4, 4), (3, 3), (2, 2)):
+        assert _strip(run_grid(cells, jobs=jobs)) == _strip(expected)
+        assert asked.pop() == workers and not asked
 
 
 def test_run_cell_wraps_failures_with_context(tmp_path):

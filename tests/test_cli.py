@@ -116,6 +116,17 @@ def test_superscript_digit_exits_2(tmp_path, capsys):
     assert "line 3, col 3: matrix entry is not an integer" in err
 
 
+def test_non_utf8_instance_exits_2(tmp_path, capsys):
+    # read as UTF-8 whatever the locale: the bad byte is a parse error at its line
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"3 1\n1 2 \xff\n")
+    code = main(["validate", "--problem", "maxcut", "--instance", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{bad}: line 2, col 5: not UTF-8: byte 0xff" in err
+
+
 def test_missing_instance_exits_74(tmp_path, capsys):
     code, _, err = _solve(
         ["--problem", "lop", "--instance", str(tmp_path / "nope.mat"), "--iters", "1"], capsys
@@ -208,6 +219,15 @@ def test_config_file_holds_only_its_own_commands_keys(lop_path, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == 64 and "unknown key 'seed'" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_non_utf8_config_file_exits_64(lop_path, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"iters = 3\r\nseed = \xe9\n")
+    code, _, err = _solve(["--problem", "lop", "--instance", lop_path, "--config", str(config)], capsys)
+    assert code == 64
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{config}: line 2, col 8: not UTF-8: byte 0xe9" in err
 
 
 def test_repeated_keys_exit_64(lop_path, tmp_path, capsys):
@@ -386,3 +406,19 @@ def test_bench_missing_best_known_file(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 74
+
+
+def test_bench_non_utf8_best_known_file_exits_2(tmp_path, capsys):
+    inst_dir = _write_bench_dir(tmp_path)
+    best_known = tmp_path / "best.csv"
+    best_known.write_bytes(b"instance,value\na,14\nb,\x8014\n")
+    code = main([
+        "bench", "--problem", "lop", "--instances", str(inst_dir),
+        "--method", "grasp", "--iters", "1",
+        "--best-known", str(best_known), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "line 3, col 3: not UTF-8: byte 0x80" in err
+    assert not (tmp_path / "o").exists()

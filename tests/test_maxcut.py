@@ -563,13 +563,10 @@ def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
     assert step > 10
 
 
-def test_gain_table_holds_its_owner_weakly(monkeypatch):
-    # the cache pins no caller's solution: once its owner is gone, a table has
-    # none, and a move by another solution with its bits forks it with exact
-    # gains and leaves the old table as it was
-    import gc
-    import weakref
-
+def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
+    # a built table's owner is the solution that asked for it, whose moves
+    # flip it in place; a move by a copy with the same bits forks it with
+    # exact gains and leaves the old table as it was
     from grasppr.local_search import Move
 
     r = oracles.make_rng(120)
@@ -578,19 +575,19 @@ def test_gain_table_holds_its_owner_weakly(monkeypatch):
     inst = MaxCutInstance(n, edges)
     sol = PartitionSolution(oracles.rand_bits(r, n))
     evaluate(inst, sol)
+    counts = _count_cache_work(monkeypatch)
     table = inst._gain_table(sol)
     assert table.owner is sol
-    gone = weakref.ref(sol)
+    inst.apply_move(sol, Move("transfer", 0, None, None, table.gain[0]))
+    assert counts == {"builds": 1, "flips": 1, "forks": 0}
+    assert inst._gain_table(sol) is table and table.owner is sol
     heir = sol.copy()
-    del sol
-    gc.collect()
-    assert gone() is None and table.owner is None
     old = (list(table.solution.bits), list(table.gain), set(table.pos))
-    counts = _count_cache_work(monkeypatch)
     inst.apply_move(heir, Move("transfer", 1, None, None, table.gain[1]))
-    assert counts == {"builds": 0, "flips": 1, "forks": 1}
+    assert counts == {"builds": 1, "flips": 2, "forks": 1}
     twin = inst._gain_table(heir)
-    assert twin is not table and twin.owner is heir
+    assert twin is not table and twin.owner is heir and table.owner is sol
     assert twin.gain == _fresh_gains(inst, heir) and twin.pos == _positive(twin)
     assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
     assert (table.solution.bits, table.gain, table.pos) == old
+    assert inst._gain_table(sol) is table and table.gain == _fresh_gains(inst, sol)
