@@ -203,6 +203,8 @@ def _cmd_bench(args) -> int:
         raise OptionError(
             f"no instances matching {bench_io.INSTANCE_GLOB[args.problem]!r} in {instance_dir}"
         )
+    for p in paths:  # parse each file now, so a malformed one is a parse error before any cell runs
+        bench_io.load_instance(p, args.problem)
     best_known = bench_io.read_best_known(args.best_known) if args.best_known else None
 
     cells = [

@@ -4,13 +4,21 @@ A solution is an ordering of the n vertices; vertex a placed before vertex b
 contributes cost[a][b]. The neighbourhood is insert (move one vertex to
 another position), and relinking steps insert a misplaced vertex at its
 guiding position.
+
+Each instance caches the insert scan of the last scanned order, over a
+private copy of it. A scan of an equal order reads the cache; any other
+order gets a full pass, which replaces it. apply_move patches the cache when
+the moving solution's order equals the cached one. The order comparison is
+the only test of validity, so editing an order by hand is safe.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import accumulate, chain
+from math import isqrt
 from operator import add
 from typing import Iterator, Optional, Sequence
 
@@ -24,6 +32,34 @@ from .local_search import Move
 # guard bit 63, and no field borrows from or carries into the next.
 _FIELD_BIAS, _FIELD_GUARD = 1 << 62, 1 << 63
 _SKEW_OFFSET = 1 << 32  # added to each skew entry so struct packs it unsigned
+
+
+def _swar_min(values: Sequence[int], guard: int) -> int:
+    """Field-wise minimum of packed values: bit 63 of (low | guard) - p stays
+    set where low >= p, and spread over the field's low 63 bits it selects p
+    there."""
+    low = values[0]
+    for p in values[1:]:
+        ge = ((low | guard) - p) & guard
+        low ^= (low ^ p) & (ge - (ge >> 63))
+    return low
+
+
+@dataclass(slots=True)
+class _InsertScan:
+    """The packed insert scan of one order, kept so that a move patches it.
+
+    Field e of prefixes[k] is 2^62 + prefix_e[k] (see _prefix), after the
+    first k vertices of order; field e of base is that of prefixes[i] for
+    e's own position i; lows[c] is the field-wise minimum of the chunk
+    prefixes[c * step : (c + 1) * step] for the instance's step. order is a
+    private copy.
+    """
+
+    order: list[int]
+    prefixes: list[int]
+    base: int
+    lows: list[int]
 
 
 class _LopBuilder:
@@ -87,6 +123,10 @@ class LopInstance(ProblemInstance):
         # the packed columns of the insert scan, built by _packed on its
         # first call, likewise never at parse time
         self._columns: Optional[tuple] = None
+        # the insert scan of the last scanned order, patched by apply_move;
+        # see _insert_gains
+        self._scan: Optional[_InsertScan] = None
+        self._step = isqrt(n + 1)  # prefixes per chunk of _InsertScan.lows
 
     def evaluate(self, solution: PermutationSolution) -> int:
         order = solution.order
@@ -132,21 +172,40 @@ class LopInstance(ProblemInstance):
     def _insert_gains(self, order: Sequence[int]) -> tuple[int, ...]:
         """gains[e]: the largest gain of moving element e, 0 if none improves.
 
-        One pass over order for all elements at once: after k vertices, field
-        e of p is 2^62 + prefix_e[k] (see _prefix); base collects prefix_e[i]
-        at e's own position i, and low keeps the field-wise minimum of p over
-        k = 0..n. The min is SWAR: bit 63 of (low | guard) - p stays set where
-        low >= p, and spread over the field's low 63 bits it selects p there.
+        gains = base - low field-wise, where base holds each element's prefix
+        at its own position and low the field-wise minimum of all n + 1
+        prefixes (see _InsertScan); base >= low in every field. The cached
+        scan gives low as one SWAR minimum over its chunk minima if its order
+        equals order; otherwise one pass over order rebuilds it.
         """
-        columns, masks, p, guard = self._packed()
-        low, base = p, 0
-        for u in order:
-            base |= p & masks[u]
+        scan = self._scan
+        if scan is None or scan.order != order:
+            scan = self._scan = self._full_scan(order)
+        low = _swar_min(scan.lows, self._packed()[3])
+        return struct.unpack(f"<{self.n}Q", (scan.base - low).to_bytes(8 * self.n, "little"))
+
+    def _full_scan(self, order: Sequence[int]) -> _InsertScan:
+        bias, n = self._packed()[2], self.n
+        scan = _InsertScan(list(order), [bias] * (n + 1), 0, [bias] * (n // self._step + 1))
+        self._rescan(scan, 0, n - 1)
+        return scan
+
+    def _rescan(self, scan: _InsertScan, lo: int, hi: int) -> None:
+        """From prefixes[lo] on, recompute the prefixes lo+1..hi+1, the base
+        fields of the elements at positions lo..hi, and the minima of the
+        chunks that hold those prefixes. Moving the element at i to j changes
+        nothing else, with lo, hi = min, max of i, j."""
+        columns, masks, _, guard = self._packed()
+        order, prefixes, lows, step = scan.order, scan.prefixes, scan.lows, self._step
+        base, p = scan.base, prefixes[lo]
+        for k in range(lo, hi + 1):
+            u = order[k]
+            base ^= (base ^ p) & masks[u]
             p += columns[u]
-            ge = ((low | guard) - p) & guard
-            low ^= (low ^ p) & (ge - (ge >> 63))
-        # base >= low in every field, so one subtraction gives every gain
-        return struct.unpack(f"<{self.n}Q", (base - low).to_bytes(8 * self.n, "little"))
+            prefixes[k + 1] = p
+        scan.base = base
+        for c in range((lo + 1) // step, (hi + 1) // step + 1):
+            lows[c] = _swar_min(prefixes[c * step : (c + 1) * step], guard)
 
     def _prefix(self, e: int, order: Sequence[int]) -> list[int]:
         """prefix[k] = sum of skew[e][order[p]] over p < k, for k = 0..n.
@@ -177,8 +236,18 @@ class LopInstance(ProblemInstance):
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
         if move.kind != "insert":
             raise ValueError(f"not a permutation move: {move.kind}")
-        order = solution.order
-        order.insert(move.to_pos, order.pop(move.from_pos))
+        order, i, j = solution.order, move.from_pos, move.to_pos
+        # patch the cached scan if it is of this order and both positions are
+        # in 0..n-1 (the list operations also take negative or clamped ones,
+        # which the patch does not follow); it stays detached while patched,
+        # so a move that raises leaves no half-updated scan behind
+        scan, self._scan = self._scan, None
+        patch = scan is not None and scan.order == order and 0 <= i < self.n and 0 <= j < self.n
+        order.insert(j, order.pop(i))
+        if patch:
+            scan.order.insert(j, scan.order.pop(i))
+            self._rescan(scan, min(i, j), max(i, j))
+        self._scan = scan
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 

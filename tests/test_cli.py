@@ -1,5 +1,6 @@
 import pytest
 
+from grasppr import bench_io
 from grasppr.cli import main
 
 K3 = "3 3\n1 2 1\n2 3 1\n1 3 1\n"
@@ -422,3 +423,21 @@ def test_bench_non_utf8_best_known_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert "line 3, col 3: not UTF-8: byte 0x80" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_bench_parse_error_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):
+    # every instance file is parsed before the grid, so a malformed one after a
+    # good one is a parse error (exit 2) at its line and column, with no cell run
+    inst_dir = tmp_path / "graphs"
+    inst_dir.mkdir()
+    (inst_dir / "a.el").write_text(K3)
+    (inst_dir / "b.el").write_text("3 2\n1 2 1\n2 x 1\n")
+    monkeypatch.setattr(bench_io, "run_cell", lambda spec: pytest.fail(f"cell ran: {spec}"))
+    code = main([
+        "bench", "--problem", "maxcut", "--instances", str(inst_dir),
+        "--method", "grasp", "--iters", "1", "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and f"{inst_dir / 'b.el'}: line 3, col 3: " in err
+    assert not (tmp_path / "o" / "results.csv").exists()

@@ -16,7 +16,10 @@ semi-greedy LOP constructions alone (n = 2, 30 and 150, both RCL modes,
 collapsed and open alpha ranges), which the driver runs above start from a
 value RCL only; golden_trace_construct_maxcut.json does the same for max-cut
 (a random n = 800 graph, a 20x40 +-1 torus and a signed n = 120 graph on
-which the value RCL falls back). Regenerate all six (only for a named,
+which the value RCL falls back). golden_trace_lop_descent.json freezes
+every move of best- and first-improving LOP descents from semi-greedy
+constructions at n = 100 and 150, and of one n = 100 evolutionary_pr solve
+with best-point in-path search. Regenerate all seven (only for a named,
 justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
@@ -43,6 +46,7 @@ GOLDEN_PATHS = Path(__file__).resolve().parent / "golden_trace_paths.json"
 GOLDEN_RELINK = Path(__file__).resolve().parent / "golden_trace_relink.json"
 GOLDEN_CONSTRUCT = Path(__file__).resolve().parent / "golden_trace_construct.json"
 GOLDEN_CONSTRUCT_MAXCUT = Path(__file__).resolve().parent / "golden_trace_construct_maxcut.json"
+GOLDEN_LOP_DESCENT = Path(__file__).resolve().parent / "golden_trace_lop_descent.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -280,6 +284,58 @@ def compute_construct_maxcut_traces() -> dict:
     return traces
 
 
+class _RecordingLop(LopInstance):
+    """A LopInstance that logs every move applied to one of its solutions."""
+
+    def __init__(self, cost):
+        super().__init__(cost)
+        self.applied = []
+
+    def apply_move(self, solution, move):
+        self.applied.append(move)
+        super().apply_move(solution, move)
+
+
+def _moves_sha256(moves) -> str:
+    return hashlib.sha256(";".join(",".join(map(str, m)) for m in moves).encode()).hexdigest()
+
+
+def _descent_lop(n: int) -> _RecordingLop:
+    return _RecordingLop(_construct_lop(n, n, 0, 99).cost)
+
+
+DESCENT_SIZES = (100, 150)
+DESCENT_SEEDS = (1, 2)
+# (key, n, options, iterations) of one solve whose in-path searches start from walk points
+DESCENT_SOLVE = ("evolutionary_pr/n100/1", 100, {"variant": "evolutionary_pr", "elite-k": "4", "inpath-ls": "best"}, 4)
+
+
+def compute_lop_descent_traces() -> dict:
+    traces = {}
+    for n in DESCENT_SIZES:
+        instance = _descent_lop(n)
+        for depth in SearchDepth:
+            for seed in DESCENT_SEEDS:
+                rng = RandomStream(seed)
+                start = construct(instance, RclConfig(), rng)
+                instance.applied.clear()
+                sol = local_search(instance, start, depth, rng)
+                traces[f"n{n}/{depth.value}/{seed}"] = {
+                    "start_objective": start.cached_objective,
+                    "objective": sol.cached_objective,
+                    "moves": len(instance.applied),
+                    "moves_sha256": _moves_sha256(instance.applied),  # every move and its delta, in order
+                    "order_sha256": hashlib.sha256(bench_io.serialize_solution(sol).encode()).hexdigest(),
+                }
+    key, n, options, iterations = DESCENT_SOLVE
+    instance = _descent_lop(n)
+    report = drivers.run(instance, bench_io.build_run_config(bench_io.LOP, options, 1, None, iterations))
+    trace = _trace(report)
+    trace["best_solution"] = hashlib.sha256(trace["best_solution"].encode()).hexdigest()
+    traces[key] = {**trace, "moves": len(instance.applied), "moves_sha256": _moves_sha256(instance.applied)}
+    return traces
+
+
 def test_golden_traces_reproduce():
     expected = json.loads(GOLDEN.read_text())
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
@@ -348,6 +404,16 @@ def test_construct_maxcut_golden_traces_reproduce():
     assert not mismatched, f"{len(mismatched)} max-cut construction run(s) diverged, first: {mismatched[0]}"
 
 
+def test_lop_descent_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_LOP_DESCENT.read_text())
+    # the solve relinks, so its in-path searches are frozen too
+    assert expected[DESCENT_SOLVE[0]]["pr_calls"] > 0
+    actual = compute_lop_descent_traces()
+    assert sorted(actual) == sorted(expected)
+    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not mismatched, f"{len(mismatched)} LOP descent(s) diverged, first: {mismatched[0]}"
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -367,3 +433,6 @@ if __name__ == "__main__":
     maxcut_constructs = compute_construct_maxcut_traces()
     GOLDEN_CONSTRUCT_MAXCUT.write_text(json.dumps(maxcut_constructs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(maxcut_constructs)} max-cut construction runs to {GOLDEN_CONSTRUCT_MAXCUT}")
+    descents = compute_lop_descent_traces()
+    GOLDEN_LOP_DESCENT.write_text(json.dumps(descents, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(descents)} LOP descents to {GOLDEN_LOP_DESCENT}")

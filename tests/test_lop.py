@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasppr import path_relinking
 from grasppr.bench_io import build_run_config, load_instance, serialize_lolib
-from grasppr.core import PermutationSolution, evaluate
+from grasppr.construction import RclConfig, construct
+from grasppr.core import PermutationSolution, RandomStream, evaluate
 from grasppr.drivers import run
+from grasppr.local_search import Move, SearchDepth, local_search
 from grasppr.lop import LopInstance
 
 import oracles
@@ -185,6 +188,122 @@ def test_packed_columns_wait_for_the_first_best_improving_scan(tmp_path):
     assert inst._columns is None and inst._skew is None
     inst.best_move(PermutationSolution(list(report.best_solution.order)))
     assert inst._columns is not None
+
+
+class _CheckedLop(LopInstance):
+    """A LopInstance that checks its cached insert scan at every scan.
+
+    After each scan the cached state must equal a fresh full pass over the
+    same order. Every stride-th scan, the gains and both picks must also
+    equal those of the oracle's full move list. patched counts the scans
+    that kept the state apply_move had patched instead of rebuilding it.
+    """
+
+    def __init__(self, cost, stride=1):
+        super().__init__(cost)
+        self.stride, self.scans, self.patched = stride, 0, 0
+
+    def _insert_gains(self, order):
+        kept = self._scan
+        gains = super()._insert_gains(order)
+        assert self._scan == self._full_scan(order)
+        self.scans += 1
+        self.patched += self._scan is kept
+        return gains
+
+    def best_move(self, solution):
+        move = super().best_move(solution)
+        if self.scans % self.stride == 0 or move is None:
+            moves = oracles.all_moves(self, solution)
+            assert move == oracles.best_move(moves), solution.order
+            assert LopInstance.first_move(self, solution) == oracles.first_move(moves), solution.order
+            gains = [0] * self.n
+            for m in moves:
+                gains[m.element] = max(gains[m.element], m.delta)
+            assert list(self._insert_gains(solution.order)) == gains
+        return move
+
+    def first_move(self, solution, offset=0):
+        move = super().first_move(solution, offset)
+        if self.scans % self.stride == 0 or move is None:
+            moves = oracles.all_moves(self, solution)
+            assert move == oracles.first_move(moves), solution.order
+            assert LopInstance.best_move(self, solution) == oracles.best_move(moves), solution.order
+        return move
+
+
+@pytest.mark.parametrize("n, stride", [(50, 1), (100, 10), (150, 40)])
+def test_patched_insert_scan_matches_a_fresh_pass_in_descents(n, stride):
+    # a best and a first descent from semi-greedy starts, as the drivers run
+    # them; the oracle checks every stride-th scan and each descent's last
+    inst = _CheckedLop(oracles.rand_lop_matrix(oracles.make_rng(n + 1), n), stride)
+    rng = RandomStream(n)
+    for depth in SearchDepth:
+        scans = inst.scans
+        local_search(inst, construct(inst, RclConfig(), rng), depth, rng)
+        assert inst.scans - scans > n // 2
+    # all but each descent's first scan kept the patched state
+    assert inst.patched >= inst.scans * 3 // 4
+
+
+def test_patched_insert_scan_matches_a_fresh_pass_in_relinking():
+    # every walk point gets its own descent, and the walk heads move in between
+    r = oracles.make_rng(53)
+    inst = _CheckedLop(oracles.rand_lop_matrix(r, 40), stride=3)
+    cfg = path_relinking.PrConfig(
+        direction=path_relinking.MIXED, step=path_relinking.GREEDY_RANDOMIZED, in_path_ls=path_relinking.LS_ALL
+    )
+    rng = RandomStream(53)
+    ls = lambda sol: local_search(inst, sol, SearchDepth.BEST_IMPROVING, rng)
+    a, b = (ls(PermutationSolution(oracles.rand_perm(r, 40))) for _ in range(2))
+    best, trace = path_relinking.relink(inst, a, b, cfg, rng, ls=ls)
+    assert len(trace.visited) > 5 and inst.patched > 5 * len(trace.visited)
+    assert best.cached_objective == oracles.lop_value(inst.cost, best.order)
+
+
+def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
+    r = oracles.make_rng(54)
+    n = 30
+    inst = _CheckedLop(oracles.rand_lop_matrix(r, n))
+    sol = PermutationSolution(oracles.rand_perm(r, n))
+    move = inst.best_move(sol)
+    # a copy of the cached solution moves: the state follows the copy, and the original still scans exactly
+    twin = sol.copy()
+    inst.apply_move(twin, move)
+    assert inst._scan.order == twin.order
+    inst.best_move(sol)
+    inst.best_move(twin)
+    # an order edited by hand, in place or swapped back
+    order = sol.order
+    order[0], order[-1] = order[-1], order[0]
+    inst.best_move(sol)
+    inst.best_move(sol)
+    order[0], order[-1] = order[-1], order[0]
+    inst.best_move(sol)
+    # a move whose from_pos is out of range raises and leaves the order as it was
+    before = list(sol.order)
+    with pytest.raises(IndexError):
+        inst.apply_move(sol, Move("insert", 0, n, 3, 0))
+    assert sol.order == before
+    move = inst.best_move(sol)
+    # a patch that fails half way leaves no state behind
+
+    def failing_rescan(scan, lo, hi):
+        scan.prefixes[lo + 1] = 0
+        raise MemoryError
+
+    inst._rescan = failing_rescan
+    with pytest.raises(MemoryError):
+        inst.apply_move(sol, move)
+    del inst._rescan
+    inst.best_move(sol)
+    # positions the list operations accept but the patch does not: negative and past the end
+    for i, j in ((-1, 0), (2, n + 4), (n - 1, -3)):
+        inst.apply_move(sol, Move("insert", sol.order[i], i, j, 0))
+        inst.best_move(sol)
+    patched = inst.patched
+    local_search(inst, sol, SearchDepth.BEST_IMPROVING, RandomStream(54))  # the descent from there patches again
+    assert inst.patched > patched
 
 
 def test_pr_candidates_worked_example():
