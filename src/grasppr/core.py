@@ -127,7 +127,8 @@ class ProblemInstance(ABC):
 
     @abstractmethod
     def apply_move(self, solution: Solution, move) -> None:
-        """Apply a move in place, keeping cached_objective consistent."""
+        """Apply a move in place, keeping cached_objective consistent; a position
+        or vertex outside 0..n-1, which no kernel produces, raises ValueError."""
 
     @abstractmethod
     def new_walk(self, a: Solution, b: Solution) -> "Walk":

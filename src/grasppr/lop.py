@@ -237,12 +237,12 @@ class LopInstance(ProblemInstance):
         if move.kind != "insert":
             raise ValueError(f"not a permutation move: {move.kind}")
         order, i, j = solution.order, move.from_pos, move.to_pos
-        # patch the cached scan if it is of this order and both positions are
-        # in 0..n-1 (the list operations also take negative or clamped ones,
-        # which the patch does not follow); it stays detached while patched,
-        # so a move that raises leaves no half-updated scan behind
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"insert positions ({i}, {j}) not in 0..{self.n - 1}")
+        # patch the cached scan if it is of this order; it stays detached
+        # while patched, so a move that raises leaves no half-updated scan behind
         scan, self._scan = self._scan, None
-        patch = scan is not None and scan.order == order and 0 <= i < self.n and 0 <= j < self.n
+        patch = scan is not None and scan.order == order
         order.insert(j, order.pop(i))
         if patch:
             scan.order.insert(j, scan.order.pop(i))

@@ -38,14 +38,14 @@ _TABLES = 4
 class GainTable:
     """gain[v] = cut change if v switched sides, kept exact across flips.
 
-    pos is the set of vertices with a positive gain: the improving transfers.
+    bits is a private copy of the partition the gains are of; pos is the set
+    of vertices with a positive gain: the improving transfers.
     """
 
-    def __init__(self, inst: "MaxCutInstance", solution: PartitionSolution):
+    def __init__(self, inst: "MaxCutInstance", bits: Sequence[int]):
         self.inst = inst
-        self.solution = solution
+        self.bits = bits = list(bits)
         self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _gain_table
-        bits = solution.bits
         self.gain = [0] * inst.n
         for v in range(inst.n):
             g = 0
@@ -58,21 +58,18 @@ class GainTable:
         """A copy of this table for owner, in O(n) list copies: no O(m) rebuild."""
         twin = object.__new__(GainTable)
         twin.inst = self.inst
-        twin.solution = PartitionSolution(list(self.solution.bits))
+        twin.bits = list(self.bits)
         twin.owner = owner
         twin.gain = list(self.gain)
         twin.pos = set(self.pos)
         return twin
 
-    def apply_flip(self, v: int) -> int:
-        """Flip v in place; returns the objective delta. O(degree(v))."""
-        gain, pos = self.gain, self.pos
+    def apply_flip(self, v: int) -> None:
+        """Flip v in place. O(degree(v))."""
+        gain, pos, bits = self.gain, self.pos, self.bits
         d = gain[v]
-        bits = self.solution.bits
         old_side = bits[v]
         bits[v] ^= 1
-        if self.solution.cached_objective is not None:
-            self.solution.cached_objective += d
         gain[v] = -d
         if d > 0:
             pos.discard(v)
@@ -87,7 +84,6 @@ class GainTable:
                     pos.add(u)
             elif was > 0:
                 pos.discard(u)
-        return d
 
 
 class _MaxCutBuilder:
@@ -222,7 +218,7 @@ class MaxCutInstance(ProblemInstance):
         tables = self._tables
         bits = solution.bits
         for i, table in enumerate(tables):
-            if table.solution.bits == bits:
+            if table.bits == bits:
                 if i:
                     tables.insert(0, tables.pop(i))
                 return table
@@ -237,7 +233,7 @@ class MaxCutInstance(ProblemInstance):
         """The cached table whose bits equal solution's, else a fresh one that solution owns."""
         table = self._matching_table(solution)
         if table is None:
-            table = self._cache(GainTable(self, PartitionSolution(list(solution.bits))))
+            table = self._cache(GainTable(self, solution.bits))
             table.owner = solution
         return table
 
@@ -258,6 +254,8 @@ class MaxCutInstance(ProblemInstance):
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:
         if move.kind != "transfer":
             raise ValueError(f"not a partition move: {move.kind}")
+        if not 0 <= move.element < self.n:
+            raise ValueError(f"vertex {move.element} not in 0..{self.n - 1}")
         table = self._matching_table(solution)
         if table is not None and table.owner is not solution:
             table = self._cache(table.fork(solution))  # the old table stays valid for its owner
@@ -286,7 +284,7 @@ class MaxCutInstance(ProblemInstance):
         if k == 1:
             top = [max(diff, key=gains.__getitem__)]  # the first maximum: the lowest position
         else:
-            top = heapq.nsmallest(k, diff, key=lambda j: -gains[j])  # stable, as sorted(...)[:k]
+            top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
         return [Move("transfer", j, None, None, gains[j]) for j in top]
 
 

@@ -66,33 +66,15 @@ class PrConfig:
 
 @dataclass
 class PathTrace:
-    """Solutions visited between (never including) the endpoints.
+    """Solutions visited between (never including) the endpoints, with their objectives."""
 
-    best_index points at the first visited solution attaining the maximum
-    objective, or None for an empty trace.
-    """
-
-    initiating: Solution
-    guiding: Solution
     visited: list[tuple[Solution, int]] = field(default_factory=list)
-    best_index: Optional[int] = None
 
 
 def _ensure_objective(instance: ProblemInstance, sol: Solution) -> int:
     if sol.cached_objective is None:
         evaluate(instance, sol)
     return sol.cached_objective
-
-
-class _BestTracker:
-    def __init__(self):
-        self.solution: Optional[Solution] = None
-        self.objective: Optional[int] = None
-
-    def offer(self, sol: Solution, obj: int) -> None:
-        if self.objective is None or obj > self.objective:
-            self.solution = sol.copy()
-            self.objective = obj
 
 
 def _walk(
@@ -128,14 +110,15 @@ def relink(
     rng: RandomStream,
     ls: Optional[Callable[[Solution], Solution]] = None,
 ) -> tuple[Solution, PathTrace]:
-    """Relink s and t; returns (best solution found, trace of visited solutions).
+    """Relink s and t; returns (best solution found, trace of the path walked).
 
     Roles are resolved by objective: forward initiates from the worse endpoint,
     backward from the better one, back_and_forward concatenates a backward and
     a forward pass, mixed alternates heads. The returned best is the maximum
     over the better endpoint, the visited solutions, and any in-path local
     search outputs (the trace always records the raw, unimproved path). ls is
-    the in-path local search, required unless cfg.in_path_ls is none.
+    the in-path local search, required unless cfg.in_path_ls is none; best
+    runs it once, from the first visited solution of largest objective.
     """
     if type(s) is not type(t):
         raise TypeError("mismatched solution types")
@@ -147,43 +130,41 @@ def relink(
     fs = _ensure_objective(instance, s)
     ft = _ensure_objective(instance, t)
     better, worse = (s, t) if fs >= ft else (t, s)
-
-    if cfg.direction == BACKWARD or cfg.direction == BACK_AND_FORWARD:
-        initiating, guiding = better, worse
-    else:
-        initiating, guiding = worse, better
-
-    best = _BestTracker()
-    best.offer(better, better.cached_objective)
-    trace = PathTrace(initiating=initiating, guiding=guiding)
+    # best is the better endpoint, a visited copy or an in-path search output;
+    # none of them changes later, so it is copied once, on return
+    best = better
+    peak: Optional[Solution] = None  # the first visited copy of largest objective
+    trace = PathTrace()
 
     dsize = delta_size(s, t)
     if dsize < cfg.min_distance:
-        return best.solution, trace
+        return best.copy(), trace
+
+    def offer(sol: Solution) -> None:
+        nonlocal best
+        if sol.cached_objective > best.cached_objective:
+            best = sol
 
     def visit(sol: Solution) -> None:
-        obj = sol.cached_objective
-        trace.visited.append((sol.copy(), obj))
-        best.offer(sol, obj)
+        nonlocal peak
+        seen = sol.copy()
+        trace.visited.append((seen, seen.cached_objective))
+        if peak is None or seen.cached_objective > peak.cached_objective:
+            peak = seen
+        offer(seen)
         if cfg.in_path_ls == LS_ALL or (
             cfg.in_path_ls == LS_EVERY and len(trace.visited) % cfg.ls_every == 0
         ):
-            improved = ls(sol)
-            best.offer(improved, improved.cached_objective)
+            offer(ls(sol))
 
     budget = math.ceil(cfg.truncation * (dsize - 1))
     if cfg.direction == MIXED:
         _walk(instance.new_walk(worse.copy(), better.copy()), True, budget, cfg, rng, visit)
-    else:
-        _walk(instance.new_walk(initiating.copy(), guiding), False, budget, cfg, rng, visit)
-        if cfg.direction == BACK_AND_FORWARD:
-            _walk(instance.new_walk(worse.copy(), better), False, budget, cfg, rng, visit)
+    if cfg.direction in (BACKWARD, BACK_AND_FORWARD):
+        _walk(instance.new_walk(better.copy(), worse), False, budget, cfg, rng, visit)
+    if cfg.direction in (FORWARD, BACK_AND_FORWARD):
+        _walk(instance.new_walk(worse.copy(), better), False, budget, cfg, rng, visit)
 
-    if trace.visited:
-        objs = [obj for _, obj in trace.visited]
-        trace.best_index = objs.index(max(objs))
-        if cfg.in_path_ls == LS_BEST:
-            improved = ls(trace.visited[trace.best_index][0])
-            best.offer(improved, improved.cached_objective)
-    return best.solution, trace
-
+    if peak is not None and cfg.in_path_ls == LS_BEST:
+        offer(ls(peak))
+    return best.copy(), trace

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive and independent of the package
 internals (it shares only the Move type): full-matrix sums, explicit
-enumeration, bitmask DP. Slow is fine; these only run at test scale.
+enumeration, bitmask DP. Slow is fine; these only run at test scale. The
+reference instances RefLop and RefMaxCut also share the problem interface,
+the solution types and the base Walk, so that the package's drivers can run
+on them; every kernel behind that interface is built from the functions here.
 """
 
 import math
 import random
 from itertools import permutations
 
+from grasppr.core import BEST_MOVE, PartitionSolution, PermutationSolution, ProblemInstance, Walk
 from grasppr.local_search import Move
 
 
@@ -221,6 +225,126 @@ def first_move(moves):
         if move.delta > 0:
             return move
     return None
+
+
+class _RefBuilder:
+    """A construction that scores every candidate key at every step: the
+    instance's entries(chosen) lists them as (key, gain), and its
+    finish(chosen) makes the solution."""
+
+    def __init__(self, instance, chosen):
+        self.instance, self.chosen = instance, chosen
+
+    @property
+    def complete(self):
+        return len(self.chosen) == self.instance.n
+
+    def rcl(self, mode, alpha):
+        return rcl_from_entries(self.instance.entries(self.chosen), mode, alpha)
+
+    def add(self, key):
+        self.chosen.append(key)
+
+    def build(self):
+        return self.instance.finish(self.chosen)
+
+
+class _RefInstance(ProblemInstance):
+    """Moves picked from all_moves, applied naively, with the objective
+    recomputed from scratch; relinking by the base Walk."""
+
+    def moves(self, solution, offset, pick):
+        scan = all_moves(self, solution, offset)
+        move = best_move(scan) if pick == BEST_MOVE else first_move(scan)
+        if move is not None:
+            yield move
+
+    def apply_move(self, solution, move):
+        self.change(solution, move)
+        if solution.cached_objective is not None:
+            solution.cached_objective = self.evaluate(solution)
+
+    def new_walk(self, a, b):
+        return Walk(self, a, b)
+
+
+class RefLop(_RefInstance):
+    def __init__(self, cost):
+        self.cost, self.n = cost, len(cost)
+
+    def evaluate(self, solution):
+        return lop_value(self.cost, solution.order)
+
+    def entries(self, order):
+        return [(v, sum(self.cost[u][v] for u in order)) for v in range(self.n) if v not in order]
+
+    def finish(self, order):
+        return PermutationSolution(order, lop_value(self.cost, order))
+
+    def new_construction(self):
+        return _RefBuilder(self, [])
+
+    def change(self, solution, move):
+        solution.order.insert(move.to_pos, solution.order.pop(move.from_pos))
+
+    def pr_candidates(self, current, guiding, k):
+        cur, tgt = current.order, guiding.order
+        steps = []
+        for e in sorted(reducing_insertions(cur, tgt)):
+            after = list(cur)
+            after.remove(e)
+            after.insert(tgt.index(e), e)
+            if after != tgt:
+                d = lop_value(self.cost, after) - lop_value(self.cost, cur)
+                steps.append(Move("insert", e, cur.index(e), tgt.index(e), d))
+        return sorted(steps, key=lambda m: -m.delta)[:k]
+
+
+class RefMaxCut(_RefInstance):
+    randomized_first_improving = True
+
+    def __init__(self, n, edges):
+        merged = {}
+        for i, j, w in edges:
+            key = (min(i, j), max(i, j))
+            merged[key] = merged.get(key, 0) + w
+        self.n = n
+        self.edges = [(i, j, w) for (i, j), w in merged.items()]
+        self.adj = [[] for _ in range(n)]
+        for i, j, w in self.edges:
+            self.adj[i].append((j, w))
+            self.adj[j].append((i, w))
+
+    def evaluate(self, solution):
+        return cut_value(self.edges, solution.bits)
+
+    def entries(self, keys):
+        # key 2v + side gains the weight toward assigned vertices on the other side
+        side_of = {k // 2: k % 2 for k in keys}
+        return [
+            (2 * v + side, sum(w for u, w in self.adj[v] if side_of.get(u, side) != side))
+            for v in range(self.n)
+            if v not in side_of
+            for side in (0, 1)
+        ]
+
+    def finish(self, keys):
+        bits = [0] * self.n
+        for k in keys:
+            bits[k // 2] = k % 2
+        return PartitionSolution(bits, cut_value(self.edges, bits))
+
+    def new_construction(self):
+        # the seed vertex, on side 1: largest weighted degree, lowest id on ties
+        seed = max(range(self.n), key=lambda v: (sum(w for _, w in self.adj[v]), -v))
+        return _RefBuilder(self, [2 * seed + 1])
+
+    def change(self, solution, move):
+        solution.bits[move.element] ^= 1
+
+    def pr_candidates(self, current, guiding, k):
+        flips = top_relink_flips(self.edges, current.bits, guiding.bits, k)
+        return [Move("transfer", j, None, None, g) for j, g in flips]
 
 
 def rand_lop_matrix(r, n, lo=0, hi=99):

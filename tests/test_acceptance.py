@@ -120,17 +120,18 @@ def test_criterion_04_pr_path_laws():
         evaluate(mc, s)
         evaluate(mc, t)
         d0 = delta(s, t)
+        worse = t if s.cached_objective >= t.cached_objective else s
+        better = s if worse is t else t
 
         # interior, full path: exactly |delta|-1 intermediates, each closer
+        # to the better endpoint, which guides a forward walk
         _, trace = relink(mc, s, t, interior, RandomStream(1))
         assert len(trace.visited) == d0 - 1
-        dists = [delta(v, trace.guiding) for v, _ in trace.visited]
+        dists = [delta(v, better) for v, _ in trace.visited]
         assert dists == list(range(d0 - 1, 0, -1))
 
         # mixed: the walk always closes the gap to exactly one flip
         _, trace = relink(mc, s, t, mixed, RandomStream(1))
-        worse = t if s.cached_objective >= t.cached_objective else s
-        better = s if worse is t else t
         h0, h1 = _mixed_heads(worse, better, trace.visited)
         assert delta(h0, h1) == 1
 
@@ -155,12 +156,12 @@ def test_criterion_04_pr_path_laws():
         assert len(trace.visited) <= d0 - 1
         prev = d0
         for v, _ in trace.visited:
-            assert delta(v, trace.guiding) < prev
-            prev = delta(v, trace.guiding)
+            assert delta(v, better) < prev
+            prev = delta(v, better)
         # an early stop is only legal when no usable insertion remained
         if len(trace.visited) < d0 - 1:
             last = trace.visited[-1][0] if trace.visited else worse
-            assert _usable_insertions(last.order, trace.guiding.order) == []
+            assert _usable_insertions(last.order, better.order) == []
 
         # mixed: ends budget-exhausted, or with the mover provably stuck
         # (orders never differ in exactly one position, so heads meeting at

@@ -184,12 +184,13 @@ def compute_relink_traces() -> dict:
                     ls = lambda sol: local_search(instance, sol, SearchDepth.BEST_IMPROVING, rng)
                     best, trace = path_relinking.relink(instance, s.copy(), t.copy(), cfg, rng, ls=ls)
                     path = "|".join(f"{bench_io.serialize_solution(sol)}={obj}" for sol, obj in trace.visited)
+                    objs = [obj for _, obj in trace.visited]
                     traces[f"{name}/{seed}/{pair}/{direction}/{step}/{truncation}/{in_path}"] = {
                         "best_objective": best.cached_objective,
                         "best_solution": bench_io.serialize_solution(best),
                         "steps": len(trace.visited),
                         "path_sha256": hashlib.sha256(path.encode()).hexdigest(),  # visited solutions and objectives
-                        "best_index": trace.best_index,
+                        "best_index": objs.index(max(objs)) if objs else None,  # the first maximum on the path
                         "rng_after": rng.randrange(2**31),  # the draws the walk consumed
                     }
     return traces

@@ -282,7 +282,7 @@ def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
     inst.best_move(sol)
     # a move whose from_pos is out of range raises and leaves the order as it was
     before = list(sol.order)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=rf"^insert positions \({n}, 3\) not in 0\.\.{n - 1}$"):
         inst.apply_move(sol, Move("insert", 0, n, 3, 0))
     assert sol.order == before
     move = inst.best_move(sol)
@@ -297,9 +297,14 @@ def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
         inst.apply_move(sol, move)
     del inst._rescan
     inst.best_move(sol)
-    # positions the list operations accept but the patch does not: negative and past the end
+    # positions the list operations would accept but no kernel produces,
+    # negative and past the end, raise before any change, and the next scan
+    # is still exact
     for i, j in ((-1, 0), (2, n + 4), (n - 1, -3)):
-        inst.apply_move(sol, Move("insert", sol.order[i], i, j, 0))
+        before = list(sol.order)
+        with pytest.raises(ValueError, match="not in 0"):
+            inst.apply_move(sol, Move("insert", sol.order[i], i, j, 0))
+        assert sol.order == before
         inst.best_move(sol)
     patched = inst.patched
     local_search(inst, sol, SearchDepth.BEST_IMPROVING, RandomStream(54))  # the descent from there patches again

@@ -32,45 +32,39 @@ def test_cut_complement_symmetry(seed):
 
 def test_gain_table_initial_values():
     # gain[v] = same-side weight minus cross weight = cut change of flipping v
-    sol = PartitionSolution([1, 0, 0])
-    gt = GainTable(K3, sol)
+    gt = GainTable(K3, [1, 0, 0])
     assert gt.gain[0] == -2  # both its edges cross already
     assert gt.gain[1] == 0
     assert gt.gain[2] == 0
 
 
-def test_apply_flip_updates_partition_cache_and_gains():
-    sol = PartitionSolution([1, 0, 0])
-    evaluate(K3, sol)
-    gt = GainTable(K3, sol)
-    d = gt.apply_flip(0)
-    assert d == -2
-    assert sol.bits == [0, 0, 0]
-    assert sol.cached_objective == 0
-    assert gt.gain == GainTable(K3, sol).gain
+def test_apply_flip_updates_private_bits_and_gains():
+    bits = [1, 0, 0]
+    gt = GainTable(K3, bits)
+    assert gt.bits == bits and gt.bits is not bits  # the table never aliases its caller's bits
+    assert gt.apply_flip(0) is None
+    assert gt.bits == [0, 0, 0]
+    assert bits == [1, 0, 0]
+    assert gt.gain == GainTable(K3, [0, 0, 0]).gain
 
 
 def test_isolated_vertex_flip_is_free():
     inst = MaxCutInstance(3, [(0, 1, 4)])
-    sol = PartitionSolution([1, 0, 0])
-    gt = GainTable(inst, sol)
+    gt = GainTable(inst, [1, 0, 0])
     assert gt.gain[2] == 0
 
 
 def test_gain_table_random_flip_sequences():
     r = oracles.make_rng(31)
     inst = MaxCutInstance(9, oracles.rand_edges(r, 9, 0.6, -5, 10))
-    sol = PartitionSolution(oracles.rand_bits(r, 9))
-    evaluate(inst, sol)
-    gt = GainTable(inst, sol)
+    gt = GainTable(inst, oracles.rand_bits(r, 9))
     for _ in range(1000):
         v = r.randrange(9)
-        before = oracles.cut_value(inst.edges, sol.bits)
-        d = gt.apply_flip(v)
-        after = oracles.cut_value(inst.edges, sol.bits)
-        assert d == after - before
-        assert sol.cached_objective == after
-        assert gt.gain == GainTable(inst, sol).gain  # exact after every flip
+        before = oracles.cut_value(inst.edges, gt.bits)
+        d = gt.gain[v]
+        gt.apply_flip(v)
+        assert d == oracles.cut_value(inst.edges, gt.bits) - before
+        assert gt.gain == GainTable(inst, gt.bits).gain  # exact after every flip
 
 
 def test_duplicate_edges_merge_by_sum():
@@ -118,7 +112,7 @@ def test_local_optimum_has_nonpositive_gains():
     start = PartitionSolution(oracles.rand_bits(r, 10))
     evaluate(inst, start)
     out = local_search(inst, start, SearchDepth.BEST_IMPROVING, RandomStream(1))
-    assert all(g <= 0 for g in GainTable(inst, out).gain)
+    assert all(g <= 0 for g in GainTable(inst, out.bits).gain)
 
 
 def test_move_kernels_match_reference_selection():
@@ -160,7 +154,7 @@ def test_all_moves_oracle_matches_cut_value():
 
 
 def _fresh_gains(inst, sol):
-    return GainTable(inst, PartitionSolution(list(sol.bits))).gain
+    return GainTable(inst, sol.bits).gain
 
 
 def _check_against_fresh(inst, sol, other):
@@ -217,9 +211,9 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     builds = []
     init = maxcut.GainTable.__init__
 
-    def counting_init(self, inst, solution):
+    def counting_init(self, inst, bits):
         builds.append(1)
-        init(self, inst, solution)
+        init(self, inst, bits)
 
     monkeypatch.setattr(maxcut.GainTable, "__init__", counting_init)
     r = oracles.make_rng(36)
@@ -299,7 +293,7 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
             table = inst._gain_table(second)
             assert counts == {**before, "builds": before["builds"] + 1}
             assert table.gain == fresh
-            assert table.solution.bits == second.bits and table.solution.bits is not second.bits
+            assert table.bits == second.bits and table.bits is not second.bits
             assert table.owner is second
             v = r.randrange(n)
             inst.apply_move(second, Move("transfer", v, None, None, table.gain[v]))
@@ -394,14 +388,14 @@ def test_positive_gain_set_after_every_update(pm1):
     inst = MaxCutInstance(n, _pm1_or_signed(r, n, 0.2, pm1))
     sol = PartitionSolution(oracles.rand_bits(r, n))
     evaluate(inst, sol)
-    table = GainTable(inst, PartitionSolution(list(sol.bits)))  # a rebuild
+    table = GainTable(inst, sol.bits)  # a rebuild
     assert table.pos == _positive(table)
     for _ in range(300):
         table.apply_flip(r.randrange(n))
         assert table.pos == _positive(table)
     twin = table.fork(sol)
     assert twin.pos == table.pos and twin.pos is not table.pos and twin.gain is not table.gain
-    assert twin.solution.bits == table.solution.bits and twin.solution.bits is not table.solution.bits
+    assert twin.bits == table.bits and twin.bits is not table.bits
     for _ in range(50):  # built caches, then moves through them, then forks
         for v in r.sample(range(n), r.randrange(1, n)):
             sol.bits[v] ^= 1
@@ -414,7 +408,7 @@ def test_positive_gain_set_after_every_update(pm1):
             inst.apply_move(mover, Move("transfer", v, None, None, inst._gain_table(mover).gain[v]))
             for t in inst._tables:
                 assert t.pos == _positive(t)
-                assert t.gain == _fresh_gains(inst, t.solution)
+                assert t.gain == _fresh_gains(inst, t)
 
 
 @pytest.mark.parametrize("pm1", [False, True], ids=["signed", "pm1"])
@@ -455,13 +449,13 @@ def _count_cache_work(monkeypatch):
     counts = {"builds": 0, "flips": 0, "forks": 0}
     init, apply_flip, fork = maxcut.GainTable.__init__, maxcut.GainTable.apply_flip, maxcut.GainTable.fork
 
-    def counting_init(self, inst, solution):
+    def counting_init(self, inst, bits):
         counts["builds"] += 1
-        init(self, inst, solution)
+        init(self, inst, bits)
 
     def counting_flip(self, v):
         counts["flips"] += 1
-        return apply_flip(self, v)
+        apply_flip(self, v)
 
     def counting_fork(self, owner):
         counts["forks"] += 1
@@ -582,12 +576,32 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     assert counts == {"builds": 1, "flips": 1, "forks": 0}
     assert inst._gain_table(sol) is table and table.owner is sol
     heir = sol.copy()
-    old = (list(table.solution.bits), list(table.gain), set(table.pos))
+    old = (list(table.bits), list(table.gain), set(table.pos))
     inst.apply_move(heir, Move("transfer", 1, None, None, table.gain[1]))
     assert counts == {"builds": 1, "flips": 2, "forks": 1}
     twin = inst._gain_table(heir)
     assert twin is not table and twin.owner is heir and table.owner is sol
     assert twin.gain == _fresh_gains(inst, heir) and twin.pos == _positive(twin)
     assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
-    assert (table.solution.bits, table.gain, table.pos) == old
+    assert (table.bits, table.gain, table.pos) == old
     assert inst._gain_table(sol) is table and table.gain == _fresh_gains(inst, sol)
+
+
+def test_apply_move_refuses_a_vertex_out_of_range():
+    # element -1 would flip vertex n - 1 in the solution and corrupt the table
+    # the solution owns; it raises before any change, and the picks stay exact
+    from grasppr.local_search import Move
+
+    edges = [(0, 1, 3), (1, 2, 2), (2, 3, 5), (0, 3, 1)]
+    inst = MaxCutInstance(4, edges)
+    sol = PartitionSolution([0, 0, 0, 0])
+    evaluate(inst, sol)
+    table = inst._gain_table(sol)
+    old = (list(table.bits), list(table.gain), set(table.pos))
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^vertex {v} not in 0\.\.3$"):
+            inst.apply_move(sol, Move("transfer", v, None, None, 6))
+        assert sol.bits == [0, 0, 0, 0] and sol.cached_objective == 0
+        assert (table.bits, table.gain, table.pos) == old
+    for offset in range(4):
+        assert inst.first_move(sol, offset) == oracles.first_move(oracles.all_moves(inst, sol, offset))

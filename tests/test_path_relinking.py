@@ -29,11 +29,16 @@ def _parts(bits_a, bits_b, inst=MC6):
     return a, b
 
 
+def _better_worse(s, t):
+    return (s, t) if s.cached_objective >= t.cached_objective else (t, s)
+
+
 def test_partition_full_path_visits_delta_minus_one():
     s, t = _parts([0] * 6, [1, 1, 1, 1, 0, 0])
     best, trace = relink(MC6, s, t, PrConfig(direction=FORWARD), RandomStream(1))
     assert len(trace.visited) == 3  # |delta| - 1
-    dists = [delta(v, trace.guiding) for v, _ in trace.visited]
+    better, _ = _better_worse(s, t)
+    dists = [delta(v, better) for v, _ in trace.visited]  # forward goes worse -> better
     assert dists == [3, 2, 1]
     assert best.cached_objective >= max(s.cached_objective, t.cached_objective)
 
@@ -46,8 +51,8 @@ def test_permutation_forward_greedy_first_step():
     evaluate(inst, t)
     assert (s.cached_objective, t.cached_objective) == (12, 21)
     best, trace = relink(inst, s, t, PrConfig(direction=FORWARD), RandomStream(1))
-    assert trace.initiating == s and trace.guiding == t  # forward goes worse -> better
     assert trace.visited[0][0].order == [2, 0, 1, 3]
+    assert delta(trace.visited[0][0], t) < delta(s, t)  # forward goes worse -> better
     assert trace.visited[0][1] == 30  # 12 + 18
     # from (2,0,1,3) no insertion reduces the positional difference: early stop
     assert len(trace.visited) == 1
@@ -81,19 +86,19 @@ def test_mixed_walk_stops_in_permutation_trap():
 
 def test_backward_starts_from_better_endpoint():
     s, t = _parts([0] * 6, [1, 1, 1, 1, 0, 0])
-    better = s if s.cached_objective >= t.cached_objective else t
-    worse = t if better is s else s
+    better, worse = _better_worse(s, t)
     _, trace = relink(MC6, s, t, PrConfig(direction=BACKWARD), RandomStream(1))
-    assert trace.initiating == better and trace.guiding == worse
+    assert [delta(v, worse) for v, _ in trace.visited] == [3, 2, 1]
     assert delta(trace.visited[0][0], better) == 1
 
 
 def test_back_and_forward_concatenates_both_walks():
     s, t = _parts([0] * 6, [1, 1, 1, 1, 0, 0])
+    better, worse = _better_worse(s, t)
     _, trace = relink(MC6, s, t, PrConfig(direction=BACK_AND_FORWARD), RandomStream(1))
     assert len(trace.visited) == 6  # 3 backward + 3 forward
-    dists_to_worse = [delta(v, trace.guiding) for v, _ in trace.visited[:3]]
-    dists_to_better = [delta(v, trace.initiating) for v, _ in trace.visited[3:]]
+    dists_to_worse = [delta(v, worse) for v, _ in trace.visited[:3]]
+    dists_to_better = [delta(v, better) for v, _ in trace.visited[3:]]
     assert dists_to_worse == [3, 2, 1]
     assert dists_to_better == [3, 2, 1]
 
@@ -102,8 +107,7 @@ def test_min_distance_guard():
     s, t = _parts([0] * 6, [1, 1, 1, 0, 0, 0])  # delta 3
     best, trace = relink(MC6, s, t, PrConfig(direction=FORWARD), RandomStream(1))
     assert trace.visited == []
-    assert trace.best_index is None
-    better = s if s.cached_objective >= t.cached_objective else t
+    better, _ = _better_worse(s, t)
     assert best == better
     assert best is not better  # returned solution is a private copy
     # lowering the guard enables the walk on the same endpoints
@@ -180,8 +184,8 @@ def test_in_path_ls_every_q():
 def test_in_path_ls_best_only_once_at_best():
     calls, best, trace = _count_ls("best")
     assert len(calls) == 1
-    best_idx = trace.best_index
-    assert calls[0].bits == trace.visited[best_idx][0].bits
+    objs = [obj for _, obj in trace.visited]
+    assert calls[0].bits == trace.visited[objs.index(max(objs))][0].bits  # the first maximum
     assert best.cached_objective == 10**6
 
 
@@ -192,16 +196,24 @@ def test_in_path_policy_needs_ls():
             relink(MC6, s, t, PrConfig(in_path_ls=policy), RandomStream(1))
 
 
-def test_best_index_earliest_maximum():
+def test_in_path_best_starts_at_earliest_maximum():
     empty = MaxCutInstance(5, [])  # every cut is 0, so all intermediates tie
     s = PartitionSolution([0] * 5)
     t = PartitionSolution([1] * 5)
     evaluate(empty, s)
     evaluate(empty, t)
-    best, trace = relink(empty, s, t, PrConfig(direction=FORWARD), RandomStream(1))
+    calls = []
+
+    def recording_ls(sol):
+        calls.append(sol)
+        return sol.copy()
+
+    cfg = PrConfig(direction=FORWARD, in_path_ls="best")
+    best, trace = relink(empty, s, t, cfg, RandomStream(1), ls=recording_ls)
     assert len(trace.visited) == 4
-    assert trace.best_index == 0
+    assert len(calls) == 1 and calls[0] is trace.visited[0][0]
     assert best.cached_objective == 0
+    assert best == s and best is not s  # no visited solution beats the better endpoint
 
 
 def test_relink_endpoint_validation():

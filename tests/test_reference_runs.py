@@ -1,0 +1,90 @@
+"""Whole runs against naive reference instances.
+
+drivers.run on a fast instance and on oracles.RefLop / oracles.RefMaxCut
+over the same data must give equal reports, apart from the times. The
+reference instances score every candidate at every step and keep no state
+between calls, so a difference shows a cache of the fast kernels (the LOP
+insert scan, the max-cut gain tables and their owners and forks) that went
+wrong somewhere inside a run: across relinking walks, in-path searches,
+restarts or the pool phases.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grasppr import drivers, path_relinking
+from grasppr.construction import CARDINALITY, VALUE, RclConfig
+from grasppr.elite_set import PROPORTIONAL_DELTA, UNIFORM
+from grasppr.local_search import SearchDepth
+from grasppr.lop import LopInstance
+from grasppr.maxcut import MaxCutInstance
+
+import oracles
+
+DIRECTIONS = (path_relinking.FORWARD, path_relinking.BACKWARD, path_relinking.BACK_AND_FORWARD, path_relinking.MIXED)
+IN_PATH = (path_relinking.LS_NONE, path_relinking.LS_ALL, path_relinking.LS_EVERY, path_relinking.LS_BEST)
+
+
+@st.composite
+def instances(draw):
+    """(fast, reference) over one random instance with n <= 12 and small weights, so that gains tie."""
+    n = draw(st.integers(2, 12))
+    low = draw(st.integers(-3, 0))
+    high = low + draw(st.integers(1, 6))
+    r = draw(st.randoms(use_true_random=False))  # the entries, so that every draw gets a dense instance
+    if draw(st.booleans()):
+        cost = [[0 if i == j else r.randint(low, high) for j in range(n)] for i in range(n)]
+        return LopInstance(cost), oracles.RefLop(cost)
+    edges = oracles.rand_edges(r, n, draw(st.sampled_from((0.3, 0.6, 1.0))), low, high)
+    # some pairs twice, in the other orientation, so that both instances merge them
+    edges += [(j, i, r.randint(low, high)) for i, j, _ in r.sample(edges, len(edges) // 4)]
+    return MaxCutInstance(n, edges), oracles.RefMaxCut(n, edges)
+
+
+@st.composite
+def configs(draw):
+    variant = draw(st.sampled_from(drivers.VARIANTS[::-1]))  # the relinking variants first, as draws favour them
+    low = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    pr = path_relinking.PrConfig(
+        direction=draw(st.sampled_from(DIRECTIONS)),
+        step=draw(st.sampled_from((path_relinking.GREEDY, path_relinking.GREEDY_RANDOMIZED))),
+        rcl_size=draw(st.integers(1, 4)),
+        truncation=draw(st.sampled_from((1.0, 0.5))),
+        min_distance=draw(st.integers(0, 4)),
+        in_path_ls=draw(st.sampled_from(IN_PATH)),
+        ls_every=draw(st.integers(1, 3)),
+    )
+    dynamic = variant in (drivers.DYNAMIC_PR, drivers.EVOLUTIONARY_PR)
+    return drivers.RunConfig(
+        variant=variant,
+        seed=draw(st.integers(0, 2**32)),
+        iteration_limit=draw(st.integers(4, 15)),
+        restart_kappa=draw(st.sampled_from((None, 1, 3))) if dynamic else None,
+        rcl=RclConfig(
+            mode=draw(st.sampled_from((VALUE, CARDINALITY))),
+            alpha_low=low,
+            alpha_high=draw(st.sampled_from((low, low + 0.3, 1.0))),
+        ),
+        depth=draw(st.sampled_from(tuple(SearchDepth))),
+        pr=pr,
+        elite_k=draw(st.integers(1, 5)),
+        d_th=draw(st.sampled_from((None, 1, 2, 3))),
+        guide_policy=draw(st.sampled_from((UNIFORM, PROPORTIONAL_DELTA))),
+        static_sample=draw(st.integers(1, 8)),
+    )
+
+
+def _untimed(report: drivers.RunReport) -> dict:
+    fields = dict(vars(report))
+    del fields["elapsed_s"]
+    fields["incumbent_series"] = [obj for _, obj in report.incumbent_series]
+    fields["best_cached_objective"] = report.best_solution.cached_objective
+    return fields
+
+
+# derandomized, so that the same draws guard every run of the suite
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances(), configs())
+def test_run_equals_reference_run(pair, cfg):
+    fast, reference = pair
+    assert _untimed(drivers.run(fast, cfg)) == _untimed(drivers.run(reference, cfg))
