@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq
+from itertools import chain
 from typing import Sequence
 
 from .core import ProblemInstance, RandomStream, Solution
@@ -38,9 +37,9 @@ class RclConfig:
             raise ValueError(f"alpha range must satisfy 0 <= low <= high <= 1, got [{self.alpha_low}, {self.alpha_high}]")
 
 
-def _value_threshold(g_max: int, alpha: float) -> float:
-    # an int gain is compared with this float exactly, so no rounding enters
-    return (1.0 - alpha) * g_max
+def _value_threshold(g_max: int, alpha: float) -> int:
+    # an int gain g passes g >= t exactly when g >= ceil(t): the same RCLs
+    return math.ceil((1.0 - alpha) * g_max)
 
 
 def _cardinality_cut(size: int, alpha: float) -> int:
@@ -56,7 +55,7 @@ def rcl_from_columns(keys: Sequence, gains: Sequence[int], mode: str, alpha: flo
     key of the argmax set alone, so the step is deterministic greedy and draws
     nothing. With g_max < 0 and alpha > 0 the literal threshold rises above
     g_max and empties the value RCL; it then falls back to the argmax set so
-    construction stays total. Each rule is one pass over the columns in C.
+    construction stays total. Each rule is one pass over the columns.
     """
     if not keys:
         raise ConstructionError("empty candidate list")
@@ -65,8 +64,8 @@ def rcl_from_columns(keys: Sequence, gains: Sequence[int], mode: str, alpha: flo
         return [keys[gains.index(g_max)]]
     if mode == VALUE:
         threshold = _value_threshold(g_max, alpha)
-        literal = list(compress(keys, map(threshold.__le__, gains)))
-        return literal or list(compress(keys, map(eq, gains, repeat(g_max))))
+        literal = [k for k, g in zip(keys, gains) if g >= threshold]
+        return literal or [k for k, g in zip(keys, gains) if g == g_max]
     ranked = sorted(range(len(keys)), key=gains.__getitem__, reverse=True)  # stable: ties keep key order
     return list(map(keys.__getitem__, ranked[: _cardinality_cut(len(keys), alpha)]))
 

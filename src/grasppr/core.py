@@ -197,6 +197,9 @@ class RandomStream:
     platforms and versions for a fixed integer seed. Substream k reseeds with
     splitmix64(seed + k * golden), matching splitmix64's own stream stepping,
     so a restart gets an unrelated but fully reproducible sequence.
+
+    randrange(n) and pick draw getrandbits(n.bit_length()) until it is below n:
+    random.Random.randrange(n)'s own draws on CPython 3.10 and 3.11.
     """
 
     def __init__(self, seed: int, substream: int = 0):
@@ -213,7 +216,13 @@ class RandomStream:
         return self._rng.random()
 
     def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({n})")
+        k = n.bit_length()
+        r = self._rng.getrandbits(k)
+        while r >= n:
+            r = self._rng.getrandbits(k)
+        return r
 
     def pick(self, seq: Sequence):
         """Uniform choice; a singleton is returned without consuming a draw.
@@ -226,7 +235,7 @@ class RandomStream:
             raise IndexError("pick from empty sequence")
         if len(seq) == 1:
             return seq[0]
-        return seq[self._rng.randrange(len(seq))]
+        return seq[self.randrange(len(seq))]
 
     def alpha_in(self, low: float, high: float) -> float:
         """Uniform draw from the half-open interval (low, high]; collapsed range draws nothing."""

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isqrt
-from operator import add
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_columns
@@ -90,7 +90,8 @@ class _LopBuilder:
         del self.unplaced[i]
         self.objective += self.gains.pop(i)
         self.order.append(v)
-        self.gains = list(map(add, self.gains, map(self.inst.cost[v].__getitem__, self.unplaced)))
+        row = self.inst.cost[v]
+        self.gains = [g + row[u] for g, u in zip(self.gains, self.unplaced)]
 
     def build(self) -> PermutationSolution:
         return PermutationSolution(self.order, self.objective)
@@ -216,7 +217,8 @@ class LopInstance(ProblemInstance):
         k < i and k - 1 if k > i + 1, in scan order; skew[e][e] = 0 makes
         prefix[i + 1] = prefix[i], so k = i and k = i + 1 never improve.
         """
-        return list(accumulate(map(self._skew_rows()[e].__getitem__, order), initial=0))
+        # n >= 2, so itemgetter returns a tuple
+        return list(accumulate(itemgetter(*order)(self._skew_rows()[e]), initial=0))
 
     def _insert_move(self, order: Sequence[int], first: bool) -> Optional[Move]:
         # best: the lowest element of largest gain and its first minimum, the

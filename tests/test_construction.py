@@ -7,6 +7,7 @@ from grasppr.construction import (
     VALUE,
     ConstructionError,
     RclConfig,
+    _value_threshold,
     construct,
     rcl_from_buckets,
     rcl_from_columns,
@@ -239,6 +240,27 @@ def test_rcl_from_buckets_matches_rcl_from_entries():
                     assert _columns(entries, mode, alpha) == want
     with pytest.raises(ConstructionError):
         rcl_from_buckets({}, 0, VALUE, 0.5)
+
+
+def test_int_value_threshold_selects_what_the_float_rule_selects():
+    # g >= ceil(t) exactly when g >= t, for an int g and a finite float t;
+    # checked where (1 - alpha) * g_max rounds or g_max has no exact float
+    edges = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 150 * 2**31, 3 * 2**60 + 7, *range(2, 40)]
+    for g_max in edges + [-g for g in edges]:
+        for alpha in (0.0, 1e-9, 0.3, 0.5, 1.0 - 2.0**-53, 1.0):
+            t = (1.0 - alpha) * g_max
+            threshold = _value_threshold(g_max, alpha)
+            assert type(threshold) is int
+            window = range(int(t) - 3, int(t) + 4)
+            assert [g >= threshold for g in window] == [g >= t for g in window], (g_max, alpha)
+            entries = [(k, g) for k, g in enumerate([g_max, *window, g_max - 1]) if g <= g_max]
+            buckets = {}
+            for key, g in entries:
+                buckets.setdefault(g, []).append(key)
+            for mode in (VALUE, CARDINALITY):
+                want = oracles.rcl_from_entries(entries, mode, alpha)
+                assert _columns(entries, mode, alpha) == want
+                assert rcl_from_buckets(buckets, len(entries), mode, alpha) == want
 
 
 def test_per_step_alpha_draw_count():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,17 @@ def test_pick_singleton_consumes_no_draw():
     assert a.random() == b.random()  # streams still aligned
     with pytest.raises(IndexError):
         a.pick([])
+
+
+@pytest.mark.parametrize("n", [*range(2, 18), *(2**k + d for k in (5, 31, 32, 53, 62) for d in (-1, 0, 1))])
+def test_draws_equal_random_randrange(n):
+    # the pinned getrandbits draw gives randrange's values and consumes its draws
+    for draw, arg in ((RandomStream.pick, range(n)), (RandomStream.randrange, n)):
+        ours = RandomStream(2024)
+        ref = random.Random()
+        ref.setstate(ours._rng.getstate())
+        assert [draw(ours, arg) for _ in range(200)] == [ref.randrange(n) for _ in range(200)]
+        assert ours.random() == ref.random()
 
 
 def test_alpha_in_half_open_interval():
