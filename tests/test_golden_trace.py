@@ -19,8 +19,10 @@ value RCL only; golden_trace_construct_maxcut.json does the same for max-cut
 which the value RCL falls back). golden_trace_lop_descent.json freezes
 every move of best- and first-improving LOP descents from semi-greedy
 constructions at n = 100 and 150, and of one n = 100 evolutionary_pr solve
-with best-point in-path search. Regenerate all seven (only for a named,
-justified behaviour change) with
+with best-point in-path search. golden_trace_restarts.json freezes the
+dynamic and evolutionary drivers with stagnation restarts (kappa 1 and 3)
+on the toys, which no other golden file enables. Regenerate all eight (only
+for a named, justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
@@ -47,6 +49,7 @@ GOLDEN_RELINK = Path(__file__).resolve().parent / "golden_trace_relink.json"
 GOLDEN_CONSTRUCT = Path(__file__).resolve().parent / "golden_trace_construct.json"
 GOLDEN_CONSTRUCT_MAXCUT = Path(__file__).resolve().parent / "golden_trace_construct_maxcut.json"
 GOLDEN_LOP_DESCENT = Path(__file__).resolve().parent / "golden_trace_lop_descent.json"
+GOLDEN_RESTARTS = Path(__file__).resolve().parent / "golden_trace_restarts.json"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -129,6 +132,23 @@ def compute_path_traces() -> dict:
     for key, problem, make, options, iterations in LARGE_RUNS:
         cfg = bench_io.build_run_config(problem, {**options, "depth": "first"}, 1, None, iterations)
         traces[f"first/{key}"] = _trace(drivers.run(make(), cfg))
+    return traces
+
+
+RESTART_VARIANTS = (drivers.DYNAMIC_PR, drivers.EVOLUTIONARY_PR)
+RESTART_KAPPAS = (1, 3)
+
+
+def compute_restart_traces() -> dict:
+    traces = {}
+    for problem, path in _toys():
+        instance = bench_io.load_instance(path, problem)
+        for variant in RESTART_VARIANTS:
+            for kappa in RESTART_KAPPAS:
+                for seed in SEEDS:
+                    options = {"variant": variant, "elite-k": "4", "kappa": str(kappa)}
+                    cfg = bench_io.build_run_config(problem, options, seed, None, ITERATIONS)
+                    traces[f"kappa{kappa}/{variant}/{path.stem}/{seed}"] = _trace(drivers.run(instance, cfg))
     return traces
 
 
@@ -415,6 +435,22 @@ def test_lop_descent_golden_traces_reproduce():
     assert not mismatched, f"{len(mismatched)} LOP descent(s) diverged, first: {mismatched[0]}"
 
 
+def test_restart_golden_traces_reproduce():
+    expected = json.loads(GOLDEN_RESTARTS.read_text())
+    # every (kappa, variant) group restarts; with kappa 1 the pool is emptied too often to
+    # relink, so each variant relinks after a restart somewhere in its kappa 3 runs
+    for kappa in RESTART_KAPPAS:
+        for variant in RESTART_VARIANTS:
+            group = [r for k, r in expected.items() if k.startswith(f"kappa{kappa}/{variant}/")]
+            assert sum(r["restarts"] for r in group) > 0, (kappa, variant)
+            if kappa > 1:
+                assert sum(r["pr_calls"] for r in group if r["restarts"]) > 0, (kappa, variant)
+    actual = compute_restart_traces()
+    assert sorted(actual) == sorted(expected)
+    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not mismatched, f"{len(mismatched)} restart run(s) diverged, first: {mismatched[0]}"
+
+
 if __name__ == "__main__":
     payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -437,3 +473,6 @@ if __name__ == "__main__":
     descents = compute_lop_descent_traces()
     GOLDEN_LOP_DESCENT.write_text(json.dumps(descents, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(descents)} LOP descents to {GOLDEN_LOP_DESCENT}")
+    restarts = compute_restart_traces()
+    GOLDEN_RESTARTS.write_text(json.dumps(restarts, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(restarts)} restart runs to {GOLDEN_RESTARTS}")
