@@ -1,10 +1,15 @@
 """Top-level search: multi-start GRASP and its relinking hybrids, one run().
 
-All variants share one bookkeeping object (DriverState) and one iteration
-shape: construct, improve, update the incumbent. The hybrids differ only in
-when solutions enter the elite pool and when pairs of solutions get relinked.
-Control flow never branches on wall-clock values unless a time limit is set,
-so fixed seed + fixed iteration_limit gives bit-identical reports.
+All variants run one loop: construct, improve, update the incumbent. The
+hybrids differ only in when solutions enter the elite pool and when pairs
+get relinked. A private _Run holds the incumbent, the pool, the random
+stream and the relinking counters; the loop keeps its own counts. A restart
+(dynamic_pr and evolutionary_pr with restart_kappa set) follows
+restart_kappa iterations in a row without a new incumbent: it empties the
+pool and jumps the stream to its next substream, and the next elite_k
+iterations seed the pool again. The incumbent and its series survive.
+Control flow never reads the clock unless a time limit is set, so fixed
+seed + fixed iteration_limit gives bit-identical reports.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ class RunConfig:
             raise ValueError("iteration_limit must be >= 1")
         if self.restart_kappa is not None and self.restart_kappa < 1:
             raise ValueError("restart_kappa must be >= 1")
+        if not isinstance(self.depth, SearchDepth):
+            raise ValueError(f"depth must be a SearchDepth, not {self.depth!r}")
         if self.elite_k < 1:
             raise ValueError("elite_k must be >= 1")
         if self.d_th is not None and self.d_th < 1:
@@ -85,125 +92,45 @@ class RunReport:
     elapsed_s: float
 
 
-@dataclass
-class DriverState:
-    """Mutable bookkeeping for one run; maybe_restart operates on this."""
+class _Run:
+    """What one run's steps share: the incumbent, the pool, the stream, the relinking counters."""
 
-    instance: ProblemInstance
-    cfg: RunConfig
-    rng: RandomStream
-    elite: EliteSet
-    started: float
-    deadline: Optional[float]
-    best_solution: Optional[Solution] = None
-    best_objective: Optional[int] = None
-    incumbent_series: list[tuple[float, int]] = field(default_factory=list)
-    iterations: int = 0
-    restarts: int = 0
-    pr_calls: int = 0
-    pr_improvements: int = 0
-    stagnation: int = 0  # iterations since the incumbent last improved
-    epoch_iterations: int = 0  # iterations since the last restart
-    improved_this_iteration: bool = False
+    def __init__(self, instance: ProblemInstance, cfg: RunConfig):
+        self.instance = instance
+        self.cfg = cfg
+        self.rng = RandomStream(cfg.seed)
+        d_th = cfg.d_th if cfg.d_th is not None else default_diversity_threshold(instance.n)
+        self.elite = EliteSet(cfg.elite_k, d_th)
+        self.started = time.monotonic()
+        self.best_solution: Optional[Solution] = None
+        self.best_objective: Optional[int] = None
+        self.incumbent_series: list[tuple[float, int]] = []
+        self.pr_calls = 0
+        self.pr_improvements = 0
 
+    def offer(self, sol: Solution) -> None:
+        obj = sol.cached_objective
+        if self.best_objective is None or obj > self.best_objective:
+            self.best_solution = sol.copy()
+            self.best_objective = obj
+            self.incumbent_series.append((time.monotonic() - self.started, obj))
 
-def _new_state(instance: ProblemInstance, cfg: RunConfig) -> DriverState:
-    d_th = cfg.d_th if cfg.d_th is not None else default_diversity_threshold(instance.n)
-    started = time.monotonic()
-    deadline = started + cfg.time_limit if cfg.time_limit is not None else None
-    return DriverState(instance, cfg, RandomStream(cfg.seed), EliteSet(cfg.elite_k, d_th), started, deadline)
+    def improve(self, sol: Solution) -> Solution:
+        return local_search(self.instance, sol, self.cfg.depth, self.rng)
 
-
-def _should_iterate(state: DriverState, phase_deadline: Optional[float] = None) -> bool:
-    if state.cfg.iteration_limit is not None and state.iterations >= state.cfg.iteration_limit:
-        return False
-    if state.iterations == 0:
-        return True  # always complete one iteration, however tight the clock
-    if state.deadline is not None and time.monotonic() >= state.deadline:
-        return False
-    if phase_deadline is not None and time.monotonic() >= phase_deadline:
-        return False
-    return True
+    def relink_pair(self, a: Solution, b: Solution) -> Solution:
+        """Relink a with b, locally search the outcome, update the incumbent."""
+        self.pr_calls += 1
+        best, _ = relink(self.instance, a, b, self.cfg.pr, self.rng, ls=self.improve)
+        result = self.improve(best)
+        if result.cached_objective > max(a.cached_objective, b.cached_objective):
+            self.pr_improvements += 1
+        self.offer(result)
+        return result
 
 
-def _time_up(state: DriverState) -> bool:
-    return state.deadline is not None and time.monotonic() >= state.deadline
-
-
-def _offer_incumbent(state: DriverState, sol: Solution) -> None:
-    obj = sol.cached_objective
-    if state.best_objective is None or obj > state.best_objective:
-        state.best_solution = sol.copy()
-        state.best_objective = obj
-        state.incumbent_series.append((time.monotonic() - state.started, obj))
-        state.improved_this_iteration = True
-
-
-def _improve(state: DriverState, sol: Solution) -> Solution:
-    return local_search(state.instance, sol, state.cfg.depth, state.rng)
-
-
-def _grasp_iteration(state: DriverState, with_ls: bool) -> Solution:
-    sol = construct(state.instance, state.cfg.rcl, state.rng)
-    if sol.cached_objective is None:
-        evaluate(state.instance, sol)
-    if with_ls:
-        sol = _improve(state, sol)
-    _offer_incumbent(state, sol)
-    return sol
-
-
-def _relink_pipeline(state: DriverState, a: Solution, b: Solution) -> Solution:
-    """Relink a with b, locally search the outcome, update the incumbent."""
-    state.pr_calls += 1
-    best, _ = relink(state.instance, a, b, state.cfg.pr, state.rng, ls=lambda s: _improve(state, s))
-    result = _improve(state, best)
-    if result.cached_objective > max(a.cached_objective, b.cached_objective):
-        state.pr_improvements += 1
-    _offer_incumbent(state, result)
-    return result
-
-
-def maybe_restart(state: DriverState, kappa: int) -> bool:
-    """Restart once kappa iterations have passed without incumbent improvement.
-
-    A restart empties the elite pool and jumps the rng to a fresh substream;
-    the incumbent and its series survive. Returns True when it fired.
-    """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if state.stagnation < kappa:
-        return False
-    state.elite.clear()
-    state.rng.advance_substream()
-    state.stagnation = 0
-    state.epoch_iterations = 0
-    state.restarts += 1
-    return True
-
-
-def _close_iteration(state: DriverState) -> None:
-    if state.improved_this_iteration:
-        state.stagnation = 0
-    else:
-        state.stagnation += 1
-    if state.cfg.restart_kappa is not None:
-        maybe_restart(state, state.cfg.restart_kappa)
-
-
-def _report(state: DriverState) -> RunReport:
-    if state.best_solution is None:
-        raise RuntimeError("driver finished without completing an iteration")
-    return RunReport(
-        best_solution=state.best_solution,
-        best_objective=state.best_objective,
-        incumbent_series=list(state.incumbent_series),
-        iterations=state.iterations,
-        restarts=state.restarts,
-        pr_calls=state.pr_calls,
-        pr_improvements=state.pr_improvements,
-        elapsed_s=time.monotonic() - state.started,
-    )
+def _past(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
 
 
 def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
@@ -215,27 +142,42 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
     a guide from the pool as the run goes. evolutionary_pr: a dynamic phase
     (half the time limit, if set), then the pool is relinked to exhaustion.
     """
-    state = _new_state(instance, cfg)
+    r = _Run(instance, cfg)
     dynamic = cfg.variant in (DYNAMIC_PR, EVOLUTIONARY_PR)
-    sample = cfg.static_sample if cfg.variant == STATIC_PR else math.inf
-    phase_deadline = None
-    if cfg.variant == EVOLUTIONARY_PR and cfg.time_limit is not None:
-        phase_deadline = state.started + cfg.time_limit / 2.0
-    while _should_iterate(state, phase_deadline) and state.iterations < sample:
-        state.iterations += 1
-        state.epoch_iterations += 1
-        state.improved_this_iteration = False
-        sol = _grasp_iteration(state, with_ls=cfg.variant != SEMIGREEDY)
-        if cfg.variant == STATIC_PR or (dynamic and state.epoch_iterations <= cfg.elite_k):
+    limit = cfg.iteration_limit if cfg.iteration_limit is not None else math.inf
+    if cfg.variant == STATIC_PR:
+        limit = min(limit, cfg.static_sample)
+    deadline = phase_end = None
+    if cfg.time_limit is not None:
+        deadline = r.started + cfg.time_limit
+        phase_end = r.started + cfg.time_limit / 2.0 if cfg.variant == EVOLUTIONARY_PR else deadline
+    iterations = epoch = stagnation = restarts = 0
+    # the first iteration always runs, however tight the clock
+    while iterations < limit and (iterations == 0 or not _past(phase_end)):
+        iterations += 1
+        epoch += 1
+        before = r.best_objective
+        sol = construct(instance, cfg.rcl, r.rng)
+        if sol.cached_objective is None:
+            evaluate(instance, sol)
+        if cfg.variant != SEMIGREEDY:
+            sol = r.improve(sol)
+        r.offer(sol)
+        if cfg.variant == STATIC_PR or (dynamic and epoch <= cfg.elite_k):
             # every static sample enters the pool; a dynamic pool is seeded by
             # the first k iterations of each epoch, and as duplicates may be
             # rejected, relinking starts on schedule even if the pool is small
-            state.elite.try_add(sol)
+            r.elite.try_add(sol)
         elif dynamic:
-            guide = state.elite.select_guide(sol, cfg.guide_policy, state.rng)
+            guide = r.elite.select_guide(sol, cfg.guide_policy, r.rng)
             if guide is not None and guide != sol:  # else nothing to relink against
-                state.elite.try_add(_relink_pipeline(state, sol, guide))
-        _close_iteration(state)
+                r.elite.try_add(r.relink_pair(sol, guide))
+        stagnation = 0 if r.best_objective != before else stagnation + 1
+        if cfg.restart_kappa is not None and stagnation >= cfg.restart_kappa:
+            r.elite.clear()
+            r.rng.advance_substream()
+            epoch = stagnation = 0
+            restarts += 1
 
     if cfg.variant in (STATIC_PR, EVOLUTIONARY_PR):
         # Relink unrelinked pool pairs, lowest indices first, until none is
@@ -243,11 +185,20 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
         # Evolutionary outcomes are resubmitted, and each admission spawns
         # fresh pairs; the loop still ends, because every admission strictly
         # raises the pool's objective multiset, which lives in a finite space.
-        while not _time_up(state):
-            pair = state.elite.next_unrelinked_pair()
+        while not _past(deadline):
+            pair = r.elite.next_unrelinked_pair()
             if pair is None:
                 break
-            result = _relink_pipeline(state, *pair)
+            result = r.relink_pair(*pair)
             if cfg.variant == EVOLUTIONARY_PR:
-                state.elite.try_add(result)
-    return _report(state)
+                r.elite.try_add(result)
+    return RunReport(
+        best_solution=r.best_solution,
+        best_objective=r.best_objective,
+        incumbent_series=r.incumbent_series,
+        iterations=iterations,
+        restarts=restarts,
+        pr_calls=r.pr_calls,
+        pr_improvements=r.pr_improvements,
+        elapsed_s=time.monotonic() - r.started,
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import RandomStream, Solution, delta as delta_size
@@ -14,7 +14,6 @@ PROPORTIONAL_DELTA = "pdelta"
 @dataclass
 class AddResult:
     added: bool
-    evicted: list[Solution] = field(default_factory=list)
     reason: Optional[str] = None  # quality | duplicate | diversity when rejected
 
 
@@ -98,7 +97,7 @@ class EliteSet:
                 for m in near:
                     self._drop(m)
                 self._admit(solution, objective)
-                return AddResult(True, evicted=[m.solution for m in near])
+                return AddResult(True)
             return AddResult(False, reason="diversity")
 
         best = self.best_objective()
@@ -113,7 +112,7 @@ class EliteSet:
         _, victim = min(worse, key=lambda im: (delta_size(im[1].solution, solution), im[1].objective, im[0]))
         self._drop(victim)
         self._admit(solution, objective)
-        return AddResult(True, evicted=[victim.solution])
+        return AddResult(True)
 
     def select_guide(self, reference: Solution, policy: str, rng: RandomStream) -> Optional[Solution]:
         """Pick a relinking guide for reference; None when no usable candidate.

@@ -43,12 +43,15 @@ def local_search(
     randomized_first_improving a fresh scan offset is drawn each pass so the
     scan is not biased toward low vertex ids. A move that does not improve
     raises RuntimeError: the instance's kernel is wrong, and applying the
-    move could cycle forever.
+    move could cycle forever. A depth that is not a SearchDepth raises
+    ValueError.
     """
     sol = start.copy()
     if sol.cached_objective is None:
         evaluate(instance, sol)
     best = depth is SearchDepth.BEST_IMPROVING
+    if not best and depth is not SearchDepth.FIRST_IMPROVING:
+        raise ValueError(f"depth must be a SearchDepth, not {depth!r}")
     while True:
         if best:
             move = instance.best_move(sol)

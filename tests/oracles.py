@@ -144,30 +144,30 @@ class EliteMirror:
         self.members = []  # [bits, objective]
 
     def add(self, bits, f):
-        """Returns (added, evicted bit-lists, reason)."""
+        """Returns (added, reason); the members show what was evicted."""
         bits = list(bits)
         if len(self.members) < self.capacity:
             near = [m for m in self.members if position_delta(m[0], bits) < self.d_th]
             if not near:
                 self.members.append([bits, f])
-                return True, [], None
+                return True, None
             if all(f > m[1] for m in near):
                 for m in near:
                     self.members.remove(m)
                 self.members.append([bits, f])
-                return True, [m[0] for m in near], None
-            return False, [], "diversity"
+                return True, None
+            return False, "diversity"
         worst = min(m[1] for m in self.members)
         if f <= worst:
-            return False, [], "quality"
+            return False, "quality"
         best = max(m[1] for m in self.members)
         if f <= best and any(position_delta(m[0], bits) == 0 for m in self.members):
-            return False, [], "duplicate"
+            return False, "duplicate"
         worse = [(i, m) for i, m in enumerate(self.members) if m[1] < f]
         _, victim = min(worse, key=lambda im: (position_delta(im[1][0], bits), im[1][1], im[0]))
         self.members.remove(victim)
         self.members.append([bits, f])
-        return True, [victim[0]], None
+        return True, None
 
 
 def insert_delta(cost, order, i, j):

@@ -3,14 +3,8 @@ import time
 import pytest
 
 from grasppr.construction import RclConfig, construct
-from grasppr.core import RandomStream, evaluate
-from grasppr.drivers import (
-    DriverState,
-    RunConfig,
-    default_diversity_threshold,
-    maybe_restart,
-    run,
-)
+from grasppr.core import RandomStream
+from grasppr.drivers import RunConfig, default_diversity_threshold, run
 from grasppr.elite_set import EliteSet
 from grasppr.local_search import SearchDepth, local_search
 from grasppr.lop import LopInstance
@@ -138,37 +132,23 @@ def test_evolutionary_pr_singleton_pool_has_nothing_to_relink():
     assert report.best_objective == 5
 
 
-def _state(kappa=None):
-    cfg = RunConfig(variant="dynamic_pr", seed=4, iteration_limit=10, restart_kappa=kappa)
-    return DriverState(LOP10, cfg, RandomStream(4), EliteSet(3, 1), time.monotonic(), None)
-
-
 def test_maybe_restart_requires_positive_kappa():
-    with pytest.raises(ValueError):
-        maybe_restart(_state(), 0)
+    for variant in ("dynamic_pr", "evolutionary_pr"):
+        for kappa in (0, -1):
+            with pytest.raises(ValueError, match="restart_kappa must be >= 1"):
+                RunConfig(variant=variant, iteration_limit=10, restart_kappa=kappa)
 
 
 def test_maybe_restart_below_threshold_is_a_no_op():
-    state = _state()
-    state.stagnation = 4
-    state.elite.try_add(construct(LOP10, GREEDY_RCL, state.rng), 1)
-    assert not maybe_restart(state, 5)
-    assert state.stagnation == 4 and len(state.elite) == 1 and state.restarts == 0
-
-
-def test_maybe_restart_fires_and_resets():
-    state = _state()
-    state.stagnation = 5
-    state.epoch_iterations = 9
-    state.best_objective = 42
-    state.elite.try_add(construct(LOP10, GREEDY_RCL, state.rng), 1)
-    assert maybe_restart(state, 5)
-    assert state.restarts == 1
-    assert state.stagnation == 0 and state.epoch_iterations == 0
-    assert len(state.elite) == 0
-    assert state.best_objective == 42  # incumbent survives
-    # the stream jumped to the next substream
-    assert state.rng.random() == RandomStream(4, substream=1).random()
+    # flat landscape: 5 iterations leave 4 stagnant ones after the first
+    # improvement, one short of kappa=5, so the run matches one without restarts
+    flat = LopInstance([[0] * 6 for _ in range(6)])
+    below = run(flat, RunConfig(variant="dynamic_pr", seed=4, iteration_limit=5, elite_k=3, restart_kappa=5))
+    never = run(flat, RunConfig(variant="dynamic_pr", seed=4, iteration_limit=5, elite_k=3))
+    assert below.restarts == never.restarts == 0
+    assert below.pr_calls == never.pr_calls == 2  # the pool was never emptied
+    assert below.best_solution == never.best_solution
+    assert below.best_objective == never.best_objective == 0
 
 
 def test_restart_cadence_on_flat_landscape():
@@ -180,6 +160,19 @@ def test_restart_cadence_on_flat_landscape():
     assert report.restarts == 5
     assert report.best_objective == 0
     assert len(report.incumbent_series) == 1
+
+
+def test_restart_empties_the_pool_and_a_new_epoch_reseeds_it():
+    # flat landscape: after iteration 1 nothing improves, so a restart fires every
+    # kappa iterations; each epoch's first elite_k iterations seed the emptied pool
+    # and only the rest relink. Without the epoch reset, every iteration from the
+    # third on would relink (28 walks).
+    flat = LopInstance([[0] * 6 for _ in range(6)])
+    for elite_k, kappa, restarts, pr_calls in ((2, 3, 9, 10), (3, 4, 7, 8)):
+        cfg = RunConfig(variant="dynamic_pr", seed=8, iteration_limit=30, elite_k=elite_k, restart_kappa=kappa)
+        report = run(flat, cfg)
+        assert (report.restarts, report.pr_calls) == (restarts, pr_calls)
+        assert report.best_objective == 0 and len(report.incumbent_series) == 1  # the incumbent survives
 
 
 def test_restart_threshold_boundary():
@@ -231,6 +224,15 @@ def test_run_config_validation():
             RunConfig(variant=variant, iteration_limit=1, restart_kappa=1)
     for variant in ("dynamic_pr", "evolutionary_pr"):
         assert RunConfig(variant=variant, iteration_limit=1, restart_kappa=1).restart_kappa == 1
+
+
+def test_depth_must_be_a_search_depth():
+    # a string depth used to fall through to first-improving search
+    for depth in ("best", "first", "deepest", None):
+        with pytest.raises(ValueError, match="depth must be a SearchDepth"):
+            RunConfig(iteration_limit=1, depth=depth)
+        with pytest.raises(ValueError, match="depth must be a SearchDepth"):
+            local_search(LOP10, construct(LOP10, GREEDY_RCL, RandomStream(1)), depth, RandomStream(1))
 
 
 def test_run_dispatches_every_variant():

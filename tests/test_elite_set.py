@@ -17,8 +17,8 @@ def _part(bits, f=None):
 def test_first_candidate_always_admitted():
     es = EliteSet(capacity=3, diversity_threshold=5)
     res = es.try_add(_part([0] * 8), 1)
-    assert res.added and res.evicted == [] and res.reason is None
-    assert len(es) == 1
+    assert res.added and res.reason is None
+    assert [s.bits for s, _ in es.members] == [[0] * 8]
 
 
 def test_fillup_diversity_reject():
@@ -42,7 +42,7 @@ def test_fillup_replaces_all_near_when_strictly_better():
     cand = _part([1, 1, 0, 0, 0, 0, 0, 0])
     res = es.try_add(cand, 7)
     assert res.added
-    assert sorted(e.bits for e in res.evicted) == sorted([a.bits, b.bits])
+    # a and b are gone, the candidate is the only member
     assert es.members[0][0] == cand and es.members[0][1] == 7
     assert len(es) == 1
 
@@ -89,9 +89,7 @@ def test_full_evicts_closest_strictly_worse():
     res = es.try_add(_part([0] * 16), 9)
     assert res.added
     # b and c are the strictly worse members; b is closer (2 vs 7)
-    assert [e.bits for e in res.evicted] == [b.bits]
-    objs = sorted(f for _, f in es.members)
-    assert objs == [6, 9, 10]
+    assert sorted((s.bits, f) for s, f in es.members) == sorted([(a.bits, 10), ([0] * 16, 9), (c.bits, 6)])
 
 
 def test_eviction_tie_breaks_on_objective_then_index():
@@ -102,7 +100,8 @@ def test_eviction_tie_breaks_on_objective_then_index():
     # candidate is distance 2 from every member; worse members tie on
     # distance, so the lower objective (3) goes
     res = es.try_add(_part([1, 0, 1, 0]), 6)
-    assert res.added and res.evicted[0].bits == [1, 1, 0, 0]
+    assert res.added
+    assert [s.bits for s, _ in es.members] == [[0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]]
 
 
 def test_try_add_requires_an_objective():
@@ -131,9 +130,8 @@ def test_mirror_equivalence_fuzz():
             bits = oracles.rand_bits(r, 10)
             f = r.randint(0, 30)
             got = es.try_add(_part(bits), f)
-            added, evicted, reason = mirror.add(bits, f)
+            added, reason = mirror.add(bits, f)
             assert got.added == added and got.reason == reason
-            assert sorted(e.bits for e in got.evicted) == sorted(evicted)
             assert len(es) <= capacity
             have = sorted((s.bits, f) for s, f in es.members)
             want = sorted((b, f) for b, f in mirror.members)
@@ -215,7 +213,8 @@ def test_eviction_forgets_pairs_and_admission_spawns_them():
         pass
     # replaces the closest strictly worse member; its pair marks die with it
     res = es.try_add(_part([1, 0, 0, 0]), 9)
-    assert res.added and res.evicted[0].bits == [0, 0, 0, 0]
+    assert res.added
+    assert [s.bits for s, _ in es.members] == [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]]
     fresh = []
     while (pair := es.next_unrelinked_pair()) is not None:
         fresh.append(pair)
