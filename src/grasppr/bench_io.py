@@ -318,8 +318,10 @@ def int_option(key: str, raw) -> int:
 
 
 def seed_list(raw: str) -> list[int]:
-    """Comma-separated seeds; a repeated seed is an OptionError."""
+    """Comma-separated seeds in 0..2^64-1; a repeated seed is an OptionError."""
     seeds = [int_option("seeds", s) for s in raw.split(",")]
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise OptionError(f"seeds: each must be in 0..2^64-1, got {raw!r}")
     if len(set(seeds)) != len(seeds):
         raise OptionError("duplicate seeds")
     return seeds

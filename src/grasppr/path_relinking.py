@@ -66,15 +66,9 @@ class PrConfig:
 
 @dataclass
 class PathTrace:
-    """Solutions visited between (never including) the endpoints, with their objectives."""
+    """The objectives of the solutions visited between (never including) the endpoints, in order."""
 
-    visited: list[tuple[Solution, int]] = field(default_factory=list)
-
-
-def _ensure_objective(instance: ProblemInstance, sol: Solution) -> int:
-    if sol.cached_objective is None:
-        evaluate(instance, sol)
-    return sol.cached_objective
+    visited: list[int] = field(default_factory=list)
 
 
 def _walk(
@@ -116,7 +110,7 @@ def relink(
     backward from the better one, back_and_forward concatenates a backward and
     a forward pass, mixed alternates heads. The returned best is the maximum
     over the better endpoint, the visited solutions, and any in-path local
-    search outputs (the trace always records the raw, unimproved path). ls is
+    search outputs (the trace records the raw path's objectives only). ls is
     the in-path local search, required unless cfg.in_path_ls is none; best
     runs it once, from the first visited solution of largest objective.
     """
@@ -127,13 +121,13 @@ def relink(
     if ls is None and cfg.in_path_ls != LS_NONE:
         raise ValueError(f"in-path local search {cfg.in_path_ls!r} needs ls")
 
-    fs = _ensure_objective(instance, s)
-    ft = _ensure_objective(instance, t)
+    fs, ft = (evaluate(instance, x) if x.cached_objective is None else x.cached_objective for x in (s, t))
     better, worse = (s, t) if fs >= ft else (t, s)
-    # best is the better endpoint, a visited copy or an in-path search output;
-    # none of them changes later, so it is copied once, on return
+    # best is the better endpoint, a peak copy or an in-path search output;
+    # none of them changes later, so it is copied once, on return. best is
+    # never below the peak, so a visit that is no new peak cannot improve it
     best = better
-    peak: Optional[Solution] = None  # the first visited copy of largest objective
+    peak: Optional[Solution] = None  # a copy of the first visited solution of largest objective
     trace = PathTrace()
 
     dsize = delta_size(s, t)
@@ -147,11 +141,10 @@ def relink(
 
     def visit(sol: Solution) -> None:
         nonlocal peak
-        seen = sol.copy()
-        trace.visited.append((seen, seen.cached_objective))
-        if peak is None or seen.cached_objective > peak.cached_objective:
-            peak = seen
-        offer(seen)
+        trace.visited.append(sol.cached_objective)
+        if peak is None or sol.cached_objective > peak.cached_objective:
+            peak = sol.copy()
+            offer(peak)
         if cfg.in_path_ls == LS_ALL or (
             cfg.in_path_ls == LS_EVERY and len(trace.visited) % cfg.ls_every == 0
         ):

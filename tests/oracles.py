@@ -10,6 +10,7 @@ on them; every kernel behind that interface is built from the functions here.
 
 import math
 import random
+from contextlib import contextmanager
 from itertools import permutations
 
 from grasppr.core import BEST_MOVE, PartitionSolution, PermutationSolution, ProblemInstance, Walk
@@ -101,6 +102,34 @@ def reducing_insertions(order, target):
         if position_delta(l, target) < base:
             out.append(e)
     return out
+
+
+@contextmanager
+def record_path(instance):
+    """Record every relinking step on instance while the block runs.
+
+    Wraps instance.new_walk, so each take of each walk appends (a copy of
+    the moved head, its index, its objective) to the yielded list, in the
+    order relink visits them.
+    """
+    path = []
+
+    def new_walk(a, b):
+        walk = type(instance).new_walk(instance, a, b)
+        take = walk.take
+
+        def recording_take(i, move):
+            take(i, move)
+            path.append((walk.heads[i].copy(), i, walk.heads[i].cached_objective))
+
+        walk.take = recording_take
+        return walk
+
+    instance.new_walk = new_walk
+    try:
+        yield path
+    finally:
+        del instance.new_walk
 
 
 def build_rcl_value(entries, alpha):

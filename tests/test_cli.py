@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from grasppr import bench_io
@@ -5,6 +10,7 @@ from grasppr.cli import main
 
 K3 = "3 3\n1 2 1\n2 3 1\n1 3 1\n"
 LOP4 = "t\n4\n0 3 9 1\n2 0 4 0\n5 1 0 2\n0 8 3 0\n"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -362,6 +368,29 @@ def test_bench_rejects_duplicate_seeds(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 64 and "duplicate seeds" in err
         assert not (tmp_path / "dup").exists()
+
+
+def test_seeds_outside_u64_are_usage_errors(tmp_path, lop_path, capsys):
+    # 2^64 + 1 and -(2^64 - 1) would run seed 1's stream
+    inst_dir = _write_bench_dir(tmp_path)
+    for seeds in ("1,18446744073709551617", "-1"):
+        code = main([
+            "bench", "--problem", "lop", "--instances", str(inst_dir),
+            "--method", "grasp", "--seeds", seeds, "--iters", "1", "--out", str(tmp_path / "wide"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 64 and "0..2^64-1" in err
+        assert not (tmp_path / "wide").exists()
+    args = ["--problem", "lop", "--instance", lop_path, "--iters", "1", "--seed=-18446744073709551615"]
+    code, out, err = _solve(args, capsys)
+    assert code == 64 and out == "" and "0..2^64-1" in err
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), "--seeds", "1,18446744073709551617",
+         "--out", str(tmp_path / "exp")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 2 and result.stderr.startswith("usage:") and "0..2^64-1" in result.stderr
+    assert not (tmp_path / "exp").exists()
 
 
 def test_bench_rejects_bad_method_specs(tmp_path, capsys):

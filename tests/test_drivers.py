@@ -218,6 +218,11 @@ def test_run_config_validation():
     ):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+    # RandomStream reads a seed modulo 2^64, so a seed outside 0..2^64-1 would alias another
+    for seed in (-1, 2**64, 2**64 + 1, -(2**64) + 1):
+        with pytest.raises(ValueError, match="seed must be in 0..2\\^64-1"):
+            RunConfig(iteration_limit=1, seed=seed)
+    assert RunConfig(iteration_limit=1, seed=2**64 - 1).seed == 2**64 - 1
     # restarts act on the dynamic loop only; the other variants would ignore kappa
     for variant in ("semigreedy", "grasp", "static_pr"):
         with pytest.raises(ValueError, match="restart_kappa applies only to dynamic_pr and evolutionary_pr"):

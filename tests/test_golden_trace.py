@@ -11,7 +11,8 @@ cardinality RCL and first-improving search on the toys, and the two larger
 runs with first-improving search.
 golden_trace_relink.json freezes single relink calls over every direction,
 step rule, truncation and in-path policy, on a LOP toy, a max-cut toy and a
-generated max-cut graph with n = 120. golden_trace_construct.json freezes
+generated max-cut graph with n = 120; oracles.record_path records their
+visited solutions. golden_trace_construct.json freezes
 semi-greedy LOP constructions alone (n = 2, 30 and 150, both RCL modes,
 collapsed and open alpha ranges), which the driver runs above start from a
 value RCL only; golden_trace_construct_maxcut.json does the same for max-cut
@@ -39,6 +40,8 @@ from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, e
 from grasppr.local_search import SearchDepth, local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY_DIR = ROOT / "instances" / "toy"
@@ -202,9 +205,11 @@ def compute_relink_traces() -> dict:
                     cfg = path_relinking.PrConfig(direction=direction, step=step, truncation=truncation, in_path_ls=in_path)
                     rng = RandomStream(seed)
                     ls = lambda sol: local_search(instance, sol, SearchDepth.BEST_IMPROVING, rng)
-                    best, trace = path_relinking.relink(instance, s.copy(), t.copy(), cfg, rng, ls=ls)
-                    path = "|".join(f"{bench_io.serialize_solution(sol)}={obj}" for sol, obj in trace.visited)
-                    objs = [obj for _, obj in trace.visited]
+                    with oracles.record_path(instance) as steps:
+                        best, trace = path_relinking.relink(instance, s.copy(), t.copy(), cfg, rng, ls=ls)
+                    path = "|".join(f"{bench_io.serialize_solution(sol)}={obj}" for sol, _, obj in steps)
+                    objs = [obj for _, _, obj in steps]
+                    assert trace.visited == objs
                     traces[f"{name}/{seed}/{pair}/{direction}/{step}/{truncation}/{in_path}"] = {
                         "best_objective": best.cached_objective,
                         "best_solution": bench_io.serialize_solution(best),

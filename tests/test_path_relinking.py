@@ -33,12 +33,21 @@ def _better_worse(s, t):
     return (s, t) if s.cached_objective >= t.cached_objective else (t, s)
 
 
+def _relink_path(inst, s, t, cfg, rng, ls=None):
+    """relink's result and its path as oracles.record_path records it:
+    (moved head, head index, objective) per step."""
+    with oracles.record_path(inst) as path:
+        best, trace = relink(inst, s, t, cfg, rng, ls=ls)
+    assert trace.visited == [obj for _, _, obj in path]
+    return best, trace, path
+
+
 def test_partition_full_path_visits_delta_minus_one():
     s, t = _parts([0] * 6, [1, 1, 1, 1, 0, 0])
-    best, trace = relink(MC6, s, t, PrConfig(direction=FORWARD), RandomStream(1))
+    best, trace, path = _relink_path(MC6, s, t, PrConfig(direction=FORWARD), RandomStream(1))
     assert len(trace.visited) == 3  # |delta| - 1
     better, _ = _better_worse(s, t)
-    dists = [delta(v, better) for v, _ in trace.visited]  # forward goes worse -> better
+    dists = [delta(v, better) for v, _, _ in path]  # forward goes worse -> better
     assert dists == [3, 2, 1]
     assert best.cached_objective >= max(s.cached_objective, t.cached_objective)
 
@@ -50,10 +59,10 @@ def test_permutation_forward_greedy_first_step():
     evaluate(inst, s)
     evaluate(inst, t)
     assert (s.cached_objective, t.cached_objective) == (12, 21)
-    best, trace = relink(inst, s, t, PrConfig(direction=FORWARD), RandomStream(1))
-    assert trace.visited[0][0].order == [2, 0, 1, 3]
-    assert delta(trace.visited[0][0], t) < delta(s, t)  # forward goes worse -> better
-    assert trace.visited[0][1] == 30  # 12 + 18
+    best, trace, path = _relink_path(inst, s, t, PrConfig(direction=FORWARD), RandomStream(1))
+    assert path[0][0].order == [2, 0, 1, 3]
+    assert delta(path[0][0], t) < delta(s, t)  # forward goes worse -> better
+    assert trace.visited[0] == 30  # 12 + 18
     # from (2,0,1,3) no insertion reduces the positional difference: early stop
     assert len(trace.visited) == 1
     assert best.cached_objective == 30
@@ -80,25 +89,25 @@ def test_mixed_walk_stops_in_permutation_trap():
     t = PermutationSolution([2, 3, 1, 0])
     evaluate(inst, s)
     evaluate(inst, t)
-    _, trace = relink(inst, s, t, PrConfig(direction=MIXED), RandomStream(1))
-    assert [v.order for v, _ in trace.visited] == [[2, 0, 1, 3]]
+    _, _, path = _relink_path(inst, s, t, PrConfig(direction=MIXED), RandomStream(1))
+    assert [(v.order, i) for v, i, _ in path] == [([2, 0, 1, 3], 0)]
 
 
 def test_backward_starts_from_better_endpoint():
     s, t = _parts([0] * 6, [1, 1, 1, 1, 0, 0])
     better, worse = _better_worse(s, t)
-    _, trace = relink(MC6, s, t, PrConfig(direction=BACKWARD), RandomStream(1))
-    assert [delta(v, worse) for v, _ in trace.visited] == [3, 2, 1]
-    assert delta(trace.visited[0][0], better) == 1
+    _, _, path = _relink_path(MC6, s, t, PrConfig(direction=BACKWARD), RandomStream(1))
+    assert [delta(v, worse) for v, _, _ in path] == [3, 2, 1]
+    assert delta(path[0][0], better) == 1
 
 
 def test_back_and_forward_concatenates_both_walks():
     s, t = _parts([0] * 6, [1, 1, 1, 1, 0, 0])
     better, worse = _better_worse(s, t)
-    _, trace = relink(MC6, s, t, PrConfig(direction=BACK_AND_FORWARD), RandomStream(1))
+    _, trace, path = _relink_path(MC6, s, t, PrConfig(direction=BACK_AND_FORWARD), RandomStream(1))
     assert len(trace.visited) == 6  # 3 backward + 3 forward
-    dists_to_worse = [delta(v, worse) for v, _ in trace.visited[:3]]
-    dists_to_better = [delta(v, better) for v, _ in trace.visited[3:]]
+    dists_to_worse = [delta(v, worse) for v, _, _ in path[:3]]
+    dists_to_better = [delta(v, better) for v, _, _ in path[3:]]
     assert dists_to_worse == [3, 2, 1]
     assert dists_to_better == [3, 2, 1]
 
@@ -131,10 +140,10 @@ def test_grpr_rcl1_is_bit_identical_to_greedy():
             continue
         s, t = _parts(bits_s, bits_t)
         rng_a, rng_b = RandomStream(trial), RandomStream(trial)
-        best_a, tr_a = relink(MC6, s, t, PrConfig(step="greedy"), rng_a)
-        best_b, tr_b = relink(MC6, s, t, PrConfig(step="grpr", rcl_size=1), rng_b)
+        best_a, _, path_a = _relink_path(MC6, s, t, PrConfig(step="greedy"), rng_a)
+        best_b, _, path_b = _relink_path(MC6, s, t, PrConfig(step="grpr", rcl_size=1), rng_b)
         assert best_a == best_b
-        assert [(v.bits, o) for v, o in tr_a.visited] == [(v.bits, o) for v, o in tr_b.visited]
+        assert [(v.bits, o) for v, _, o in path_a] == [(v.bits, o) for v, _, o in path_b]
         assert rng_a.random() == rng_b.random()  # neither consumed a draw
 
 
@@ -143,7 +152,7 @@ def test_grpr_draws_within_rcl():
     seen = set()
     for seed in range(20):
         _, trace = relink(MC6, s, t, PrConfig(step="grpr", rcl_size=3), RandomStream(seed))
-        seen.add(tuple(o for _, o in trace.visited))
+        seen.add(tuple(trace.visited))
     assert len(seen) > 1  # randomized step selection actually varies paths
 
 
@@ -158,8 +167,8 @@ def _count_ls(policy, ls_every=5):
         return out
 
     cfg = PrConfig(direction=FORWARD, in_path_ls=policy, ls_every=ls_every)
-    best, trace = relink(MC6, s, t, cfg, RandomStream(3), ls=fake_ls)
-    return calls, best, trace
+    best, _, path = _relink_path(MC6, s, t, cfg, RandomStream(3), ls=fake_ls)
+    return calls, best, path
 
 
 def test_in_path_ls_none_never_calls():
@@ -168,24 +177,24 @@ def test_in_path_ls_none_never_calls():
 
 
 def test_in_path_ls_all_each_visited():
-    calls, best, trace = _count_ls("all")
-    assert len(calls) == len(trace.visited) == 5
+    calls, best, path = _count_ls("all")
+    assert len(calls) == len(path) == 5
     assert best.cached_objective == 10**6  # improvement tracked for the result
     # but the raw path itself is untouched by the in-path search
-    for v, obj in trace.visited:
+    for v, _, obj in path:
         assert obj == oracles.cut_value(MC6.edges, v.bits)
 
 
 def test_in_path_ls_every_q():
-    calls, _, trace = _count_ls("every", ls_every=2)
-    assert len(calls) == len(trace.visited) // 2
+    calls, _, path = _count_ls("every", ls_every=2)
+    assert len(calls) == len(path) // 2
 
 
 def test_in_path_ls_best_only_once_at_best():
-    calls, best, trace = _count_ls("best")
+    calls, best, path = _count_ls("best")
     assert len(calls) == 1
-    objs = [obj for _, obj in trace.visited]
-    assert calls[0].bits == trace.visited[objs.index(max(objs))][0].bits  # the first maximum
+    objs = [obj for _, _, obj in path]
+    assert calls[0].bits == path[objs.index(max(objs))][0].bits  # the first maximum
     assert best.cached_objective == 10**6
 
 
@@ -209,11 +218,42 @@ def test_in_path_best_starts_at_earliest_maximum():
         return sol.copy()
 
     cfg = PrConfig(direction=FORWARD, in_path_ls="best")
-    best, trace = relink(empty, s, t, cfg, RandomStream(1), ls=recording_ls)
-    assert len(trace.visited) == 4
-    assert len(calls) == 1 and calls[0] is trace.visited[0][0]
+    best, _, path = _relink_path(empty, s, t, cfg, RandomStream(1), ls=recording_ls)
+    assert len(path) == 4
+    assert len(calls) == 1 and calls[0] == path[0][0]
     assert best.cached_objective == 0
     assert best == s and best is not s  # no visited solution beats the better endpoint
+
+
+def _new_peaks(objs):
+    return sum(1 for i, obj in enumerate(objs) if all(obj > o for o in objs[:i]))
+
+
+@pytest.mark.parametrize("problem", ["maxcut", "lop"])
+@pytest.mark.parametrize("direction, heads", [(FORWARD, 1), (BACKWARD, 1), (BACK_AND_FORWARD, 2), (MIXED, 2)])
+def test_relink_copies_only_new_path_peaks(monkeypatch, problem, direction, heads):
+    # the walk heads, one copy per strict new maximum of the path, and the result
+    r = oracles.make_rng(44)
+    if problem == "maxcut":
+        inst = MaxCutInstance(30, oracles.rand_edges(r, 30, 0.3, -5, 10))
+        s, t = (PartitionSolution(oracles.rand_bits(r, 30)) for _ in range(2))
+    else:
+        inst = LopInstance(oracles.rand_lop_matrix(r, 12))
+        s, t = (PermutationSolution(oracles.rand_perm(r, 12)) for _ in range(2))
+    evaluate(inst, s)
+    evaluate(inst, t)
+    cfg = PrConfig(direction=direction, min_distance=0)
+    _, trace, _ = _relink_path(inst, s.copy(), t.copy(), cfg, RandomStream(1))
+    peaks = _new_peaks(trace.visited)
+    assert 0 < peaks < len(trace.visited)  # some steps are no new peak
+
+    copies = []
+    copy = type(s).copy
+    monkeypatch.setattr(type(s), "copy", lambda sol: copies.append(sol) or copy(sol))
+    _, again = relink(inst, s, t, cfg, RandomStream(1))
+    monkeypatch.undo()
+    assert again.visited == trace.visited
+    assert len(copies) == heads + peaks + 1
 
 
 def test_relink_endpoint_validation():
