@@ -13,10 +13,6 @@ VALUE = "value"
 CARDINALITY = "cardinality"
 
 
-class ConstructionError(RuntimeError):
-    pass
-
-
 @dataclass
 class RclConfig:
     """How the restricted candidate list is built each construction step.
@@ -57,8 +53,6 @@ def rcl_from_columns(keys: Sequence, gains: Sequence[int], mode: str, alpha: flo
     g_max and empties the value RCL; it then falls back to the argmax set so
     construction stays total. Each rule is one pass over the columns.
     """
-    if not keys:
-        raise ConstructionError("empty candidate list")
     g_max = max(gains)
     if alpha == 0.0:
         return [keys[gains.index(g_max)]]
@@ -80,8 +74,6 @@ def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: floa
     The returned list may therefore be the caller's own bucket: read it
     before the buckets change again, and never mutate it.
     """
-    if not buckets:
-        raise ConstructionError("empty candidate list")
     g_max = max(buckets)
     if alpha == 0.0:
         return [buckets[g_max][0]]

@@ -202,10 +202,12 @@ class RandomStream:
     random.Random.randrange(n)'s own draws on CPython 3.10 and 3.11.
     """
 
-    def __init__(self, seed: int, substream: int = 0):
-        self.seed = seed & _MASK64
-        self.substream = substream
-        self._rng = random.Random(_splitmix64((self.seed + substream * 0x9E3779B97F4A7C15) & _MASK64))
+    def __init__(self, seed: int):
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+        self.seed = seed
+        self.substream = 0
+        self._rng = random.Random(_splitmix64(seed))
 
     def advance_substream(self) -> None:
         """Jump to the next substream (used by the restart strategy)."""

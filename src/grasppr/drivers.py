@@ -56,7 +56,7 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
-        if not 0 <= self.seed < 2**64:  # RandomStream reads the seed modulo 2^64
+        if not 0 <= self.seed < 2**64:  # as RandomStream does, but before any work starts
             raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
         if self.time_limit is None and self.iteration_limit is None:
             raise ValueError("need a time_limit or an iteration_limit")

@@ -17,9 +17,8 @@ class AddResult:
     reason: Optional[str] = None  # quality | duplicate | diversity when rejected
 
 
-@dataclass
+@dataclass(eq=False)  # identity: relinked pairs are sets of members
 class _Member:
-    uid: int
     solution: Solution
     objective: int
 
@@ -46,49 +45,31 @@ class EliteSet:
         self.capacity = capacity
         self.diversity_threshold = diversity_threshold
         self._members: list[_Member] = []
-        self._next_uid = 0
-        self._relinked: set[frozenset[int]] = set()
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def full(self) -> bool:
-        return len(self._members) >= self.capacity
+        self._relinked: set[frozenset[_Member]] = set()
 
     @property
     def members(self) -> list[tuple[Solution, int]]:
         """(solution, objective) pairs in index order; treat as read-only."""
         return [(m.solution, m.objective) for m in self._members]
 
-    def best_objective(self) -> int:
-        return max(m.objective for m in self._members)
-
-    def worst_objective(self) -> int:
-        return min(m.objective for m in self._members)
-
     def clear(self) -> None:
         self._members.clear()
         self._relinked.clear()
 
-    def _admit(self, solution: Solution, objective: int) -> _Member:
-        member = _Member(self._next_uid, solution.copy(), objective)
-        member.solution.cached_objective = objective
-        self._next_uid += 1
-        self._members.append(member)
-        return member
+    def _admit(self, solution: Solution, objective: int) -> None:
+        self._members.append(_Member(solution.copy(), objective))
 
     def _drop(self, member: _Member) -> None:
         self._members.remove(member)
-        self._relinked = {pair for pair in self._relinked if member.uid not in pair}
+        self._relinked = {pair for pair in self._relinked if member not in pair}
 
-    def try_add(self, solution: Solution, objective: Optional[int] = None) -> AddResult:
-        if objective is None:
-            objective = solution.cached_objective
+    def try_add(self, solution: Solution) -> AddResult:
+        """Offer solution, scored by its cached_objective; an admitted candidate is copied."""
+        objective = solution.cached_objective
         if objective is None:
             raise ValueError("candidate has no objective")
 
-        if not self.full:
+        if len(self._members) < self.capacity:
             near = [m for m in self._members if delta_size(solution, m.solution) < self.diversity_threshold]
             if not near:
                 self._admit(solution, objective)
@@ -100,11 +81,10 @@ class EliteSet:
                 return AddResult(True)
             return AddResult(False, reason="diversity")
 
-        best = self.best_objective()
-        worst = self.worst_objective()
-        if objective <= worst:
+        objectives = [m.objective for m in self._members]
+        if objective <= min(objectives):
             return AddResult(False, reason="quality")
-        if objective <= best and any(delta_size(solution, m.solution) == 0 for m in self._members):
+        if objective <= max(objectives) and any(delta_size(solution, m.solution) == 0 for m in self._members):
             return AddResult(False, reason="duplicate")
 
         # evict the closest member among those strictly worse than the candidate
@@ -138,7 +118,7 @@ class EliteSet:
         """First member pair (lowest index order) not yet relinked; marks it."""
         for i in range(len(self._members)):
             for j in range(i + 1, len(self._members)):
-                key = frozenset((self._members[i].uid, self._members[j].uid))
+                key = frozenset((self._members[i], self._members[j]))
                 if key not in self._relinked:
                     self._relinked.add(key)
                     return self._members[i].solution, self._members[j].solution

@@ -141,7 +141,7 @@ class _MaxCutBuilder:
                 insort(buckets.setdefault(g, []), k)
 
     def build(self) -> PartitionSolution:
-        return PartitionSolution([s if s is not None else 0 for s in self.assigned], self.objective)
+        return PartitionSolution(self.assigned, self.objective)
 
 
 class MaxCutInstance(ProblemInstance):
@@ -281,10 +281,7 @@ class MaxCutInstance(ProblemInstance):
         if len(diff) == 1:
             return []  # its one flip reaches guiding
         gains = self._gain_table(current).gain
-        if k == 1:
-            top = [max(diff, key=gains.__getitem__)]  # the first maximum: the lowest position
-        else:
-            top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
+        top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
         return [Move("transfer", j, None, None, gains[j]) for j in top]
 
 

@@ -195,12 +195,12 @@ def test_criterion_05_elite_set_laws():
     for _ in range(10_000):
         bits = oracles.rand_bits(r, 12)
         f = r.randint(0, 40)
-        was_full = es.full
-        worst = es.worst_objective() if len(es) else None
-        got = es.try_add(PartitionSolution(bits), f)
+        was_full = len(es.members) == 8
+        worst = min((obj for _, obj in es.members), default=None)
+        got = es.try_add(PartitionSolution(bits, f))
         added, reason = mirror.add(bits, f)
         assert got.added == added and got.reason == reason
-        assert len(es) <= 8
+        assert len(es.members) <= 8
         if was_full and got.added:
             assert f > worst  # never admit at-or-below the worst when full
         have = sorted((s.bits, obj) for s, obj in es.members)
@@ -232,7 +232,7 @@ def test_criterion_07_guide_selection_distribution():
         (7,): [0] * 3 + [1] * 7 + [0] * 6,
     }
     for f, bits in zip((5, 6, 7), members.values()):
-        assert es.try_add(PartitionSolution(bits), f).added
+        assert es.try_add(PartitionSolution(bits, f)).added
     ref = PartitionSolution([0] * 16)
     rng = RandomStream(707)
     trials = 100_000

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from grasppr.construction import (
     CARDINALITY,
     VALUE,
-    ConstructionError,
     RclConfig,
     _value_threshold,
     construct,
@@ -22,7 +21,7 @@ CL = [("a", 10), ("b", 9), ("c", 5)]
 
 
 def _columns(entries, mode, alpha):
-    keys, gains = map(list, zip(*entries)) if entries else ([], [])
+    keys, gains = map(list, zip(*entries))
     return rcl_from_columns(keys, gains, mode, alpha)
 
 
@@ -54,13 +53,6 @@ def test_cardinality_rcl_boundary_tie_lowest_id():
     entries = [(1, 7), (2, 9), (3, 7)]
     # p_max = 2: ranked (2,9) then the g=7 tie, cut keeps the lower id
     assert _columns(entries, CARDINALITY, 0.5) == [2, 1]
-
-
-def test_empty_candidate_list_rejected():
-    with pytest.raises(ConstructionError):
-        _columns([], VALUE, 0.1)
-    with pytest.raises(ConstructionError):
-        _columns([], CARDINALITY, 0.1)
 
 
 @settings(max_examples=120)
@@ -238,8 +230,6 @@ def test_rcl_from_buckets_matches_rcl_from_entries():
                     want = oracles.rcl_from_entries(entries, mode, alpha)
                     assert rcl_from_buckets(buckets, size, mode, alpha) == want
                     assert _columns(entries, mode, alpha) == want
-    with pytest.raises(ConstructionError):
-        rcl_from_buckets({}, 0, VALUE, 0.5)
 
 
 def test_int_value_threshold_selects_what_the_float_rule_selects():

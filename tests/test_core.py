@@ -124,13 +124,24 @@ def test_random_stream_seed_sensitivity():
     assert [a.random() for _ in range(8)] != [b.random() for _ in range(8)]
 
 
+def test_random_stream_refuses_seeds_outside_64_bits():
+    # 2^64 + 1 would otherwise alias seed 1, and -1 seed 2^64 - 1
+    for seed in (2**64, 2**64 + 1, -1):
+        with pytest.raises(ValueError, match="seed must be in"):
+            RandomStream(seed)
+    assert 0 <= RandomStream(2**64 - 1).randrange(1000) < 1000
+
+
 def test_substreams_differ_and_reproduce():
     a = RandomStream(5)
     a.advance_substream()
-    direct = RandomStream(5, substream=1)
-    assert [a.random() for _ in range(32)] == [direct.random() for _ in range(32)]
-    base = RandomStream(5)
-    assert base.random() != RandomStream(5, substream=1).random()
+    b = RandomStream(5)
+    b.random()  # a jump reseeds, whatever was drawn before it
+    b.advance_substream()
+    assert [a.random() for _ in range(32)] == [b.random() for _ in range(32)]
+    jumped = RandomStream(5)
+    jumped.advance_substream()
+    assert RandomStream(5).random() != jumped.random()
 
 
 def test_pick_singleton_consumes_no_draw():

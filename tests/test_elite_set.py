@@ -16,43 +16,42 @@ def _part(bits, f=None):
 
 def test_first_candidate_always_admitted():
     es = EliteSet(capacity=3, diversity_threshold=5)
-    res = es.try_add(_part([0] * 8), 1)
+    res = es.try_add(_part([0] * 8, 1))
     assert res.added and res.reason is None
     assert [s.bits for s, _ in es.members] == [[0] * 8]
 
 
 def test_fillup_diversity_reject():
     es = EliteSet(capacity=5, diversity_threshold=3)
-    es.try_add(_part([0] * 8), 5)
-    near = _part([1] + [0] * 7)  # delta 1 < threshold, not better
-    res = es.try_add(near, 4)
+    es.try_add(_part([0] * 8, 5))
+    near = _part([1] + [0] * 7, 4)  # delta 1 < threshold, not better
+    res = es.try_add(near)
     assert not res.added and res.reason == "diversity"
-    res = es.try_add(near, 5)  # equal objective is still a reject
+    near.cached_objective = 5
+    res = es.try_add(near)  # equal objective is still a reject
     assert not res.added and res.reason == "diversity"
-    assert len(es) == 1
+    assert len(es.members) == 1
 
 
 def test_fillup_replaces_all_near_when_strictly_better():
     es = EliteSet(capacity=5, diversity_threshold=3)
-    a = _part([0] * 8)
-    b = _part([1, 1, 1, 0, 0, 0, 0, 0])
-    es.try_add(a, 5)
-    es.try_add(b, 6)
+    es.try_add(_part([0] * 8, 5))
+    es.try_add(_part([1, 1, 1, 0, 0, 0, 0, 0], 6))
     # within the threshold of both members and better than both
-    cand = _part([1, 1, 0, 0, 0, 0, 0, 0])
-    res = es.try_add(cand, 7)
+    cand = _part([1, 1, 0, 0, 0, 0, 0, 0], 7)
+    res = es.try_add(cand)
     assert res.added
     # a and b are gone, the candidate is the only member
     assert es.members[0][0] == cand and es.members[0][1] == 7
-    assert len(es) == 1
+    assert len(es.members) == 1
 
 
 def test_fillup_keeps_pairwise_spacing():
     r = oracles.make_rng(50)
     es = EliteSet(capacity=6, diversity_threshold=3)
     for _ in range(200):
-        es.try_add(_part(oracles.rand_bits(r, 10)), r.randint(0, 30))
-        if es.full:
+        es.try_add(_part(oracles.rand_bits(r, 10), r.randint(0, 30)))
+        if len(es.members) == es.capacity:
             break
         sols = [s for s, _ in es.members]
         for i in range(len(sols)):
@@ -63,30 +62,30 @@ def test_fillup_keeps_pairwise_spacing():
 def _frozen_full_set():
     # pairwise distances 3, 2, 5; candidate distances 5, 2, 7
     es = EliteSet(capacity=3, diversity_threshold=1)
-    a = _part([1] * 5 + [0] * 11)
-    b = _part([1] * 2 + [0] * 14)
-    c = _part([1] * 7 + [0] * 9)
-    for sol, f in ((a, 10), (b, 8), (c, 6)):
-        assert es.try_add(sol, f).added
+    a = _part([1] * 5 + [0] * 11, 10)
+    b = _part([1] * 2 + [0] * 14, 8)
+    c = _part([1] * 7 + [0] * 9, 6)
+    for sol in (a, b, c):
+        assert es.try_add(sol).added
     return es, a, b, c
 
 
 def test_full_quality_reject():
     es, _, _, _ = _frozen_full_set()
-    res = es.try_add(_part([0] * 16), 6)  # ties the worst member
+    res = es.try_add(_part([0] * 16, 6))  # ties the worst member
     assert not res.added and res.reason == "quality"
-    assert len(es) == 3
+    assert len(es.members) == 3
 
 
 def test_full_duplicate_reject():
     es, a, _, _ = _frozen_full_set()
-    res = es.try_add(_part(a.bits), 9)  # not above the best, already present
+    res = es.try_add(_part(a.bits, 9))  # not above the best, already present
     assert not res.added and res.reason == "duplicate"
 
 
 def test_full_evicts_closest_strictly_worse():
     es, a, b, c = _frozen_full_set()
-    res = es.try_add(_part([0] * 16), 9)
+    res = es.try_add(_part([0] * 16, 9))
     assert res.added
     # b and c are the strictly worse members; b is closer (2 vs 7)
     assert sorted((s.bits, f) for s, f in es.members) == sorted([(a.bits, 10), ([0] * 16, 9), (c.bits, 6)])
@@ -94,12 +93,12 @@ def test_full_evicts_closest_strictly_worse():
 
 def test_eviction_tie_breaks_on_objective_then_index():
     es = EliteSet(capacity=3, diversity_threshold=1)
-    es.try_add(_part([0, 0, 0, 0]), 5)
-    es.try_add(_part([1, 1, 0, 0]), 3)
-    es.try_add(_part([0, 0, 1, 1]), 4)
+    es.try_add(_part([0, 0, 0, 0], 5))
+    es.try_add(_part([1, 1, 0, 0], 3))
+    es.try_add(_part([0, 0, 1, 1], 4))
     # candidate is distance 2 from every member; worse members tie on
     # distance, so the lower objective (3) goes
-    res = es.try_add(_part([1, 0, 1, 0]), 6)
+    res = es.try_add(_part([1, 0, 1, 0], 6))
     assert res.added
     assert [s.bits for s, _ in es.members] == [[0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]]
 
@@ -108,14 +107,14 @@ def test_try_add_requires_an_objective():
     es = EliteSet()
     with pytest.raises(ValueError):
         es.try_add(_part([0, 1]))
-    es.try_add(_part([0, 1], f=4))  # cached objective is enough
+    es.try_add(_part([0, 1], 4))  # cached objective is enough
     assert es.members[0][1] == 4
 
 
 def test_admitted_member_is_a_private_copy():
     es = EliteSet(capacity=2)
-    cand = _part([0, 1, 0, 1])
-    es.try_add(cand, 3)
+    cand = _part([0, 1, 0, 1], 3)
+    es.try_add(cand)
     cand.bits[0] = 1
     assert es.members[0][0].bits == [0, 1, 0, 1]
     assert es.members[0][0].cached_objective == 3
@@ -129,10 +128,10 @@ def test_mirror_equivalence_fuzz():
         for _ in range(400):
             bits = oracles.rand_bits(r, 10)
             f = r.randint(0, 30)
-            got = es.try_add(_part(bits), f)
+            got = es.try_add(_part(bits, f))
             added, reason = mirror.add(bits, f)
             assert got.added == added and got.reason == reason
-            assert len(es) <= capacity
+            assert len(es.members) <= capacity
             have = sorted((s.bits, f) for s, f in es.members)
             want = sorted((b, f) for b, f in mirror.members)
             assert have == want
@@ -143,7 +142,7 @@ def test_mirror_equivalence_fuzz():
 
 def test_select_guide_uniform_singleton_consumes_no_draw():
     es = EliteSet(capacity=3)
-    es.try_add(_part([0, 1, 0, 1]), 3)
+    es.try_add(_part([0, 1, 0, 1], 3))
     rng = RandomStream(5)
     guide = es.select_guide(_part([1, 1, 1, 1]), "uniform", rng)
     assert guide.bits == [0, 1, 0, 1]
@@ -152,10 +151,10 @@ def test_select_guide_uniform_singleton_consumes_no_draw():
 
 def test_select_guide_pdelta_frequencies():
     es = EliteSet(capacity=3)
-    m1 = _part([1, 0, 0, 0, 0, 0, 0, 0])  # delta 1 from the reference
-    m2 = _part([1, 1, 1, 0, 0, 0, 0, 0])  # delta 3
-    es.try_add(m1, 3)
-    es.try_add(m2, 4)
+    m1 = _part([1, 0, 0, 0, 0, 0, 0, 0], 3)  # delta 1 from the reference
+    m2 = _part([1, 1, 1, 0, 0, 0, 0, 0], 4)  # delta 3
+    es.try_add(m1)
+    es.try_add(m2)
     ref = _part([0] * 8)
     rng = RandomStream(97)
     trials = 100_000
@@ -166,8 +165,8 @@ def test_select_guide_pdelta_frequencies():
 def test_select_guide_pdelta_never_picks_identical():
     es = EliteSet(capacity=3)
     ref = _part([0] * 6)
-    es.try_add(_part([0] * 6), 3)
-    es.try_add(_part([1, 1, 0, 0, 0, 0]), 4)
+    es.try_add(_part([0] * 6, 3))
+    es.try_add(_part([1, 1, 0, 0, 0, 0], 4))
     rng = RandomStream(11)
     for _ in range(2000):
         assert es.select_guide(ref, "pdelta", rng).bits == [1, 1, 0, 0, 0, 0]
@@ -175,7 +174,7 @@ def test_select_guide_pdelta_never_picks_identical():
 
 def test_select_guide_pdelta_all_identical_returns_none():
     es = EliteSet(capacity=3)
-    es.try_add(_part([0, 1, 1, 0]), 3)
+    es.try_add(_part([0, 1, 1, 0], 3))
     assert es.select_guide(_part([0, 1, 1, 0]), "pdelta", RandomStream(1)) is None
 
 
@@ -183,16 +182,16 @@ def test_select_guide_errors():
     es = EliteSet()
     with pytest.raises(ValueError):
         es.select_guide(_part([0, 1]), "uniform", RandomStream(1))
-    es.try_add(_part([0, 1]), 2)
+    es.try_add(_part([0, 1], 2))
     with pytest.raises(ValueError):
         es.select_guide(_part([0, 1]), "roulette", RandomStream(1))
 
 
 def test_next_unrelinked_pair_enumerates_lowest_index_first():
     es = EliteSet(capacity=4, diversity_threshold=1)
-    sols = [_part([0, 0, 0, 0]), _part([1, 1, 0, 0]), _part([0, 0, 1, 1])]
-    for f, sol in enumerate(sols):
-        es.try_add(sol, f)
+    sols = [_part([0, 0, 0, 0], 0), _part([1, 1, 0, 0], 1), _part([0, 0, 1, 1], 2)]
+    for sol in sols:
+        es.try_add(sol)
     seen = []
     while (pair := es.next_unrelinked_pair()) is not None:
         seen.append((pair[0].bits, pair[1].bits))
@@ -206,13 +205,13 @@ def test_next_unrelinked_pair_enumerates_lowest_index_first():
 
 def test_eviction_forgets_pairs_and_admission_spawns_them():
     es = EliteSet(capacity=3, diversity_threshold=1)
-    es.try_add(_part([0, 0, 0, 0]), 1)
-    es.try_add(_part([1, 1, 1, 1]), 2)
-    es.try_add(_part([1, 1, 0, 0]), 3)
+    es.try_add(_part([0, 0, 0, 0], 1))
+    es.try_add(_part([1, 1, 1, 1], 2))
+    es.try_add(_part([1, 1, 0, 0], 3))
     while es.next_unrelinked_pair() is not None:
         pass
     # replaces the closest strictly worse member; its pair marks die with it
-    res = es.try_add(_part([1, 0, 0, 0]), 9)
+    res = es.try_add(_part([1, 0, 0, 0], 9))
     assert res.added
     assert [s.bits for s, _ in es.members] == [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]]
     fresh = []
@@ -225,30 +224,24 @@ def test_eviction_forgets_pairs_and_admission_spawns_them():
 
 def test_clear_resets_members_and_pair_marks():
     es = EliteSet(capacity=2, diversity_threshold=1)
-    es.try_add(_part([0, 0]), 1)
-    es.try_add(_part([1, 1]), 2)
+    es.try_add(_part([0, 0], 1))
+    es.try_add(_part([1, 1], 2))
     assert es.next_unrelinked_pair() is not None
     es.clear()
-    assert len(es) == 0 and not es.full
+    assert es.members == []
     assert es.next_unrelinked_pair() is None
-    es.try_add(_part([0, 1]), 1)
-    es.try_add(_part([1, 0]), 2)
-    assert es.next_unrelinked_pair() is not None  # fresh uids, fresh pairs
-
-
-def test_best_and_worst_objective():
-    es, _, _, _ = _frozen_full_set()
-    assert es.best_objective() == 10
-    assert es.worst_objective() == 6
+    es.try_add(_part([0, 1], 1))
+    es.try_add(_part([1, 0], 2))
+    assert es.next_unrelinked_pair() is not None  # fresh members, fresh pairs
 
 
 def test_dump_formats():
     es = EliteSet(capacity=2, diversity_threshold=1)
-    es.try_add(PermutationSolution([2, 0, 1]), 9)
-    es.try_add(PermutationSolution([0, 1, 2]), 5)
+    es.try_add(PermutationSolution([2, 0, 1], 9))
+    es.try_add(PermutationSolution([0, 1, 2], 5))
     assert [serialize_solution(sol) for sol, _ in es.members] == ["2 0 1", "0 1 2"]
     es = EliteSet(capacity=2, diversity_threshold=1)
-    es.try_add(_part([0, 0, 1, 1]), 2)
+    es.try_add(_part([0, 0, 1, 1], 2))
     assert [serialize_solution(sol) for sol, _ in es.members] == ["0011"]
 
 
