@@ -11,13 +11,14 @@ raise ParseError on any malformed text, never an unrelated exception.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .construction import CARDINALITY, VALUE, RclConfig
 from .core import _INT32, PartitionSolution, PermutationSolution, ProblemInstance, Solution
@@ -63,8 +64,23 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class CellFailure(NamedTuple):
+    """One benchmark cell that crashed, as a failures.csv row."""
+
+    method: str
+    instance: str
+    seed: int
+    message: str
+
+
 class BenchError(RuntimeError):
-    """A benchmark cell crashed; the message names method, instance and seed."""
+    """Benchmark cells crashed; the message names the first one's method, instance and seed,
+    rows holds the completed cells' rows in cell order, and failures one CellFailure per crash."""
+
+    def __init__(self, message: str, rows: Sequence[RunRow] = (), failures: Sequence[CellFailure] = ()):
+        super().__init__(message)
+        self.rows = list(rows)
+        self.failures = list(failures)
 
 
 @dataclass(frozen=True)
@@ -488,35 +504,16 @@ class RunRow:
     restarts: int
 
 
-# The instance of the last file this process parsed inside run_grid, as
-# {(problem, path): instance}: one entry, so consecutive cells on one file
-# (how the grids here are ordered) share one parse and memory stays bounded.
-# It is module state because pool workers get state only from an initializer
-# while run_cell keeps its one-argument, by-name form. None outside run_grid,
-# so nothing outlives a grid call in the calling process.
-_last_instance: Optional[dict[tuple[str, str], ProblemInstance]] = None
-
-
-def _keep_last_instance() -> None:
-    """Start an empty reuse cache; the process pool runs this in each worker."""
-    global _last_instance
-    _last_instance = {}
-
-
-def _cell_instance(spec: CellSpec) -> ProblemInstance:
-    cache = _last_instance
-    if cache is None:
-        return load_instance(spec.instance_path, spec.problem)
-    key = (spec.problem, spec.instance_path)
-    if key not in cache:
-        cache.clear()
-        cache[key] = load_instance(spec.instance_path, spec.problem)
-    return cache[key]
+@functools.lru_cache(maxsize=1)
+def _instance(problem: str, path: str) -> ProblemInstance:
+    """The instance of one file; consecutive cells on it (how the grids here are
+    ordered) share one parse, and memory stays bounded."""
+    return load_instance(path, problem)
 
 
 def run_cell(spec: CellSpec) -> RunRow:
     try:
-        instance = _cell_instance(spec)
+        instance = _instance(spec.problem, spec.instance_path)
         cfg = build_run_config(spec.problem, dict(spec.options), spec.seed, spec.time_limit, spec.iteration_limit)
         report = run(instance, cfg)
         return RunRow(
@@ -529,31 +526,47 @@ def run_cell(spec: CellSpec) -> RunRow:
             restarts=report.restarts,
         )
     except Exception as exc:
-        if _last_instance is not None:
-            _last_instance.clear()  # a failed run may leave the instance's caches half updated
+        _instance.cache_clear()  # a failed run may leave the instance's caches half updated
         raise BenchError(
-            f"cell failed (method={spec.method} instance={spec.instance_name} seed={spec.seed}): {exc}"
+            f"cell failed (method={spec.method} instance={spec.instance_name} seed={spec.seed}): {exc}",
+            failures=[CellFailure(spec.method, spec.instance_name, spec.seed, str(exc))],
         ) from exc
 
 
 def run_grid(cells: Sequence[CellSpec], jobs: int = 1) -> list[RunRow]:
     """Execute all cells; results are independent of scheduling and job count.
 
-    Each worker parses a file once for a run of consecutive cells on it; the
-    file must not change during the call.
+    Every cell runs even when some fail; then one BenchError carries the
+    completed rows and every failure. Each worker parses a file once for a
+    run of consecutive cells on it; the file must not change during the call.
     """
-    global _last_instance
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(cells) <= 1:
-        _keep_last_instance()
+    _instance.cache_clear()  # nothing parsed before the call is reused
+    try:
+        if jobs == 1 or len(cells) <= 1:
+            rows, errors = _collect(functools.partial(run_cell, c) for c in cells)
+        else:
+            # the pool starts all its workers up front, so no more than there are cells
+            with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+                rows, errors = _collect([pool.submit(run_cell, c).result for c in cells])
+    finally:
+        _instance.cache_clear()
+    if errors:
+        failures = [f for e in errors for f in e.failures]
+        raise BenchError(f"{len(errors)} of {len(cells)} cells failed; first {errors[0]}", rows, failures) from errors[0]
+    return rows
+
+
+def _collect(calls: Iterable[Callable[[], RunRow]]) -> tuple[list[RunRow], list[BenchError]]:
+    """The rows of the calls that return, in order, and the BenchErrors of those that raise."""
+    rows, errors = [], []
+    for call in calls:
         try:
-            return [run_cell(c) for c in cells]
-        finally:
-            _last_instance = None
-    # the pool starts all its workers up front, so no more than there are cells
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)), initializer=_keep_last_instance) as pool:
-        return list(pool.map(run_cell, cells))
+            rows.append(call())
+        except BenchError as exc:
+            errors.append(exc)
+    return rows, errors
 
 
 RESULTS_HEADER = ["method", "instance", "seed", "best_objective", "iterations", "elapsed_s", "restarts"]
@@ -567,14 +580,14 @@ def write_results_csv(rows: Sequence[RunRow], sink: IO[str]) -> None:
         w.writerow([r.method, r.instance, r.seed, r.best_objective, r.iterations, f"{r.elapsed_s:.6f}", r.restarts])
 
 
-def aggregate_best(rows: Sequence[RunRow]) -> dict[tuple[str, str], int]:
-    """Best objective per (method, instance) across seeds."""
-    best: dict[tuple[str, str], int] = {}
-    for r in rows:
-        key = (r.method, r.instance)
-        if key not in best or r.best_objective > best[key]:
-            best[key] = r.best_objective
-    return best
+FAILURES_HEADER = list(CellFailure._fields)
+
+
+def write_failures_csv(failures: Sequence[CellFailure], sink: IO[str]) -> None:
+    """One row per failed cell, sorted by (method, instance, seed) as results.csv is."""
+    w = csv.writer(sink, lineterminator="\n")
+    w.writerow(FAILURES_HEADER)
+    w.writerows(sorted(failures))
 
 
 @dataclass
@@ -586,24 +599,23 @@ class StatsRow:
     dev_known_pct: Optional[float]  # signed; negative means better than best-known
 
 
-@dataclass
-class ExperimentStats:
-    instances: list[str]
-    rows: list[StatsRow]
-
-
 def compute_stats(
-    results: Mapping[tuple[str, str], int],
+    rows: Sequence[RunRow],
+    method_order: Sequence[str],
     best_known: Optional[Mapping[str, int]] = None,
-    method_order: Optional[Sequence[str]] = None,
-) -> ExperimentStats:
-    """Per-method summary against the experiment best and optional best-known values.
+) -> list[StatsRow]:
+    """Per-method summary of each method's best over seeds, against the
+    experiment best and optional best-known values, in method_order.
 
     Deviations are undefined (reported as None) for instances whose reference
     value is <= 0; #Best counts use exact integer comparison and count every
     tied method.
     """
-    methods = list(method_order) if method_order is not None else sorted({m for m, _ in results})
+    results: dict[tuple[str, str], int] = {}
+    for r in rows:
+        key = (r.method, r.instance)
+        results[key] = max(results.get(key, r.best_objective), r.best_objective)
+    methods = list(method_order)
     instances = sorted({i for _, i in results})
     if not methods or not instances:
         raise ValueError("no results")
@@ -613,7 +625,7 @@ def compute_stats(
                 raise ValueError(f"missing cell: method {m!r} on instance {i!r}")
 
     exp_best = {i: max(results[m, i] for m in methods) for i in instances}
-    rows = []
+    stats = []
     for m in methods:
         best = sum(1 for i in instances if results[m, i] == exp_best[i])
         devs = [
@@ -635,8 +647,8 @@ def compute_stats(
                     if best_known[i] > 0
                 ]
                 dev_k = sum(kdevs) / len(kdevs) if kdevs else None
-        rows.append(StatsRow(m, best, dev_pct, best_k, dev_k))
-    return ExperimentStats(instances, rows)
+        stats.append(StatsRow(m, best, dev_pct, best_k, dev_k))
+    return stats
 
 
 STATS_HEADER = ["method", "#Best", "%Dev", "#Best_k", "%Dev_k"]
@@ -650,10 +662,10 @@ def _fmt_stat(value) -> str:
     return str(value)
 
 
-def write_stats_csv(stats: ExperimentStats, sink: IO[str]) -> None:
+def write_stats_csv(stats: Sequence[StatsRow], sink: IO[str]) -> None:
     w = csv.writer(sink, lineterminator="\n")
     w.writerow(STATS_HEADER)
-    for r in stats.rows:
+    for r in stats:
         w.writerow([r.method, r.best, _fmt_stat(r.dev_pct), _fmt_stat(r.best_known), _fmt_stat(r.dev_known_pct)])
 
 

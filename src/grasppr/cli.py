@@ -1,7 +1,8 @@
 """Command-line surface: solve one instance, benchmark a grid, validate files.
 
 Exit codes: 0 success, 2 instance parse failure, 64 bad flags or options,
-74 I/O failure, 1 benchmark cell crash. The search flags are the rows of
+74 I/O failure, 1 benchmark cell crash (bench still writes the completed
+rows and a failures.csv). The search flags are the rows of
 bench_io.OPTIONS, and their values stay strings until one shared translation
 layer (bench_io.build_run_config) parses them, so command line, config file
 and benchmark method specs all validate identically.
@@ -75,7 +76,8 @@ def build_parser() -> _Parser:
     b.add_argument("--seeds", metavar="LIST", help="comma-separated seeds (default 1)")
     b.add_argument("--jobs", metavar="N", help="concurrent worker processes (default 1)")
     b.add_argument("--best-known", metavar="FILE", help="'instance,value' lines for the _k statistics")
-    b.add_argument("--out", required=True, metavar="DIR", help="directory for results.csv and stats.csv")
+    b.add_argument("--out", required=True, metavar="DIR",
+                   help="directory for results.csv and stats.csv, or failures.csv in place of stats.csv when a cell fails")
     _add_stop_flags(b)
     _add_option_flags(b)
     b.set_defaults(func=_cmd_bench)
@@ -213,13 +215,23 @@ def _cmd_bench(args) -> int:
         for p in paths
         for seed in seeds
     ]
-    rows = bench_io.run_grid(cells, jobs)
+    failed: Optional[BenchError] = None
+    try:
+        rows = bench_io.run_grid(cells, jobs)
+    except BenchError as exc:
+        failed, rows = exc, exc.rows
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w") as sink:
         bench_io.write_results_csv(rows, sink)
-    stats = bench_io.compute_stats(bench_io.aggregate_best(rows), best_known, method_order=labels)
+    # a table an earlier run left in out_dir would be read as this run's
+    (out_dir / ("stats.csv" if failed else "failures.csv")).unlink(missing_ok=True)
+    if failed:
+        with open(out_dir / "failures.csv", "w") as sink:
+            bench_io.write_failures_csv(failed.failures, sink)
+        raise failed  # no statistics from a grid with holes; main exits 1
+    stats = bench_io.compute_stats(rows, labels, best_known)
     with open(out_dir / "stats.csv", "w") as sink:
         bench_io.write_stats_csv(stats, sink)
     bench_io.write_stats_csv(stats, sys.stdout)

@@ -1,5 +1,6 @@
 import io
 import warnings
+from concurrent.futures import Future
 from unittest import mock
 
 import pytest
@@ -15,7 +16,6 @@ from grasppr.bench_io import (
     OptionError,
     ParseError,
     RunRow,
-    aggregate_best,
     build_run_config,
     compute_stats,
     emit_profile,
@@ -511,43 +511,46 @@ def test_build_run_config_errors():
         build_run_config("lop", {"variant": "static_pr", "kappa": "3"}, **base)
 
 
+def _best_rows(results):
+    """One RunRow per {(method, instance): best} entry."""
+    return [_row(m, i, 1, best=v) for (m, i), v in results.items()]
+
+
 def test_compute_stats_single_method():
     results = {("m", "i1"): 10, ("m", "i2"): 20, ("m", "i3"): 30}
-    stats = compute_stats(results)
-    assert stats.instances == ["i1", "i2", "i3"]
-    (row,) = stats.rows
+    (row,) = compute_stats(_best_rows(results), ["m"])
     assert row.best == 3 and row.dev_pct == 0.0
     assert row.best_known is None and row.dev_known_pct is None
 
 
 def test_compute_stats_two_methods():
     results = {("a", "i"): 100, ("b", "i"): 95}
-    stats = compute_stats(results)
-    by = {r.method: r for r in stats.rows}
+    stats = compute_stats(_best_rows(results), ["a", "b"])
+    by = {r.method: r for r in stats}
     assert by["a"].best == 1 and by["a"].dev_pct == 0.0
     assert by["b"].best == 0 and by["b"].dev_pct == pytest.approx(5.0)
 
 
 def test_compute_stats_method_order_is_presentation_only():
-    results = {("a", "i"): 100, ("b", "i"): 95}
-    fwd = compute_stats(results, method_order=["a", "b"])
-    rev = compute_stats(results, method_order=["b", "a"])
-    assert [r.method for r in fwd.rows] == ["a", "b"]
-    assert [r.method for r in rev.rows] == ["b", "a"]
-    assert {r.method: (r.best, r.dev_pct) for r in fwd.rows} == {
-        r.method: (r.best, r.dev_pct) for r in rev.rows
+    rows = _best_rows({("a", "i"): 100, ("b", "i"): 95})
+    fwd = compute_stats(rows, method_order=["a", "b"])
+    rev = compute_stats(rows, method_order=["b", "a"])
+    assert [r.method for r in fwd] == ["a", "b"]
+    assert [r.method for r in rev] == ["b", "a"]
+    assert {r.method: (r.best, r.dev_pct) for r in fwd} == {
+        r.method: (r.best, r.dev_pct) for r in rev
     }
 
 
 def test_compute_stats_missing_cell():
     with pytest.raises(ValueError, match="missing cell"):
-        compute_stats({("a", "i1"): 1, ("a", "i2"): 2, ("b", "i1"): 3})
+        compute_stats(_best_rows({("a", "i1"): 1, ("a", "i2"): 2, ("b", "i1"): 3}), ["a", "b"])
 
 
 def test_compute_stats_nonpositive_reference_is_na():
     results = {("a", "i"): -5, ("b", "i"): -7}
-    stats = compute_stats(results)
-    by = {r.method: r for r in stats.rows}
+    stats = compute_stats(_best_rows(results), ["a", "b"])
+    by = {r.method: r for r in stats}
     assert by["a"].best == 1 and by["a"].dev_pct is None
     sink = io.StringIO()
     write_stats_csv(stats, sink)
@@ -562,21 +565,21 @@ def test_every_instance_has_a_winner():
         results = {
             (m, i): r.randint(1, 50) for m in ("a", "b", "c") for i in ("i1", "i2", "i3", "i4")
         }
-        stats = compute_stats(results)
-        assert sum(row.best for row in stats.rows) >= 4
+        stats = compute_stats(_best_rows(results), ["a", "b", "c"])
+        assert sum(row.best for row in stats) >= 4
 
 
 def test_compute_stats_against_best_known():
-    results = {("m1", "i1"): 100, ("m1", "i2"): 50, ("m2", "i1"): 110, ("m2", "i2"): 50}
-    stats = compute_stats(results, best_known={"i1": 100, "i2": 60})
-    by = {r.method: r for r in stats.rows}
+    rows = _best_rows({("m1", "i1"): 100, ("m1", "i2"): 50, ("m2", "i1"): 110, ("m2", "i2"): 50})
+    stats = compute_stats(rows, ["m1", "m2"], best_known={"i1": 100, "i2": 60})
+    by = {r.method: r for r in stats}
     assert by["m1"].best_known == 1
     assert by["m1"].dev_known_pct == pytest.approx((0.0 + 100 * 10 / 60) / 2)
     assert by["m2"].best_known == 1
     assert by["m2"].dev_known_pct == pytest.approx((-10.0 + 100 * 10 / 60) / 2)
     # unknown instances are simply left out of the _k columns
-    partial = compute_stats(results, best_known={"i1": 100})
-    by = {r.method: r for r in partial.rows}
+    partial = compute_stats(rows, ["m1", "m2"], best_known={"i1": 100})
+    by = {r.method: r for r in partial}
     assert by["m2"].best_known == 1 and by["m2"].dev_known_pct == pytest.approx(-10.0)
 
 
@@ -601,9 +604,13 @@ def test_write_results_csv_sorted_and_formatted():
     assert lines[4] == "b,x,2,1,2,0.500000,0"
 
 
-def test_aggregate_best_across_seeds():
+def test_compute_stats_takes_each_methods_best_over_seeds():
     rows = [_row("a", "x", 1, best=5), _row("a", "x", 2, best=9), _row("a", "y", 1, best=3)]
-    assert aggregate_best(rows) == {("a", "x"): 9, ("a", "y"): 3}
+    rows += [_row("b", "x", 1, best=9), _row("b", "x", 2, best=2), _row("b", "y", 2, best=4), _row("b", "y", 1, best=1)]
+    a, b = compute_stats(rows, ["a", "b"])
+    # best over seeds: a scores (9, 3) and b (9, 4), so both win x and only b wins y
+    assert (a.best, a.dev_pct) == (1, pytest.approx(100 * 1 / 4 / 2))
+    assert (b.best, b.dev_pct) == (2, 0.0)
 
 
 def test_emit_profile_rows():
@@ -692,9 +699,8 @@ def test_run_grid_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     asked = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             asked.append(max_workers)
-            initializer()
 
         def __enter__(self):
             return self
@@ -702,11 +708,12 @@ def test_run_grid_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
         def __exit__(self, *exc_info):
             return None
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     expected = run_grid(cells, jobs=1)
-    monkeypatch.setattr(bench_io, "_last_instance", None)  # restored after the initializer set it
     monkeypatch.setattr(bench_io, "ProcessPoolExecutor", SerialPool)
     for jobs, workers in ((64, 4), (4, 4), (3, 3), (2, 2)):
         assert _strip(run_grid(cells, jobs=jobs)) == _strip(expected)
@@ -773,7 +780,7 @@ def test_run_grid_reuses_one_parse_per_file_run(tmp_path):
     with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
         assert _strip(run_grid(cells, jobs=1)) == fresh
     assert loads.call_count == 2  # one parse per file
-    assert bench_io._last_instance is None  # nothing outlives the call
+    assert bench_io._instance.cache_info().currsize == 0  # nothing outlives the call
     assert _strip(run_grid(cells, jobs=2)) == fresh
     # the cache holds one file: alternating files reparse every cell
     alternating = [cells[0], cells[-1], cells[1], cells[-2]]
@@ -798,13 +805,28 @@ def test_failed_cell_leaves_no_cached_instance(tmp_path):
     with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
         with pytest.raises(BenchError):
             run_grid([good, bad], jobs=1)
-        assert bench_io._last_instance is None  # dropped although run_grid raised
-        bench_io._keep_last_instance()
+        assert bench_io._instance.cache_info().currsize == 0  # dropped although run_grid raised
         try:
             run_cell(good)
             with pytest.raises(BenchError):
                 run_cell(bad)
             run_cell(good)
         finally:
-            bench_io._last_instance = None
+            bench_io._instance.cache_clear()
     assert loads.call_count == 1 + 2  # the failed cell dropped the parse it shared
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_cell_leaves_the_rest_of_the_grid(tmp_path, jobs):
+    cells = _mixed_cells(_write_instances(tmp_path))[:4]
+    missing = CellSpec(LOP, str(tmp_path / "gone.mat"), "gone", "grasp", (), 7, None, 2)
+    with pytest.raises(BenchError) as exc:
+        run_grid([cells[0], missing, *cells[1:]], jobs)
+    # every other cell ran, and its row came back in cell order
+    assert _strip(exc.value.rows) == _fresh_rows(cells)
+    (failure,) = exc.value.failures
+    assert (failure.method, failure.instance, failure.seed) == ("grasp", "gone", 7) and "gone.mat" in failure.message
+    assert "1 of 5 cells failed" in str(exc.value) and "instance=gone seed=7" in str(exc.value)
+    sink = io.StringIO()
+    bench_io.write_failures_csv(exc.value.failures, sink)
+    assert sink.getvalue().splitlines()[0] == "method,instance,seed,message"

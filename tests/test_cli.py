@@ -27,6 +27,13 @@ def lop_path(tmp_path):
     return str(path)
 
 
+def _run_experiments(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
 def _solve(args, capsys):
     code = main(["solve", *args])
     captured = capsys.readouterr()
@@ -384,11 +391,7 @@ def test_seeds_outside_u64_are_usage_errors(tmp_path, lop_path, capsys):
     args = ["--problem", "lop", "--instance", lop_path, "--iters", "1", "--seed=-18446744073709551615"]
     code, out, err = _solve(args, capsys)
     assert code == 64 and out == "" and "0..2^64-1" in err
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), "--seeds", "1,18446744073709551617",
-         "--out", str(tmp_path / "exp")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
+    result = _run_experiments("--seeds", "1,18446744073709551617", "--out", str(tmp_path / "exp"))
     assert result.returncode == 2 and result.stderr.startswith("usage:") and "0..2^64-1" in result.stderr
     assert not (tmp_path / "exp").exists()
 
@@ -470,3 +473,52 @@ def test_bench_parse_error_exits_2_before_any_cell(tmp_path, capsys, monkeypatch
     assert code == 2
     assert err.startswith("error:") and f"{inst_dir / 'b.el'}: line 3, col 3: " in err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_bench_failed_cell_keeps_the_other_rows(tmp_path, capsys, monkeypatch):
+    inst_dir = _write_bench_dir(tmp_path)
+    out = tmp_path / "o"
+    base = ["bench", "--problem", "lop", "--instances", str(inst_dir), "--method", "grasp",
+            "--seeds", "1,2", "--iters", "2", "--out", str(out)]
+    assert main(base) == 0
+    complete = _mask_elapsed((out / "results.csv").read_text())
+    real_run = bench_io.run
+
+    def crash_on_seed_2(instance, cfg):
+        if cfg.seed == 2 and instance.n == 4:
+            raise RuntimeError("injected crash")
+        return real_run(instance, cfg)
+
+    monkeypatch.setattr(bench_io, "run", crash_on_seed_2)
+    capsys.readouterr()
+    code = main(base)
+    err = capsys.readouterr().err
+    assert code == 1 and "1 of 4 cells failed" in err and "instance=a seed=2" in err
+    assert _mask_elapsed((out / "results.csv").read_text()) == [row for row in complete if row[1:3] != ["a", "2"]]
+    assert (out / "failures.csv").read_text() == "method,instance,seed,message\ngrasp,a,2,injected crash\n"
+    assert not (out / "stats.csv").exists()  # the earlier run's table is gone too
+    monkeypatch.setattr(bench_io, "run", real_run)
+    assert main(base) == 0
+    assert (out / "stats.csv").exists() and not (out / "failures.csv").exists()
+
+
+def test_an_experiment_is_the_cli(tmp_path, capsys):
+    result = _run_experiments("--only", "1", "--iters", "2", "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "exp"))
+    assert result.returncode == 0, result.stderr
+    for problem in ("lop", "maxcut"):
+        slug = f"exp1_construction_{problem}"
+        code = main([
+            "bench", "--problem", problem, "--instances", str(ROOT / "instances" / "toy"),
+            "--method", "semigreedy:rcl-mode=value", "--method", "semigreedy:rcl-mode=card",
+            "--seeds", "1", "--iters", "2", "--jobs", "1", "--out", str(tmp_path / "direct" / slug),
+        ])
+        assert code == 0
+        exp, direct = tmp_path / "exp" / slug, tmp_path / "direct" / slug
+        assert (exp / "stats.csv").read_bytes() == (direct / "stats.csv").read_bytes()
+        assert _mask_elapsed((exp / "results.csv").read_text()) == _mask_elapsed((direct / "results.csv").read_text())
+    capsys.readouterr()
+    result = _run_experiments("--only", "7", "--seeds", "1", "--profile-time", "0.05", "--out", str(tmp_path / "exp"))
+    assert result.returncode == 0, result.stderr
+    profiles = sorted((tmp_path / "exp" / "exp7_profiles").glob("*.csv"))
+    assert len(profiles) == 6
+    assert all(p.read_text().splitlines()[0] == "elapsed_s,objective" for p in profiles)
