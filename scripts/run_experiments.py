@@ -18,7 +18,20 @@ from grasppr import bench_io, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TOYS = ROOT / "instances" / "toy"
-PROBLEMS = (bench_io.LOP, bench_io.MAXCUT)
+
+# key: (output slug, method specs); each experiment runs once per problem,
+# into <slug>_<problem>
+EXPERIMENTS = {
+    "1": ("exp1_construction", ["semigreedy:rcl-mode=value", "semigreedy:rcl-mode=card"]),
+    "2": ("exp2_local_search", ["grasp:depth=first", "grasp:depth=best"]),
+    "3": ("exp3_direction", [f"static_pr:direction={d}:inpath-ls=none" for d in ("forward", "backward", "mixed")]),
+    "4": ("exp4_inpath_ls",
+          [f"static_pr:direction={{direction}}:inpath-ls={p}" for p in ("none", "all", "every:5", "best")]),
+    "5": ("exp5_step", ["static_pr:step=greedy", "static_pr:step=grpr", "static_pr:step=grpr:trunc=0.5"]),
+    "6": ("exp6_strategy", ["static_pr", "dynamic_pr", "evolutionary_pr"]),
+}
+# {direction} in a spec: each problem's experiment-3 winner
+DIRECTION = {bench_io.LOP: "mixed", bench_io.MAXCUT: "forward"}
 
 
 def grasppr(*argv):
@@ -27,48 +40,14 @@ def grasppr(*argv):
         sys.exit(code)
 
 
-def bench(slug, problem, specs, args, out_root):
-    print(f"== {slug}", flush=True)
-    methods = [arg for spec in specs for arg in ("--method", spec)]
-    grasppr("bench", "--problem", problem, "--instances", TOYS, *methods,
-            "--seeds", ",".join(map(str, args.seeds)), "--iters", args.iters, "--jobs", args.jobs,
-            "--out", out_root / slug)
-
-
-def exp1_construction(args, out_root):
-    for problem in PROBLEMS:
-        specs = ["semigreedy:rcl-mode=value", "semigreedy:rcl-mode=card"]
-        bench(f"exp1_construction_{problem}", problem, specs, args, out_root)
-
-
-def exp2_local_search(args, out_root):
-    for problem in PROBLEMS:
-        bench(f"exp2_local_search_{problem}", problem, ["grasp:depth=first", "grasp:depth=best"], args, out_root)
-
-
-def exp3_direction(args, out_root):
-    for problem in PROBLEMS:
-        specs = [f"static_pr:direction={d}:inpath-ls=none" for d in ("forward", "backward", "mixed")]
-        bench(f"exp3_direction_{problem}", problem, specs, args, out_root)
-
-
-def exp4_inpath_ls(args, out_root):
-    # directions fixed to each problem's exp-3 winner
-    direction = {bench_io.LOP: "mixed", bench_io.MAXCUT: "forward"}
-    for problem in PROBLEMS:
-        specs = [f"static_pr:direction={direction[problem]}:inpath-ls={p}" for p in ("none", "all", "every:5", "best")]
-        bench(f"exp4_inpath_ls_{problem}", problem, specs, args, out_root)
-
-
-def exp5_step_selection(args, out_root):
-    for problem in PROBLEMS:
-        specs = ["static_pr:step=greedy", "static_pr:step=grpr", "static_pr:step=grpr:trunc=0.5"]
-        bench(f"exp5_step_{problem}", problem, specs, args, out_root)
-
-
-def exp6_strategy(args, out_root):
-    for problem in PROBLEMS:
-        bench(f"exp6_strategy_{problem}", problem, ["static_pr", "dynamic_pr", "evolutionary_pr"], args, out_root)
+def run_experiment(key, args, out_root):
+    slug, specs = EXPERIMENTS[key]
+    for problem in bench_io.PROBLEMS:
+        print(f"== {slug}_{problem}", flush=True)
+        methods = [arg for spec in specs for arg in ("--method", spec.format(direction=DIRECTION[problem]))]
+        grasppr("bench", "--problem", problem, "--instances", TOYS, *methods,
+                "--seeds", ",".join(map(str, args.seeds)), "--iters", args.iters, "--jobs", args.jobs,
+                "--out", out_root / f"{slug}_{problem}")
 
 
 def exp7_profiles(args, out_root):
@@ -90,16 +69,8 @@ def main():
     ap.add_argument("--profile-time", type=float, default=2.0,
                     help="seconds per experiment-7 run (default 2.0)")
     ap.add_argument("--out", default=str(ROOT / "results"), help="output root (default results/)")
-    steps = {
-        "1": exp1_construction,
-        "2": exp2_local_search,
-        "3": exp3_direction,
-        "4": exp4_inpath_ls,
-        "5": exp5_step_selection,
-        "6": exp6_strategy,
-        "7": exp7_profiles,
-    }
-    ap.add_argument("--only", choices=sorted(steps), help="run a single experiment: 1..7")
+    keys = [*EXPERIMENTS, "7"]
+    ap.add_argument("--only", choices=keys, help="run a single experiment: 1..7")
     args = ap.parse_args()
     # checked here, so a bad value is a usage error before any cell runs
     if args.iters < 1:
@@ -114,9 +85,11 @@ def main():
         ap.error(str(exc))
 
     out_root = Path(args.out)
-    chosen = [args.only] if args.only else sorted(steps)
-    for key in chosen:
-        steps[key](args, out_root)
+    for key in [args.only] if args.only else keys:
+        if key == "7":
+            exp7_profiles(args, out_root)
+        else:
+            run_experiment(key, args, out_root)
     print(f"done; outputs under {out_root}")
 
 

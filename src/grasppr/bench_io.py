@@ -493,8 +493,9 @@ class CellSpec:
     iteration_limit: Optional[int]
 
 
-@dataclass(frozen=True)
-class RunRow:
+class RunRow(NamedTuple):
+    """One completed benchmark cell, as a results.csv row."""
+
     method: str
     instance: str
     seed: int
@@ -569,25 +570,20 @@ def _collect(calls: Iterable[Callable[[], RunRow]]) -> tuple[list[RunRow], list[
     return rows, errors
 
 
-RESULTS_HEADER = ["method", "instance", "seed", "best_objective", "iterations", "elapsed_s", "restarts"]
+def _write_csv(sink: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    w = csv.writer(sink, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def write_results_csv(rows: Sequence[RunRow], sink: IO[str]) -> None:
     """One row per cell, sorted by (method, instance, seed) for stable diffs."""
-    w = csv.writer(sink, lineterminator="\n")
-    w.writerow(RESULTS_HEADER)
-    for r in sorted(rows, key=lambda r: (r.method, r.instance, r.seed)):
-        w.writerow([r.method, r.instance, r.seed, r.best_objective, r.iterations, f"{r.elapsed_s:.6f}", r.restarts])
-
-
-FAILURES_HEADER = list(CellFailure._fields)
+    _write_csv(sink, RunRow._fields, (r._replace(elapsed_s=f"{r.elapsed_s:.6f}") for r in sorted(rows)))
 
 
 def write_failures_csv(failures: Sequence[CellFailure], sink: IO[str]) -> None:
     """One row per failed cell, sorted by (method, instance, seed) as results.csv is."""
-    w = csv.writer(sink, lineterminator="\n")
-    w.writerow(FAILURES_HEADER)
-    w.writerows(sorted(failures))
+    _write_csv(sink, CellFailure._fields, sorted(failures))
 
 
 @dataclass
@@ -625,30 +621,21 @@ def compute_stats(
                 raise ValueError(f"missing cell: method {m!r} on instance {i!r}")
 
     exp_best = {i: max(results[m, i] for m in methods) for i in instances}
+    known = [i for i in instances if i in best_known] if best_known else []
     stats = []
     for m in methods:
-        best = sum(1 for i in instances if results[m, i] == exp_best[i])
-        devs = [
-            100.0 * (exp_best[i] - results[m, i]) / exp_best[i]
-            for i in instances
-            if exp_best[i] > 0
-        ]
-        dev_pct = sum(devs) / len(devs) if devs else None
-
-        best_k: Optional[int] = None
-        dev_k: Optional[float] = None
-        if best_known:
-            known = [i for i in instances if i in best_known]
-            if known:
-                best_k = sum(1 for i in known if results[m, i] >= best_known[i])
-                kdevs = [
-                    100.0 * (best_known[i] - results[m, i]) / best_known[i]
-                    for i in known
-                    if best_known[i] > 0
-                ]
-                dev_k = sum(kdevs) / len(kdevs) if kdevs else None
-        stats.append(StatsRow(m, best, dev_pct, best_k, dev_k))
+        got = {i: results[m, i] for i in instances}
+        best = sum(1 for i in instances if got[i] == exp_best[i])
+        best_k = sum(1 for i in known if got[i] >= best_known[i]) if known else None
+        dev_k = _mean_dev(best_known, got, known)
+        stats.append(StatsRow(m, best, _mean_dev(exp_best, got, instances), best_k, dev_k))
     return stats
+
+
+def _mean_dev(reference: Mapping[str, int], got: Mapping[str, int], instances: Sequence[str]) -> Optional[float]:
+    """Mean of 100*(reference - got)/reference over the instances whose reference is > 0; None if none is."""
+    devs = [100.0 * (reference[i] - got[i]) / reference[i] for i in instances if reference[i] > 0]
+    return sum(devs) / len(devs) if devs else None
 
 
 STATS_HEADER = ["method", "#Best", "%Dev", "#Best_k", "%Dev_k"]
@@ -663,10 +650,9 @@ def _fmt_stat(value) -> str:
 
 
 def write_stats_csv(stats: Sequence[StatsRow], sink: IO[str]) -> None:
-    w = csv.writer(sink, lineterminator="\n")
-    w.writerow(STATS_HEADER)
-    for r in stats:
-        w.writerow([r.method, r.best, _fmt_stat(r.dev_pct), _fmt_stat(r.best_known), _fmt_stat(r.dev_known_pct)])
+    _write_csv(sink, STATS_HEADER, (
+        [r.method, r.best, _fmt_stat(r.dev_pct), _fmt_stat(r.best_known), _fmt_stat(r.dev_known_pct)] for r in stats
+    ))
 
 
 def read_best_known(path: Union[str, Path]) -> dict[str, int]:
@@ -697,8 +683,5 @@ def read_best_known(path: Union[str, Path]) -> dict[str, int]:
 
 def emit_profile(report: RunReport, sink: IO[str]) -> None:
     """Incumbent trajectory: one row per improvement plus a closing row."""
-    w = csv.writer(sink, lineterminator="\n")
-    w.writerow(["elapsed_s", "objective"])
-    for elapsed, objective in report.incumbent_series:
-        w.writerow([f"{elapsed:.6f}", objective])
-    w.writerow([f"{report.elapsed_s:.6f}", report.best_objective])
+    points = [*report.incumbent_series, (report.elapsed_s, report.best_objective)]
+    _write_csv(sink, ["elapsed_s", "objective"], ([f"{elapsed:.6f}", objective] for elapsed, objective in points))

@@ -211,8 +211,8 @@ def _cmd_bench(args) -> int:
 
     cells = [
         CellSpec(args.problem, str(p), p.stem, label, options, seed, time_limit, iteration_limit)
-        for label, options in methods
         for p in paths
+        for label, options in methods
         for seed in seeds
     ]
     failed: Optional[BenchError] = None

@@ -102,7 +102,8 @@ class ProblemInstance(ABC):
 
         rcl(mode, alpha) lists the restricted candidate keys of the next step
         in the order construction draws from; a single key is the greedy
-        choice and costs no draw.
+        choice and costs no draw. build() returns the complete solution with
+        its exact objective cached: the search evaluates no construction.
         """
 
     @abstractmethod
@@ -134,12 +135,6 @@ class ProblemInstance(ABC):
     def new_walk(self, a: Solution, b: Solution) -> "Walk":
         """A relinking walk that moves a and b in place (see Walk)."""
 
-    def check_dimensions(self, solution: Solution) -> None:
-        if len(_payload(solution)) != self.n:
-            raise ValueError(
-                f"dimension mismatch: solution has {len(_payload(solution))} entries, instance has n={self.n}"
-            )
-
 
 class Walk:
     """Relinking steps between two solutions, heads[0] and heads[1].
@@ -164,7 +159,10 @@ class Walk:
 
 def evaluate(instance: ProblemInstance, solution: Solution) -> int:
     """Evaluate and cache the exact objective."""
-    instance.check_dimensions(solution)
+    if len(_payload(solution)) != instance.n:
+        raise ValueError(
+            f"dimension mismatch: solution has {len(_payload(solution))} entries, instance has n={instance.n}"
+        )
     value = instance.evaluate(solution)
     solution.cached_objective = value
     return value

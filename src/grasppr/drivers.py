@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .construction import RclConfig, construct
-from .core import ProblemInstance, RandomStream, Solution, evaluate
+from .core import ProblemInstance, RandomStream, Solution
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM, EliteSet
 from .local_search import SearchDepth, local_search
 from .path_relinking import PrConfig, relink
@@ -160,8 +160,6 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
         epoch += 1
         before = r.best_objective
         sol = construct(instance, cfg.rcl, r.rng)
-        if sol.cached_objective is None:
-            evaluate(instance, sol)
         if cfg.variant != SEMIGREEDY:
             sol = r.improve(sol)
         r.offer(sol)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -335,6 +336,20 @@ def test_bench_parallel_jobs_match(tmp_path, capsys):
     seq = (tmp_path / "seq" / "results.csv").read_text()
     par = (tmp_path / "par" / "results.csv").read_text()
     assert _mask_elapsed(seq) == _mask_elapsed(par)
+
+
+def test_bench_parses_each_file_once_per_grid(tmp_path, capsys):
+    # cells run instance by instance, so a worker's one-entry parse cache holds
+    # across methods: each toy is parsed once to validate it and once in the grid
+    with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as load:
+        code = main([
+            "bench", "--problem", "maxcut", "--instances", str(ROOT / "instances" / "toy"),
+            "--method", "grasp", "--method", "semigreedy", "--seeds", "1,2", "--iters", "2", "--jobs", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+    capsys.readouterr()
+    assert code == 0
+    assert load.call_count == 8  # 4 toys
 
 
 def test_bench_best_known_column(tmp_path, capsys):
