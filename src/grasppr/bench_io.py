@@ -21,10 +21,9 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .construction import CARDINALITY, VALUE, RclConfig
-from .core import _INT32, PartitionSolution, PermutationSolution, ProblemInstance, Solution
+from .core import _INT32, PartitionSolution, PermutationSolution, ProblemInstance, SearchDepth, Solution
 from .drivers import VARIANTS, RunConfig, RunReport, run
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM
-from .local_search import SearchDepth
 from .lop import LopInstance
 from .maxcut import MAX_VERTICES, MaxCutInstance
 from .path_relinking import (
@@ -373,13 +372,10 @@ def _inpath_ls(key: str, raw) -> dict[str, object]:
         return {"in_path_ls": raw}
     if not raw.startswith(f"{LS_EVERY}:"):
         raise OptionError(f"{key}: expected none|all|every:Q|best, got {raw!r}")
-    period = raw.split(":", 1)[1]
-    if "_" not in period:  # as in int_option
-        try:
-            return {"in_path_ls": LS_EVERY, "ls_every": int(period)}
-        except ValueError:
-            pass
-    raise OptionError(f"{key}: bad period in {raw!r}")
+    try:
+        return {"in_path_ls": LS_EVERY, "ls_every": int_option(key, raw.split(":", 1)[1])}
+    except OptionError:
+        raise OptionError(f"{key}: bad period in {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -586,8 +582,9 @@ def write_failures_csv(failures: Sequence[CellFailure], sink: IO[str]) -> None:
     _write_csv(sink, CellFailure._fields, sorted(failures))
 
 
-@dataclass
-class StatsRow:
+class StatsRow(NamedTuple):
+    """One method's summary, as a stats.csv row."""
+
     method: str
     best: int  # instances on which the method attains the experiment best
     dev_pct: Optional[float]  # mean 100*(B_e - v)/B_e over instances with B_e > 0
@@ -650,9 +647,7 @@ def _fmt_stat(value) -> str:
 
 
 def write_stats_csv(stats: Sequence[StatsRow], sink: IO[str]) -> None:
-    _write_csv(sink, STATS_HEADER, (
-        [r.method, r.best, _fmt_stat(r.dev_pct), _fmt_stat(r.best_known), _fmt_stat(r.dev_known_pct)] for r in stats
-    ))
+    _write_csv(sink, STATS_HEADER, (map(_fmt_stat, r) for r in stats))
 
 
 def read_best_known(path: Union[str, Path]) -> dict[str, int]:

@@ -208,6 +208,8 @@ def _cmd_bench(args) -> int:
     for p in paths:  # parse each file now, so a malformed one is a parse error before any cell runs
         bench_io.load_instance(p, args.problem)
     best_known = bench_io.read_best_known(args.best_known) if args.best_known else None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any cell runs
 
     cells = [
         CellSpec(args.problem, str(p), p.stem, label, options, seed, time_limit, iteration_limit)
@@ -221,8 +223,6 @@ def _cmd_bench(args) -> int:
     except BenchError as exc:
         failed, rows = exc, exc.rows
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w") as sink:
         bench_io.write_results_csv(rows, sink)
     # a table an earlier run left in out_dir would be read as this run's

@@ -8,16 +8,13 @@ bits, so that any objective sum fits comfortably in 64 bits.
 
 from __future__ import annotations
 
+import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 _INT32 = 2**31  # instance weights w satisfy -_INT32 <= w < _INT32
-
-# what one moves() scan yields
-BEST_MOVE = "best"  # only the improving move of largest delta, the first on ties
-FIRST_MOVE = "first"  # only the first improving move
 
 
 @dataclass(eq=False)
@@ -80,11 +77,33 @@ def delta(a: Solution, b: Solution) -> int:
     return sum(1 for x, y in zip(pa, pb) if x != y)
 
 
+class SearchDepth(enum.Enum):
+    """A local search's depth: which improving move each of its scans picks."""
+
+    FIRST_IMPROVING = "first"
+    BEST_IMPROVING = "best"
+
+
+class Move(NamedTuple):
+    """One neighbourhood move with its exact objective delta.
+
+    kinds: "insert" (permutation: element from_pos -> to_pos) and "transfer"
+    (partition: flip element's side; no positions). The move a local-search
+    pass applies and a relinking step are both Moves; immutable and hashable.
+    """
+
+    kind: str
+    element: int
+    from_pos: Optional[int] = None
+    to_pos: Optional[int] = None
+    delta: int = 0
+
+
 class ProblemInstance(ABC):
     """Immutable problem data plus the hooks the generic search modules drive.
 
-    Concrete adapters provide construction, move enumeration and a
-    relinking walk.
+    Concrete adapters provide construction, one neighbourhood scan and the
+    relinking steps of a walk.
     """
 
     n: int
@@ -107,33 +126,34 @@ class ProblemInstance(ABC):
         """
 
     @abstractmethod
-    def moves(self, solution: Solution, offset: int, pick: str):
+    def moves(self, solution: Solution, offset: int, depth: SearchDepth):
         """One neighbourhood scan: the move one local-search pass applies, if any.
 
         Each problem has one move kind: insert for permutations, transfer
-        for partitions. pick BEST_MOVE yields the improving move of largest
-        delta, the first in canonical scan order on ties; FIRST_MOVE the
+        for partitions. BEST_IMPROVING yields the improving move of largest
+        delta, the first in canonical scan order on ties; FIRST_IMPROVING the
         first improving move of that order rotated by offset, where
         supported. Adapters select it with a kernel that builds no Move per
         candidate.
         """
 
-    def best_move(self, solution: Solution):
+    def best_move(self, solution: Solution) -> Optional[Move]:
         """The improving move of largest delta (ties: first in scan order), or None."""
-        return _last(self.moves(solution, 0, BEST_MOVE))
+        return _last(self.moves(solution, 0, SearchDepth.BEST_IMPROVING))
 
-    def first_move(self, solution: Solution, offset: int = 0):
+    def first_move(self, solution: Solution, offset: int = 0) -> Optional[Move]:
         """The first improving move in the scan rotated by offset, or None."""
-        return _last(self.moves(solution, offset, FIRST_MOVE))
+        return _last(self.moves(solution, offset, SearchDepth.FIRST_IMPROVING))
 
     @abstractmethod
-    def apply_move(self, solution: Solution, move) -> None:
+    def apply_move(self, solution: Solution, move: Move) -> None:
         """Apply a move in place, keeping cached_objective consistent; a position
         or vertex outside 0..n-1, which no kernel produces, raises ValueError."""
 
-    @abstractmethod
     def new_walk(self, a: Solution, b: Solution) -> "Walk":
-        """A relinking walk that moves a and b in place (see Walk)."""
+        """A relinking walk that moves a and b in place: the base Walk, which
+        needs pr_candidates(current, guiding, k), unless the problem overrides it."""
+        return Walk(self, a, b)
 
 
 class Walk:
@@ -150,10 +170,10 @@ class Walk:
         self.instance = instance
         self.heads = (a, b)
 
-    def ranked(self, i: int, k: int) -> list:
+    def ranked(self, i: int, k: int) -> list[Move]:
         return self.instance.pr_candidates(self.heads[i], self.heads[1 - i], k)
 
-    def take(self, i: int, move) -> None:
+    def take(self, i: int, move: Move) -> None:
         self.instance.apply_move(self.heads[i], move)
 
 
@@ -169,8 +189,7 @@ def evaluate(instance: ProblemInstance, solution: Solution) -> int:
 
 
 def _last(moves: Iterable):
-    # runs a BEST_MOVE / FIRST_MOVE scan to its end, so the scan has finished
-    # before its move is applied
+    # runs a moves() scan to its end, so it has finished before its move is applied
     chosen = None
     for chosen in moves:
         pass

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .construction import RclConfig, construct
-from .core import ProblemInstance, RandomStream, Solution
+from .core import ProblemInstance, RandomStream, SearchDepth, Solution
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM, EliteSet
-from .local_search import SearchDepth, local_search
+from .local_search import local_search
 from .path_relinking import PrConfig, relink
 
 SEMIGREEDY = "semigreedy"

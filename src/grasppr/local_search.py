@@ -2,30 +2,7 @@
 
 from __future__ import annotations
 
-import enum
-from typing import NamedTuple, Optional
-
-from .core import ProblemInstance, RandomStream, Solution, evaluate
-
-
-class SearchDepth(enum.Enum):
-    FIRST_IMPROVING = "first"
-    BEST_IMPROVING = "best"
-
-
-class Move(NamedTuple):
-    """One neighbourhood move with its exact objective delta.
-
-    kinds: "insert" (permutation: element from_pos -> to_pos) and "transfer"
-    (partition: flip element's side; no positions). The move a local-search
-    pass applies and a relinking step are both Moves; immutable and hashable.
-    """
-
-    kind: str
-    element: int
-    from_pos: Optional[int] = None
-    to_pos: Optional[int] = None
-    delta: int = 0
+from .core import ProblemInstance, RandomStream, SearchDepth, Solution, evaluate
 
 
 def local_search(

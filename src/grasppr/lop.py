@@ -23,8 +23,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_columns
-from .core import _INT32, BEST_MOVE, PermutationSolution, ProblemInstance, Walk
-from .local_search import Move
+from .core import _INT32, Move, PermutationSolution, ProblemInstance, SearchDepth
 
 # The insert scan packs one 64-bit field per element into a
 # Python int. |skew| < 2^32, so |prefix| <= n * 2^32 < 2^62 for any n a matrix
@@ -147,12 +146,24 @@ class LopInstance(ProblemInstance):
             self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
         return self._skew
 
-    def moves(self, solution: PermutationSolution, offset: int, pick: str) -> Iterator[Move]:
+    def moves(self, solution: PermutationSolution, offset: int, depth: SearchDepth) -> Iterator[Move]:
         # canonical scan order: element id ascending, target position ascending;
-        # the permutation scan ignores offsets (first-improving stays canonical)
-        move = self._insert_move(solution.order, pick != BEST_MOVE)
-        if move is not None:
-            yield move
+        # the permutation scan ignores offsets (first-improving stays canonical).
+        # best: the lowest element of largest gain and its first minimum, the
+        # first best target in scan order; first: the lowest improving
+        # element and its first improving target
+        order = solution.order
+        gains = self._insert_gains(order)
+        best = depth is SearchDepth.BEST_IMPROVING
+        gain = max(gains) if best else next(filter((0).__lt__, gains), 0)
+        if gain <= 0:
+            return
+        e = gains.index(gain)
+        i = order.index(e)
+        prefix = self._prefix(e, order)
+        base = prefix[i]
+        k = prefix.index(base - gain) if best else list(map(base.__gt__, prefix)).index(True)
+        yield Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
 
     def _packed(self) -> tuple:
         """(columns, masks, bias, guard): columns[u] holds skew[e][u] in
@@ -220,21 +231,6 @@ class LopInstance(ProblemInstance):
         # n >= 2, so itemgetter returns a tuple
         return list(accumulate(itemgetter(*order)(self._skew_rows()[e]), initial=0))
 
-    def _insert_move(self, order: Sequence[int], first: bool) -> Optional[Move]:
-        # best: the lowest element of largest gain and its first minimum, the
-        # first best target in scan order; first: the lowest improving
-        # element and its first improving target
-        gains = self._insert_gains(order)
-        gain = next(filter((0).__lt__, gains), 0) if first else max(gains)
-        if gain <= 0:
-            return None
-        e = gains.index(gain)
-        i = order.index(e)
-        prefix = self._prefix(e, order)
-        base = prefix[i]
-        k = list(map(base.__gt__, prefix)).index(True) if first else prefix.index(base - gain)
-        return Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
-
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
         if move.kind != "insert":
             raise ValueError(f"not a permutation move: {move.kind}")
@@ -252,9 +248,6 @@ class LopInstance(ProblemInstance):
         self._scan = scan
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
-
-    def new_walk(self, a: PermutationSolution, b: PermutationSolution) -> Walk:
-        return Walk(self, a, b)
 
     def pr_candidates(self, current: PermutationSolution, guiding: PermutationSolution, k: int) -> list[Move]:
         """At most k insertions of a misplaced element into its guiding

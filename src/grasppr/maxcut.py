@@ -25,8 +25,7 @@ from itertools import chain, compress
 from typing import Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
-from .core import _INT32, BEST_MOVE, PartitionSolution, ProblemInstance, Walk
-from .local_search import Move
+from .core import _INT32, Move, PartitionSolution, ProblemInstance, SearchDepth, Walk
 
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
 # must not allocate an adjacency list per claimed vertex
@@ -237,12 +236,12 @@ class MaxCutInstance(ProblemInstance):
             table.owner = solution
         return table
 
-    def moves(self, solution: PartitionSolution, offset: int, pick: str) -> Iterator[Move]:
+    def moves(self, solution: PartitionSolution, offset: int, depth: SearchDepth) -> Iterator[Move]:
         table = self._gain_table(solution)
         gains, pos = table.gain, table.pos
         if not pos:
             return
-        if pick == BEST_MOVE:
+        if depth is SearchDepth.BEST_IMPROVING:
             best = max(map(gains.__getitem__, pos))
             v = min(compress(pos, map(best.__eq__, map(gains.__getitem__, pos))))
         else:

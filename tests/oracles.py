@@ -1,11 +1,12 @@
 """Reference implementations the tests check the package against.
 
 Everything here is deliberately naive and independent of the package
-internals (it shares only the Move type): full-matrix sums, explicit
-enumeration, bitmask DP. Slow is fine; these only run at test scale. The
-reference instances RefLop and RefMaxCut also share the problem interface,
-the solution types and the base Walk, so that the package's drivers can run
-on them; every kernel behind that interface is built from the functions here.
+internals (it shares only the Move and SearchDepth types): full-matrix
+sums, explicit enumeration, bitmask DP. Slow is fine; these only run at
+test scale. The reference instances RefLop and RefMaxCut also share the
+problem interface, the solution types and the default walk, so that the
+package's drivers can run on them; every kernel behind that interface is
+built from the functions here.
 """
 
 import math
@@ -13,8 +14,7 @@ import random
 from contextlib import contextmanager
 from itertools import permutations
 
-from grasppr.core import BEST_MOVE, PartitionSolution, PermutationSolution, ProblemInstance, Walk
-from grasppr.local_search import Move
+from grasppr.core import Move, PartitionSolution, PermutationSolution, ProblemInstance, SearchDepth
 
 
 def lop_value(cost, order):
@@ -280,11 +280,11 @@ class _RefBuilder:
 
 class _RefInstance(ProblemInstance):
     """Moves picked from all_moves, applied naively, with the objective
-    recomputed from scratch; relinking by the base Walk."""
+    recomputed from scratch; relinking by the default walk."""
 
-    def moves(self, solution, offset, pick):
+    def moves(self, solution, offset, depth):
         scan = all_moves(self, solution, offset)
-        move = best_move(scan) if pick == BEST_MOVE else first_move(scan)
+        move = best_move(scan) if depth is SearchDepth.BEST_IMPROVING else first_move(scan)
         if move is not None:
             yield move
 
@@ -292,9 +292,6 @@ class _RefInstance(ProblemInstance):
         self.change(solution, move)
         if solution.cached_objective is not None:
             solution.cached_objective = self.evaluate(solution)
-
-    def new_walk(self, a, b):
-        return Walk(self, a, b)
 
 
 class RefLop(_RefInstance):

@@ -11,10 +11,10 @@ from pathlib import Path
 from grasppr.bench_io import emit_profile, load_instance
 from grasppr.cli import main
 from grasppr.construction import RclConfig, construct
-from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, delta, evaluate
+from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, SearchDepth, delta, evaluate
 from grasppr.drivers import RunConfig, run
 from grasppr.elite_set import EliteSet
-from grasppr.local_search import SearchDepth, local_search
+from grasppr.local_search import local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 from grasppr.path_relinking import PrConfig, relink

@@ -32,9 +32,8 @@ from grasppr.bench_io import (
     write_stats_csv,
 )
 from grasppr.construction import CARDINALITY
-from grasppr.core import PartitionSolution, PermutationSolution, evaluate
+from grasppr.core import PartitionSolution, PermutationSolution, SearchDepth, evaluate
 from grasppr.drivers import RunConfig, RunReport, run
-from grasppr.local_search import SearchDepth
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 from grasppr.path_relinking import BACK_AND_FORWARD, PrConfig

@@ -352,6 +352,20 @@ def test_bench_parses_each_file_once_per_grid(tmp_path, capsys):
     assert load.call_count == 8  # 4 toys
 
 
+def test_bench_out_that_is_a_file_fails_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("not a directory\n")
+    with mock.patch.object(bench_io, "run_grid") as run_grid:
+        code = main([
+            "bench", "--problem", "maxcut", "--instances", str(ROOT / "instances" / "toy"),
+            "--method", "grasp", "--iters", "2", "--out", str(out),
+        ])
+    err = capsys.readouterr().err
+    assert code == 74 and err.startswith("error:")
+    run_grid.assert_not_called()
+    assert out.read_text() == "not a directory\n"
+
+
 def test_bench_best_known_column(tmp_path, capsys):
     inst_dir = _write_bench_dir(tmp_path)
     best_known = tmp_path / "best.csv"

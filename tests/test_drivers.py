@@ -3,10 +3,10 @@ import time
 import pytest
 
 from grasppr.construction import RclConfig, construct
-from grasppr.core import RandomStream
+from grasppr.core import RandomStream, SearchDepth
 from grasppr.drivers import RunConfig, default_diversity_threshold, run
 from grasppr.elite_set import EliteSet
-from grasppr.local_search import SearchDepth, local_search
+from grasppr.local_search import local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 

@@ -36,8 +36,8 @@ from pathlib import Path
 
 from grasppr import bench_io, drivers, path_relinking
 from grasppr.construction import CARDINALITY, VALUE, RclConfig, construct
-from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, evaluate
-from grasppr.local_search import SearchDepth, local_search
+from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, SearchDepth, evaluate
+from grasppr.local_search import local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 

@@ -1,7 +1,7 @@
 import pytest
 
-from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, evaluate
-from grasppr.local_search import Move, SearchDepth, local_search
+from grasppr.core import Move, PartitionSolution, PermutationSolution, RandomStream, SearchDepth, evaluate
+from grasppr.local_search import local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from grasppr import path_relinking
 from grasppr.bench_io import build_run_config, load_instance, serialize_lolib
 from grasppr.construction import RclConfig, construct
-from grasppr.core import PermutationSolution, RandomStream, evaluate
+from grasppr.core import Move, PermutationSolution, RandomStream, SearchDepth, evaluate
 from grasppr.drivers import run
-from grasppr.local_search import Move, SearchDepth, local_search
+from grasppr.local_search import local_search
 from grasppr.lop import LopInstance
 
 import oracles

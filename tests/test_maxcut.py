@@ -104,8 +104,8 @@ def test_pr_candidates_rejects_identical_endpoints():
 
 
 def test_local_optimum_has_nonpositive_gains():
-    from grasppr.core import RandomStream
-    from grasppr.local_search import SearchDepth, local_search
+    from grasppr.core import RandomStream, SearchDepth
+    from grasppr.local_search import local_search
 
     r = oracles.make_rng(34)
     inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -5, 10))
@@ -169,8 +169,8 @@ def _check_against_fresh(inst, sol, other):
 
 
 def test_gain_cache_under_interleaved_operations():
-    from grasppr.core import RandomStream
-    from grasppr.local_search import Move, SearchDepth, local_search
+    from grasppr.core import Move, RandomStream, SearchDepth
+    from grasppr.local_search import local_search
 
     r = oracles.make_rng(35)
     edges = oracles.rand_edges(r, 12, 0.4, -5, 10)
@@ -205,8 +205,8 @@ def test_gain_cache_under_interleaved_operations():
 
 def test_gain_cache_reused_across_a_descent(monkeypatch):
     from grasppr import maxcut
-    from grasppr.core import RandomStream
-    from grasppr.local_search import Move, SearchDepth, local_search
+    from grasppr.core import Move, RandomStream, SearchDepth
+    from grasppr.local_search import local_search
 
     builds = []
     init = maxcut.GainTable.__init__
@@ -275,7 +275,7 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
     # however many vertices differ from the cached tables, a miss makes exactly
     # one build: exact gains over a private copy of the bits, owned by the
     # asking solution, whose next move then applies to it in place
-    from grasppr.local_search import Move
+    from grasppr.core import Move
 
     counts = _count_cache_work(monkeypatch)
     r = oracles.make_rng(61)
@@ -381,7 +381,7 @@ def _pm1_or_signed(r, n, p, pm1):
 def test_positive_gain_set_after_every_update(pm1):
     # pos is exactly the set of positive gains after every apply_flip, build
     # and fork, and the gains stay those of a fresh table
-    from grasppr.local_search import Move
+    from grasppr.core import Move
 
     r = oracles.make_rng(70 + pm1)
     n = 40
@@ -473,8 +473,8 @@ def test_walk_heads_keep_their_gain_tables(monkeypatch, direction, in_path):
     # after its first step, a head's ranked() call finds its own table: no
     # build and no flip, whether an in-path search (every step) or the other
     # head of a mixed walk moved in between
-    from grasppr.core import RandomStream
-    from grasppr.local_search import SearchDepth, local_search
+    from grasppr.core import RandomStream, SearchDepth
+    from grasppr.local_search import local_search
     from grasppr.path_relinking import PrConfig, relink
 
     counts = _count_cache_work(monkeypatch)
@@ -523,7 +523,7 @@ def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
     # a walk head owns its table and a copy of it, moved as an in-path search
     # moves it, owns a fork; bits flipped by hand on either still give exact
     # gains, picks and relinking deltas
-    from grasppr.local_search import Move
+    from grasppr.core import Move
 
     r = oracles.make_rng(110 + mixed)
     n = 50
@@ -561,7 +561,7 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     # a built table's owner is the solution that asked for it, whose moves
     # flip it in place; a move by a copy with the same bits forks it with
     # exact gains and leaves the old table as it was
-    from grasppr.local_search import Move
+    from grasppr.core import Move
 
     r = oracles.make_rng(120)
     n = 30
@@ -590,7 +590,7 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
 def test_apply_move_refuses_a_vertex_out_of_range():
     # element -1 would flip vertex n - 1 in the solution and corrupt the table
     # the solution owns; it raises before any change, and the picks stay exact
-    from grasppr.local_search import Move
+    from grasppr.core import Move
 
     edges = [(0, 1, 3), (1, 2, 2), (2, 3, 5), (0, 3, 1)]
     inst = MaxCutInstance(4, edges)

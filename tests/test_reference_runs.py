@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from grasppr import drivers, path_relinking
 from grasppr.construction import CARDINALITY, VALUE, RclConfig
 from grasppr.elite_set import PROPORTIONAL_DELTA, UNIFORM
-from grasppr.local_search import SearchDepth
+from grasppr.core import SearchDepth
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 
