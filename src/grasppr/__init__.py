@@ -20,7 +20,7 @@ from .elite_set import AddResult, EliteSet
 from .local_search import local_search
 from .lop import LopInstance
 from .maxcut import MaxCutInstance
-from .path_relinking import PathTrace, PrConfig, relink
+from .path_relinking import PrConfig, relink
 
 __all__ = [
     "AddResult",
@@ -30,7 +30,6 @@ __all__ = [
     "MaxCutInstance",
     "Move",
     "PartitionSolution",
-    "PathTrace",
     "PermutationSolution",
     "PrConfig",
     "ProblemInstance",

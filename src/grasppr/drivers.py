@@ -8,12 +8,15 @@ stream and the relinking counters; the loop keeps its own counts. A restart
 restart_kappa iterations in a row without a new incumbent: it empties the
 pool and jumps the stream to its next substream, and the next elite_k
 iterations seed the pool again. The incumbent and its series survive.
-Control flow never reads the clock unless a time limit is set, so fixed
-seed + fixed iteration_limit gives bit-identical reports.
+A time limit is checked between iterations and, through should_stop, before
+every local-search pass and walk step. Control flow never reads the clock
+unless a time limit is set, so fixed seed + fixed iteration_limit gives
+bit-identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -104,26 +107,27 @@ class _Run:
         d_th = cfg.d_th if cfg.d_th is not None else default_diversity_threshold(instance.n)
         self.elite = EliteSet(cfg.elite_k, d_th)
         self.started = time.monotonic()
+        self.deadline = None if cfg.time_limit is None else self.started + cfg.time_limit
+        # None without a time limit, so local_search and relink never call it
+        self.should_stop = None if self.deadline is None else functools.partial(_past, self.deadline)
         self.best_solution: Optional[Solution] = None
-        self.best_objective: Optional[int] = None
         self.incumbent_series: list[tuple[float, int]] = []
         self.pr_calls = 0
         self.pr_improvements = 0
 
     def offer(self, sol: Solution) -> None:
         obj = sol.cached_objective
-        if self.best_objective is None or obj > self.best_objective:
+        if self.best_solution is None or obj > self.best_solution.cached_objective:
             self.best_solution = sol.copy()
-            self.best_objective = obj
             self.incumbent_series.append((time.monotonic() - self.started, obj))
 
     def improve(self, sol: Solution) -> Solution:
-        return local_search(self.instance, sol, self.cfg.depth, self.rng)
+        return local_search(self.instance, sol, self.cfg.depth, self.rng, should_stop=self.should_stop)
 
     def relink_pair(self, a: Solution, b: Solution) -> Solution:
         """Relink a with b, locally search the outcome, update the incumbent."""
         self.pr_calls += 1
-        best, _ = relink(self.instance, a, b, self.cfg.pr, self.rng, ls=self.improve)
+        best, _ = relink(self.instance, a, b, self.cfg.pr, self.rng, ls=self.improve, should_stop=self.should_stop)
         result = self.improve(best)
         if result.cached_objective > max(a.cached_objective, b.cached_objective):
             self.pr_improvements += 1
@@ -149,16 +153,15 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
     limit = cfg.iteration_limit if cfg.iteration_limit is not None else math.inf
     if cfg.variant == STATIC_PR:
         limit = min(limit, cfg.static_sample)
-    deadline = phase_end = None
-    if cfg.time_limit is not None:
-        deadline = r.started + cfg.time_limit
-        phase_end = r.started + cfg.time_limit / 2.0 if cfg.variant == EVOLUTIONARY_PR else deadline
+    deadline = phase_end = r.deadline
+    if deadline is not None and cfg.variant == EVOLUTIONARY_PR:
+        phase_end = r.started + cfg.time_limit / 2.0
     iterations = epoch = stagnation = restarts = 0
     # the first iteration always runs, however tight the clock
     while iterations < limit and (iterations == 0 or not _past(phase_end)):
         iterations += 1
         epoch += 1
-        before = r.best_objective
+        before = r.best_solution
         sol = construct(instance, cfg.rcl, r.rng)
         if cfg.variant != SEMIGREEDY:
             sol = r.improve(sol)
@@ -172,7 +175,7 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
             guide = r.elite.select_guide(sol, cfg.guide_policy, r.rng)
             if guide is not None and guide != sol:  # else nothing to relink against
                 r.elite.try_add(r.relink_pair(sol, guide))
-        stagnation = 0 if r.best_objective != before else stagnation + 1
+        stagnation = 0 if r.best_solution is not before else stagnation + 1
         if cfg.restart_kappa is not None and stagnation >= cfg.restart_kappa:
             r.elite.clear()
             r.rng.advance_substream()
@@ -194,7 +197,7 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
                 r.elite.try_add(result)
     return RunReport(
         best_solution=r.best_solution,
-        best_objective=r.best_objective,
+        best_objective=r.best_solution.cached_objective,
         incumbent_series=r.incumbent_series,
         iterations=iterations,
         restarts=restarts,

@@ -17,12 +17,6 @@ class AddResult:
     reason: Optional[str] = None  # quality | duplicate | diversity when rejected
 
 
-@dataclass(eq=False)  # identity: relinked pairs are sets of members
-class _Member:
-    solution: Solution
-    objective: int
-
-
 class EliteSet:
     """Admission follows two phases.
 
@@ -35,6 +29,9 @@ class EliteSet:
     Full: better than the best member always enters; better than the worst
     enters if not identical to any member. Admission evicts the closest
     strictly-worse member (ties: lower objective, then lowest index).
+
+    Members are the pool's private copies of admitted solutions, each scored
+    by its cached_objective.
     """
 
     def __init__(self, capacity: int = 10, diversity_threshold: int = 1):
@@ -44,24 +41,23 @@ class EliteSet:
             raise ValueError("diversity_threshold must be >= 1")
         self.capacity = capacity
         self.diversity_threshold = diversity_threshold
-        self._members: list[_Member] = []
-        self._relinked: set[frozenset[_Member]] = set()
+        self._members: list[Solution] = []
+        # pairs of member ids; _drop and clear forget a member's pairs with it, so
+        # no key outlives its member and an address reused later starts unmarked
+        self._relinked: set[frozenset[int]] = set()
 
     @property
     def members(self) -> list[tuple[Solution, int]]:
         """(solution, objective) pairs in index order; treat as read-only."""
-        return [(m.solution, m.objective) for m in self._members]
+        return [(m, m.cached_objective) for m in self._members]
 
     def clear(self) -> None:
         self._members.clear()
         self._relinked.clear()
 
-    def _admit(self, solution: Solution, objective: int) -> None:
-        self._members.append(_Member(solution.copy(), objective))
-
-    def _drop(self, member: _Member) -> None:
-        self._members.remove(member)
-        self._relinked = {pair for pair in self._relinked if member not in pair}
+    def _drop(self, member: Solution) -> None:
+        self._members = [m for m in self._members if m is not member]
+        self._relinked = {pair for pair in self._relinked if id(member) not in pair}
 
     def try_add(self, solution: Solution) -> AddResult:
         """Offer solution, scored by its cached_objective; an admitted candidate is copied."""
@@ -70,28 +66,22 @@ class EliteSet:
             raise ValueError("candidate has no objective")
 
         if len(self._members) < self.capacity:
-            near = [m for m in self._members if delta_size(solution, m.solution) < self.diversity_threshold]
-            if not near:
-                self._admit(solution, objective)
-                return AddResult(True)
-            if all(objective > m.objective for m in near):
-                for m in near:
-                    self._drop(m)
-                self._admit(solution, objective)
-                return AddResult(True)
-            return AddResult(False, reason="diversity")
-
-        objectives = [m.objective for m in self._members]
-        if objective <= min(objectives):
-            return AddResult(False, reason="quality")
-        if objective <= max(objectives) and any(delta_size(solution, m.solution) == 0 for m in self._members):
-            return AddResult(False, reason="duplicate")
-
-        # evict the closest member among those strictly worse than the candidate
-        worse = [(i, m) for i, m in enumerate(self._members) if m.objective < objective]
-        _, victim = min(worse, key=lambda im: (delta_size(im[1].solution, solution), im[1].objective, im[0]))
-        self._drop(victim)
-        self._admit(solution, objective)
+            near = [m for m in self._members if delta_size(solution, m) < self.diversity_threshold]
+            if not all(objective > m.cached_objective for m in near):
+                return AddResult(False, reason="diversity")
+            for m in near:
+                self._drop(m)
+        else:
+            objectives = [m.cached_objective for m in self._members]
+            if objective <= min(objectives):
+                return AddResult(False, reason="quality")
+            if objective <= max(objectives) and any(delta_size(solution, m) == 0 for m in self._members):
+                return AddResult(False, reason="duplicate")
+            # evict the closest member among those strictly worse than the candidate
+            worse = [(i, m) for i, m in enumerate(self._members) if m.cached_objective < objective]
+            _, victim = min(worse, key=lambda im: (delta_size(im[1], solution), im[1].cached_objective, im[0]))
+            self._drop(victim)
+        self._members.append(solution.copy())
         return AddResult(True)
 
     def select_guide(self, reference: Solution, policy: str, rng: RandomStream) -> Optional[Solution]:
@@ -104,23 +94,23 @@ class EliteSet:
         if not self._members:
             raise ValueError("elite set is empty")
         if policy == UNIFORM:
-            return rng.pick([m.solution for m in self._members])
+            return rng.pick(self._members)
         if policy != PROPORTIONAL_DELTA:
             raise ValueError(f"unknown guide policy: {policy!r}")
-        deltas = [delta_size(m.solution, reference) for m in self._members]
+        deltas = [delta_size(m, reference) for m in self._members]
         if not any(deltas):
             return None
         if len(self._members) == 1:
-            return self._members[0].solution
-        return self._members[rng.weighted_index(deltas)].solution
+            return self._members[0]
+        return self._members[rng.weighted_index(deltas)]
 
     def next_unrelinked_pair(self) -> Optional[tuple[Solution, Solution]]:
         """First member pair (lowest index order) not yet relinked; marks it."""
-        for i in range(len(self._members)):
-            for j in range(i + 1, len(self._members)):
-                key = frozenset((self._members[i], self._members[j]))
+        for i, a in enumerate(self._members):
+            for b in self._members[i + 1 :]:
+                key = frozenset((id(a), id(b)))
                 if key not in self._relinked:
                     self._relinked.add(key)
-                    return self._members[i].solution, self._members[j].solution
+                    return a, b
         return None
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from .core import ProblemInstance, RandomStream, SearchDepth, Solution, evaluate
 
 
@@ -10,6 +12,7 @@ def local_search(
     start: Solution,
     depth: SearchDepth,
     rng: RandomStream,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> Solution:
     """Climb from start until no improving move remains; start is not mutated.
 
@@ -21,7 +24,8 @@ def local_search(
     scan is not biased toward low vertex ids. A move that does not improve
     raises RuntimeError: the instance's kernel is wrong, and applying the
     move could cycle forever. A depth that is not a SearchDepth raises
-    ValueError.
+    ValueError. should_stop, if given, is called before every pass; once it
+    returns true the climb stops and returns where it stands.
     """
     sol = start.copy()
     if sol.cached_objective is None:
@@ -29,7 +33,7 @@ def local_search(
     best = depth is SearchDepth.BEST_IMPROVING
     if not best and depth is not SearchDepth.FIRST_IMPROVING:
         raise ValueError(f"depth must be a SearchDepth, not {depth!r}")
-    while True:
+    while should_stop is None or not should_stop():
         if best:
             move = instance.best_move(sol)
         else:
@@ -40,3 +44,4 @@ def local_search(
         if move.delta <= 0:
             raise RuntimeError(f"{depth.value}_move returned a non-improving move: {move}")
         instance.apply_move(sol, move)
+    return sol

@@ -78,14 +78,16 @@ def _walk(
     cfg: PrConfig,
     rng: RandomStream,
     visit: Callable[[Solution], None],
+    should_stop: Optional[Callable[[], bool]],
 ) -> None:
     # heads[0] moves toward heads[1]; with alternate the roles reverse after
-    # every accepted step (mixed). Each moving head gets `budget` steps.
+    # every accepted step (mixed). Each moving head gets `budget` steps, and
+    # the walk ends early once should_stop returns true before a step.
     # Greedy ranks one move and rng.pick of a single move draws nothing.
     k = 1 if cfg.step == GREEDY else cfg.rcl_size
     steps = [0, 0]
     mover = 0
-    while steps[mover] < budget:
+    while steps[mover] < budget and (should_stop is None or not should_stop()):
         ranked = walk.ranked(mover, k)
         if not ranked:
             return
@@ -103,6 +105,7 @@ def relink(
     cfg: PrConfig,
     rng: RandomStream,
     ls: Optional[Callable[[Solution], Solution]] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> tuple[Solution, PathTrace]:
     """Relink s and t; returns (best solution found, trace of the path walked).
 
@@ -113,6 +116,8 @@ def relink(
     search outputs (the trace records the raw path's objectives only). ls is
     the in-path local search, required unless cfg.in_path_ls is none; best
     runs it once, from the first visited solution of largest objective.
+    should_stop, if given, is called before every walk step; once it returns
+    true no further step is taken and the best found so far is returned.
     """
     if type(s) is not type(t):
         raise TypeError("mismatched solution types")
@@ -152,11 +157,11 @@ def relink(
 
     budget = math.ceil(cfg.truncation * (dsize - 1))
     if cfg.direction == MIXED:
-        _walk(instance.new_walk(worse.copy(), better.copy()), True, budget, cfg, rng, visit)
+        _walk(instance.new_walk(worse.copy(), better.copy()), True, budget, cfg, rng, visit, should_stop)
     if cfg.direction in (BACKWARD, BACK_AND_FORWARD):
-        _walk(instance.new_walk(better.copy(), worse), False, budget, cfg, rng, visit)
+        _walk(instance.new_walk(better.copy(), worse), False, budget, cfg, rng, visit, should_stop)
     if cfg.direction in (FORWARD, BACK_AND_FORWARD):
-        _walk(instance.new_walk(worse.copy(), better), False, budget, cfg, rng, visit)
+        _walk(instance.new_walk(worse.copy(), better), False, budget, cfg, rng, visit, should_stop)
 
     if peak is not None and cfg.in_path_ls == LS_BEST:
         offer(ls(peak))

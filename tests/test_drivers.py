@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from grasppr import drivers
 from grasppr.construction import RclConfig, construct
 from grasppr.core import RandomStream, SearchDepth
 from grasppr.drivers import RunConfig, default_diversity_threshold, run
@@ -192,6 +193,30 @@ def test_time_limit_stops_the_run():
     assert time.monotonic() - start < 5.0
     assert report.iterations >= 1
     assert report.elapsed_s >= 0.3
+
+
+@pytest.mark.parametrize("time_limit", [None, 60.0])
+def test_deadline_reaches_every_descent_and_walk_only_under_a_time_limit(monkeypatch, time_limit):
+    # an iteration-limited run passes no should_stop, so it never reads the clock
+    seen = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            seen.append((fn.__name__, kwargs.get("should_stop")))
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("local_search", "relink"):
+        monkeypatch.setattr(drivers, name, recording(getattr(drivers, name)))
+    cfg = RunConfig(variant="dynamic_pr", seed=5, time_limit=time_limit, iteration_limit=12, elite_k=2)
+    run(MC12, cfg)
+    assert {name for name, _ in seen} == {"local_search", "relink"}
+    stops = {stop for _, stop in seen}
+    if time_limit is None:
+        assert stops == {None}
+    else:
+        assert len(stops) == 1 and callable(*stops) and not stops.pop()()
 
 
 def test_default_diversity_threshold_values():

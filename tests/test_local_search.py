@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from grasppr.core import Move, PartitionSolution, PermutationSolution, RandomStream, SearchDepth, evaluate
@@ -215,3 +217,37 @@ def test_non_improving_move_raises_instead_of_looping(depth):
     with pytest.raises(RuntimeError, match="non-improving move"):
         local_search(inst, PartitionSolution([0, 1, 1]), depth, RandomStream(1))
     assert inst.asked == 1
+
+
+def _stop_on_call(k):
+    """A should_stop that is false for k calls and true from its (k+1)-th on."""
+    calls = itertools.count(1)
+    return lambda: next(calls) > k
+
+
+@pytest.mark.parametrize("neighborhood", ["insert", "transfer"])
+@pytest.mark.parametrize("depth", list(SearchDepth))
+def test_should_stop_ends_the_descent_after_k_moves(neighborhood, depth):
+    # should_stop is asked before every pass, so the (k+1)-th call ends the
+    # climb after the first k moves of the unstopped descent
+    r = oracles.make_rng(22)
+    if neighborhood == "insert":
+        inst = LopInstance(oracles.rand_lop_matrix(r, 8))
+        start = PermutationSolution(oracles.rand_perm(r, 8))
+    else:
+        inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -3, 9))
+        start = PartitionSolution(oracles.rand_bits(r, 10))
+    evaluate(inst, start)
+    applied = []
+    apply = inst.apply_move
+    inst.apply_move = lambda sol, move: (applied.append(move), apply(sol, move))
+    full = local_search(inst, start, depth, RandomStream(23))
+    moves = list(applied)
+    assert len(moves) >= 3
+    for k in range(len(moves) + 2):
+        applied.clear()
+        out = local_search(inst, start, depth, RandomStream(23), should_stop=_stop_on_call(k))
+        assert applied == moves[:k]
+        assert out.cached_objective == evaluate(inst, out.copy())
+        if k >= len(moves):
+            assert out == full

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from grasppr.core import PartitionSolution, PermutationSolution, RandomStream, delta, evaluate
@@ -7,6 +9,7 @@ from grasppr.path_relinking import (
     BACK_AND_FORWARD,
     BACKWARD,
     FORWARD,
+    GREEDY_RANDOMIZED,
     MIXED,
     PrConfig,
     relink,
@@ -254,6 +257,30 @@ def test_relink_copies_only_new_path_peaks(monkeypatch, problem, direction, head
     monkeypatch.undo()
     assert again.visited == trace.visited
     assert len(copies) == heads + peaks + 1
+
+
+def _stop_on_call(k):
+    """A should_stop that is false for k calls and true from its (k+1)-th on."""
+    calls = itertools.count(1)
+    return lambda: next(calls) > k
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD, BACK_AND_FORWARD, MIXED])
+def test_should_stop_ends_the_walk_after_k_steps(direction):
+    # should_stop is asked before every step of every walk, so the (k+1)-th
+    # call ends relinking after the first k steps of the unstopped path
+    r = oracles.make_rng(46)
+    inst = MaxCutInstance(20, oracles.rand_edges(r, 20, 0.3, -5, 10))
+    s, t = (PartitionSolution(oracles.rand_bits(r, 20)) for _ in range(2))
+    evaluate(inst, s)
+    evaluate(inst, t)
+    cfg = PrConfig(direction=direction, step=GREEDY_RANDOMIZED, min_distance=0)
+    _, full = relink(inst, s, t, cfg, RandomStream(1))
+    assert len(full.visited) >= 4
+    for k in range(len(full.visited) + 2):
+        best, trace = relink(inst, s, t, cfg, RandomStream(1), should_stop=_stop_on_call(k))
+        assert trace.visited == full.visited[:k]
+        assert best.cached_objective == max([s.cached_objective, t.cached_objective] + trace.visited)
 
 
 def test_relink_endpoint_validation():
