@@ -61,12 +61,22 @@ def exp7_profiles(args, out_root):
                     "--profile", out / f"{Path(fname).stem}-{variant}.csv")
 
 
+# bench_io's option parsers refuse 1_0, which int / float read as 10, as the CLI
+# does; argparse reports their OptionError (a ValueError) as a usage error
+def integer(raw):
+    return bench_io.int_option("integer", raw)
+
+
+def number(raw):
+    return bench_io.float_option("number", raw)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--iters", type=int, default=300, help="iteration budget per cell (default 300)")
+    ap.add_argument("--iters", type=integer, default=300, help="iteration budget per cell (default 300)")
     ap.add_argument("--seeds", default="1,2,3", help="comma-separated seeds (default 1,2,3)")
-    ap.add_argument("--jobs", type=int, default=4, help="worker processes (default 4)")
-    ap.add_argument("--profile-time", type=float, default=2.0,
+    ap.add_argument("--jobs", type=integer, default=4, help="worker processes (default 4)")
+    ap.add_argument("--profile-time", type=number, default=2.0,
                     help="seconds per experiment-7 run (default 2.0)")
     ap.add_argument("--out", default=str(ROOT / "results"), help="output root (default results/)")
     keys = [*EXPERIMENTS, "7"]

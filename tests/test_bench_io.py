@@ -1,6 +1,9 @@
+import gc
 import io
 import warnings
+import weakref
 from concurrent.futures import Future
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -40,6 +43,8 @@ from grasppr.maxcut import MaxCutInstance
 from grasppr.path_relinking import BACK_AND_FORWARD, PrConfig
 
 import oracles
+
+TOY = Path(__file__).resolve().parent.parent / "instances" / "toy"
 
 
 def test_parse_lolib_minimal():
@@ -435,6 +440,19 @@ def test_load_instance_prefixes_the_path(tmp_path):
     assert str(exc.value) == f"{edges}: {direct.value}"
     with pytest.raises(ValueError, match="unknown problem"):
         load_instance(bad, "tsp")
+
+
+@pytest.mark.parametrize("name, problem", [("lop-n10-a.mat", LOP), ("mc-n14-w.el", MAXCUT)])
+def test_a_parsed_instance_is_freed_by_reference_counting(name, problem):
+    # an instance in a reference cycle (a closure over self, say) stays resident
+    # until the cycle collector runs, and a benchmark's setup parses each file
+    # several times: its peak RSS then grows with the parses
+    gc.disable()
+    try:
+        instance = weakref.ref(load_instance(TOY / name, problem))
+        assert instance() is None
+    finally:
+        gc.enable()
 
 
 def test_build_run_config_lop_defaults():

@@ -28,11 +28,15 @@ def lop_path(tmp_path):
     return str(path)
 
 
-def _run_experiments(*args):
+def _python(*args):
+    """Run the interpreter on args in a new process, with the package on its path."""
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
+
+
+def _run_experiments(*args):
+    return _python(str(ROOT / "scripts" / "run_experiments.py"), *args)
 
 
 def _solve(args, capsys):
@@ -336,6 +340,7 @@ def test_bench_parallel_jobs_match(tmp_path, capsys):
     seq = (tmp_path / "seq" / "results.csv").read_text()
     par = (tmp_path / "par" / "results.csv").read_text()
     assert _mask_elapsed(seq) == _mask_elapsed(par)
+    assert (tmp_path / "seq" / "stats.csv").read_bytes() == (tmp_path / "par" / "stats.csv").read_bytes()
 
 
 def test_bench_parses_each_file_once_per_grid(tmp_path, capsys):
@@ -554,8 +559,12 @@ def test_bench_failed_cell_keeps_the_other_rows(tmp_path, capsys, monkeypatch):
 
 
 def test_an_experiment_is_the_cli(tmp_path, capsys):
-    result = _run_experiments("--only", "1", "--iters", "2", "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "exp"))
+    # all seven experiments in one process: each of 1-6 runs once per problem
+    result = _run_experiments(
+        "--iters", "2", "--seeds", "1", "--jobs", "1", "--profile-time", "0.05", "--out", str(tmp_path / "exp")
+    )
     assert result.returncode == 0, result.stderr
+    assert len(list((tmp_path / "exp").glob("exp[1-6]_*/stats.csv"))) == 6 * 2
     for problem in ("lop", "maxcut"):
         slug = f"exp1_construction_{problem}"
         code = main([
@@ -568,8 +577,6 @@ def test_an_experiment_is_the_cli(tmp_path, capsys):
         assert (exp / "stats.csv").read_bytes() == (direct / "stats.csv").read_bytes()
         assert _mask_elapsed((exp / "results.csv").read_text()) == _mask_elapsed((direct / "results.csv").read_text())
     capsys.readouterr()
-    result = _run_experiments("--only", "7", "--seeds", "1", "--profile-time", "0.05", "--out", str(tmp_path / "exp"))
-    assert result.returncode == 0, result.stderr
     profiles = sorted((tmp_path / "exp" / "exp7_profiles").glob("*.csv"))
     assert len(profiles) == 6
     assert all(p.read_text().splitlines()[0] == "elapsed_s,objective" for p in profiles)
