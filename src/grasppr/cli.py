@@ -150,6 +150,7 @@ def _cmd_solve(args) -> int:
         f"best={report.best_objective} iterations={report.iterations} restarts={report.restarts}"
     )
     print(f"elapsed_s={report.elapsed_s:.3f}")
+    print(f"pr_calls={report.pr_calls} pr_improvements={report.pr_improvements}")
     if args.out:
         Path(args.out).write_text(bench_io.serialize_solution(report.best_solution) + "\n")
     if args.profile:

@@ -20,27 +20,50 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isqrt
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .construction import rcl_from_columns
 from .core import _INT32, Move, PermutationSolution, ProblemInstance, SearchDepth
 
-# The insert scan packs one 64-bit field per element into a
-# Python int. |skew| < 2^32, so |prefix| <= n * 2^32 < 2^62 for any n a matrix
-# can have: a prefix biased by 2^62 stays in [0, 2^63), below each field's
-# guard bit 63, and no field borrows from or carries into the next.
-_FIELD_BIAS, _FIELD_GUARD = 1 << 62, 1 << 63
-_SKEW_OFFSET = 1 << 32  # added to each skew entry so struct packs it unsigned
+# The insert scan packs one w-bit field per element into a Python int, and
+# each instance picks w from its data (see _packed): the smallest of 16, 32
+# and 64 with (n - 1) * max|skew| < 2^(w-2). A prefix sums at most n - 1
+# nonzero skews (skew[e][e] = 0), so a prefix biased by 2^(w-2) stays in
+# [0, 2^(w-1)), below each field's guard bit w - 1, and no field borrows from
+# or carries into the next. 64 bits always suffice: |skew| < 2^32 from
+# 32-bit entries, and n - 1 < 2^30 for any matrix that fits in memory.
+_FIELD_WIDTHS = {16: "H", 32: "I", 64: "Q"}  # width -> struct code
 
 
-def _swar_min(values: Sequence[int], guard: int) -> int:
-    """Field-wise minimum of packed values: bit 63 of (low | guard) - p stays
-    set where low >= p, and spread over the field's low 63 bits it selects p
-    there."""
+class _Packing(NamedTuple):
+    """The packed columns of an instance's insert scan, in w-bit fields.
+
+    columns[u] holds skew[e][u] in field e, masks[u] selects field u, bias
+    and guard hold 2^(w-2) and 2^(w-1) in every field, shift is w - 1, and
+    fields packs or unpacks n unsigned w-bit fields.
+    """
+
+    columns: tuple[int, ...]
+    masks: tuple[int, ...]
+    bias: int
+    guard: int
+    shift: int
+    fields: struct.Struct
+
+
+def _swar_min(values: Sequence[int], guard: int, shift: int) -> int:
+    """Field-wise minimum of packed values whose fields lie in [0, guard),
+    guard = 2^shift in each field.
+
+    Per field, (low | guard) - p is 2^shift + low - p, in (0, 2^(shift+1)):
+    never negative and never past the field, so no field borrows from the
+    next. Its bit shift stays set where low >= p, and ge - (ge >> shift)
+    spreads it over the field's low shift bits to select p there.
+    """
     low = values[0]
     for p in values[1:]:
         ge = ((low | guard) - p) & guard
-        low ^= (low ^ p) & (ge - (ge >> 63))
+        low ^= (low ^ p) & (ge - (ge >> shift))
     return low
 
 
@@ -48,11 +71,11 @@ def _swar_min(values: Sequence[int], guard: int) -> int:
 class _InsertScan:
     """The packed insert scan of one order, kept so that a move patches it.
 
-    Field e of prefixes[k] is 2^62 + prefix_e[k] (see _prefix), after the
-    first k vertices of order; field e of base is that of prefixes[i] for
-    e's own position i; lows[c] is the field-wise minimum of the chunk
-    prefixes[c * step : (c + 1) * step] for the instance's step. order is a
-    private copy.
+    Field e of prefixes[k] is 2^(w-2) + prefix_e[k] (see _Packing and
+    _prefix), after the first k vertices of order; field e of base is that
+    of prefixes[i] for e's own position i; lows[c] is the field-wise minimum
+    of the chunk prefixes[c * step : (c + 1) * step] for the instance's
+    step. order is a private copy.
     """
 
     order: list[int]
@@ -122,7 +145,7 @@ class LopInstance(ProblemInstance):
         self._skew: Optional[tuple[tuple[int, ...], ...]] = None
         # the packed columns of the insert scan, built by _packed on its
         # first call, likewise never at parse time
-        self._columns: Optional[tuple] = None
+        self._columns: Optional[_Packing] = None
         # the insert scan of the last scanned order, patched by apply_move;
         # see _insert_gains
         self._scan: Optional[_InsertScan] = None
@@ -165,20 +188,26 @@ class LopInstance(ProblemInstance):
         k = prefix.index(base - gain) if best else list(map(base.__gt__, prefix)).index(True)
         yield Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
 
-    def _packed(self) -> tuple:
-        """(columns, masks, bias, guard): columns[u] holds skew[e][u] in
-        64-bit field e, masks[u] selects field u, and bias and guard hold
-        2^62 and 2^63 in every field."""
+    def _packed(self) -> _Packing:
+        """The insert scan's packing, built on the first call, in the
+        smallest width w of 16, 32 and 64 with (n - 1) * max|skew| <
+        2^(w-2). Narrower fields shorten every big-int operation of a scan
+        or patch; the arithmetic is exact at any width."""
         if self._columns is None:
-            n = self.n
-            ones = ((1 << 64 * n) - 1) // ((1 << 64) - 1)  # 1 in every field
-            offset, pack = ones * _SKEW_OFFSET, struct.Struct(f"<{n}Q").pack
-            # skew is antisymmetric, so column u is row u negated
+            n, skew = self.n, self._skew_rows()
+            # skew is antisymmetric, so its largest entry is its largest |entry|
+            top = (n - 1) * max(map(max, skew))
+            width = next((w for w in (16, 32) if top < 1 << w - 2), 64)
+            ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # 1 in every field
+            field_bias, fields = 1 << width - 2, struct.Struct(f"<{n}{_FIELD_WIDTHS[width]}")
+            bias = ones * field_bias
+            # column u is row u negated; field_bias + skew lies in (0, 2^(w-1)),
+            # so it packs unsigned
             columns = tuple(
-                offset - int.from_bytes(pack(*map(_SKEW_OFFSET.__add__, row)), "little") for row in self._skew_rows()
+                bias - int.from_bytes(fields.pack(*map(field_bias.__add__, row)), "little") for row in skew
             )
-            masks = tuple(((1 << 64) - 1) << 64 * u for u in range(n))
-            self._columns = (columns, masks, ones * _FIELD_BIAS, ones * _FIELD_GUARD)
+            masks = tuple(((1 << width) - 1) << width * u for u in range(n))
+            self._columns = _Packing(columns, masks, bias, bias << 1, width - 1, fields)
         return self._columns
 
     def _insert_gains(self, order: Sequence[int]) -> tuple[int, ...]:
@@ -193,11 +222,12 @@ class LopInstance(ProblemInstance):
         scan = self._scan
         if scan is None or scan.order != order:
             scan = self._scan = self._full_scan(order)
-        low = _swar_min(scan.lows, self._packed()[3])
-        return struct.unpack(f"<{self.n}Q", (scan.base - low).to_bytes(8 * self.n, "little"))
+        packing = self._packed()
+        low = _swar_min(scan.lows, packing.guard, packing.shift)
+        return packing.fields.unpack((scan.base - low).to_bytes(packing.fields.size, "little"))
 
     def _full_scan(self, order: Sequence[int]) -> _InsertScan:
-        bias, n = self._packed()[2], self.n
+        bias, n = self._packed().bias, self.n
         scan = _InsertScan(list(order), [bias] * (n + 1), 0, [bias] * (n // self._step + 1))
         self._rescan(scan, 0, n - 1)
         return scan
@@ -207,7 +237,7 @@ class LopInstance(ProblemInstance):
         fields of the elements at positions lo..hi, and the minima of the
         chunks that hold those prefixes. Moving the element at i to j changes
         nothing else, with lo, hi = min, max of i, j."""
-        columns, masks, _, guard = self._packed()
+        columns, masks, _, guard, shift, _ = self._packed()
         order, prefixes, lows, step = scan.order, scan.prefixes, scan.lows, self._step
         base, p = scan.base, prefixes[lo]
         for k in range(lo, hi + 1):
@@ -217,7 +247,7 @@ class LopInstance(ProblemInstance):
             prefixes[k + 1] = p
         scan.base = base
         for c in range((lo + 1) // step, (hi + 1) // step + 1):
-            lows[c] = _swar_min(prefixes[c * step : (c + 1) * step], guard)
+            lows[c] = _swar_min(prefixes[c * step : (c + 1) * step], guard, shift)
 
     def _prefix(self, e: int, order: Sequence[int]) -> list[int]:
         """prefix[k] = sum of skew[e][order[p]] over p < k, for k = 0..n.

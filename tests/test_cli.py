@@ -8,6 +8,7 @@ import pytest
 
 from grasppr import bench_io
 from grasppr.cli import main
+from grasppr.drivers import run
 
 K3 = "3 3\n1 2 1\n2 3 1\n1 3 1\n"
 LOP4 = "t\n4\n0 3 9 1\n2 0 4 0\n5 1 0 2\n0 8 3 0\n"
@@ -51,6 +52,19 @@ def test_solve_summary_format(k3_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "instance=k3 problem=maxcut variant=grasp seed=1 best=2 iterations=5 restarts=0"
     assert lines[1].startswith("elapsed_s=") and len(lines[1].split(".")[-1]) == 3
+
+
+def test_solve_prints_the_relinking_counts_of_its_report(capsys):
+    # the third line restates RunReport's pr_calls and pr_improvements; a
+    # first-improving, random-start run whose relinking improves some pairs
+    instance = str(ROOT / "instances" / "toy" / "mc-n14-w.el")
+    options = {"variant": "dynamic_pr", "depth": "first", "alpha-max": "1"}
+    flags = [arg for key, value in options.items() for arg in (f"--{key}", value)]
+    code, out, _ = _solve(["--problem", "maxcut", "--instance", instance, *flags, "--iters", "40"], capsys)
+    assert code == 0
+    report = run(bench_io.load_instance(instance, "maxcut"), bench_io.build_run_config("maxcut", options, 1, None, 40))
+    assert report.pr_improvements > 0
+    assert out.splitlines()[2] == f"pr_calls={report.pr_calls} pr_improvements={report.pr_improvements}"
 
 
 def test_solve_first_line_deterministic(lop_path, capsys):

@@ -8,7 +8,7 @@ from grasppr.construction import RclConfig, construct
 from grasppr.core import Move, PermutationSolution, RandomStream, SearchDepth, evaluate
 from grasppr.drivers import run
 from grasppr.local_search import local_search
-from grasppr.lop import LopInstance
+from grasppr.lop import LopInstance, _swar_min
 
 import oracles
 
@@ -152,10 +152,10 @@ def test_move_kernels_match_reference_selection():
 
 
 def test_best_move_at_32_bit_extremes():
-    # the best-improving scan keeps every element's prefix sums in one 64-bit
-    # field of a single int: entries at both 32-bit ends drive those sums to
-    # +-(n - 1) * (2^32 - 1), where a missing bias, guard bit or base read
-    # would corrupt a neighbouring field
+    # the best-improving scan keeps every element's prefix sums in one field
+    # of a single int, and entries at both 32-bit ends take the widest, 64-bit
+    # fields: they drive those sums to +-(n - 1) * (2^32 - 1), where a missing
+    # bias, guard bit or base read would corrupt a neighbouring field
     lo, hi = -2**31, 2**31 - 1
 
     class Weight(int):
@@ -308,6 +308,57 @@ def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
     patched = inst.patched
     local_search(inst, sol, SearchDepth.BEST_IMPROVING, RandomStream(54))  # the descent from there patches again
     assert inst.patched > patched
+
+
+@pytest.mark.parametrize(
+    "n, skew, width",
+    [(44, 381, 16), (17, 2**10, 32), (10, 119304647, 32), (17, 2**26, 64)],
+)
+def test_field_width_switches_at_the_skew_bound(n, skew, width):
+    # (n - 1) * max|skew| at 2^14 - 1, 2^14, 2^30 - 1 and 2^30: the largest
+    # bound a 16- or 32-bit field holds, and the least that takes the next
+    # width. From the reversed order, the prefixes of elements 0 and n - 1
+    # reach +-(n - 1) * skew, both ends of their fields. At a bound of
+    # exactly 2^(w-2) only prefixes at an element's maximum would reach the
+    # guard bit, and that element's minimum is its prefix 0, so every result
+    # would stay exact: the width check alone pins the strict rule
+    assert (n - 1) * skew in (2**14 - 1, 2**14, 2**30 - 1, 2**30)
+    lo = -(skew // 2)  # entries of both signs
+    cost = [[lo + skew if i < j else lo for j in range(n)] for i in range(n)]
+    inst = LopInstance(cost)
+    assert inst._packed().shift == width - 1
+    r = oracles.make_rng(n + skew)
+    for order in (list(reversed(range(n))), oracles.rand_perm(r, n)):
+        sol = PermutationSolution(order)
+        for _ in range(n):
+            best = oracles.chosen(inst, sol, BEST)
+            moves = oracles.all_moves(inst, sol)
+            assert best == oracles.best_move(moves), sol.order
+            assert oracles.chosen(inst, sol, FIRST) == oracles.first_move(moves), sol.order
+            if best is None:
+                break
+            inst.apply_move(sol, best)
+    # the same matrix through descents that check the patched scan state
+    checked = _CheckedLop(cost)
+    for depth in SearchDepth:
+        local_search(checked, PermutationSolution(list(reversed(range(n)))), depth, RandomStream(n))
+    assert checked.patched > 0
+
+
+@pytest.mark.parametrize("width", [16, 32, 64])
+def test_swar_min_is_the_field_wise_min(width):
+    # fields anywhere in [0, 2^(w-1)), the range the scan keeps them in, equal
+    # fields among them
+    top, n = (1 << width - 1) - 1, 9
+    pack = lambda fields: sum(f << width * e for e, f in enumerate(fields))
+    guard = pack([1 << width - 1] * n)
+    r = oracles.make_rng(width)
+    cases = [[[0] * n, [top] * n], [[top] * n, [0] * n], [[top] * n, [top] * n], [[0, top] * 4 + [0]]]
+    for _ in range(200):
+        rows = [[r.choice((0, 1, top - 1, top, r.randint(0, top))) for _ in range(n)] for _ in range(r.randint(1, 6))]
+        cases.append(rows + [list(r.choice(rows))])
+    for rows in cases:
+        assert _swar_min([pack(row) for row in rows], guard, width - 1) == pack(map(min, zip(*rows))), rows
 
 
 def test_pr_candidates_worked_example():
