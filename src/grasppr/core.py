@@ -12,7 +12,7 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 _INT32 = 2**31  # instance weights w satisfy -_INT32 <= w < _INT32
 
@@ -103,7 +103,9 @@ class ProblemInstance(ABC):
     """Immutable problem data plus the hooks the generic search modules drive.
 
     Concrete adapters provide construction, the moves() scan that each
-    local-search pass runs, and the relinking steps of a walk.
+    local-search pass runs, and the relinking steps of a walk. descend()
+    runs the passes of one local search; the base loop serves any problem
+    that keeps no search state across passes.
     """
 
     n: int
@@ -129,8 +131,8 @@ class ProblemInstance(ABC):
     def moves(self, solution: Solution, offset: int, depth: SearchDepth):
         """One neighbourhood scan, whose last yield is the move a pass applies.
 
-        local_search runs one scan per pass, to its end before it applies
-        that move; a scan that yields nothing ends the descent. Each problem
+        descend runs one scan per pass, to its end before it applies that
+        move; a scan that yields nothing ends the descent. Each problem
         has one move kind: insert for permutations, transfer for partitions.
         BEST_IMPROVING picks the improving move of largest delta, the first
         in canonical scan order on ties; FIRST_IMPROVING the first improving
@@ -142,6 +144,34 @@ class ProblemInstance(ABC):
     def apply_move(self, solution: Solution, move: Move) -> None:
         """Apply a move in place, keeping cached_objective consistent; a position
         or vertex outside 0..n-1, which no kernel produces, raises ValueError."""
+
+    def descend(
+        self, solution: Solution, depth: SearchDepth, rng: "RandomStream", should_stop: Optional[Callable[[], bool]]
+    ) -> None:
+        """Climb in place from an evaluated solution until no improving move remains.
+
+        Each pass runs one moves(solution, offset, depth) scan to its end,
+        then applies its last yield; a scan that yields nothing ends the
+        climb. First-improving passes of a problem that declares
+        randomized_first_improving draw a fresh offset each; other passes
+        use 0 and draw nothing. A move that does not improve raises
+        RuntimeError: the kernel is wrong, and applying it could cycle
+        forever. should_stop, if given, is called before every pass; once
+        it returns true the climb stops where it stands. solution is
+        local_search's private copy, so a problem may hold its search
+        state across the passes: only this descent moves solution while it
+        runs.
+        """
+        draw = depth is SearchDepth.FIRST_IMPROVING and self.randomized_first_improving
+        while should_stop is None or not should_stop():
+            move = None
+            for move in self.moves(solution, rng.randrange(self.n) if draw else 0, depth):
+                pass  # the scan finishes before its move is applied
+            if move is None:
+                return
+            if move.delta <= 0:
+                raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
+            self.apply_move(solution, move)
 
     def new_walk(self, a: Solution, b: Solution) -> "Walk":
         """A relinking walk that moves a and b in place: the base Walk, which

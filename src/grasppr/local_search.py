@@ -16,31 +16,21 @@ def local_search(
 ) -> Solution:
     """Climb from start until no improving move remains; start is not mutated.
 
-    Each pass runs one instance.moves(sol, offset, depth) scan to its end,
-    then applies its last yield; a scan that yields nothing ends the climb.
-    Best-improving applies the maximum-delta move each pass (ties: first in
-    scan order) and consumes no rng. First-improving applies the first
-    improving move per scan; for problems that declare
+    Runs instance.descend(sol, depth, rng, should_stop) on a copy of start,
+    evaluated first if start carries no objective; ProblemInstance.descend
+    states the passes, the RuntimeError on a non-improving move and
+    should_stop. Best-improving applies the maximum-delta move each pass
+    (ties: first in scan order) and consumes no rng. First-improving applies
+    the first improving move per scan; for problems that declare
     randomized_first_improving a fresh scan offset is drawn each pass so the
-    scan is not biased toward low vertex ids. A move that does not improve
-    raises RuntimeError: the instance's kernel is wrong, and applying the
-    move could cycle forever. A depth that is not a SearchDepth raises
-    ValueError. should_stop, if given, is called before every pass; once it
-    returns true the climb stops and returns where it stands.
+    scan is not biased toward low vertex ids. A depth that is not a
+    SearchDepth raises ValueError. Only the descent moves the copy, so the
+    instance may hold its search state (a max-cut GainTable) across passes.
     """
     sol = start.copy()
     if sol.cached_objective is None:
         evaluate(instance, sol)
     if not isinstance(depth, SearchDepth):
         raise ValueError(f"depth must be a SearchDepth, not {depth!r}")
-    draw = depth is SearchDepth.FIRST_IMPROVING and instance.randomized_first_improving
-    while should_stop is None or not should_stop():
-        move = None
-        for move in instance.moves(sol, rng.randrange(instance.n) if draw else 0, depth):
-            pass  # the scan finishes before its move is applied
-        if move is None:
-            return sol
-        if move.delta <= 0:
-            raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
-        instance.apply_move(sol, move)
+    instance.descend(sol, depth, rng, should_stop)
     return sol

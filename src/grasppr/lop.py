@@ -33,6 +33,7 @@ from .core import _INT32, Move, PermutationSolution, ProblemInstance, SearchDept
 # or carries into the next. 64 bits always suffice: |skew| < 2^32 from
 # 32-bit entries, and n - 1 < 2^30 for any matrix that fits in memory.
 _FIELD_WIDTHS = {16: "H", 32: "I", 64: "Q"}  # width -> struct code
+_BEST = SearchDepth.BEST_IMPROVING  # bound once: an enum member read costs ~10x a global's per scan
 
 
 class _Packing(NamedTuple):
@@ -177,7 +178,7 @@ class LopInstance(ProblemInstance):
         # element and its first improving target
         order = solution.order
         gains = self._insert_gains(order)
-        best = depth is SearchDepth.BEST_IMPROVING
+        best = depth is _BEST
         gain = max(gains) if best else next(filter((0).__lt__, gains), 0)
         if gain <= 0:
             return

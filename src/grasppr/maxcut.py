@@ -9,12 +9,19 @@ local optimum costs O(len(pos)), not O(n).
 Each instance caches a few GainTables, most recently used first, each over a
 private copy of its bits. A lookup has two outcomes: the table whose bits
 equal the asking solution's, or a fresh O(m) build that the asking solution
-owns. A table's owner is the solution whose moves apply_move applies to it
-in place. A move by any other solution with the same bits forks the table
-(O(n) copies, no O(m) rebuild), so a walk head, the copy an in-path search
-descends from it and the other head of a mixed walk each keep their own
-table. The bits comparison is the only test of validity, so flipping bits by
-hand is safe.
+owns. A table's owner is the solution whose moves flip it in place. A move
+by any other solution with the same bits forks the table (O(n) copies, no
+O(m) rebuild), so a walk head, the copy an in-path search descends from it
+and the other head of a mixed walk each keep their own table.
+
+A descent looks its table up once and a walk once per moving head; each
+then holds it, and every later pass or step reads and flips it without
+comparing bits. Only the holder moves that solution while it holds the
+table: a descent's solution is local_search's private copy, and a walk's
+moving heads are relink's copies. Everywhere else, and on those solutions
+between searches, the bits comparison is the only test of validity, so
+bits flipped by hand stay exact: the next lookup sees them differ and
+builds a new table.
 """
 
 from __future__ import annotations
@@ -22,16 +29,17 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from itertools import chain, compress
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .construction import rcl_from_buckets
-from .core import _INT32, Move, PartitionSolution, ProblemInstance, SearchDepth, Walk
+from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream, SearchDepth, Walk
 
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
 # must not allocate an adjacency list per claimed vertex
 MAX_VERTICES = 2**20
 # cached gain tables per instance: two walk heads and an in-path search copy of each
 _TABLES = 4
+_BEST = SearchDepth.BEST_IMPROVING  # bound once: an enum member read costs ~10x a global's per scan
 
 
 class GainTable:
@@ -44,7 +52,7 @@ class GainTable:
     def __init__(self, inst: "MaxCutInstance", bits: Sequence[int]):
         self.inst = inst
         self.bits = bits = list(bits)
-        self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _gain_table
+        self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _own_table
         self.gain = [0] * inst.n
         for v in range(inst.n):
             g = 0
@@ -236,12 +244,23 @@ class MaxCutInstance(ProblemInstance):
             table.owner = solution
         return table
 
-    def moves(self, solution: PartitionSolution, offset: int, depth: SearchDepth) -> Iterator[Move]:
-        table = self._gain_table(solution)
+    def _own_table(self, solution: PartitionSolution, table: GainTable) -> GainTable:
+        """table, whose bits equal solution's, if solution owns it; else a fork
+        that solution owns, cached first. The old table stays valid for its owner."""
+        if table.owner is not solution:
+            table = self._cache(table.fork(solution))
+        return table
+
+    def moves(
+        self, solution: PartitionSolution, offset: int, depth: SearchDepth, table: Optional[GainTable] = None
+    ) -> Iterator[Move]:
+        """The pass's pick from table.pos; table is solution's own, or None to look it up by bits."""
+        if table is None:
+            table = self._gain_table(solution)
         gains, pos = table.gain, table.pos
         if not pos:
             return
-        if depth is SearchDepth.BEST_IMPROVING:
+        if depth is _BEST:
             best = max(map(gains.__getitem__, pos))
             v = min(compress(pos, map(best.__eq__, map(gains.__getitem__, pos))))
         else:
@@ -250,53 +269,98 @@ class MaxCutInstance(ProblemInstance):
                 v = min(pos)  # the scan wrapped around
         yield Move("transfer", v, None, None, gains[v])
 
+    def descend(
+        self, solution: PartitionSolution, depth: SearchDepth, rng: RandomStream, should_stop: Optional[Callable[[], bool]]
+    ) -> None:
+        """The base climb with its table looked up once, not twice per pass.
+
+        Each pass is still one moves() scan, now handed the table, and its
+        move flips solution's bits and the table directly. The table is
+        forked, as apply_move forks it, before the first move of a solution
+        that does not own it.
+        """
+        draw = depth is SearchDepth.FIRST_IMPROVING and self.randomized_first_improving
+        n, bits = self.n, solution.bits
+        table = self._gain_table(solution)
+        while should_stop is None or not should_stop():
+            move = None
+            for move in self.moves(solution, rng.randrange(n) if draw else 0, depth, table):
+                pass  # the scan finishes before its move is applied
+            if move is None:
+                return
+            if move.delta <= 0:
+                raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
+            table = self._own_table(solution, table)
+            bits[move.element] ^= 1
+            table.apply_flip(move.element)
+            solution.cached_objective += move.delta
+
     def apply_move(self, solution: PartitionSolution, move: Move) -> None:
         if move.kind != "transfer":
             raise ValueError(f"not a partition move: {move.kind}")
         if not 0 <= move.element < self.n:
             raise ValueError(f"vertex {move.element} not in 0..{self.n - 1}")
         table = self._matching_table(solution)
-        if table is not None and table.owner is not solution:
-            table = self._cache(table.fork(solution))  # the old table stays valid for its owner
         solution.bits[move.element] ^= 1
-        if table is not None:
-            table.apply_flip(move.element)  # O(degree) instead of a later O(m) rebuild
+        if table is not None:  # O(degree) instead of a later O(m) rebuild
+            self._own_table(solution, table).apply_flip(move.element)
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 
     def new_walk(self, a: PartitionSolution, b: PartitionSolution) -> "_MaxCutWalk":
         return _MaxCutWalk(self, a, b)
 
-    def pr_candidates(self, current: PartitionSolution, k: int, diff: list[int]) -> list[Move]:
+    def pr_candidates(
+        self, current: PartitionSolution, k: int, diff: list[int], table: Optional[GainTable] = None
+    ) -> list[Move]:
         """At most k flips of the positions where current and the other head
         differ, without the one flip that reaches it, by descending gain with
         ties to the lower position. diff lists those positions in ascending
         order, as the walk keeps them, so a step costs O(len(diff)), not O(n).
+        table is current's own, as a walk holds it, or None to look it up by bits.
         """
         if not diff:
             raise ValueError("current and the other head coincide")
         if len(diff) == 1:
             return []  # its one flip reaches the other head
-        gains = self._gain_table(current).gain
+        if table is None:
+            table = self._gain_table(current)
+        gains = table.gain
         top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
         return [Move("transfer", j, None, None, gains[j]) for j in top]
 
 
 class _MaxCutWalk(Walk):
-    """A walk that keeps the positions where its heads differ, ascending.
+    """A walk that keeps the positions where its heads differ, ascending,
+    and the gain table of each head that moves.
 
     Built in O(n) once per walk; each step flips one differing position of
     one head, which drops it from the difference whichever head moved, so
-    one list serves every direction, mixed included.
+    one list serves every direction, mixed included. A head's table is
+    looked up on its first ranked() or take(), so a head that never moves
+    (a forward walk's guide) gets none; the head owns it from its first
+    take() on, and every step after that flips it with no bits comparison.
     """
 
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
         super().__init__(inst, a, b)
         self.diff = [j for j, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y]
+        self.tables: list[Optional[GainTable]] = [None, None]
+
+    def _table(self, i: int) -> GainTable:
+        table = self.tables[i]
+        if table is None:
+            table = self.tables[i] = self.instance._gain_table(self.heads[i])
+        return table
 
     def ranked(self, i: int, k: int) -> list[Move]:
-        return self.instance.pr_candidates(self.heads[i], k, self.diff)
+        return self.instance.pr_candidates(self.heads[i], k, self.diff, self._table(i))
 
     def take(self, i: int, move: Move) -> None:
-        super().take(i, move)
-        del self.diff[bisect_left(self.diff, move.element)]
+        head, v = self.heads[i], move.element
+        table = self.tables[i] = self.instance._own_table(head, self._table(i))
+        head.bits[v] ^= 1
+        table.apply_flip(v)
+        if head.cached_objective is not None:
+            head.cached_objective += move.delta
+        del self.diff[bisect_left(self.diff, v)]

@@ -164,11 +164,28 @@ def test_move_rejects_foreign_kind():
         inst.apply_move(sol, Move("transfer", 0))
 
 
+def _state(sol):
+    return list(sol.order if isinstance(sol, PermutationSolution) else sol.bits)
+
+
+def _moved(state, move):
+    """state after move, applied naively."""
+    state = list(state)
+    if move.kind == "insert":
+        state.insert(move.to_pos, state.pop(move.from_pos))
+    else:
+        state[move.element] ^= 1
+    return state
+
+
 @pytest.mark.parametrize("neighborhood", ["insert", "transfer"])
 @pytest.mark.parametrize("depth", list(SearchDepth))
 def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     # a descent runs one moves() scan per pass, each drained before its move
-    # is applied, so timing moves() times every pass of the search
+    # is applied, so timing moves() times every pass of the search. The scans
+    # are watched, not apply_move: the max-cut descent flips its solution and
+    # its gain table itself. Between two scans the solution changes by
+    # exactly the move the first one chose
     r = oracles.make_rng(18)
     if neighborhood == "insert":
         inst = LopInstance(oracles.rand_lop_matrix(r, 7))
@@ -176,20 +193,26 @@ def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     else:
         inst = MaxCutInstance(9, oracles.rand_edges(r, 9, 0.5, -3, 9))
         start = PartitionSolution(oracles.rand_bits(r, 9))
-    events = []
-    scan, apply = inst.moves, inst.apply_move
+    events = []  # ("open", state, objective) and ("close", state, last yield) per scan
+    scan = inst.moves
 
-    def traced_scan(*args, **kwargs):
-        events.append("open")
-        yield from scan(*args, **kwargs)
-        events.append("close")
+    def traced_scan(sol, *args):
+        events.append(("open", _state(sol), sol.cached_objective))
+        move = None
+        for move in scan(sol, *args):
+            yield move
+        events.append(("close", _state(sol), move))
 
     inst.moves = traced_scan
-    inst.apply_move = lambda sol, move: (events.append("apply"), apply(sol, move))
-    local_search(inst, start, depth, RandomStream(19))
-    passes = events.count("open")
-    assert passes == events.count("apply") + 1 >= 2
-    assert events == ["open", "close", "apply"] * (passes - 1) + ["open", "close"]
+    out = local_search(inst, start, depth, RandomStream(19))
+    passes = len(events) // 2
+    assert [e[0] for e in events] == ["open", "close"] * passes
+    assert passes >= 2
+    opens, closes = events[::2], events[1::2]
+    for (_, before, f), (_, after, move), (_, then, g) in zip(opens, closes, opens[1:]):
+        assert after == before  # the scan ran to its end with the solution untouched
+        assert then == _moved(before, move) and g == f + move.delta  # then its move, and only it
+    assert closes[-1][2] is None and closes[-1][1] == _state(out)  # the last scan found none
 
 
 class _NonImprovingK3(MaxCutInstance):
@@ -204,7 +227,7 @@ class _NonImprovingK3(MaxCutInstance):
         assert self.asked <= 5, "local_search kept applying a non-improving move"
         return Move("transfer", 0, delta=0)
 
-    def moves(self, solution, offset, depth):
+    def moves(self, solution, offset, depth, table=None):
         yield self._stale()
 
 
@@ -235,16 +258,28 @@ def test_should_stop_ends_the_descent_after_k_moves(neighborhood, depth):
         inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -3, 9))
         start = PartitionSolution(oracles.rand_bits(r, 10))
     evaluate(inst, start)
-    applied = []
-    apply = inst.apply_move
-    inst.apply_move = lambda sol, move: (applied.append(move), apply(sol, move))
+    chosen = []  # the move each scan chose, watched at the scan: max-cut bypasses apply_move
+    scan = inst.moves
+
+    def recording_scan(*args):
+        move = None
+        for move in scan(*args):
+            yield move
+        if move is not None:
+            chosen.append(move)
+
+    inst.moves = recording_scan
     full = local_search(inst, start, depth, RandomStream(23))
-    moves = list(applied)
+    moves = list(chosen)
     assert len(moves) >= 3
     for k in range(len(moves) + 2):
-        applied.clear()
+        chosen.clear()
         out = local_search(inst, start, depth, RandomStream(23), should_stop=_stop_on_call(k))
-        assert applied == moves[:k]
+        assert chosen == moves[:k]
+        expected = _state(start)
+        for move in moves[:k]:
+            expected = _moved(expected, move)
+        assert _state(out) == expected  # the k chosen moves were applied, and nothing else
         assert out.cached_objective == evaluate(inst, out.copy())
         if k >= len(moves):
             assert out == full

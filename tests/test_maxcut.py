@@ -522,41 +522,109 @@ def test_walk_heads_keep_their_gain_tables(monkeypatch, direction, in_path):
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["forward", "mixed"])
 def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
-    # a walk head owns its table and a copy of it, moved as an in-path search
-    # moves it, owns a fork; bits flipped by hand on either still give exact
-    # gains, picks and relinking deltas
+    # a walk head holds its table and a copy of it, moved as an in-path
+    # search moves it, owns a fork. Only the walk moves its heads while it
+    # runs, so bits are flipped by hand on the copy during a walk and on a
+    # head between walks, and the walk after that flip is a fresh one: every
+    # gain, pick and relinking delta stays exact
     from grasppr.core import Move
 
     r = oracles.make_rng(110 + mixed)
-    n = 50
-    edges = oracles.rand_edges(r, n, 0.1, -5, 10)
+    n = 80
+    edges = oracles.rand_edges(r, n, 0.06, -5, 10)
     inst = MaxCutInstance(n, edges)
     a, b = (PartitionSolution(oracles.rand_bits(r, n)) for _ in range(2))
     for sol in (a, b):
         evaluate(inst, sol)
-    walk = inst.new_walk(a, b)
-    mover = 0
-    for step in range(30):
+    walks = 0
+    for step in range(40):
+        if step % 4 == 0:  # between walks: a hand flip on a head where the heads agree
+            if step:
+                head = (a, b)[walks % 2]
+                head.bits[r.choice([j for j in range(n) if a.bits[j] == b.bits[j]])] ^= 1
+                evaluate(inst, head)
+            walk, mover = inst.new_walk(a, b), 0
+            walks += 1
         cur, other = walk.heads[mover], walk.heads[1 - mover]
         steps = walk.ranked(mover, n)
-        if not steps:
-            break
         assert [(m.element, m.delta) for m in steps] == oracles.top_relink_flips(edges, cur.bits, other.bits, n)
         walk.take(mover, steps[0])
+        assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
         copy = cur.copy()
         v = r.randrange(n)
         inst.apply_move(copy, Move("transfer", v, None, None, inst._gain_table(copy).gain[v]))
         assert inst._gain_table(copy).owner is copy and inst._gain_table(cur).owner is cur
-        owner = copy if step % 2 else cur
-        owner.bits[r.randrange(n)] ^= 1
-        evaluate(inst, owner)
-        walk.diff = _diff(a, b)
+        copy.bits[r.randrange(n)] ^= 1  # by hand, on the in-path copy, during the walk
+        evaluate(inst, copy)
         for sol in (cur, copy):
             assert inst._gain_table(sol).gain == _fresh_gains(inst, sol)
             assert oracles.chosen(inst, sol, BEST) == oracles.best_move(oracles.all_moves(inst, sol))
         if mixed:
             mover = 1 - mover
-    assert step > 10
+    assert walks == 10 and len(_diff(a, b)) > 1
+
+
+@pytest.mark.parametrize("in_path", ["none", "all"])
+@pytest.mark.parametrize("direction", ["forward", "backward", "back_and_forward", "mixed"])
+def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, direction, in_path):
+    # a local search looks its gain table up once and a walk once per head
+    # that moves; moves() still runs once per pass and pr_candidates() once
+    # per step, so the per-pass and per-step spans a tracer times stay whole
+    from grasppr.core import RandomStream
+    from grasppr.local_search import local_search
+    from grasppr.path_relinking import PrConfig, relink
+
+    lookups, scans, ranked = [], [], []
+    match, scan, candidates = MaxCutInstance._matching_table, MaxCutInstance.moves, MaxCutInstance.pr_candidates
+
+    def counting_match(self, solution):
+        lookups.append(solution)
+        return match(self, solution)
+
+    def counting_scan(self, *args):
+        move = None
+        for move in scan(self, *args):
+            yield move
+        scans.append(move)
+
+    def counting_candidates(self, *args):
+        out = candidates(self, *args)
+        ranked.append(len(out))
+        return out
+
+    monkeypatch.setattr(MaxCutInstance, "_matching_table", counting_match)
+    monkeypatch.setattr(MaxCutInstance, "moves", counting_scan)
+    monkeypatch.setattr(MaxCutInstance, "pr_candidates", counting_candidates)
+    r = oracles.make_rng(105)
+    n = 80
+    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.08, -5, 10))
+    a, b = (PartitionSolution(oracles.rand_bits(r, n)) for _ in range(2))
+    for sol in (a, b):
+        evaluate(inst, sol)
+    for depth in SearchDepth:
+        del lookups[:], scans[:]
+        out = local_search(inst, a, depth, RandomStream(3))
+        assert len(lookups) == 1
+        assert len(scans) >= 3 and None not in scans[:-1] and scans[-1] is None  # one scan per pass
+        assert out.cached_objective == a.cached_objective + sum(m.delta for m in scans[:-1])
+
+    tables = [inst._gain_table(sol) for sol in (a, b)]
+    searches = []
+
+    def ls(sol):
+        searches.append(len(scans))
+        return local_search(inst, sol, BEST, RandomStream(4))
+
+    del lookups[:], scans[:]
+    cfg = PrConfig(direction=direction, in_path_ls=in_path, min_distance=1)
+    _, trace = relink(inst, a, b, cfg, RandomStream(5), ls)
+    moving_heads = {"forward": 1, "backward": 1, "back_and_forward": 2, "mixed": 2}[direction]
+    assert len(lookups) == moving_heads + len(searches)
+    assert len(searches) == (len(trace.visited) if in_path == "all" else 0)
+    walks = 1 + (direction == "back_and_forward")
+    assert ranked.count(0) <= walks and len(ranked) - ranked.count(0) == len(trace.visited) > 20
+    for sol, table in zip((a, b), tables):  # a head forked the table of the endpoint it copies
+        assert table.owner is sol and table.bits == sol.bits and table.gain == _fresh_gains(inst, sol)
 
 
 def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
