@@ -524,7 +524,7 @@ def run_cell(spec: CellSpec) -> RunRow:
             restarts=report.restarts,
         )
     except Exception as exc:
-        _instance.cache_clear()  # a failed run may leave the instance's caches half updated
+        _instance.cache_clear()  # a failed run may leave a cached max-cut gain table half flipped
         raise BenchError(
             f"cell failed (method={spec.method} instance={spec.instance_name} seed={spec.seed}): {exc}",
             failures=[CellFailure(spec.method, spec.instance_name, spec.seed, str(exc))],

@@ -1,5 +1,8 @@
 """Problem-agnostic building blocks: solutions, the problem interface, seeded RNG.
 
+Each problem writes its own climb (ProblemInstance.descend), so that a local
+search holds that problem's search state across its passes.
+
 Objectives are exact Python ints throughout (maximization); no floats enter the
 solver core. The instance constructors alone judge instance values (the parsers
 only read text): each given weight, and each merged max-cut weight, must fit 32
@@ -100,18 +103,11 @@ class Move(NamedTuple):
 
 
 class ProblemInstance(ABC):
-    """Immutable problem data plus the hooks the generic search modules drive.
-
-    Concrete adapters provide construction, the moves() scan that each
-    local-search pass runs, and the relinking steps of a walk. descend()
-    runs the passes of one local search; the base loop serves any problem
-    that keeps no search state across passes.
-    """
+    """Immutable problem data plus the hooks the generic search modules drive:
+    construction, the descent of a local search with the moves() scan each
+    of its passes runs, and the relinking steps of a walk."""
 
     n: int
-
-    # first-improving passes draw a random scan offset only when this is set
-    randomized_first_improving = False
 
     @abstractmethod
     def evaluate(self, solution: Solution) -> int:
@@ -145,33 +141,18 @@ class ProblemInstance(ABC):
         """Apply a move in place, keeping cached_objective consistent; a position
         or vertex outside 0..n-1, which no kernel produces, raises ValueError."""
 
+    @abstractmethod
     def descend(
         self, solution: Solution, depth: SearchDepth, rng: "RandomStream", should_stop: Optional[Callable[[], bool]]
     ) -> None:
         """Climb in place from an evaluated solution until no improving move remains.
 
-        Each pass runs one moves(solution, offset, depth) scan to its end,
-        then applies its last yield; a scan that yields nothing ends the
-        climb. First-improving passes of a problem that declares
-        randomized_first_improving draw a fresh offset each; other passes
-        use 0 and draw nothing. A move that does not improve raises
-        RuntimeError: the kernel is wrong, and applying it could cycle
-        forever. should_stop, if given, is called before every pass; once
-        it returns true the climb stops where it stands. solution is
-        local_search's private copy, so a problem may hold its search
-        state across the passes: only this descent moves solution while it
-        runs.
+        One moves() scan per pass (see moves); a move that does not improve
+        raises RuntimeError, since applying it could cycle forever.
+        should_stop, if given, is called before every pass; once it returns
+        true the climb stops where it stands. solution is local_search's
+        private copy, so the descent holds its search state across passes.
         """
-        draw = depth is SearchDepth.FIRST_IMPROVING and self.randomized_first_improving
-        while should_stop is None or not should_stop():
-            move = None
-            for move in self.moves(solution, rng.randrange(self.n) if draw else 0, depth):
-                pass  # the scan finishes before its move is applied
-            if move is None:
-                return
-            if move.delta <= 0:
-                raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
-            self.apply_move(solution, move)
 
     def new_walk(self, a: Solution, b: Solution) -> "Walk":
         """A relinking walk that moves a and b in place: the base Walk, which

@@ -1,4 +1,4 @@
-"""Hill climbing over a problem-defined neighbourhood, first- or best-improving."""
+"""Hill climbing, first- or best-improving: a copy of the start, climbed by the problem's descend."""
 
 from __future__ import annotations
 
@@ -19,13 +19,8 @@ def local_search(
     Runs instance.descend(sol, depth, rng, should_stop) on a copy of start,
     evaluated first if start carries no objective; ProblemInstance.descend
     states the passes, the RuntimeError on a non-improving move and
-    should_stop. Best-improving applies the maximum-delta move each pass
-    (ties: first in scan order) and consumes no rng. First-improving applies
-    the first improving move per scan; for problems that declare
-    randomized_first_improving a fresh scan offset is drawn each pass so the
-    scan is not biased toward low vertex ids. A depth that is not a
-    SearchDepth raises ValueError. Only the descent moves the copy, so the
-    instance may hold its search state (a max-cut GainTable) across passes.
+    should_stop, and each problem's descent its offset draws and the search
+    state it holds. A depth that is not a SearchDepth raises ValueError.
     """
     sol = start.copy()
     if sol.cached_objective is None:

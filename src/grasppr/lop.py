@@ -5,11 +5,10 @@ contributes cost[a][b]. The neighbourhood is insert (move one vertex to
 another position), and relinking steps insert a misplaced vertex at its
 guiding position.
 
-Each instance caches the insert scan of the last scanned order, over a
-private copy of it. A scan of an equal order reads the cache; any other
-order gets a full pass, which replaces it. apply_move patches the cache when
-the moving solution's order equals the cached one. The order comparison is
-the only test of validity, so editing an order by hand is safe.
+A descent builds the insert scan of its solution's order once and holds
+it: every pass reads it and every move patches it. Nothing else keeps scan
+state, so a scan without a held one (moves(..., scan=None)) is a full pass,
+and walk steps and hand edits only move the order.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isqrt
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .construction import rcl_from_columns
-from .core import _INT32, Move, PermutationSolution, ProblemInstance, SearchDepth
+from .core import _INT32, Move, PermutationSolution, ProblemInstance, RandomStream, SearchDepth
 
 # The insert scan packs one w-bit field per element into a Python int, and
 # each instance picks w from its data (see _packed): the smallest of 16, 32
@@ -70,16 +69,15 @@ def _swar_min(values: Sequence[int], guard: int, shift: int) -> int:
 
 @dataclass(slots=True)
 class _InsertScan:
-    """The packed insert scan of one order, kept so that a move patches it.
+    """The packed insert scan of one order, held by a descent so that a move patches it.
 
     Field e of prefixes[k] is 2^(w-2) + prefix_e[k] (see _Packing and
     _prefix), after the first k vertices of order; field e of base is that
     of prefixes[i] for e's own position i; lows[c] is the field-wise minimum
     of the chunk prefixes[c * step : (c + 1) * step] for the instance's
-    step. order is a private copy.
+    step.
     """
 
-    order: list[int]
     prefixes: list[int]
     base: int
     lows: list[int]
@@ -147,9 +145,6 @@ class LopInstance(ProblemInstance):
         # the packed columns of the insert scan, built by _packed on its
         # first call, likewise never at parse time
         self._columns: Optional[_Packing] = None
-        # the insert scan of the last scanned order, patched by apply_move;
-        # see _insert_gains
-        self._scan: Optional[_InsertScan] = None
         self._step = isqrt(n + 1)  # prefixes per chunk of _InsertScan.lows
 
     def evaluate(self, solution: PermutationSolution) -> int:
@@ -170,14 +165,17 @@ class LopInstance(ProblemInstance):
             self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
         return self._skew
 
-    def moves(self, solution: PermutationSolution, offset: int, depth: SearchDepth) -> Iterator[Move]:
-        # canonical scan order: element id ascending, target position ascending;
-        # the permutation scan ignores offsets (first-improving stays canonical).
-        # best: the lowest element of largest gain and its first minimum, the
-        # first best target in scan order; first: the lowest improving
-        # element and its first improving target
+    def moves(
+        self, solution: PermutationSolution, offset: int, depth: SearchDepth, scan: Optional[_InsertScan] = None
+    ) -> Iterator[Move]:
+        # scan: the one a descent holds of solution's order, or None for a full
+        # pass. Canonical scan order: element id ascending, target position
+        # ascending; the permutation scan ignores offsets. best: the lowest
+        # element of largest gain and its first minimum, the first best
+        # target in scan order; first: the lowest improving element and its
+        # first improving target
         order = solution.order
-        gains = self._insert_gains(order)
+        gains = self._insert_gains(scan or self._full_scan(order))
         best = depth is _BEST
         gain = max(gains) if best else next(filter((0).__lt__, gains), 0)
         if gain <= 0:
@@ -211,35 +209,31 @@ class LopInstance(ProblemInstance):
             self._columns = _Packing(columns, masks, bias, bias << 1, width - 1, fields)
         return self._columns
 
-    def _insert_gains(self, order: Sequence[int]) -> tuple[int, ...]:
+    def _insert_gains(self, scan: _InsertScan) -> tuple[int, ...]:
         """gains[e]: the largest gain of moving element e, 0 if none improves.
 
         gains = base - low field-wise, where base holds each element's prefix
         at its own position and low the field-wise minimum of all n + 1
-        prefixes (see _InsertScan); base >= low in every field. The cached
-        scan gives low as one SWAR minimum over its chunk minima if its order
-        equals order; otherwise one pass over order rebuilds it.
+        prefixes (see _InsertScan), one SWAR minimum over the chunk minima;
+        base >= low in every field.
         """
-        scan = self._scan
-        if scan is None or scan.order != order:
-            scan = self._scan = self._full_scan(order)
         packing = self._packed()
         low = _swar_min(scan.lows, packing.guard, packing.shift)
         return packing.fields.unpack((scan.base - low).to_bytes(packing.fields.size, "little"))
 
     def _full_scan(self, order: Sequence[int]) -> _InsertScan:
         bias, n = self._packed().bias, self.n
-        scan = _InsertScan(list(order), [bias] * (n + 1), 0, [bias] * (n // self._step + 1))
-        self._rescan(scan, 0, n - 1)
+        scan = _InsertScan([bias] * (n + 1), 0, [bias] * (n // self._step + 1))
+        self._rescan(scan, order, 0, n - 1)
         return scan
 
-    def _rescan(self, scan: _InsertScan, lo: int, hi: int) -> None:
+    def _rescan(self, scan: _InsertScan, order: Sequence[int], lo: int, hi: int) -> None:
         """From prefixes[lo] on, recompute the prefixes lo+1..hi+1, the base
-        fields of the elements at positions lo..hi, and the minima of the
-        chunks that hold those prefixes. Moving the element at i to j changes
-        nothing else, with lo, hi = min, max of i, j."""
+        fields of the elements at positions lo..hi of order, and the minima
+        of the chunks that hold those prefixes. Moving the element at i to j
+        changes nothing else, with lo, hi = min, max of i, j."""
         columns, masks, _, guard, shift, _ = self._packed()
-        order, prefixes, lows, step = scan.order, scan.prefixes, scan.lows, self._step
+        prefixes, lows, step = scan.prefixes, scan.lows, self._step
         base, p = scan.base, prefixes[lo]
         for k in range(lo, hi + 1):
             u = order[k]
@@ -262,21 +256,39 @@ class LopInstance(ProblemInstance):
         # n >= 2, so itemgetter returns a tuple
         return list(accumulate(itemgetter(*order)(self._skew_rows()[e]), initial=0))
 
+    def descend(
+        self,
+        solution: PermutationSolution,
+        depth: SearchDepth,
+        rng: RandomStream,
+        should_stop: Optional[Callable[[], bool]],
+    ) -> None:
+        """Climb with one insert scan of solution's order, held across the
+        passes: a full pass before the first, then a patch after each move.
+        The permutation scan ignores offsets, so no pass draws from rng."""
+        order, scan = solution.order, None
+        while should_stop is None or not should_stop():
+            if scan is None:  # after the first check, so a descent stopped at once scans nothing
+                scan = self._full_scan(order)
+            move = None
+            for move in self.moves(solution, 0, depth, scan):
+                pass  # the scan finishes before its move is applied
+            if move is None:
+                return
+            if move.delta <= 0:
+                raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
+            i, j = move.from_pos, move.to_pos
+            order.insert(j, order.pop(i))
+            self._rescan(scan, order, min(i, j), max(i, j))
+            solution.cached_objective += move.delta
+
     def apply_move(self, solution: PermutationSolution, move: Move) -> None:
         if move.kind != "insert":
             raise ValueError(f"not a permutation move: {move.kind}")
         order, i, j = solution.order, move.from_pos, move.to_pos
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"insert positions ({i}, {j}) not in 0..{self.n - 1}")
-        # patch the cached scan if it is of this order; it stays detached
-        # while patched, so a move that raises leaves no half-updated scan behind
-        scan, self._scan = self._scan, None
-        patch = scan is not None and scan.order == order
         order.insert(j, order.pop(i))
-        if patch:
-            scan.order.insert(j, scan.order.pop(i))
-            self._rescan(scan, min(i, j), max(i, j))
-        self._scan = scan
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 

@@ -9,19 +9,17 @@ local optimum costs O(len(pos)), not O(n).
 Each instance caches a few GainTables, most recently used first, each over a
 private copy of its bits. A lookup has two outcomes: the table whose bits
 equal the asking solution's, or a fresh O(m) build that the asking solution
-owns. A table's owner is the solution whose moves flip it in place. A move
-by any other solution with the same bits forks the table (O(n) copies, no
+owns. A descent looks its table up once and a walk once per moving head;
+each then holds it and reads and flips it without comparing bits. A table's
+owner is the solution whose searches flip it in place; a search that moves
+another solution with the same bits first forks the table (O(n) copies, no
 O(m) rebuild), so a walk head, the copy an in-path search descends from it
 and the other head of a mixed walk each keep their own table.
 
-A descent looks its table up once and a walk once per moving head; each
-then holds it, and every later pass or step reads and flips it without
-comparing bits. Only the holder moves that solution while it holds the
-table: a descent's solution is local_search's private copy, and a walk's
-moving heads are relink's copies. Everywhere else, and on those solutions
-between searches, the bits comparison is the only test of validity, so
-bits flipped by hand stay exact: the next lookup sees them differ and
-builds a new table.
+Only the holder moves that solution while it holds the table: a descent's
+solution is local_search's private copy, and a walk's moving heads are
+relink's copies. apply_move and hand edits touch no table; the next
+lookup's bits comparison is the only test of validity, so both stay exact.
 """
 
 from __future__ import annotations
@@ -46,11 +44,12 @@ class GainTable:
     """gain[v] = cut change if v switched sides, kept exact across flips.
 
     bits is a private copy of the partition the gains are of; pos is the set
-    of vertices with a positive gain: the improving transfers.
+    of vertices with a positive gain: the improving transfers. adj, not the
+    instance, so that no reference cycle runs through the instance's cache.
     """
 
     def __init__(self, inst: "MaxCutInstance", bits: Sequence[int]):
-        self.inst = inst
+        self.adj = inst.adj
         self.bits = bits = list(bits)
         self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _own_table
         self.gain = [0] * inst.n
@@ -64,7 +63,7 @@ class GainTable:
     def fork(self, owner: PartitionSolution) -> "GainTable":
         """A copy of this table for owner, in O(n) list copies: no O(m) rebuild."""
         twin = object.__new__(GainTable)
-        twin.inst = self.inst
+        twin.adj = self.adj
         twin.bits = list(self.bits)
         twin.owner = owner
         twin.gain = list(self.gain)
@@ -82,7 +81,7 @@ class GainTable:
             pos.discard(v)
         elif d < 0:
             pos.add(v)
-        for u, w in self.inst.adj[v]:
+        for u, w in self.adj[v]:
             # neighbors previously on v's side lose 2w of gain, others regain it
             was = gain[u]
             g = gain[u] = was - 2 * w if bits[u] == old_side else was + 2 * w
@@ -152,8 +151,6 @@ class _MaxCutBuilder:
 
 
 class MaxCutInstance(ProblemInstance):
-    randomized_first_improving = True  # per-pass scan offset, see local_search
-
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"n must be an int, got {n!r}")
@@ -220,28 +217,21 @@ class MaxCutInstance(ProblemInstance):
     def new_construction(self) -> _MaxCutBuilder:
         return _MaxCutBuilder(self)
 
-    def _matching_table(self, solution: PartitionSolution) -> Optional[GainTable]:
-        """The cached table whose bits equal solution's, moved to the front; None if none does."""
-        tables = self._tables
-        bits = solution.bits
-        for i, table in enumerate(tables):
-            if table.bits == bits:
-                if i:
-                    tables.insert(0, tables.pop(i))
-                return table
-        return None
-
     def _cache(self, table: GainTable) -> GainTable:
         self._tables.insert(0, table)
         del self._tables[_TABLES:]
         return table
 
     def _gain_table(self, solution: PartitionSolution) -> GainTable:
-        """The cached table whose bits equal solution's, else a fresh one that solution owns."""
-        table = self._matching_table(solution)
-        if table is None:
-            table = self._cache(GainTable(self, solution.bits))
-            table.owner = solution
+        """The cached table whose bits equal solution's, moved to the front; else a fresh one solution owns."""
+        tables, bits = self._tables, solution.bits
+        for i, table in enumerate(tables):
+            if table.bits == bits:
+                if i:
+                    tables.insert(0, tables.pop(i))
+                return table
+        table = self._cache(GainTable(self, bits))
+        table.owner = solution
         return table
 
     def _own_table(self, solution: PartitionSolution, table: GainTable) -> GainTable:
@@ -272,14 +262,11 @@ class MaxCutInstance(ProblemInstance):
     def descend(
         self, solution: PartitionSolution, depth: SearchDepth, rng: RandomStream, should_stop: Optional[Callable[[], bool]]
     ) -> None:
-        """The base climb with its table looked up once, not twice per pass.
-
-        Each pass is still one moves() scan, now handed the table, and its
-        move flips solution's bits and the table directly. The table is
-        forked, as apply_move forks it, before the first move of a solution
-        that does not own it.
-        """
-        draw = depth is SearchDepth.FIRST_IMPROVING and self.randomized_first_improving
+        """Climb with solution's table looked up once and held: each pass's
+        move flips the bits and the table directly, forked first if another
+        solution owns it. A first-improving pass draws a fresh scan offset,
+        so that no vertex id is favoured; a best-improving one draws nothing."""
+        draw = depth is SearchDepth.FIRST_IMPROVING
         n, bits = self.n, solution.bits
         table = self._gain_table(solution)
         while should_stop is None or not should_stop():
@@ -300,10 +287,7 @@ class MaxCutInstance(ProblemInstance):
             raise ValueError(f"not a partition move: {move.kind}")
         if not 0 <= move.element < self.n:
             raise ValueError(f"vertex {move.element} not in 0..{self.n - 1}")
-        table = self._matching_table(solution)
         solution.bits[move.element] ^= 1
-        if table is not None:  # O(degree) instead of a later O(m) rebuild
-            self._own_table(solution, table).apply_flip(move.element)
         if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 

@@ -297,6 +297,21 @@ class _RefInstance(ProblemInstance):
         if move is not None:
             yield move
 
+    def descend(self, solution, depth, rng, should_stop):
+        """The documented climb, keeping no state between passes: ask
+        should_stop, scan, apply. A first-improving max-cut pass draws its
+        offset; the LOP scan ignores offsets, so LOP passes draw nothing."""
+        draw = depth is SearchDepth.FIRST_IMPROVING and isinstance(solution, PartitionSolution)
+        while should_stop is None or not should_stop():
+            move = None
+            for move in self.moves(solution, rng.randrange(self.n) if draw else 0, depth):
+                pass
+            if move is None:
+                return
+            if move.delta <= 0:
+                raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
+            self.apply_move(solution, move)
+
     def apply_move(self, solution, move):
         self.change(solution, move)
         if solution.cached_objective is not None:
@@ -336,8 +351,6 @@ class RefLop(_RefInstance):
 
 
 class RefMaxCut(_RefInstance):
-    randomized_first_improving = True
-
     def __init__(self, n, edges):
         merged = {}
         for i, j, w in edges:

@@ -444,12 +444,20 @@ def test_load_instance_prefixes_the_path(tmp_path):
 
 @pytest.mark.parametrize("name, problem", [("lop-n10-a.mat", LOP), ("mc-n14-w.el", MAXCUT)])
 def test_a_parsed_instance_is_freed_by_reference_counting(name, problem):
-    # an instance in a reference cycle (a closure over self, say) stays resident
-    # until the cycle collector runs, and a benchmark's setup parses each file
-    # several times: its peak RSS then grows with the parses
+    # an instance in a reference cycle (a closure over self, or search state
+    # it caches that points back at it) stays resident until the cycle
+    # collector runs, and a benchmark's setup parses each file several
+    # times: its peak RSS then grows with the parses. So the last reference
+    # frees an instance, parsed only or after a search
     gc.disable()
     try:
         instance = weakref.ref(load_instance(TOY / name, problem))
+        assert instance() is None
+        searched = load_instance(TOY / name, problem)
+        report = run(searched, build_run_config(problem, {"variant": "evolutionary_pr"}, 1, None, 5))
+        assert report.pr_calls > 0
+        instance = weakref.ref(searched)
+        del searched
         assert instance() is None
     finally:
         gc.enable()

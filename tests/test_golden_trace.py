@@ -311,11 +311,22 @@ def compute_construct_maxcut_traces() -> dict:
 
 
 class _RecordingLop(LopInstance):
-    """A LopInstance that logs every move applied to one of its solutions."""
+    """A LopInstance that logs every move applied to one of its solutions.
+
+    A descent applies each scan's last yield itself, so that is logged at
+    the scan; a walk step goes through apply_move.
+    """
 
     def __init__(self, cost):
         super().__init__(cost)
         self.applied = []
+
+    def moves(self, solution, offset, depth, scan=None):
+        move = None
+        for move in super().moves(solution, offset, depth, scan):
+            yield move
+        if move is not None:
+            self.applied.append(move)
 
     def apply_move(self, solution, move):
         self.applied.append(move)

@@ -183,8 +183,8 @@ def _moved(state, move):
 def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     # a descent runs one moves() scan per pass, each drained before its move
     # is applied, so timing moves() times every pass of the search. The scans
-    # are watched, not apply_move: the max-cut descent flips its solution and
-    # its gain table itself. Between two scans the solution changes by
+    # are watched, not apply_move: each descent moves its solution and the
+    # search state it holds itself. Between two scans the solution changes by
     # exactly the move the first one chose
     r = oracles.make_rng(18)
     if neighborhood == "insert":
@@ -215,27 +215,41 @@ def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     assert closes[-1][2] is None and closes[-1][1] == _state(out)  # the last scan found none
 
 
-class _NonImprovingK3(MaxCutInstance):
-    """K3 whose kernels always offer a zero-delta flip of vertex 0, as a stale gain cache would."""
+class _NonImproving:
+    """Kernels that always offer a zero-delta move, as a stale search state would."""
 
-    def __init__(self):
-        super().__init__(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-        self.asked = 0
+    asked = 0
 
-    def _stale(self):
+    def moves(self, solution, offset, depth, state=None):
         self.asked += 1
         assert self.asked <= 5, "local_search kept applying a non-improving move"
+        yield self.stale(solution)
+
+
+class _NonImprovingK3(_NonImproving, MaxCutInstance):
+    def __init__(self):
+        super().__init__(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+        self.start = PartitionSolution([0, 1, 1])
+
+    def stale(self, solution):
         return Move("transfer", 0, delta=0)
 
-    def moves(self, solution, offset, depth, table=None):
-        yield self._stale()
+
+class _NonImprovingLop(_NonImproving, LopInstance):
+    def __init__(self):
+        super().__init__([[0, 1, 2], [3, 0, 4], [5, 6, 0]])
+        self.start = PermutationSolution([0, 1, 2])
+
+    def stale(self, solution):
+        return Move("insert", solution.order[0], 0, 1, 0)
 
 
+@pytest.mark.parametrize("kind", [_NonImprovingK3, _NonImprovingLop], ids=["transfer", "insert"])
 @pytest.mark.parametrize("depth", list(SearchDepth))
-def test_non_improving_move_raises_instead_of_looping(depth):
-    inst = _NonImprovingK3()
+def test_non_improving_move_raises_instead_of_looping(depth, kind):
+    inst = kind()
     with pytest.raises(RuntimeError, match="non-improving move"):
-        local_search(inst, PartitionSolution([0, 1, 1]), depth, RandomStream(1))
+        local_search(inst, inst.start, depth, RandomStream(1))
     assert inst.asked == 1
 
 
@@ -258,7 +272,7 @@ def test_should_stop_ends_the_descent_after_k_moves(neighborhood, depth):
         inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -3, 9))
         start = PartitionSolution(oracles.rand_bits(r, 10))
     evaluate(inst, start)
-    chosen = []  # the move each scan chose, watched at the scan: max-cut bypasses apply_move
+    chosen = []  # the move each scan chose, watched at the scan: no descent calls apply_move
     scan = inst.moves
 
     def recording_scan(*args):
@@ -269,13 +283,25 @@ def test_should_stop_ends_the_descent_after_k_moves(neighborhood, depth):
             chosen.append(move)
 
     inst.moves = recording_scan
+    full_scans = []  # LOP's: one per descent, built after its first should_stop
+    if neighborhood == "insert":
+        full_scan = inst._full_scan
+
+        def counting_full_scan(order):
+            full_scans.append(list(order))
+            return full_scan(order)
+
+        inst._full_scan = counting_full_scan
     full = local_search(inst, start, depth, RandomStream(23))
     moves = list(chosen)
     assert len(moves) >= 3
     for k in range(len(moves) + 2):
         chosen.clear()
+        full_scans.clear()
         out = local_search(inst, start, depth, RandomStream(23), should_stop=_stop_on_call(k))
         assert chosen == moves[:k]
+        if neighborhood == "insert":
+            assert full_scans == ([_state(start)] if k else [])
         expected = _state(start)
         for move in moves[:k]:
             expected = _moved(expected, move)

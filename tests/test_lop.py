@@ -193,40 +193,38 @@ def test_packed_columns_wait_for_the_first_best_improving_scan(tmp_path):
 
 
 class _CheckedLop(LopInstance):
-    """A LopInstance that checks its cached insert scan at every scan.
+    """A LopInstance that checks the insert scan a descent holds at every pass.
 
-    After each scan the cached state must equal a fresh full pass over the
-    same order. Every stride-th scan, the gains and both picks must also
-    equal those of the oracle's full move list. patched counts the scans
-    that kept the state apply_move had patched instead of rebuilding it.
+    The held scan must equal a fresh full pass over the current order.
+    Every stride-th pass, and each descent's last, the gains and both picks
+    must also equal those of the oracle's full move list. patched counts the
+    passes handed the scan object of the pass before: a held scan, patched
+    in place instead of rebuilt.
     """
 
     def __init__(self, cost, stride=1):
         super().__init__(cost)
-        self.stride, self.scans, self.patched = stride, 0, 0
+        self.stride, self.passes, self.patched, self._held = stride, 0, 0, None
 
-    def _insert_gains(self, order):
-        kept = self._scan
-        gains = super()._insert_gains(order)
-        assert self._scan == self._full_scan(order)
-        self.scans += 1
-        self.patched += self._scan is kept
-        return gains
-
-    def moves(self, solution, offset, depth):
-        move = oracles.chosen(super(), solution, depth, offset)
-        if self.scans % self.stride == 0 or move is None:
+    def moves(self, solution, offset, depth, scan=None):
+        if scan is not None:
+            assert scan == self._full_scan(solution.order)
+            self.patched += scan is self._held
+        self._held = scan
+        move = None
+        for move in super().moves(solution, offset, depth, scan):
+            pass
+        if self.passes % self.stride == 0 or move is None:
             moves = oracles.all_moves(self, solution)
-            if depth is BEST:
-                assert move == oracles.best_move(moves), solution.order
-                assert oracles.chosen(super(), solution, FIRST) == oracles.first_move(moves), solution.order
-                gains = [0] * self.n
-                for m in moves:
-                    gains[m.element] = max(gains[m.element], m.delta)
-                assert list(self._insert_gains(solution.order)) == gains
-            else:
-                assert move == oracles.first_move(moves), solution.order
-                assert oracles.chosen(super(), solution, BEST) == oracles.best_move(moves), solution.order
+            picks = {BEST: oracles.best_move(moves), FIRST: oracles.first_move(moves)}
+            assert move == picks[depth], solution.order
+            for pick in SearchDepth:  # and from a full pass
+                assert oracles.chosen(super(), solution, pick) == picks[pick], solution.order
+            gains = [0] * self.n
+            for m in moves:
+                gains[m.element] = max(gains[m.element], m.delta)
+            assert list(self._insert_gains(scan or self._full_scan(solution.order))) == gains
+        self.passes += 1
         if move is not None:
             yield move
 
@@ -234,19 +232,20 @@ class _CheckedLop(LopInstance):
 @pytest.mark.parametrize("n, stride", [(50, 1), (100, 10), (150, 40)])
 def test_patched_insert_scan_matches_a_fresh_pass_in_descents(n, stride):
     # a best and a first descent from semi-greedy starts, as the drivers run
-    # them; the oracle checks every stride-th scan and each descent's last
+    # them; the oracle checks every stride-th pass and each descent's last
     inst = _CheckedLop(oracles.rand_lop_matrix(oracles.make_rng(n + 1), n), stride)
     rng = RandomStream(n)
     for depth in SearchDepth:
-        scans = inst.scans
+        passes, patched = inst.passes, inst.patched
         local_search(inst, construct(inst, RclConfig(), rng), depth, rng)
-        assert inst.scans - scans > n // 2
-    # all but each descent's first scan kept the patched state
-    assert inst.patched >= inst.scans * 3 // 4
+        assert inst.passes - passes > n // 2
+        # every pass but the descent's first was handed the scan it holds
+        assert inst.patched - patched == inst.passes - passes - 1
 
 
 def test_patched_insert_scan_matches_a_fresh_pass_in_relinking():
-    # every walk point gets its own descent, and the walk heads move in between
+    # every walk point gets its own descent, which scans its order once and
+    # patches that scan; the walk heads move in between
     r = oracles.make_rng(53)
     inst = _CheckedLop(oracles.rand_lop_matrix(r, 40), stride=3)
     cfg = path_relinking.PrConfig(
@@ -261,53 +260,31 @@ def test_patched_insert_scan_matches_a_fresh_pass_in_relinking():
 
 
 def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
+    # no scan outlives its descent: an order edited by hand, or a copy moved
+    # by apply_move, scans exactly, and so does each descent from it
     r = oracles.make_rng(54)
     n = 30
     inst = _CheckedLop(oracles.rand_lop_matrix(r, n))
-    sol = PermutationSolution(oracles.rand_perm(r, n))
-    move = oracles.chosen(inst, sol, BEST)
-    # a copy of the cached solution moves: the state follows the copy, and the original still scans exactly
+    sol = local_search(inst, PermutationSolution(oracles.rand_perm(r, n)), BEST, RandomStream(54))
     twin = sol.copy()
-    inst.apply_move(twin, move)
-    assert inst._scan.order == twin.order
-    oracles.chosen(inst, sol, BEST)
-    oracles.chosen(inst, twin, BEST)
-    # an order edited by hand, in place or swapped back
+    delta = oracles.insert_delta(inst.cost, twin.order, 0, n - 1)
+    inst.apply_move(twin, Move("insert", twin.order[0], 0, n - 1, delta))
     order = sol.order
     order[0], order[-1] = order[-1], order[0]
-    oracles.chosen(inst, sol, BEST)
-    oracles.chosen(inst, sol, BEST)
-    order[0], order[-1] = order[-1], order[0]
-    oracles.chosen(inst, sol, BEST)
-    # a move whose from_pos is out of range raises and leaves the order as it was
-    before = list(sol.order)
-    with pytest.raises(ValueError, match=rf"^insert positions \({n}, 3\) not in 0\.\.{n - 1}$"):
-        inst.apply_move(sol, Move("insert", 0, n, 3, 0))
-    assert sol.order == before
-    move = oracles.chosen(inst, sol, BEST)
-    # a patch that fails half way leaves no state behind
-
-    def failing_rescan(scan, lo, hi):
-        scan.prefixes[lo + 1] = 0
-        raise MemoryError
-
-    inst._rescan = failing_rescan
-    with pytest.raises(MemoryError):
-        inst.apply_move(sol, move)
-    del inst._rescan
-    oracles.chosen(inst, sol, BEST)
-    # positions the list operations would accept but no kernel produces,
-    # negative and past the end, raise before any change, and the next scan
-    # is still exact
-    for i, j in ((-1, 0), (2, n + 4), (n - 1, -3)):
+    evaluate(inst, sol)
+    for start in (sol, twin):
+        oracles.chosen(inst, start, BEST)
+        patched = inst.patched
+        out = local_search(inst, start, BEST, RandomStream(54))
+        assert inst.patched > patched and out.cached_objective == oracles.lop_value(inst.cost, out.order)
+    # a move with a position outside 0..n-1, which the list operations would
+    # accept or clamp but no kernel produces, raises before any change
+    for i, j in ((n, 3), (-1, 0), (2, n + 4), (n - 1, -3)):
         before = list(sol.order)
-        with pytest.raises(ValueError, match="not in 0"):
-            inst.apply_move(sol, Move("insert", sol.order[i], i, j, 0))
+        with pytest.raises(ValueError, match=rf"^insert positions \({i}, {j}\) not in 0\.\.{n - 1}$"):
+            inst.apply_move(sol, Move("insert", sol.order[i % n], i, j, 0))
         assert sol.order == before
-        oracles.chosen(inst, sol, BEST)
-    patched = inst.patched
-    local_search(inst, sol, SearchDepth.BEST_IMPROVING, RandomStream(54))  # the descent from there patches again
-    assert inst.patched > patched
+    oracles.chosen(inst, sol, BEST)
 
 
 @pytest.mark.parametrize(

@@ -183,10 +183,10 @@ def test_gain_cache_under_interleaved_operations():
     for _ in range(400):
         cur, other = sols if r.random() < 0.5 else sols[::-1]  # alternate between two solutions
         op = r.randrange(5)
-        if op == 0:  # apply a flip priced by the cache to the solution itself
+        if op == 0:  # apply a flip priced by the cache to the solution itself; no table follows it
             v = r.randrange(12)
             inst.apply_move(cur, Move("transfer", v, None, None, inst._gain_table(cur).gain[v]))
-        elif op == 1:  # apply a chosen move to a copy, so the cache follows the copy
+        elif op == 1:  # apply a chosen move to a copy
             move = oracles.chosen(inst, cur, FIRST, r.randrange(12))
             if move is not None:
                 assert move.delta == _fresh_gains(inst, cur)[move.element]
@@ -276,7 +276,8 @@ def test_walk_step_kernel_matches_reference(pm1, k):
 def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
     # however many vertices differ from the cached tables, a miss makes exactly
     # one build: exact gains over a private copy of the bits, owned by the
-    # asking solution, whose next move then applies to it in place
+    # asking solution. apply_move leaves the table alone, and the next
+    # lookup sees the bits differ and builds exact gains
     from grasppr.core import Move
 
     counts = _count_cache_work(monkeypatch)
@@ -298,10 +299,13 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
             assert table.bits == second.bits and table.bits is not second.bits
             assert table.owner is second
             v = r.randrange(n)
+            old = (list(table.bits), list(table.gain), set(table.pos))
             inst.apply_move(second, Move("transfer", v, None, None, table.gain[v]))
-            assert counts == {**before, "builds": before["builds"] + 1, "flips": before["flips"] + 1}
-            assert inst._gain_table(second) is table
-            assert table.gain == _fresh_gains(inst, second)
+            assert counts == {**before, "builds": before["builds"] + 1}
+            assert (table.bits, table.gain, table.pos) == old
+            rebuilt = inst._gain_table(second)
+            assert counts == {**before, "builds": before["builds"] + 2} and rebuilt.owner is second
+            assert rebuilt.gain == _fresh_gains(inst, second)
 
 
 def test_seed_vertex_computed_once_per_instance():
@@ -398,16 +402,16 @@ def test_positive_gain_set_after_every_update(pm1):
     twin = table.fork(sol)
     assert twin.pos == table.pos and twin.pos is not table.pos and twin.gain is not table.gain
     assert twin.bits == table.bits and twin.bits is not table.bits
-    for _ in range(50):  # built caches, then moves through them, then forks
+    for _ in range(50):  # built caches, then walk steps through them, then forks
         for v in r.sample(range(n), r.randrange(1, n)):
             sol.bits[v] ^= 1
         evaluate(inst, sol)
         cached = inst._gain_table(sol)
         assert cached.pos == _positive(cached) and cached.gain == _fresh_gains(inst, sol)
-        mover = sol if r.random() < 0.5 else sol.copy()  # a copy forks the table sol owns
-        for _ in range(3):
-            v = r.randrange(n)
-            inst.apply_move(mover, Move("transfer", v, None, None, inst._gain_table(mover).gain[v]))
+        mover = sol if r.random() < 0.5 else sol.copy()  # a copy's step forks the table sol owns
+        walk = inst.new_walk(mover, PartitionSolution([1 - x for x in mover.bits]))
+        for v in r.sample(range(n), 3):
+            walk.take(0, Move("transfer", v, None, None, inst._gain_table(mover).gain[v]))
             for t in inst._tables:
                 assert t.pos == _positive(t)
                 assert t.gain == _fresh_gains(inst, t)
@@ -522,12 +526,13 @@ def test_walk_heads_keep_their_gain_tables(monkeypatch, direction, in_path):
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["forward", "mixed"])
 def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
-    # a walk head holds its table and a copy of it, moved as an in-path
-    # search moves it, owns a fork. Only the walk moves its heads while it
-    # runs, so bits are flipped by hand on the copy during a walk and on a
-    # head between walks, and the walk after that flip is a fresh one: every
-    # gain, pick and relinking delta stays exact
-    from grasppr.core import Move
+    # a walk head holds its table, and an in-path search's copy of it owns
+    # a fork. Only the walk moves its heads while it runs, so bits are
+    # flipped by hand on the copy during a walk and on a head between
+    # walks, and the walk after that flip is a fresh one: every gain, pick
+    # and relinking delta stays exact
+    from grasppr.core import RandomStream
+    from grasppr.local_search import local_search
 
     r = oracles.make_rng(110 + mixed)
     n = 80
@@ -550,10 +555,8 @@ def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
         assert [(m.element, m.delta) for m in steps] == oracles.top_relink_flips(edges, cur.bits, other.bits, n)
         walk.take(mover, steps[0])
         assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
-        copy = cur.copy()
-        v = r.randrange(n)
-        inst.apply_move(copy, Move("transfer", v, None, None, inst._gain_table(copy).gain[v]))
-        assert inst._gain_table(copy).owner is copy and inst._gain_table(cur).owner is cur
+        copy = local_search(inst, cur, FIRST, RandomStream(step))  # an in-path search
+        assert copy.bits != cur.bits and inst._gain_table(copy).owner is copy and inst._gain_table(cur).owner is cur
         copy.bits[r.randrange(n)] ^= 1  # by hand, on the in-path copy, during the walk
         evaluate(inst, copy)
         for sol in (cur, copy):
@@ -575,11 +578,11 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
     from grasppr.path_relinking import PrConfig, relink
 
     lookups, scans, ranked = [], [], []
-    match, scan, candidates = MaxCutInstance._matching_table, MaxCutInstance.moves, MaxCutInstance.pr_candidates
+    lookup, scan, candidates = MaxCutInstance._gain_table, MaxCutInstance.moves, MaxCutInstance.pr_candidates
 
-    def counting_match(self, solution):
+    def counting_lookup(self, solution):
         lookups.append(solution)
-        return match(self, solution)
+        return lookup(self, solution)
 
     def counting_scan(self, *args):
         move = None
@@ -592,7 +595,7 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
         ranked.append(len(out))
         return out
 
-    monkeypatch.setattr(MaxCutInstance, "_matching_table", counting_match)
+    monkeypatch.setattr(MaxCutInstance, "_gain_table", counting_lookup)
     monkeypatch.setattr(MaxCutInstance, "moves", counting_scan)
     monkeypatch.setattr(MaxCutInstance, "pr_candidates", counting_candidates)
     r = oracles.make_rng(105)
@@ -628,9 +631,10 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
 
 
 def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
-    # a built table's owner is the solution that asked for it, whose moves
-    # flip it in place; a move by a copy with the same bits forks it with
-    # exact gains and leaves the old table as it was
+    # a built table's owner is the solution that asked for it, whose walk
+    # steps flip it in place; a step by a copy with the same bits forks it
+    # with exact gains and leaves the old table as it was. apply_move flips
+    # no table: the next lookup builds one
     from grasppr.core import Move
 
     r = oracles.make_rng(120)
@@ -639,15 +643,16 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     inst = MaxCutInstance(n, edges)
     sol = PartitionSolution(oracles.rand_bits(r, n))
     evaluate(inst, sol)
+    guide = PartitionSolution([1 - x for x in sol.bits])
     counts = _count_cache_work(monkeypatch)
     table = inst._gain_table(sol)
     assert table.owner is sol
-    inst.apply_move(sol, Move("transfer", 0, None, None, table.gain[0]))
+    inst.new_walk(sol, guide).take(0, Move("transfer", 0, None, None, table.gain[0]))
     assert counts == {"builds": 1, "flips": 1, "forks": 0}
     assert inst._gain_table(sol) is table and table.owner is sol
     heir = sol.copy()
     old = (list(table.bits), list(table.gain), set(table.pos))
-    inst.apply_move(heir, Move("transfer", 1, None, None, table.gain[1]))
+    inst.new_walk(heir, guide).take(0, Move("transfer", 1, None, None, table.gain[1]))
     assert counts == {"builds": 1, "flips": 2, "forks": 1}
     twin = inst._gain_table(heir)
     assert twin is not table and twin.owner is heir and table.owner is sol
@@ -655,11 +660,18 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
     assert (table.bits, table.gain, table.pos) == old
     assert inst._gain_table(sol) is table and table.gain == _fresh_gains(inst, sol)
+    old, before = (list(twin.bits), list(twin.gain), set(twin.pos)), dict(counts)
+    inst.apply_move(heir, Move("transfer", 2, None, None, twin.gain[2]))
+    assert counts == before and (twin.bits, twin.gain, twin.pos) == old
+    assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
+    rebuilt = inst._gain_table(heir)
+    assert counts == {**before, "builds": before["builds"] + 1} and rebuilt.owner is heir
+    assert rebuilt.gain == _fresh_gains(inst, heir)
 
 
 def test_apply_move_refuses_a_vertex_out_of_range():
-    # element -1 would flip vertex n - 1 in the solution and corrupt the table
-    # the solution owns; it raises before any change, and the picks stay exact
+    # element -1 would flip vertex n - 1 of the solution; it raises before
+    # any change, and the picks stay exact
     from grasppr.core import Move
 
     edges = [(0, 1, 3), (1, 2, 2), (2, 3, 5), (0, 3, 1)]

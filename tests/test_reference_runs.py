@@ -2,11 +2,12 @@
 
 drivers.run on a fast instance and on oracles.RefLop / oracles.RefMaxCut
 over the same data must give equal reports, apart from the times. The
-reference instances score every candidate at every step and keep no state
-between calls, so a difference shows a cache of the fast kernels (the LOP
-insert scan, the max-cut gain tables and their owners and forks) that went
-wrong somewhere inside a run: across relinking walks, in-path searches,
-restarts or the pool phases.
+reference instances score every candidate at every step, keep no state
+between calls, and climb with the naive loop of _RefInstance.descend. So a
+difference shows search state of the fast kernels that went wrong somewhere
+inside a run: the insert scan an LOP descent holds, the max-cut gain tables
+with their owners and forks, or a table a descent or walk holds; across
+relinking walks, in-path searches, restarts or the pool phases.
 """
 
 from hypothesis import Phase, given, settings
