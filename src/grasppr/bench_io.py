@@ -500,6 +500,8 @@ class RunRow(NamedTuple):
     iterations: int
     elapsed_s: float
     restarts: int
+    pr_calls: int
+    pr_improvements: int
 
 
 @functools.lru_cache(maxsize=1)
@@ -522,6 +524,8 @@ def run_cell(spec: CellSpec) -> RunRow:
             iterations=report.iterations,
             elapsed_s=report.elapsed_s,
             restarts=report.restarts,
+            pr_calls=report.pr_calls,
+            pr_improvements=report.pr_improvements,
         )
     except Exception as exc:
         _instance.cache_clear()  # a failed run may leave a cached max-cut gain table half flipped

@@ -95,12 +95,9 @@ def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: floa
 def construct(instance: ProblemInstance, cfg: RclConfig, rng: RandomStream) -> Solution:
     """One semi-greedy construction: repeatedly pick uniformly from the RCL.
 
-    The builder lists each step's RCL (see rcl_from_columns for its rules);
-    with alpha == 0 every step is deterministic greedy, making the whole
-    construction a pure function of the instance.
+    Each problem runs the whole loop itself (ProblemInstance.construct), with
+    each step's RCL by the rules of rcl_from_columns; with alpha == 0 every
+    step is deterministic greedy, making the whole construction a pure
+    function of the instance.
     """
-    builder = instance.new_construction()
-    while not builder.complete:
-        alpha = rng.alpha_in(cfg.alpha_low, cfg.alpha_high)
-        builder.add(rng.pick(builder.rcl(cfg.mode, alpha)))
-    return builder.build()
+    return instance.construct(cfg, rng)

@@ -104,8 +104,8 @@ class Move(NamedTuple):
 
 class ProblemInstance(ABC):
     """Immutable problem data plus the hooks the generic search modules drive:
-    construction, the descent of a local search with the moves() scan each
-    of its passes runs, and the relinking steps of a walk."""
+    a whole construction (construct), the descent of a local search with the
+    moves() scan each of its passes runs, and the relinking steps of a walk."""
 
     n: int
 
@@ -114,13 +114,14 @@ class ProblemInstance(ABC):
         """Exact objective of a complete solution."""
 
     @abstractmethod
-    def new_construction(self):
-        """Fresh construction builder: rcl(mode, alpha) / add(key) / complete / build().
+    def construct(self, rcl, rng: "RandomStream") -> Solution:
+        """One semi-greedy construction, its exact objective cached: the search
+        evaluates no construction. rcl is a construction.RclConfig.
 
-        rcl(mode, alpha) lists the restricted candidate keys of the next step
-        in the order construction draws from; a single key is the greedy
-        choice and costs no draw. build() returns the complete solution with
-        its exact objective cached: the search evaluates no construction.
+        Each step draws alpha with rng.alpha_in(rcl.alpha_low, rcl.alpha_high),
+        then one key with rng.pick from the step's restricted candidate list,
+        ordered as construction.rcl_from_columns lists it; a single key is the
+        greedy choice and costs no draw.
         """
 
     @abstractmethod
@@ -137,11 +138,6 @@ class ProblemInstance(ABC):
         """
 
     @abstractmethod
-    def apply_move(self, solution: Solution, move: Move) -> None:
-        """Apply a move in place, keeping cached_objective consistent; a position
-        or vertex outside 0..n-1, which no kernel produces, raises ValueError."""
-
-    @abstractmethod
     def descend(
         self, solution: Solution, depth: SearchDepth, rng: "RandomStream", should_stop: Optional[Callable[[], bool]]
     ) -> None:
@@ -156,7 +152,8 @@ class ProblemInstance(ABC):
 
     def new_walk(self, a: Solution, b: Solution) -> "Walk":
         """A relinking walk that moves a and b in place: the base Walk, which
-        needs pr_candidates(current, guiding, k), unless the problem overrides it."""
+        needs pr_candidates(current, guiding, k) and apply_move(solution, move),
+        unless the problem overrides it."""
         return Walk(self, a, b)
 
 
@@ -166,7 +163,8 @@ class Walk:
     ranked(i, k) is the instance's pr_candidates(heads[i], heads[1 - i], k):
     at most k Moves that take heads[i] toward the other head without
     reaching it, by descending delta, ties to the lower element. take(i,
-    move) applies one of them to heads[i]. A problem that tracks state
+    move) applies one of them to heads[i] with the instance's apply_move,
+    which keeps cached_objective consistent. A problem that tracks state
     across steps subclasses it.
     """
 

@@ -21,7 +21,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .construction import rcl_from_columns
+from .construction import RclConfig, rcl_from_columns
 from .core import _INT32, Move, PermutationSolution, ProblemInstance, RandomStream, SearchDepth
 
 # The insert scan packs one w-bit field per element into a Python int, and
@@ -83,41 +83,6 @@ class _InsertScan:
     lows: list[int]
 
 
-class _LopBuilder:
-    """Appends one vertex per step; g(v) = objective increase of appending v.
-
-    The unplaced vertices stay ascending, their gains in a parallel list: the
-    two columns rcl_from_columns reads, both updated in one pass per add().
-    """
-
-    def __init__(self, inst: "LopInstance"):
-        self.inst = inst
-        self.order: list[int] = []
-        self.unplaced = list(range(inst.n))
-        self.gains = [0] * inst.n  # gains[i]: sum of cost[u][unplaced[i]] over placed u
-        self.objective = 0
-
-    @property
-    def complete(self) -> bool:
-        return not self.unplaced
-
-    def rcl(self, mode: str, alpha: float) -> list[int]:
-        return rcl_from_columns(self.unplaced, self.gains, mode, alpha)
-
-    def add(self, v: int) -> None:
-        i = bisect_left(self.unplaced, v)
-        if self.unplaced[i : i + 1] != [v]:
-            raise ValueError(f"vertex {v} already placed or not in 0..{self.inst.n - 1}")
-        del self.unplaced[i]
-        self.objective += self.gains.pop(i)
-        self.order.append(v)
-        row = self.inst.cost[v]
-        self.gains = [g + row[u] for g, u in zip(self.gains, self.unplaced)]
-
-    def build(self) -> PermutationSolution:
-        return PermutationSolution(self.order, self.objective)
-
-
 class LopInstance(ProblemInstance):
     def __init__(self, cost: Sequence[Sequence[int]]):
         n = len(cost)
@@ -157,8 +122,27 @@ class LopInstance(ProblemInstance):
                 total += row[order[j]]
         return total
 
-    def new_construction(self) -> _LopBuilder:
-        return _LopBuilder(self)
+    def construct(self, rcl: RclConfig, rng: RandomStream) -> PermutationSolution:
+        """Appends one vertex per step; g(v) = objective increase of appending v.
+
+        The unplaced vertices stay ascending, their gains in a parallel list:
+        the two columns rcl_from_columns reads, both updated in one pass per step.
+        """
+        cost, mode, low, high = self.cost, rcl.mode, rcl.alpha_low, rcl.alpha_high
+        order: list[int] = []
+        unplaced = list(range(self.n))
+        gains = [0] * self.n  # gains[i]: sum of cost[u][unplaced[i]] over placed u
+        objective = 0
+        while unplaced:
+            alpha = rng.alpha_in(low, high)
+            v = rng.pick(rcl_from_columns(unplaced, gains, mode, alpha))
+            i = bisect_left(unplaced, v)
+            del unplaced[i]
+            objective += gains.pop(i)
+            order.append(v)
+            row = cost[v]
+            gains = [g + row[u] for g, u in zip(gains, unplaced)]
+        return PermutationSolution(order, objective)
 
     def _skew_rows(self) -> tuple[tuple[int, ...], ...]:
         if self._skew is None:

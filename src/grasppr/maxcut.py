@@ -18,8 +18,8 @@ and the other head of a mixed walk each keep their own table.
 
 Only the holder moves that solution while it holds the table: a descent's
 solution is local_search's private copy, and a walk's moving heads are
-relink's copies. apply_move and hand edits touch no table; the next
-lookup's bits comparison is the only test of validity, so both stay exact.
+relink's copies. Hand edits touch no table; the next lookup's bits
+comparison is the only test of validity, so they stay exact.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left, insort
 from itertools import chain, compress
 from typing import Callable, Iterator, Optional, Sequence
 
-from .construction import rcl_from_buckets
+from .construction import VALUE, RclConfig, _value_threshold, rcl_from_buckets
 from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream, SearchDepth, Walk
 
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
@@ -90,64 +90,6 @@ class GainTable:
                     pos.add(u)
             elif was > 0:
                 pos.discard(u)
-
-
-class _MaxCutBuilder:
-    """Assigns one vertex per step; the seed vertex is forced to side 1.
-
-    Key 2v + side assigns v to side; its gain is the weight toward
-    already-assigned vertices on the other side, i.e. the exact cut increase
-    of the assignment. The unassigned keys sit in buckets by exact gain, each
-    bucket sorted, so a step reads the RCL off the top buckets instead of
-    scoring every candidate, and add() moves O(degree) keys between buckets.
-    """
-
-    def __init__(self, inst: "MaxCutInstance"):
-        self.inst = inst
-        self.assigned: list[int | None] = [None] * inst.n
-        self.gain = [0] * (2 * inst.n)  # per key
-        self.buckets: dict[int, list[int]] = {0: list(range(2 * inst.n))}  # gain -> sorted keys
-        self.objective = 0
-        self.count = 0
-        self.add(2 * inst._seed_vertex() + 1)
-
-    @property
-    def complete(self) -> bool:
-        return self.count == self.inst.n
-
-    def rcl(self, mode: str, alpha: float) -> list[int]:
-        """This step's RCL; it may be one of the builder's buckets, so read it before the next add."""
-        return rcl_from_buckets(self.buckets, 2 * (self.inst.n - self.count), mode, alpha)
-
-    def add(self, key: int) -> None:
-        v, side = divmod(key, 2)
-        assigned, gain, buckets = self.assigned, self.gain, self.buckets
-        if assigned[v] is not None:
-            raise ValueError(f"vertex {v} already assigned")
-        self.objective += gain[key]
-        assigned[v] = side
-        self.count += 1
-        for k in (2 * v, 2 * v + 1):  # both of v's keys leave the candidate list
-            g = gain[k]
-            keys = buckets[g]
-            del keys[bisect_left(keys, k)]
-            if not keys:
-                del buckets[g]
-        other = 1 - side
-        for u, w in self.inst.adj[v]:
-            if assigned[u] is None:  # key k moves from bucket g to bucket g + w
-                k = 2 * u + other
-                g = gain[k]
-                keys = buckets[g]
-                del keys[bisect_left(keys, k)]
-                if not keys:
-                    del buckets[g]
-                g += w
-                gain[k] = g
-                insort(buckets.setdefault(g, []), k)
-
-    def build(self) -> PartitionSolution:
-        return PartitionSolution(self.assigned, self.objective)
 
 
 class MaxCutInstance(ProblemInstance):
@@ -214,8 +156,57 @@ class MaxCutInstance(ProblemInstance):
         bits = solution.bits
         return sum(w for i, j, w in self.edges if bits[i] != bits[j])
 
-    def new_construction(self) -> _MaxCutBuilder:
-        return _MaxCutBuilder(self)
+    def construct(self, rcl: RclConfig, rng: RandomStream) -> PartitionSolution:
+        """Assigns one vertex per step; the seed vertex is forced to side 1.
+
+        Key 2v + side assigns v to side; its gain is the weight toward
+        already-assigned vertices on the other side, i.e. the exact cut
+        increase of the assignment. The unassigned keys sit in buckets by
+        exact gain, each bucket sorted, so a step reads the RCL off the top
+        buckets instead of scoring every candidate, and an assignment moves
+        O(degree) keys between buckets. A value step whose threshold is at or
+        above g_max (most steps, and the g_max < 0 fallback) draws from the
+        top bucket itself; every other step asks rcl_from_buckets.
+        """
+        n, adj, mode = self.n, self.adj, rcl.mode
+        low, high, value = rcl.alpha_low, rcl.alpha_high, mode == VALUE
+        alpha_in, pick = rng.alpha_in, rng.pick
+        bits: list = [None] * n  # None: not yet assigned
+        gain = [0] * (2 * n)  # per key
+        buckets: dict[int, list[int]] = {0: list(range(2 * n))}  # gain -> sorted keys
+        objective, size = 0, 2 * n  # size: keys left in the buckets
+        key = 2 * self._seed_vertex() + 1
+        while True:
+            v, side = key >> 1, key & 1
+            objective += gain[key]
+            bits[v] = side
+            for k in (2 * v, 2 * v + 1):  # both of v's keys leave the candidate list
+                g = gain[k]
+                keys = buckets[g]
+                del keys[bisect_left(keys, k)]
+                if not keys:
+                    del buckets[g]
+            size -= 2
+            if not size:
+                return PartitionSolution(bits, objective)
+            other = 1 - side
+            for u, w in adj[v]:
+                if bits[u] is None:  # key k moves from bucket g to bucket g + w
+                    k = 2 * u + other
+                    g = gain[k]
+                    keys = buckets[g]
+                    del keys[bisect_left(keys, k)]
+                    if not keys:
+                        del buckets[g]
+                    g += w
+                    gain[k] = g
+                    insort(buckets.setdefault(g, []), k)
+            alpha = alpha_in(low, high)
+            g_max = max(buckets)
+            if value and alpha and _value_threshold(g_max, alpha) >= g_max:
+                key = pick(buckets[g_max])
+            else:
+                key = pick(rcl_from_buckets(buckets, size, mode, alpha))
 
     def _cache(self, table: GainTable) -> GainTable:
         self._tables.insert(0, table)
@@ -280,15 +271,6 @@ class MaxCutInstance(ProblemInstance):
             table = self._own_table(solution, table)
             bits[move.element] ^= 1
             table.apply_flip(move.element)
-            solution.cached_objective += move.delta
-
-    def apply_move(self, solution: PartitionSolution, move: Move) -> None:
-        if move.kind != "transfer":
-            raise ValueError(f"not a partition move: {move.kind}")
-        if not 0 <= move.element < self.n:
-            raise ValueError(f"vertex {move.element} not in 0..{self.n - 1}")
-        solution.bits[move.element] ^= 1
-        if solution.cached_objective is not None:
             solution.cached_objective += move.delta
 
     def new_walk(self, a: PartitionSolution, b: PartitionSolution) -> "_MaxCutWalk":

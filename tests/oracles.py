@@ -11,6 +11,7 @@ built from the functions here.
 
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -151,6 +152,26 @@ def _greedy_keys(entries):
     return [key for key, g in entries if g == g_max]
 
 
+def step_kind(entries, mode, alpha):
+    """Which rule gives a construction step its RCL over (key, gain) entries:
+    "greedy" for alpha 0, "cardinality", or for a value step "fallback" (the
+    literal list is empty, as g_max < 0), "bucket" (no int gain below g_max
+    could pass the threshold), "merged" (keys of several gains pass) or
+    "sparse" (lower gains could pass, but no candidate has one)."""
+    if alpha == 0.0:
+        return "greedy"
+    if mode != "value":
+        return "cardinality"
+    literal = build_rcl_value(entries, alpha)
+    if not literal:
+        return "fallback"
+    g_max = max(g for _, g in entries)
+    if (1.0 - alpha) * g_max > g_max - 1:
+        return "bucket"
+    gains = dict(entries)
+    return "merged" if len({gains[key] for key in literal}) > 1 else "sparse"
+
+
 def rcl_from_entries(entries, mode, alpha):
     """The documented RCL of one construction step over (key, gain) entries:
     the lowest argmax key for alpha 0, else the value or cardinality list,
@@ -256,6 +277,24 @@ def first_move(moves):
     return None
 
 
+def apply(instance, solution, move):
+    """The naive reference move, made by hand: an insert moves order[from_pos]
+    to to_pos, a transfer flips bits[element], and cached_objective, if
+    set, gains move.delta. A position or vertex outside 0..instance.n - 1
+    raises IndexError before any change; it touches no instance state."""
+    if move.kind == "insert":
+        order = solution.order
+        if not (0 <= move.from_pos < instance.n and 0 <= move.to_pos < instance.n):
+            raise IndexError(f"insert positions ({move.from_pos}, {move.to_pos}) not in 0..{instance.n - 1}")
+        order.insert(move.to_pos, order.pop(move.from_pos))
+    else:
+        if not 0 <= move.element < instance.n:
+            raise IndexError(f"vertex {move.element} not in 0..{instance.n - 1}")
+        solution.bits[move.element] ^= 1
+    if solution.cached_objective is not None:
+        solution.cached_objective += move.delta
+
+
 def chosen(instance, solution, depth, offset=0):
     """The move a local-search pass applies: the last yield of
     instance.moves(solution, offset, depth) with the scan run to its end."""
@@ -265,31 +304,23 @@ def chosen(instance, solution, depth, offset=0):
     return move
 
 
-class _RefBuilder:
-    """A construction that scores every candidate key at every step: the
-    instance's entries(chosen) lists them as (key, gain), and its
-    finish(chosen) makes the solution."""
-
-    def __init__(self, instance, chosen):
-        self.instance, self.chosen = instance, chosen
-
-    @property
-    def complete(self):
-        return len(self.chosen) == self.instance.n
-
-    def rcl(self, mode, alpha):
-        return rcl_from_entries(self.instance.entries(self.chosen), mode, alpha)
-
-    def add(self, key):
-        self.chosen.append(key)
-
-    def build(self):
-        return self.instance.finish(self.chosen)
-
-
 class _RefInstance(ProblemInstance):
-    """Moves picked from all_moves, applied naively, with the objective
-    recomputed from scratch; relinking by the default walk."""
+    """A construction that scores every candidate key at every step, moves
+    picked from all_moves and applied naively, with the objective recomputed
+    from scratch; relinking by the default walk."""
+
+    def construct(self, rcl, rng):
+        """The documented construction: each step draws alpha, lists the
+        candidates as (key, gain) with the instance's entries(chosen), and
+        picks from rcl_from_entries; finish(chosen) makes the solution.
+        steps counts the step_kind of every step of every construction."""
+        chosen = self.start()
+        while len(chosen) < self.n:
+            alpha = rng.alpha_in(rcl.alpha_low, rcl.alpha_high)
+            entries = self.entries(chosen)
+            self.steps[step_kind(entries, rcl.mode, alpha)] += 1
+            chosen.append(rng.pick(rcl_from_entries(entries, rcl.mode, alpha)))
+        return self.finish(chosen)
 
     def moves(self, solution, offset, depth):
         scan = all_moves(self, solution, offset)
@@ -313,14 +344,15 @@ class _RefInstance(ProblemInstance):
             self.apply_move(solution, move)
 
     def apply_move(self, solution, move):
-        self.change(solution, move)
+        apply(self, solution, move)
         if solution.cached_objective is not None:
-            solution.cached_objective = self.evaluate(solution)
+            solution.cached_objective = self.evaluate(solution)  # from scratch, not by the delta
 
 
 class RefLop(_RefInstance):
     def __init__(self, cost):
         self.cost, self.n = cost, len(cost)
+        self.steps = Counter()
 
     def evaluate(self, solution):
         return lop_value(self.cost, solution.order)
@@ -331,11 +363,8 @@ class RefLop(_RefInstance):
     def finish(self, order):
         return PermutationSolution(order, lop_value(self.cost, order))
 
-    def new_construction(self):
-        return _RefBuilder(self, [])
-
-    def change(self, solution, move):
-        solution.order.insert(move.to_pos, solution.order.pop(move.from_pos))
+    def start(self):
+        return []
 
     def pr_candidates(self, current, guiding, k):
         cur, tgt = current.order, guiding.order
@@ -357,6 +386,7 @@ class RefMaxCut(_RefInstance):
             key = (min(i, j), max(i, j))
             merged[key] = merged.get(key, 0) + w
         self.n = n
+        self.steps = Counter()
         self.edges = [(i, j, w) for (i, j), w in merged.items()]
         self.adj = [[] for _ in range(n)]
         for i, j, w in self.edges:
@@ -382,13 +412,10 @@ class RefMaxCut(_RefInstance):
             bits[k // 2] = k % 2
         return PartitionSolution(bits, cut_value(self.edges, bits))
 
-    def new_construction(self):
+    def start(self):
         # the seed vertex, on side 1: largest weighted degree, lowest id on ties
         seed = max(range(self.n), key=lambda v: (sum(w for _, w in self.adj[v]), -v))
-        return _RefBuilder(self, [2 * seed + 1])
-
-    def change(self, solution, move):
-        solution.bits[move.element] ^= 1
+        return [2 * seed + 1]
 
     def pr_candidates(self, current, guiding, k):
         flips = top_relink_flips(self.edges, current.bits, guiding.bits, k)

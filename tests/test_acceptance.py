@@ -84,7 +84,7 @@ def test_criterion_03_delta_evaluation_exactness():
             )
             for move in filter(None, picked):
                 after = sol.copy()
-                inst.apply_move(after, move)
+                oracles.apply(inst, after, move)
                 assert value(after) == before + move.delta
                 assert after.cached_objective == before + move.delta
 

@@ -626,25 +626,25 @@ def test_compute_stats_against_best_known():
     assert by["m2"].best_known == 1 and by["m2"].dev_known_pct == pytest.approx(-10.0)
 
 
-def _row(method, instance, seed, best=1, iters=2, elapsed=0.5, restarts=0):
-    return RunRow(method, instance, seed, best, iters, elapsed, restarts)
+def _row(method, instance, seed, best=1, iters=2, elapsed=0.5, restarts=0, pr_calls=0, pr_improvements=0):
+    return RunRow(method, instance, seed, best, iters, elapsed, restarts, pr_calls, pr_improvements)
 
 
 def test_write_results_csv_sorted_and_formatted():
     rows = [
         _row("b", "x", 2),
-        _row("a", "y", 1, best=7, elapsed=1.25),
+        _row("a", "y", 1, best=7, elapsed=1.25, pr_calls=4, pr_improvements=1),
         _row("a", "x", 3),
         _row("a", "x", 1),
     ]
     sink = io.StringIO()
     write_results_csv(rows, sink)
     lines = sink.getvalue().splitlines()
-    assert lines[0] == "method,instance,seed,best_objective,iterations,elapsed_s,restarts"
-    assert lines[1] == "a,x,1,1,2,0.500000,0"
-    assert lines[2] == "a,x,3,1,2,0.500000,0"
-    assert lines[3] == "a,y,1,7,2,1.250000,0"
-    assert lines[4] == "b,x,2,1,2,0.500000,0"
+    assert lines[0] == "method,instance,seed,best_objective,iterations,elapsed_s,restarts,pr_calls,pr_improvements"
+    assert lines[1] == "a,x,1,1,2,0.500000,0,0,0"
+    assert lines[2] == "a,x,3,1,2,0.500000,0,0,0"
+    assert lines[3] == "a,y,1,7,2,1.250000,0,4,1"
+    assert lines[4] == "b,x,2,1,2,0.500000,0,0,0"
 
 
 def test_compute_stats_takes_each_methods_best_over_seeds():
@@ -809,12 +809,18 @@ def _fresh_rows(cells):
     rows = []
     for c in cells:
         report = run(load_instance(c.instance_path, c.problem), build_run_config(c.problem, dict(c.options), c.seed, None, c.iteration_limit))
-        rows.append((c.method, c.instance_name, c.seed, report.best_objective, report.iterations, report.restarts))
+        rows.append(
+            (c.method, c.instance_name, c.seed, report.best_objective, report.iterations, report.restarts,
+             report.pr_calls, report.pr_improvements)
+        )
     return rows
 
 
 def _strip(rows):
-    return [(r.method, r.instance, r.seed, r.best_objective, r.iterations, r.restarts) for r in rows]
+    return [
+        (r.method, r.instance, r.seed, r.best_objective, r.iterations, r.restarts, r.pr_calls, r.pr_improvements)
+        for r in rows
+    ]
 
 
 def test_run_grid_reuses_one_parse_per_file_run(tmp_path):
@@ -830,6 +836,18 @@ def test_run_grid_reuses_one_parse_per_file_run(tmp_path):
     with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
         assert _strip(run_grid(alternating, jobs=1)) == _fresh_rows(alternating)
     assert loads.call_count == 4
+
+
+def test_run_cell_reports_the_relinking_counts(tmp_path):
+    path = tmp_path / "r.mat"
+    path.write_text(serialize_lolib(LopInstance(oracles.rand_lop_matrix(oracles.make_rng(75), 10)), name="r"))
+    spec = CellSpec(LOP, str(path), "r", "dynamic_pr", (("elite-k", "4"), ("variant", "dynamic_pr")), 1, None, 12)
+    report = run(load_instance(spec.instance_path, LOP), build_run_config(LOP, dict(spec.options), 1, None, 12))
+    row = run_cell(spec)
+    bench_io._instance.cache_clear()
+    assert report.pr_calls > 0
+    assert (row.restarts, row.pr_calls, row.pr_improvements) == (0, report.pr_calls, report.pr_improvements)
+    assert RunRow._fields.index("elapsed_s") == 5  # the column the determinism tests mask
 
 
 def test_run_grid_sees_a_file_rewritten_between_calls(tmp_path):

@@ -323,7 +323,7 @@ def test_bench_end_to_end_and_determinism(tmp_path, capsys):
     assert "wrote" in out
     results = (tmp_path / "run1" / "results.csv").read_text()
     lines = results.splitlines()
-    assert lines[0] == "method,instance,seed,best_objective,iterations,elapsed_s,restarts"
+    assert lines[0] == "method,instance,seed,best_objective,iterations,elapsed_s,restarts,pr_calls,pr_improvements"
     assert len(lines) == 1 + 2 * 2 * 2
     labels = {line.split(",")[0] for line in lines[1:]}
     assert labels == {"grasp", "grasp:depth=best"}  # raw specs are the labels

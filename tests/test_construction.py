@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from grasppr.construction import (
     rcl_from_buckets,
     rcl_from_columns,
 )
-from grasppr.core import RandomStream
+from grasppr.core import RandomStream, SearchDepth
+from grasppr import maxcut
+from grasppr.local_search import local_search
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MaxCutInstance
 
@@ -144,77 +148,110 @@ def test_negative_gmax_falls_back_to_greedy_argmax():
         assert sorted(sol.order) == list(range(5))
 
 
-def _maxcut_entries(inst, assigned):
-    # key 2v + side gains the weight toward assigned vertices on the other side
-    return [
-        (2 * v + side, sum(w for u, w in inst.adj[v] if assigned[u] is not None and assigned[u] != side))
-        for v in range(inst.n)
-        if assigned[v] is None
-        for side in (0, 1)
-    ]
+# the alpha ranges of the construction differentials: greedy, default,
+# mid-range, full and pure random; (1, 1) picks among all candidates, so it
+# reaches the states greedy steps never would
+ALPHA_RANGES = ((0.0, 0.0), (0.0, 0.3), (0.3, 0.5), (0.0, 1.0), (1.0, 1.0))
 
 
-def _lop_entries(inst, order):
-    return [(v, sum(inst.cost[u][v] for u in order)) for v in range(inst.n) if v not in order]
+def _reference(inst):
+    if isinstance(inst, MaxCutInstance):
+        return oracles.RefMaxCut(inst.n, inst.edges)
+    return oracles.RefLop(inst.cost)
 
 
-def test_builder_rcl_matches_reference_selection():
-    # after every add, each builder's rcl equals the reference over entries
-    # computed from scratch; random adds reach states greedy steps never would
+def assert_constructs_as_reference(inst, seeds=(1, 2), constructions=2):
+    """Whole constructions in both modes and every alpha range equal the
+    reference's from-scratch ones: same solutions, objectives and draws,
+    then the same next rng.random(). Returns the reference's step kinds."""
+    ref = _reference(inst)
+    for mode in (VALUE, CARDINALITY):
+        for low, high in ALPHA_RANGES:
+            cfg = RclConfig(mode=mode, alpha_low=low, alpha_high=high)
+            for seed in seeds:
+                rng, ref_rng = RandomStream(seed), RandomStream(seed)
+                for _ in range(constructions):  # consecutive constructions from one stream
+                    sol, want = construct(inst, cfg, rng), ref.construct(cfg, ref_rng)
+                    assert sol == want, (mode, low, high, seed)
+                    assert sol.cached_objective == want.cached_objective, (mode, low, high, seed)
+                assert rng.random() == ref_rng.random(), (mode, low, high, seed)
+    return ref.steps
+
+
+def test_construction_matches_reference_construction():
+    # signed, all-negative, all-ties and 32-bit extreme instances, and LOP n = 2;
+    # every value rule occurs on each problem's reference side
     r = oracles.make_rng(43)
-    alphas = (0.0, 1e-9, 0.3, 0.5, 1.0)
     instances = [
         MaxCutInstance(12, oracles.rand_edges(r, 12, 0.4, -5, 10)),
         MaxCutInstance(10, oracles.rand_edges(r, 10, 1.0, -9, -1)),  # g_max < 0 once both sides are used
         MaxCutInstance(14, oracles.rand_edges(r, 14, 0.3, 1, 1)),  # ties everywhere
         MaxCutInstance(16, oracles.rand_edges(r, 16, 0.5, -10**6, 10**6)),
+        MaxCutInstance(9, [(i, j, r.choice((-(2**31), 2**31 - 1))) for i in range(9) for j in range(i + 1, 9)]),
         LopInstance(oracles.rand_lop_matrix(r, 9, -20, 20)),
         LopInstance(oracles.rand_lop_matrix(r, 2, -20, 20)),
         LopInstance(oracles.rand_lop_matrix(r, 12, 0, 1)),  # ties everywhere
         LopInstance(oracles.rand_lop_matrix(r, 8, -9, -1)),  # g_max < 0 from the second step on
         LopInstance([[r.choice((-(2**31 - 1), 2**31 - 1)) for _ in range(10)] for _ in range(10)]),
     ]
-    negative_max = {MaxCutInstance: 0, LopInstance: 0}
+    steps = {MaxCutInstance: Counter(), LopInstance: Counter()}
     for inst in instances:
-        for _ in range(4):
-            builder = inst.new_construction()
-            while not builder.complete:
-                if isinstance(inst, MaxCutInstance):
-                    entries = _maxcut_entries(inst, builder.assigned)
-                else:
-                    entries = _lop_entries(inst, builder.order)
-                negative_max[type(inst)] += max(g for _, g in entries) < 0
-                for mode in (VALUE, CARDINALITY):
-                    for alpha in alphas:
-                        assert builder.rcl(mode, alpha) == oracles.rcl_from_entries(entries, mode, alpha), (mode, alpha)
-                builder.add(r.choice(entries)[0])
-    assert all(negative_max.values())
+        steps[type(inst)] += assert_constructs_as_reference(inst)
+    for kinds in steps.values():
+        assert all(kinds[kind] for kind in ("bucket", "merged", "fallback")), kinds
 
 
-def test_maxcut_value_rcl_bucket_and_merge_steps_match_reference():
-    # a value step that one bucket passes returns that bucket itself (no copy);
-    # a step that several pass merges them. On signed mid-size graphs both
-    # occur, and the g_max < 0 fallback too; every step equals the reference
+def test_maxcut_value_shortcut_takes_exactly_the_one_bucket_steps(monkeypatch):
+    # a value step that only the top bucket can pass (or the g_max < 0
+    # fallback) draws from that bucket without rcl_from_buckets; every other
+    # step asks it. On signed mid-size graphs every kind of step occurs, and
+    # each construction equals the reference's
+    calls = Counter()
+
+    def counted(*args):
+        calls["rcl_from_buckets"] += 1
+        return rcl_from_buckets(*args)
+
+    monkeypatch.setattr(maxcut, "rcl_from_buckets", counted)
     r = oracles.make_rng(45)
-    rng = RandomStream(45)
-    alphas = (0.3, 0.5, 1.0)
-    steps = {"bucket": 0, "merged": 0, "fallback": 0}
+    steps = Counter()
     for n, p in ((60, 0.2), (80, 0.15), (100, 0.1)):
-        inst = MaxCutInstance(n, oracles.rand_edges(r, n, p, -5, 5))
-        for construction in range(2):
-            builder = inst.new_construction()
-            while not builder.complete:
-                entries = _maxcut_entries(inst, builder.assigned)
-                for alpha in alphas:
-                    for mode in (VALUE, CARDINALITY):
-                        assert builder.rcl(mode, alpha) == oracles.rcl_from_entries(entries, mode, alpha), (n, mode, alpha)
-                    rcl = builder.rcl(VALUE, alpha)
-                    if any(rcl is keys for keys in builder.buckets.values()):
-                        steps["fallback" if max(builder.buckets) < 0 else "bucket"] += 1
-                    else:
-                        steps["merged"] += 1
-                builder.add(rng.pick(builder.rcl(VALUE, alphas[construction])))
-    assert all(steps.values()), steps
+        kinds = assert_constructs_as_reference(MaxCutInstance(n, oracles.rand_edges(r, n, p, -5, 5)), (45,), 1)
+        assert calls["rcl_from_buckets"] == kinds.total() - kinds["bucket"] - kinds["fallback"], (n, kinds)
+        steps += kinds
+        calls.clear()
+    assert all(steps[kind] for kind in ("bucket", "merged", "fallback")), steps
+
+
+def _instance_state(inst):
+    """What a construction must leave as it was: the instance's data and the
+    caches its searches keep (max-cut's gain tables, LOP's skew rows and
+    packed columns), compared by value and by identity."""
+    if isinstance(inst, MaxCutInstance):
+        tables = [(t, list(t.bits), list(t.gain), set(t.pos), t.owner) for t in inst._tables]
+        return inst.n, inst.edges, inst.adj, inst._seed, tables
+    return inst.n, [list(row) for row in inst.cost], inst._skew, inst._columns, inst._step
+
+
+def test_a_construction_leaves_its_instance_as_it_found_it():
+    # each construction keeps its state in locals: on an instance warmed by a
+    # descent and by constructions of every config, a construction equals a
+    # fresh instance's, and the instance's data and caches stay untouched
+    r = oracles.make_rng(46)
+    edges, cost = oracles.rand_edges(r, 30, 0.3, -5, 10), oracles.rand_lop_matrix(r, 12, -20, 20)
+    for fresh in (lambda: MaxCutInstance(30, edges), lambda: LopInstance(cost)):
+        inst = fresh()
+        local_search(inst, construct(inst, RclConfig(), RandomStream(1)), SearchDepth.BEST_IMPROVING, RandomStream(1))
+        assert inst._tables if isinstance(inst, MaxCutInstance) else inst._columns is not None  # caches warm
+        for mode in (VALUE, CARDINALITY):
+            for low, high in ALPHA_RANGES:
+                cfg = RclConfig(mode=mode, alpha_low=low, alpha_high=high)
+                for seed in (1, 2):
+                    before = _instance_state(inst)
+                    sol = construct(inst, cfg, RandomStream(seed))
+                    assert _instance_state(inst) == before, (type(inst), mode, low, high, seed)
+                    want = construct(fresh(), cfg, RandomStream(seed))
+                    assert sol == want and sol.cached_objective == want.cached_objective, (mode, low, high, seed)
 
 
 def test_rcl_from_buckets_matches_rcl_from_entries():

@@ -428,13 +428,12 @@ def test_construct_golden_traces_reproduce():
 
 def test_construct_maxcut_golden_traces_reproduce():
     expected = json.loads(GOLDEN_CONSTRUCT_MAXCUT.read_text())
-    # the signed graph reaches g_max < 0 under greedy steps, so the value fallback is frozen too
-    builder = _construct_signed_maxcut().new_construction()
-    negative_max = 0
-    while not builder.complete:
-        negative_max += max(builder.buckets) < 0
-        builder.add(builder.rcl(VALUE, 0.0)[0])
-    assert negative_max
+    # the signed graph reaches g_max < 0 in value steps, so the value fallback is frozen too
+    signed = _construct_signed_maxcut()
+    reference = oracles.RefMaxCut(signed.n, signed.edges)
+    for low, high in CONSTRUCT_ALPHAS:
+        reference.construct(RclConfig(mode=VALUE, alpha_low=low, alpha_high=high), RandomStream(CONSTRUCT_SEEDS[0]))
+    assert reference.steps["fallback"]
     actual = compute_construct_maxcut_traces()
     assert sorted(actual) == sorted(expected)
     mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]

@@ -11,6 +11,7 @@ from grasppr.local_search import local_search
 from grasppr.lop import LopInstance, _swar_min
 
 import oracles
+from test_construction import assert_constructs_as_reference
 
 BEST, FIRST = SearchDepth.BEST_IMPROVING, SearchDepth.FIRST_IMPROVING
 
@@ -36,45 +37,23 @@ def test_objective_plus_reverse_is_offdiagonal_total(seed):
     ) == total
 
 
-def _candidates(builder):
-    # (vertex, gain) of each unplaced vertex, ascending
-    return list(zip(builder.unplaced, builder.gains))
-
-
-def test_append_gain():
-    # the builder's candidate gains are the objective increase of appending
+def test_construction_2x2_example():
+    # the first step's gains are all 0, so a pure random step picks either
+    # vertex; the second appends the other with gain cost[first][other]
     inst = LopInstance([[0, 5], [3, 0]])
-    b = inst.new_construction()
-    assert _candidates(b) == [(0, 0), (1, 0)]
-    b.add(0)
-    assert _candidates(b) == [(1, 5)]
-    b = inst.new_construction()
-    b.add(1)
-    assert _candidates(b) == [(0, 3)]
+    cfg = RclConfig(alpha_low=1.0, alpha_high=1.0)
+    built = {tuple(sol.order): sol.cached_objective for sol in (construct(inst, cfg, RandomStream(s)) for s in range(20))}
+    assert built == {(0, 1): 5, (1, 0): 3}
+    assert construct(inst, RclConfig(alpha_low=0.0, alpha_high=0.0), RandomStream(1)).order == [0, 1]
 
 
-def test_append_gain_matches_reevaluation():
+def test_construction_matches_reference_construction():
+    # signed, non-negative and all-negative matrices from n = 2 on: every
+    # construction, its objective and its draws equal the from-scratch reference's
     r = oracles.make_rng(21)
-    cost = oracles.rand_lop_matrix(r, 7)
-    inst = LopInstance(cost)
-    for _ in range(200):
-        order = oracles.rand_perm(r, 7)
-        cut = r.randrange(1, 7)
-        prefix, v = order[:cut], order[cut]
-        b = inst.new_construction()
-        for u in prefix:
-            b.add(u)
-        assert dict(_candidates(b))[v] == (
-            oracles.lop_value(cost, prefix + [v]) - oracles.lop_value(cost, prefix)
-        )
-
-
-def test_builder_rejects_replacement():
-    inst = LopInstance([[0, 1], [1, 0]])
-    b = inst.new_construction()
-    b.add(0)
-    with pytest.raises(ValueError):
-        b.add(0)
+    for n in range(2, 9):
+        for lo, hi in ((-50, 99), (0, 99), (-9, -1)):
+            assert_constructs_as_reference(LopInstance(oracles.rand_lop_matrix(r, n, lo, hi)), (n,), 2)
 
 
 def test_insert_delta_2x2_example():

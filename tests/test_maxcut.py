@@ -87,7 +87,7 @@ def test_pr_candidates_count_and_deltas():
     assert [m.delta for m in steps] == sorted((m.delta for m in steps), reverse=True)
     for move in steps:
         scratch = cur.copy()
-        inst.apply_move(scratch, move)
+        oracles.apply(inst, scratch, move)
         assert move.delta == oracles.cut_value(inst.edges, scratch.bits)
 
 
@@ -133,7 +133,7 @@ def test_move_kernels_match_reference_selection():
                 assert oracles.chosen(inst, sol, FIRST, offset) == expected, (n, offset)
             if best is None:
                 break
-            inst.apply_move(sol, best if r.random() < 0.5 else oracles.chosen(inst, sol, FIRST, r.randrange(n)))
+            oracles.apply(inst, sol, best if r.random() < 0.5 else oracles.chosen(inst, sol, FIRST, r.randrange(n)))
             assert sol.cached_objective == oracles.cut_value(inst.edges, sol.bits)
 
 
@@ -185,13 +185,13 @@ def test_gain_cache_under_interleaved_operations():
         op = r.randrange(5)
         if op == 0:  # apply a flip priced by the cache to the solution itself; no table follows it
             v = r.randrange(12)
-            inst.apply_move(cur, Move("transfer", v, None, None, inst._gain_table(cur).gain[v]))
+            oracles.apply(inst, cur, Move("transfer", v, None, None, inst._gain_table(cur).gain[v]))
         elif op == 1:  # apply a chosen move to a copy
             move = oracles.chosen(inst, cur, FIRST, r.randrange(12))
             if move is not None:
                 assert move.delta == _fresh_gains(inst, cur)[move.element]
-                inst.apply_move(cur.copy(), move)
-        elif op == 2:  # flip bits directly, outside apply_move
+                oracles.apply(inst, cur.copy(), move)
+        elif op == 2:  # flip a bit and re-evaluate, outside any move
             cur.bits[r.randrange(12)] ^= 1
             evaluate(inst, cur)
         elif op == 3:  # in-path style local search on a copy, then relinking candidates
@@ -199,7 +199,7 @@ def test_gain_cache_under_interleaved_operations():
         else:  # a relinking step taken on the solution itself
             steps = inst.pr_candidates(cur, 12, _diff(cur, other)) if cur != other else []
             if steps:
-                inst.apply_move(cur, r.choice(steps))
+                oracles.apply(inst, cur, r.choice(steps))
         assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
         _check_against_fresh(inst, cur, other)
         _check_against_fresh(inst, other, cur)
@@ -228,7 +228,7 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     guide = PartitionSolution([1 - b for b in out.bits])
     inst.pr_candidates(out, 30, _diff(out, guide))
     assert len(builds) == 1  # the descent left the cache in sync with its result
-    inst.apply_move(guide, Move("transfer", 0))  # out of sync: the cache keeps following out
+    oracles.apply(inst, guide, Move("transfer", 0))  # out of sync: the cache keeps following out
     inst.pr_candidates(out, 30, _diff(out, guide))
     assert len(builds) == 1
 
@@ -276,7 +276,7 @@ def test_walk_step_kernel_matches_reference(pm1, k):
 def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
     # however many vertices differ from the cached tables, a miss makes exactly
     # one build: exact gains over a private copy of the bits, owned by the
-    # asking solution. apply_move leaves the table alone, and the next
+    # asking solution. A move by hand leaves the table alone, and the next
     # lookup sees the bits differ and builds exact gains
     from grasppr.core import Move
 
@@ -300,7 +300,7 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
             assert table.owner is second
             v = r.randrange(n)
             old = (list(table.bits), list(table.gain), set(table.pos))
-            inst.apply_move(second, Move("transfer", v, None, None, table.gain[v]))
+            oracles.apply(inst, second, Move("transfer", v, None, None, table.gain[v]))
             assert counts == {**before, "builds": before["builds"] + 1}
             assert (table.bits, table.gain, table.pos) == old
             rebuilt = inst._gain_table(second)
@@ -309,15 +309,19 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
 
 
 def test_seed_vertex_computed_once_per_instance():
+    from grasppr.construction import RclConfig, construct
+    from grasppr.core import RandomStream
+
     r = oracles.make_rng(62)
     inst = MaxCutInstance(20, oracles.rand_edges(r, 20, 0.3, -5, 10))
     heaviest = max(range(20), key=lambda v: (sum(w for _, w in inst.adj[v]), -v))
+    greedy = RclConfig(alpha_low=0.0, alpha_high=0.0)
     assert inst._seed is None  # not at parse time
-    assert inst.new_construction().assigned[heaviest] == 1
+    assert construct(inst, greedy, RandomStream(1)).bits[heaviest] == 1
     assert inst._seed == heaviest
     other = (heaviest + 1) % 20
-    inst._seed = other  # later builders read the cached seed instead of recomputing it
-    assert inst.new_construction().assigned[other] == 1
+    inst._seed = other  # later constructions read the cached seed instead of recomputing it
+    assert construct(inst, greedy, RandomStream(1)).bits[other] == 1
 
 
 def test_instance_validation():
@@ -444,7 +448,7 @@ def test_picks_equal_reference_scan_at_every_pass(pm1):
             if best is None:
                 break
             ties.add([m.delta for m in scan].count(best.delta) > 1)
-            inst.apply_move(sol, best if r.random() < 0.7 else oracles.chosen(inst, sol, FIRST, r.randrange(n)))
+            oracles.apply(inst, sol, best if r.random() < 0.7 else oracles.chosen(inst, sol, FIRST, r.randrange(n)))
     assert ties == {True, False}
 
 
@@ -633,8 +637,8 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
 def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     # a built table's owner is the solution that asked for it, whose walk
     # steps flip it in place; a step by a copy with the same bits forks it
-    # with exact gains and leaves the old table as it was. apply_move flips
-    # no table: the next lookup builds one
+    # with exact gains and leaves the old table as it was. A move by hand
+    # flips no table: the next lookup builds one
     from grasppr.core import Move
 
     r = oracles.make_rng(120)
@@ -661,29 +665,9 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     assert (table.bits, table.gain, table.pos) == old
     assert inst._gain_table(sol) is table and table.gain == _fresh_gains(inst, sol)
     old, before = (list(twin.bits), list(twin.gain), set(twin.pos)), dict(counts)
-    inst.apply_move(heir, Move("transfer", 2, None, None, twin.gain[2]))
+    oracles.apply(inst, heir, Move("transfer", 2, None, None, twin.gain[2]))
     assert counts == before and (twin.bits, twin.gain, twin.pos) == old
     assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
     rebuilt = inst._gain_table(heir)
     assert counts == {**before, "builds": before["builds"] + 1} and rebuilt.owner is heir
     assert rebuilt.gain == _fresh_gains(inst, heir)
-
-
-def test_apply_move_refuses_a_vertex_out_of_range():
-    # element -1 would flip vertex n - 1 of the solution; it raises before
-    # any change, and the picks stay exact
-    from grasppr.core import Move
-
-    edges = [(0, 1, 3), (1, 2, 2), (2, 3, 5), (0, 3, 1)]
-    inst = MaxCutInstance(4, edges)
-    sol = PartitionSolution([0, 0, 0, 0])
-    evaluate(inst, sol)
-    table = inst._gain_table(sol)
-    old = (list(table.bits), list(table.gain), set(table.pos))
-    for v in (-1, 4):
-        with pytest.raises(ValueError, match=rf"^vertex {v} not in 0\.\.3$"):
-            inst.apply_move(sol, Move("transfer", v, None, None, 6))
-        assert sol.bits == [0, 0, 0, 0] and sol.cached_objective == 0
-        assert (table.bits, table.gain, table.pos) == old
-    for offset in range(4):
-        assert oracles.chosen(inst, sol, FIRST, offset) == oracles.first_move(oracles.all_moves(inst, sol, offset))
