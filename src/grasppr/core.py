@@ -1,7 +1,7 @@
 """Problem-agnostic building blocks: solutions, the problem interface, seeded RNG.
 
-Each problem writes its own climb (ProblemInstance.descend), so that a local
-search holds that problem's search state across its passes.
+Each problem writes its own climb (ProblemInstance.descend) and relinking
+walk (new_walk), so that each holds that problem's search state.
 
 Objectives are exact Python ints throughout (maximization); no floats enter the
 solver core. The instance constructors alone judge instance values (the parsers
@@ -90,12 +90,11 @@ class SearchDepth(enum.Enum):
 class Move(NamedTuple):
     """One neighbourhood move with its exact objective delta.
 
-    kinds: "insert" (permutation: element from_pos -> to_pos) and "transfer"
-    (partition: flip element's side; no positions). The move a local-search
-    pass applies and a relinking step are both Moves; immutable and hashable.
+    An insert moves a permutation's element from from_pos to to_pos; a
+    transfer flips a partition's element, with no positions. The move a
+    local-search pass applies and a relinking step are both Moves.
     """
 
-    kind: str
     element: int
     from_pos: Optional[int] = None
     to_pos: Optional[int] = None
@@ -103,9 +102,8 @@ class Move(NamedTuple):
 
 
 class ProblemInstance(ABC):
-    """Immutable problem data plus the hooks the generic search modules drive:
-    a whole construction (construct), the descent of a local search with the
-    moves() scan each of its passes runs, and the relinking steps of a walk."""
+    """Immutable problem data and the hooks the search drives: evaluate,
+    construct, descend with the moves() scan of each pass, and new_walk."""
 
     n: int
 
@@ -130,7 +128,7 @@ class ProblemInstance(ABC):
 
         descend runs one scan per pass, to its end before it applies that
         move; a scan that yields nothing ends the descent. Each problem
-        has one move kind: insert for permutations, transfer for partitions.
+        has one move: an insert for permutations, a transfer for partitions.
         BEST_IMPROVING picks the improving move of largest delta, the first
         in canonical scan order on ties; FIRST_IMPROVING the first improving
         move of that order rotated by offset, where supported. Adapters pick
@@ -150,33 +148,15 @@ class ProblemInstance(ABC):
         private copy, so the descent holds its search state across passes.
         """
 
-    def new_walk(self, a: Solution, b: Solution) -> "Walk":
-        """A relinking walk that moves a and b in place: the base Walk, which
-        needs pr_candidates(current, guiding, k) and apply_move(solution, move),
-        unless the problem overrides it."""
-        return Walk(self, a, b)
+    @abstractmethod
+    def new_walk(self, a: Solution, b: Solution):
+        """A relinking walk that moves a and b, its heads[0] and heads[1], in place.
 
-
-class Walk:
-    """Relinking steps between two solutions, heads[0] and heads[1].
-
-    ranked(i, k) is the instance's pr_candidates(heads[i], heads[1 - i], k):
-    at most k Moves that take heads[i] toward the other head without
-    reaching it, by descending delta, ties to the lower element. take(i,
-    move) applies one of them to heads[i] with the instance's apply_move,
-    which keeps cached_objective consistent. A problem that tracks state
-    across steps subclasses it.
-    """
-
-    def __init__(self, instance: ProblemInstance, a: Solution, b: Solution):
-        self.instance = instance
-        self.heads = (a, b)
-
-    def ranked(self, i: int, k: int) -> list[Move]:
-        return self.instance.pr_candidates(self.heads[i], self.heads[1 - i], k)
-
-    def take(self, i: int, move: Move) -> None:
-        self.instance.apply_move(self.heads[i], move)
+        ranked(i, k) returns at most k Moves that take heads[i] toward the
+        other head without reaching it, by descending delta, ties to the
+        lower element; take(i, move) applies one of them to heads[i] and
+        keeps its cached_objective.
+        """
 
 
 def evaluate(instance: ProblemInstance, solution: Solution) -> int:

@@ -2,13 +2,12 @@
 
 A solution is an ordering of the n vertices; vertex a placed before vertex b
 contributes cost[a][b]. The neighbourhood is insert (move one vertex to
-another position), and relinking steps insert a misplaced vertex at its
-guiding position.
+another position), and each step of the problem's walk (_LopWalk) inserts a
+misplaced vertex at its guiding position.
 
-A descent builds the insert scan of its solution's order once and holds
-it: every pass reads it and every move patches it. Nothing else keeps scan
-state, so a scan without a held one (moves(..., scan=None)) is a full pass,
-and walk steps and hand edits only move the order.
+A descent holds the insert scan of its solution's order: every pass reads
+it and every move patches it. No other state is kept, so a scan without a
+held one is a full pass, and walk steps and hand edits only move the order.
 """
 
 from __future__ import annotations
@@ -169,7 +168,7 @@ class LopInstance(ProblemInstance):
         prefix = self._prefix(e, order)
         base = prefix[i]
         k = prefix.index(base - gain) if best else list(map(base.__gt__, prefix)).index(True)
-        yield Move("insert", e, i, k if k < i else k - 1, base - prefix[k])
+        yield Move(e, i, k if k < i else k - 1, base - prefix[k])
 
     def _packed(self) -> _Packing:
         """The insert scan's packing, built on the first call, in the
@@ -266,15 +265,8 @@ class LopInstance(ProblemInstance):
             self._rescan(scan, order, min(i, j), max(i, j))
             solution.cached_objective += move.delta
 
-    def apply_move(self, solution: PermutationSolution, move: Move) -> None:
-        if move.kind != "insert":
-            raise ValueError(f"not a permutation move: {move.kind}")
-        order, i, j = solution.order, move.from_pos, move.to_pos
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"insert positions ({i}, {j}) not in 0..{self.n - 1}")
-        order.insert(j, order.pop(i))
-        if solution.cached_objective is not None:
-            solution.cached_objective += move.delta
+    def new_walk(self, a: PermutationSolution, b: PermutationSolution) -> "_LopWalk":
+        return _LopWalk(self, a, b)
 
     def pr_candidates(self, current: PermutationSolution, guiding: PermutationSolution, k: int) -> list[Move]:
         """At most k insertions of a misplaced element into its guiding
@@ -301,5 +293,25 @@ class LopInstance(ProblemInstance):
             if 0 < sum(1 for p in range(self.n) if scratch[p] != tgt[p]) < base:
                 # e gains skew[e][u] for each u it jumps ahead of, loses it for each it falls behind
                 d = sum(map(skew[e].__getitem__, cur[j:i] if j < i else cur[i + 1 : j + 1]))
-                steps.append(Move("insert", e, i, j, d if j < i else -d))
+                steps.append(Move(e, i, j, d if j < i else -d))
         return sorted(steps, key=lambda m: -m.delta)[:k]  # stable: ties keep ascending e
+
+
+class _LopWalk:
+    """Relinking steps between two orders, heads[0] and heads[1].
+
+    ranked asks the instance's pr_candidates for the steps of one head,
+    looked up at each call; take moves that head's order and objective.
+    """
+
+    def __init__(self, inst: LopInstance, a: PermutationSolution, b: PermutationSolution):
+        self.instance = inst
+        self.heads = (a, b)
+
+    def ranked(self, i: int, k: int) -> list[Move]:
+        return self.instance.pr_candidates(self.heads[i], self.heads[1 - i], k)
+
+    def take(self, i: int, move: Move) -> None:
+        head = self.heads[i]
+        head.order.insert(move.to_pos, head.order.pop(move.from_pos))
+        head.cached_objective += move.delta

@@ -30,7 +30,7 @@ from itertools import chain, compress
 from typing import Callable, Iterator, Optional, Sequence
 
 from .construction import VALUE, RclConfig, _value_threshold, rcl_from_buckets
-from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream, SearchDepth, Walk
+from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream, SearchDepth
 
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
 # must not allocate an adjacency list per claimed vertex
@@ -248,7 +248,7 @@ class MaxCutInstance(ProblemInstance):
             v = min(compress(pos, map(offset.__le__, pos)), default=None)  # first at or after offset
             if v is None:
                 v = min(pos)  # the scan wrapped around
-        yield Move("transfer", v, None, None, gains[v])
+        yield Move(v, None, None, gains[v])
 
     def descend(
         self, solution: PartitionSolution, depth: SearchDepth, rng: RandomStream, should_stop: Optional[Callable[[], bool]]
@@ -293,10 +293,10 @@ class MaxCutInstance(ProblemInstance):
             table = self._gain_table(current)
         gains = table.gain
         top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
-        return [Move("transfer", j, None, None, gains[j]) for j in top]
+        return [Move(j, None, None, gains[j]) for j in top]
 
 
-class _MaxCutWalk(Walk):
+class _MaxCutWalk:
     """A walk that keeps the positions where its heads differ, ascending,
     and the gain table of each head that moves.
 
@@ -309,7 +309,8 @@ class _MaxCutWalk(Walk):
     """
 
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
-        super().__init__(inst, a, b)
+        self.instance = inst
+        self.heads = (a, b)
         self.diff = [j for j, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y]
         self.tables: list[Optional[GainTable]] = [None, None]
 

@@ -1,17 +1,11 @@
 """Path relinking: interior walks in four directions, truncation and a minimum
 distance guard.
 
-Interior steps are restricted to moves that strictly reduce the symmetric
-difference to the guiding solution and the guiding solution itself is never
-re-visited. For partitions every flip of a differing position qualifies; for
-permutations the insertion of a misplaced element into its guiding position
-is filtered by that rule, so a walk can stop early when only non-reducing
-insertions remain (e.g. the two endpoints differ by a non-adjacent
-transposition).
-
-Each problem owns its walk (ProblemInstance.new_walk): every step asks it
+Each problem owns its walk (ProblemInstance.new_walk). Every step asks it
 for at most k ranked Moves, k = 1 for greedy and rcl_size for grpr, and
-applies the one rng.pick chooses.
+takes the one rng.pick chooses. A step strictly reduces the symmetric
+difference to the other head without reaching it, so a permutation walk can
+stop early, e.g. between endpoints that differ by a non-adjacent transposition.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import ProblemInstance, RandomStream, Solution, Walk, delta as delta_size, evaluate
+from .core import ProblemInstance, RandomStream, Solution, delta as delta_size, evaluate
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -72,7 +66,7 @@ class PathTrace:
 
 
 def _walk(
-    walk: Walk,
+    walk,
     alternate: bool,
     budget: int,
     cfg: PrConfig,

@@ -4,8 +4,8 @@ Everything here is deliberately naive and independent of the package
 internals (it shares only the Move and SearchDepth types): full-matrix
 sums, explicit enumeration, bitmask DP. Slow is fine; these only run at
 test scale. The reference instances RefLop and RefMaxCut also share the
-problem interface, the solution types and the default walk, so that the
-package's drivers can run on them; every kernel behind that interface is
+problem interface and the solution types, so that the package's drivers can
+run on them; every kernel behind that interface, their walk included, is
 built from the functions here.
 """
 
@@ -249,14 +249,14 @@ def all_moves(instance, solution, offset=0):
             for j in range(i + 1, n):
                 d += cost[order[j]][e] - cost[e][order[j]]
                 deltas[j] = d
-            moves += [Move("insert", e, i, j, deltas[j]) for j in sorted(deltas)]
+            moves += [Move(e, i, j, deltas[j]) for j in sorted(deltas)]
         return moves
     bits = solution.bits
     n = len(bits)
     moves = []
     for v in [(offset + k) % n for k in range(n)]:
         gain = sum(w if bits[u] == bits[v] else -w for u, w in instance.adj[v])
-        moves.append(Move("transfer", v, None, None, gain))
+        moves.append(Move(v, None, None, gain))
     return moves
 
 
@@ -278,11 +278,12 @@ def first_move(moves):
 
 
 def apply(instance, solution, move):
-    """The naive reference move, made by hand: an insert moves order[from_pos]
-    to to_pos, a transfer flips bits[element], and cached_objective, if
-    set, gains move.delta. A position or vertex outside 0..instance.n - 1
-    raises IndexError before any change; it touches no instance state."""
-    if move.kind == "insert":
+    """The naive reference move, made by hand: on a permutation an insert
+    moves order[from_pos] to to_pos, on a partition a transfer flips
+    bits[element], and cached_objective, if set, gains move.delta. A position
+    or vertex outside 0..instance.n - 1 raises IndexError before any change;
+    it touches no instance state."""
+    if isinstance(solution, PermutationSolution):
         order = solution.order
         if not (0 <= move.from_pos < instance.n and 0 <= move.to_pos < instance.n):
             raise IndexError(f"insert positions ({move.from_pos}, {move.to_pos}) not in 0..{instance.n - 1}")
@@ -307,7 +308,7 @@ def chosen(instance, solution, depth, offset=0):
 class _RefInstance(ProblemInstance):
     """A construction that scores every candidate key at every step, moves
     picked from all_moves and applied naively, with the objective recomputed
-    from scratch; relinking by the default walk."""
+    from scratch; relinking by the naive _RefWalk."""
 
     def construct(self, rcl, rng):
         """The documented construction: each step draws alpha, lists the
@@ -341,12 +342,31 @@ class _RefInstance(ProblemInstance):
                 return
             if move.delta <= 0:
                 raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
-            self.apply_move(solution, move)
+            self._apply(solution, move)
 
-    def apply_move(self, solution, move):
+    def _apply(self, solution, move):
         apply(self, solution, move)
         if solution.cached_objective is not None:
             solution.cached_objective = self.evaluate(solution)  # from scratch, not by the delta
+
+    def new_walk(self, a, b):
+        return _RefWalk(self, a, b)
+
+
+class _RefWalk:
+    """The naive walk between heads[0] and heads[1]: each step ranks with the
+    instance's pr_candidates(current, guiding, k), which keeps no state, and
+    applies its move with the instance's _apply."""
+
+    def __init__(self, instance, a, b):
+        self.instance = instance
+        self.heads = (a, b)
+
+    def ranked(self, i, k):
+        return self.instance.pr_candidates(self.heads[i], self.heads[1 - i], k)
+
+    def take(self, i, move):
+        self.instance._apply(self.heads[i], move)
 
 
 class RefLop(_RefInstance):
@@ -375,7 +395,7 @@ class RefLop(_RefInstance):
             after.insert(tgt.index(e), e)
             if after != tgt:
                 d = lop_value(self.cost, after) - lop_value(self.cost, cur)
-                steps.append(Move("insert", e, cur.index(e), tgt.index(e), d))
+                steps.append(Move(e, cur.index(e), tgt.index(e), d))
         return sorted(steps, key=lambda m: -m.delta)[:k]
 
 
@@ -419,7 +439,7 @@ class RefMaxCut(_RefInstance):
 
     def pr_candidates(self, current, guiding, k):
         flips = top_relink_flips(self.edges, current.bits, guiding.bits, k)
-        return [Move("transfer", j, None, None, g) for j, g in flips]
+        return [Move(j, None, None, g) for j, g in flips]
 
 
 def rand_lop_matrix(r, n, lo=0, hi=99):

@@ -783,15 +783,16 @@ def test_run_cell_wraps_failures_with_context(tmp_path):
 def _write_instances(tmp_path, seed=74):
     r = oracles.make_rng(seed)
     lop_path = tmp_path / "p.mat"
-    lop_path.write_text(serialize_lolib(LopInstance(oracles.rand_lop_matrix(r, 7)), name="p"))
+    lop_path.write_text(serialize_lolib(LopInstance(oracles.rand_lop_matrix(r, 10)), name="p"))
     mc_path = tmp_path / "q.el"
-    mc_path.write_text(serialize_edge_list(MaxCutInstance(12, oracles.rand_edges(r, 12, 0.4, -5, 9))))
+    mc_path.write_text(serialize_edge_list(MaxCutInstance(20, oracles.rand_edges(r, 20, 0.4, -5, 9))))
     return {LOP: lop_path, MAXCUT: mc_path}
 
 
 def _mixed_cells(paths):
     # cells on one file come together and mix methods, so a reused instance
-    # arrives with its skew, gain and seed-vertex caches already warm
+    # arrives with its skew, gain and seed-vertex caches already warm, and
+    # its dynamic_pr cells relink on it
     methods = (
         ("semigreedy", (("variant", "semigreedy"),)),
         ("grasp", ()),
@@ -826,6 +827,7 @@ def _strip(rows):
 def test_run_grid_reuses_one_parse_per_file_run(tmp_path):
     cells = _mixed_cells(_write_instances(tmp_path))
     fresh = _fresh_rows(cells)
+    assert all(pr_calls > 0 for method, *_, pr_calls, _ in fresh if method == "dynamic_pr")  # every relinking cell walks
     with mock.patch.object(bench_io, "load_instance", wraps=bench_io.load_instance) as loads:
         assert _strip(run_grid(cells, jobs=1)) == fresh
     assert loads.call_count == 2  # one parse per file

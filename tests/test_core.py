@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasppr import core
 from grasppr.core import (
+    Move,
     PartitionSolution,
     PermutationSolution,
+    ProblemInstance,
     RandomStream,
     delta,
     evaluate,
@@ -17,6 +20,13 @@ from grasppr.maxcut import MaxCutInstance
 import oracles
 
 K3 = MaxCutInstance(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+
+
+def test_problem_contract():
+    # a problem is five hooks, its walk its own, and a move carries no kind
+    assert ProblemInstance.__abstractmethods__ == {"evaluate", "construct", "moves", "descend", "new_walk"}
+    assert Move._fields == ("element", "from_pos", "to_pos", "delta")
+    assert not hasattr(core, "Walk")
 
 
 def test_evaluate_lop_2x2():

@@ -314,7 +314,7 @@ class _RecordingLop(LopInstance):
     """A LopInstance that logs every move applied to one of its solutions.
 
     A descent applies each scan's last yield itself, so that is logged at
-    the scan; a walk step goes through apply_move.
+    the scan; a walk step is logged at its walk's take.
     """
 
     def __init__(self, cost):
@@ -328,13 +328,21 @@ class _RecordingLop(LopInstance):
         if move is not None:
             self.applied.append(move)
 
-    def apply_move(self, solution, move):
-        self.applied.append(move)
-        super().apply_move(solution, move)
+    def new_walk(self, a, b):
+        walk = super().new_walk(a, b)
+        take = walk.take
+
+        def recording_take(i, move):
+            self.applied.append(move)
+            take(i, move)
+
+        walk.take = recording_take
+        return walk
 
 
 def _moves_sha256(moves) -> str:
-    return hashlib.sha256(";".join(",".join(map(str, m)) for m in moves).encode()).hexdigest()
+    # each move as the text insert,e,i,j,d, its kind first as the golden files hash it
+    return hashlib.sha256(";".join(",".join(map(str, ("insert", *m))) for m in moves).encode()).hexdigest()
 
 
 def _descent_lop(n: int) -> _RecordingLop:

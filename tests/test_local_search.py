@@ -43,7 +43,7 @@ def test_insert_neighborhood_size_n4():
     evaluate(inst, sol)
     moves = oracles.all_moves(inst, sol)
     assert len(moves) == 12  # n*(n-1)
-    assert all(m.kind == "insert" for m in moves)
+    assert all(m.from_pos is not None and m.to_pos is not None for m in moves)  # inserts
     assert not any(m.from_pos == m.to_pos for m in moves)  # null move excluded
 
 
@@ -147,23 +147,6 @@ def test_first_improving_maxcut_draws_offsets():
     assert rng.random() != RandomStream(15).random()
 
 
-def test_apply_move_keeps_cache_consistent():
-    inst = LopInstance(oracles.rand_lop_matrix(oracles.make_rng(16), 5))
-    sol = PermutationSolution(oracles.rand_perm(oracles.make_rng(17), 5))
-    evaluate(inst, sol)
-    for move in oracles.all_moves(inst, sol)[:5]:
-        scratch = sol.copy()
-        inst.apply_move(scratch, move)
-        assert scratch.cached_objective == oracles.lop_value(inst.cost, scratch.order)
-
-
-def test_move_rejects_foreign_kind():
-    sol = PermutationSolution([0, 1])
-    inst = LopInstance([[0, 1], [2, 0]])
-    with pytest.raises(ValueError):
-        inst.apply_move(sol, Move("transfer", 0))
-
-
 def _state(sol):
     return list(sol.order if isinstance(sol, PermutationSolution) else sol.bits)
 
@@ -171,10 +154,10 @@ def _state(sol):
 def _moved(state, move):
     """state after move, applied naively."""
     state = list(state)
-    if move.kind == "insert":
-        state.insert(move.to_pos, state.pop(move.from_pos))
-    else:
+    if move.from_pos is None:  # a transfer
         state[move.element] ^= 1
+    else:
+        state.insert(move.to_pos, state.pop(move.from_pos))
     return state
 
 
@@ -183,9 +166,9 @@ def _moved(state, move):
 def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     # a descent runs one moves() scan per pass, each drained before its move
     # is applied, so timing moves() times every pass of the search. The scans
-    # are watched, not apply_move: each descent moves its solution and the
-    # search state it holds itself. Between two scans the solution changes by
-    # exactly the move the first one chose
+    # are watched: each descent moves its solution and the search state it
+    # holds itself. Between two scans the solution changes by exactly the
+    # move the first one chose
     r = oracles.make_rng(18)
     if neighborhood == "insert":
         inst = LopInstance(oracles.rand_lop_matrix(r, 7))
@@ -232,7 +215,7 @@ class _NonImprovingK3(_NonImproving, MaxCutInstance):
         self.start = PartitionSolution([0, 1, 1])
 
     def stale(self, solution):
-        return Move("transfer", 0, delta=0)
+        return Move(0, delta=0)
 
 
 class _NonImprovingLop(_NonImproving, LopInstance):
@@ -241,7 +224,7 @@ class _NonImprovingLop(_NonImproving, LopInstance):
         self.start = PermutationSolution([0, 1, 2])
 
     def stale(self, solution):
-        return Move("insert", solution.order[0], 0, 1, 0)
+        return Move(solution.order[0], 0, 1, 0)
 
 
 @pytest.mark.parametrize("kind", [_NonImprovingK3, _NonImprovingLop], ids=["transfer", "insert"])
@@ -272,7 +255,7 @@ def test_should_stop_ends_the_descent_after_k_moves(neighborhood, depth):
         inst = MaxCutInstance(10, oracles.rand_edges(r, 10, 0.5, -3, 9))
         start = PartitionSolution(oracles.rand_bits(r, 10))
     evaluate(inst, start)
-    chosen = []  # the move each scan chose, watched at the scan: no descent calls apply_move
+    chosen = []  # the move each scan chose, watched at the scan: each descent applies it itself
     scan = inst.moves
 
     def recording_scan(*args):

@@ -95,13 +95,13 @@ def test_insert_scan_matches_reference_kernel():
             expected = []
             for e in range(n):
                 i = order.index(e)
-                expected += [("insert", e, i, j, oracles.insert_delta(cost, order, i, j)) for j in range(n) if j != i]
+                expected += [(e, i, j, oracles.insert_delta(cost, order, i, j)) for j in range(n) if j != i]
             got = [tuple(m) for m in oracles.all_moves(inst, PermutationSolution(list(order)))]
             assert got == expected, (n, order)
             base = oracles.lop_value(cost, order)
             # lop_value is O(n^2) per move: check all moves up to n = 17, a sample beyond
-            checked = got if n <= 17 else [m for m in got if m[2] in (0, n - 1)] + r.sample(got, 60)
-            for _, e, i, j, d in checked:
+            checked = got if n <= 17 else [m for m in got if m[1] in (0, n - 1)] + r.sample(got, 60)
+            for e, i, j, d in checked:
                 after = list(order)
                 after.insert(j, after.pop(i))
                 assert d == oracles.lop_value(cost, after) - base
@@ -127,7 +127,7 @@ def test_move_kernels_match_reference_selection():
                     assert first == oracles.first_move(oracles.all_moves(inst, sol)), (n, sol.order)
                     if best is None:
                         break
-                    inst.apply_move(sol, best if r.random() < 0.5 else first)
+                    oracles.apply(inst, sol, best if r.random() < 0.5 else first)
 
 
 def test_best_move_at_32_bit_extremes():
@@ -156,7 +156,7 @@ def test_best_move_at_32_bit_extremes():
                     assert best == oracles.best_move(oracles.all_moves(inst, sol)), (n, sol.order)
                     if best is None:
                         break
-                    inst.apply_move(sol, best)
+                    oracles.apply(inst, sol, best)
 
 
 def test_packed_columns_wait_for_the_first_best_improving_scan(tmp_path):
@@ -238,16 +238,16 @@ def test_patched_insert_scan_matches_a_fresh_pass_in_relinking():
     assert best.cached_objective == oracles.lop_value(inst.cost, best.order)
 
 
-def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
+def test_insert_scan_survives_copies_and_hand_edits():
     # no scan outlives its descent: an order edited by hand, or a copy moved
-    # by apply_move, scans exactly, and so does each descent from it
+    # by a hand-made move, scans exactly, and so does each descent from it
     r = oracles.make_rng(54)
     n = 30
     inst = _CheckedLop(oracles.rand_lop_matrix(r, n))
     sol = local_search(inst, PermutationSolution(oracles.rand_perm(r, n)), BEST, RandomStream(54))
     twin = sol.copy()
     delta = oracles.insert_delta(inst.cost, twin.order, 0, n - 1)
-    inst.apply_move(twin, Move("insert", twin.order[0], 0, n - 1, delta))
+    oracles.apply(inst, twin, Move(twin.order[0], 0, n - 1, delta))
     order = sol.order
     order[0], order[-1] = order[-1], order[0]
     evaluate(inst, sol)
@@ -256,14 +256,6 @@ def test_insert_scan_survives_copies_hand_edits_and_failed_moves():
         patched = inst.patched
         out = local_search(inst, start, BEST, RandomStream(54))
         assert inst.patched > patched and out.cached_objective == oracles.lop_value(inst.cost, out.order)
-    # a move with a position outside 0..n-1, which the list operations would
-    # accept or clamp but no kernel produces, raises before any change
-    for i, j in ((n, 3), (-1, 0), (2, n + 4), (n - 1, -3)):
-        before = list(sol.order)
-        with pytest.raises(ValueError, match=rf"^insert positions \({i}, {j}\) not in 0\.\.{n - 1}$"):
-            inst.apply_move(sol, Move("insert", sol.order[i % n], i, j, 0))
-        assert sol.order == before
-    oracles.chosen(inst, sol, BEST)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +285,7 @@ def test_field_width_switches_at_the_skew_bound(n, skew, width):
             assert oracles.chosen(inst, sol, FIRST) == oracles.first_move(moves), sol.order
             if best is None:
                 break
-            inst.apply_move(sol, best)
+            oracles.apply(inst, sol, best)
     # the same matrix through descents that check the patched scan state
     checked = _CheckedLop(cost)
     for depth in SearchDepth:
@@ -361,7 +353,7 @@ def test_pr_candidates_strictly_reduce_difference():
         for move in inst.pr_candidates(cur, tgt, 7):
             scratch = cur.copy()
             scratch.cached_objective = evaluate(inst, scratch)
-            inst.apply_move(scratch, move)
+            oracles.apply(inst, scratch, move)
             after = oracles.position_delta(scratch.order, tgt.order)
             assert 0 < after < base
             assert move.delta == oracles.lop_value(inst.cost, scratch.order) - oracles.lop_value(
@@ -408,6 +400,43 @@ def test_pr_candidates_rejects_identical_endpoints():
     sol = PermutationSolution([1, 0, 3, 2])
     with pytest.raises(ValueError):
         inst.pr_candidates(sol, sol.copy(), 4)
+
+
+@pytest.mark.parametrize("direction", path_relinking._DIRECTIONS)
+@pytest.mark.parametrize("step", [path_relinking.GREEDY, path_relinking.GREEDY_RANDOMIZED])
+def test_walk_step_is_exact(direction, step):
+    # every take leaves its head as the naive reference move leaves a copy,
+    # with the head's objective exact after every step
+    r = oracles.make_rng(16)
+    cfg = path_relinking.PrConfig(direction=direction, step=step, min_distance=0)
+    taken = 0
+    for n in (2, 3, 5, 9, 17, 30):
+        inst = LopInstance(oracles.rand_lop_matrix(r, n, -20, 99))
+        new_walk = inst.new_walk
+
+        def checked_walk(a, b):
+            walk = new_walk(a, b)
+            take = walk.take
+
+            def checked_take(i, move):
+                nonlocal taken
+                expected = walk.heads[i].copy()
+                oracles.apply(inst, expected, move)
+                take(i, move)
+                head = walk.heads[i]
+                assert head.order == expected.order and head.cached_objective == expected.cached_objective
+                assert head.cached_objective == oracles.lop_value(inst.cost, head.order)
+                taken += 1
+
+            walk.take = checked_take
+            return walk
+
+        inst.new_walk = checked_walk
+        for seed in range(4):
+            a, b = (PermutationSolution(oracles.rand_perm(r, n)) for _ in range(2))
+            if a != b:
+                path_relinking.relink(inst, a, b, cfg, RandomStream(seed))
+    assert taken > 50
 
 
 def test_instance_validation():

@@ -185,7 +185,7 @@ def test_gain_cache_under_interleaved_operations():
         op = r.randrange(5)
         if op == 0:  # apply a flip priced by the cache to the solution itself; no table follows it
             v = r.randrange(12)
-            oracles.apply(inst, cur, Move("transfer", v, None, None, inst._gain_table(cur).gain[v]))
+            oracles.apply(inst, cur, Move(v, None, None, inst._gain_table(cur).gain[v]))
         elif op == 1:  # apply a chosen move to a copy
             move = oracles.chosen(inst, cur, FIRST, r.randrange(12))
             if move is not None:
@@ -228,7 +228,7 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     guide = PartitionSolution([1 - b for b in out.bits])
     inst.pr_candidates(out, 30, _diff(out, guide))
     assert len(builds) == 1  # the descent left the cache in sync with its result
-    oracles.apply(inst, guide, Move("transfer", 0))  # out of sync: the cache keeps following out
+    oracles.apply(inst, guide, Move(0))  # out of sync: the cache keeps following out
     inst.pr_candidates(out, 30, _diff(out, guide))
     assert len(builds) == 1
 
@@ -300,7 +300,7 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
             assert table.owner is second
             v = r.randrange(n)
             old = (list(table.bits), list(table.gain), set(table.pos))
-            oracles.apply(inst, second, Move("transfer", v, None, None, table.gain[v]))
+            oracles.apply(inst, second, Move(v, None, None, table.gain[v]))
             assert counts == {**before, "builds": before["builds"] + 1}
             assert (table.bits, table.gain, table.pos) == old
             rebuilt = inst._gain_table(second)
@@ -415,7 +415,7 @@ def test_positive_gain_set_after_every_update(pm1):
         mover = sol if r.random() < 0.5 else sol.copy()  # a copy's step forks the table sol owns
         walk = inst.new_walk(mover, PartitionSolution([1 - x for x in mover.bits]))
         for v in r.sample(range(n), 3):
-            walk.take(0, Move("transfer", v, None, None, inst._gain_table(mover).gain[v]))
+            walk.take(0, Move(v, None, None, inst._gain_table(mover).gain[v]))
             for t in inst._tables:
                 assert t.pos == _positive(t)
                 assert t.gain == _fresh_gains(inst, t)
@@ -651,12 +651,12 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     counts = _count_cache_work(monkeypatch)
     table = inst._gain_table(sol)
     assert table.owner is sol
-    inst.new_walk(sol, guide).take(0, Move("transfer", 0, None, None, table.gain[0]))
+    inst.new_walk(sol, guide).take(0, Move(0, None, None, table.gain[0]))
     assert counts == {"builds": 1, "flips": 1, "forks": 0}
     assert inst._gain_table(sol) is table and table.owner is sol
     heir = sol.copy()
     old = (list(table.bits), list(table.gain), set(table.pos))
-    inst.new_walk(heir, guide).take(0, Move("transfer", 1, None, None, table.gain[1]))
+    inst.new_walk(heir, guide).take(0, Move(1, None, None, table.gain[1]))
     assert counts == {"builds": 1, "flips": 2, "forks": 1}
     twin = inst._gain_table(heir)
     assert twin is not table and twin.owner is heir and table.owner is sol
@@ -665,7 +665,7 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     assert (table.bits, table.gain, table.pos) == old
     assert inst._gain_table(sol) is table and table.gain == _fresh_gains(inst, sol)
     old, before = (list(twin.bits), list(twin.gain), set(twin.pos)), dict(counts)
-    oracles.apply(inst, heir, Move("transfer", 2, None, None, twin.gain[2]))
+    oracles.apply(inst, heir, Move(2, None, None, twin.gain[2]))
     assert counts == before and (twin.bits, twin.gain, twin.pos) == old
     assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
     rebuilt = inst._gain_table(heir)

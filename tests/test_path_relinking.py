@@ -79,7 +79,7 @@ def test_mixed_second_step_move_mechanics():
     evaluate(inst, head)
     move = next(m for m in oracles.all_moves(inst, head) if (m.element, m.to_pos) == (3, 3))
     assert move.from_pos == 1
-    inst.apply_move(head, move)
+    inst.new_walk(head, PermutationSolution([2, 0, 1, 3])).take(0, move)
     assert head.order == [2, 1, 0, 3]
     assert head.cached_objective == oracles.lop_value(S1_COST, head.order)
 
