@@ -205,9 +205,6 @@ class RandomStream:
         self.substream += 1
         self._rng.seed(_splitmix64((self.seed + self.substream * 0x9E3779B97F4A7C15) & _MASK64))
 
-    def random(self) -> float:
-        return self._rng.random()
-
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError(f"empty range for randrange({n})")

@@ -5,8 +5,13 @@ contributes cost[a][b]. The neighbourhood is insert (move one vertex to
 another position), and each step of the problem's walk (_LopWalk) inserts a
 misplaced vertex at its guiding position.
 
-A descent holds the insert scan of its solution's order: every pass reads
-it and every move patches it. No other state is kept, so a scan without a
+Element e's prefix sums of skew[e][u] = cost[e][u] - cost[u][e] along the
+order give the deltas of all its targets (see moves). An insert scan packs
+them, one w-bit field per element (see _FIELD_WIDTHS), and keeps every
+field's minimum by SWAR (_swar_min): a full pass is O(n^2) word operations.
+A descent holds the scan of its solution's order (_InsertScan): a pass reads
+its chunk minima in O(n sqrt(n)), and a move from i to j patches it (_rescan)
+in O(n (|i - j| + sqrt(n))). No other state is kept, so a scan without a
 held one is a full pass, and walk steps and hand edits only move the order.
 """
 
@@ -15,9 +20,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from math import isqrt
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .construction import RclConfig, rcl_from_columns
@@ -70,11 +74,11 @@ def _swar_min(values: Sequence[int], guard: int, shift: int) -> int:
 class _InsertScan:
     """The packed insert scan of one order, held by a descent so that a move patches it.
 
-    Field e of prefixes[k] is 2^(w-2) + prefix_e[k] (see _Packing and
-    _prefix), after the first k vertices of order; field e of base is that
-    of prefixes[i] for e's own position i; lows[c] is the field-wise minimum
-    of the chunk prefixes[c * step : (c + 1) * step] for the instance's
-    step.
+    Field e of prefixes[k] is 2^(w-2) + prefix_e[k] (see _Packing), with
+    prefix_e[k] the sum of skew[e][order[p]] over p < k; field e of base is
+    that of prefixes[i] for e's own position i; lows[c] is the field-wise
+    minimum of the chunk prefixes[c * step : (c + 1) * step] for the
+    instance's step.
     """
 
     prefixes: list[int]
@@ -158,17 +162,28 @@ class LopInstance(ProblemInstance):
         # target in scan order; first: the lowest improving element and its
         # first improving target
         order = solution.order
-        gains = self._insert_gains(scan or self._full_scan(order))
+        scan = scan or self._full_scan(order)
+        gains = self._insert_gains(scan)
         best = depth is _BEST
         gain = max(gains) if best else next(filter((0).__lt__, gains), 0)
         if gain <= 0:
             return
         e = gains.index(gain)
         i = order.index(e)
-        prefix = self._prefix(e, order)
-        base = prefix[i]
-        k = prefix.index(base - gain) if best else list(map(base.__gt__, prefix)).index(True)
-        yield Move(e, i, k if k < i else k - 1, base - prefix[k])
+        # Moving e from i to j < i gains prefix_e[i] - prefix_e[j]; to j > i,
+        # prefix_e[i] - prefix_e[j + 1]. So prefix k stands for target k if
+        # k < i and k - 1 if k > i + 1; skew[e][e] = 0 makes prefix_e[i + 1] =
+        # prefix_e[i], so k = i and k = i + 1 never improve. k is the first
+        # prefix whose field e, compared in place (masked), is below bound:
+        # low_e + 1 for best, base_e for first; the first chunk whose
+        # minimum is below bound holds it
+        packing, step = self._packed(), self._step
+        mask, at = packing.masks[e], (packing.shift + 1) * e
+        base = scan.base & mask
+        bound = base - ((gain - 1) << at) if best else base
+        c = next(c for c, low in enumerate(scan.lows) if low & mask < bound)
+        k = next(k for k in range(c * step, c * step + step) if scan.prefixes[k] & mask < bound)
+        yield Move(e, i, k if k < i else k - 1, (base - (scan.prefixes[k] & mask)) >> at)
 
     def _packed(self) -> _Packing:
         """The insert scan's packing, built on the first call, in the
@@ -226,18 +241,6 @@ class LopInstance(ProblemInstance):
         scan.base = base
         for c in range((lo + 1) // step, (hi + 1) // step + 1):
             lows[c] = _swar_min(prefixes[c * step : (c + 1) * step], guard, shift)
-
-    def _prefix(self, e: int, order: Sequence[int]) -> list[int]:
-        """prefix[k] = sum of skew[e][order[p]] over p < k, for k = 0..n.
-
-        With i the position of e, moving e to j < i gains prefix[i] -
-        prefix[j]; to j > i it loses the skew of order[i+1..j], i.e. gains
-        prefix[i] - prefix[j + 1]. So prefix index k stands for target k if
-        k < i and k - 1 if k > i + 1, in scan order; skew[e][e] = 0 makes
-        prefix[i + 1] = prefix[i], so k = i and k = i + 1 never improve.
-        """
-        # n >= 2, so itemgetter returns a tuple
-        return list(accumulate(itemgetter(*order)(self._skew_rows()[e]), initial=0))
 
     def descend(
         self,

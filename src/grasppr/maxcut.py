@@ -6,15 +6,16 @@ transfer costs O(degree). A GainTable also keeps pos, the vertices of
 positive gain, and a local-search pass picks from pos, so a pass next to a
 local optimum costs O(len(pos)), not O(n).
 
-Each instance caches a few GainTables, most recently used first, each over a
-private copy of its bits. A lookup has two outcomes: the table whose bits
-equal the asking solution's, or a fresh O(m) build that the asking solution
-owns. A descent looks its table up once and a walk once per moving head;
-each then holds it and reads and flips it without comparing bits. A table's
-owner is the solution whose searches flip it in place; a search that moves
-another solution with the same bits first forks the table (O(n) copies, no
-O(m) rebuild), so a walk head, the copy an in-path search descends from it
-and the other head of a mixed walk each keep their own table.
+Each instance caches _TABLES GainTables, most recently used first, each
+over a private copy of its bits. A lookup returns a table the asking
+solution owns, the only one whose searches flip it in place (so the cache
+keeps at most _TABLES owners alive): the cached table whose bits equal the
+solution's if it owns it, an exact fork if another solution does (O(n)
+copies, no O(m) rebuild), else a fresh O(m) build. So a walk head, the copy
+an in-path search descends from it and the other head of a mixed walk each
+keep their own table. A descent looks its table up once and a walk once per
+moving head; each then holds it and flips it in O(degree) without comparing
+bits.
 
 Only the holder moves that solution while it holds the table: a descent's
 solution is local_search's private copy, and a walk's moving heads are
@@ -51,7 +52,7 @@ class GainTable:
     def __init__(self, inst: "MaxCutInstance", bits: Sequence[int]):
         self.adj = inst.adj
         self.bits = bits = list(bits)
-        self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _own_table
+        self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _gain_table
         self.gain = [0] * inst.n
         for v in range(inst.n):
             g = 0
@@ -214,22 +215,17 @@ class MaxCutInstance(ProblemInstance):
         return table
 
     def _gain_table(self, solution: PartitionSolution) -> GainTable:
-        """The cached table whose bits equal solution's, moved to the front; else a fresh one solution owns."""
+        """The table solution owns: the cached one whose bits equal solution's,
+        moved to the front, or forked for solution if another solution owns
+        it; else a fresh one."""
         tables, bits = self._tables, solution.bits
         for i, table in enumerate(tables):
             if table.bits == bits:
                 if i:
                     tables.insert(0, tables.pop(i))
-                return table
+                return table if table.owner is solution else self._cache(table.fork(solution))
         table = self._cache(GainTable(self, bits))
         table.owner = solution
-        return table
-
-    def _own_table(self, solution: PartitionSolution, table: GainTable) -> GainTable:
-        """table, whose bits equal solution's, if solution owns it; else a fork
-        that solution owns, cached first. The old table stays valid for its owner."""
-        if table.owner is not solution:
-            table = self._cache(table.fork(solution))
         return table
 
     def moves(
@@ -254,9 +250,9 @@ class MaxCutInstance(ProblemInstance):
         self, solution: PartitionSolution, depth: SearchDepth, rng: RandomStream, should_stop: Optional[Callable[[], bool]]
     ) -> None:
         """Climb with solution's table looked up once and held: each pass's
-        move flips the bits and the table directly, forked first if another
-        solution owns it. A first-improving pass draws a fresh scan offset,
-        so that no vertex id is favoured; a best-improving one draws nothing."""
+        move flips the bits and the table directly. A first-improving pass
+        draws a fresh scan offset, so that no vertex id is favoured; a
+        best-improving one draws nothing."""
         draw = depth is SearchDepth.FIRST_IMPROVING
         n, bits = self.n, solution.bits
         table = self._gain_table(solution)
@@ -268,7 +264,6 @@ class MaxCutInstance(ProblemInstance):
                 return
             if move.delta <= 0:
                 raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
-            table = self._own_table(solution, table)
             bits[move.element] ^= 1
             table.apply_flip(move.element)
             solution.cached_objective += move.delta
@@ -304,8 +299,8 @@ class _MaxCutWalk:
     one head, which drops it from the difference whichever head moved, so
     one list serves every direction, mixed included. A head's table is
     looked up on its first ranked() or take(), so a head that never moves
-    (a forward walk's guide) gets none; the head owns it from its first
-    take() on, and every step after that flips it with no bits comparison.
+    (a forward walk's guide) gets none, and every step flips the table the
+    head owns with no bits comparison.
     """
 
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
@@ -325,7 +320,7 @@ class _MaxCutWalk:
 
     def take(self, i: int, move: Move) -> None:
         head, v = self.heads[i], move.element
-        table = self.tables[i] = self.instance._own_table(head, self._table(i))
+        table = self._table(i)
         head.bits[v] ^= 1
         table.apply_flip(v)
         if head.cached_objective is not None:

@@ -104,7 +104,7 @@ def test_collapsed_alpha_is_pure_function():
     # and the stream is untouched: greedy consumes no draws
     rng = RandomStream(77)
     construct(inst, cfg, rng)
-    assert rng.random() == RandomStream(77).random()
+    assert rng.randrange(2**64) == RandomStream(77).randrange(2**64)
 
 
 def test_construction_feasibility_lop():
@@ -163,7 +163,7 @@ def _reference(inst):
 def assert_constructs_as_reference(inst, seeds=(1, 2), constructions=2):
     """Whole constructions in both modes and every alpha range equal the
     reference's from-scratch ones: same solutions, objectives and draws,
-    then the same next rng.random(). Returns the reference's step kinds."""
+    then the same next rng.randrange(2**64). Returns the reference's step kinds."""
     ref = _reference(inst)
     for mode in (VALUE, CARDINALITY):
         for low, high in ALPHA_RANGES:
@@ -174,7 +174,7 @@ def assert_constructs_as_reference(inst, seeds=(1, 2), constructions=2):
                     sol, want = construct(inst, cfg, rng), ref.construct(cfg, ref_rng)
                     assert sol == want, (mode, low, high, seed)
                     assert sol.cached_objective == want.cached_objective, (mode, low, high, seed)
-                assert rng.random() == ref_rng.random(), (mode, low, high, seed)
+                assert rng.randrange(2**64) == ref_rng.randrange(2**64), (mode, low, high, seed)
     return ref.steps
 
 
@@ -297,7 +297,7 @@ def test_per_step_alpha_draw_count():
     cfg = RclConfig(alpha_low=1.0, alpha_high=1.0)  # collapsed: no alpha draws
     rng = RandomStream(12)
     construct(inst, cfg, rng)  # step 1 picks among {0,1}, step 2 is a singleton
-    tail = rng.random()
+    tail = rng.randrange(2**64)
     ref = RandomStream(12)
     ref.randrange(2)  # the single pick
-    assert tail == ref.random()
+    assert tail == ref.randrange(2**64)

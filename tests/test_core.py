@@ -125,13 +125,13 @@ def test_copy_is_independent():
 def test_random_stream_reproducible_first_million_draws():
     a = RandomStream(123456789)
     b = RandomStream(123456789)
-    assert all(a.random() == b.random() for _ in range(10**6))
+    assert all(a.randrange(2**64) == b.randrange(2**64) for _ in range(10**6))
 
 
 def test_random_stream_seed_sensitivity():
     a = RandomStream(1)
     b = RandomStream(2)
-    assert [a.random() for _ in range(8)] != [b.random() for _ in range(8)]
+    assert [a.randrange(2**64) for _ in range(8)] != [b.randrange(2**64) for _ in range(8)]
 
 
 def test_random_stream_refuses_seeds_outside_64_bits():
@@ -146,19 +146,19 @@ def test_substreams_differ_and_reproduce():
     a = RandomStream(5)
     a.advance_substream()
     b = RandomStream(5)
-    b.random()  # a jump reseeds, whatever was drawn before it
+    b.randrange(2**64)  # a jump reseeds, whatever was drawn before it
     b.advance_substream()
-    assert [a.random() for _ in range(32)] == [b.random() for _ in range(32)]
+    assert [a.randrange(2**64) for _ in range(32)] == [b.randrange(2**64) for _ in range(32)]
     jumped = RandomStream(5)
     jumped.advance_substream()
-    assert RandomStream(5).random() != jumped.random()
+    assert RandomStream(5).randrange(2**64) != jumped.randrange(2**64)
 
 
 def test_pick_singleton_consumes_no_draw():
     a = RandomStream(9)
     b = RandomStream(9)
     assert a.pick([42]) == 42
-    assert a.random() == b.random()  # streams still aligned
+    assert a.randrange(2**64) == b.randrange(2**64)  # streams still aligned
     with pytest.raises(IndexError):
         a.pick([])
 
@@ -171,7 +171,7 @@ def test_draws_equal_random_randrange(n):
         ref = random.Random()
         ref.setstate(ours._rng.getstate())
         assert [draw(ours, arg) for _ in range(200)] == [ref.randrange(n) for _ in range(200)]
-        assert ours.random() == ref.random()
+        assert ours.randrange(2**64) == ref.randrange(2**64)
 
 
 def test_alpha_in_half_open_interval():
@@ -181,7 +181,7 @@ def test_alpha_in_half_open_interval():
     # collapsed range is a constant and consumes nothing
     a, b = RandomStream(4), RandomStream(4)
     assert a.alpha_in(0.2, 0.2) == 0.2
-    assert a.random() == b.random()
+    assert a.randrange(2**64) == b.randrange(2**64)
 
 
 def test_weighted_index_distribution_and_guard():

@@ -146,7 +146,7 @@ def test_select_guide_uniform_singleton_consumes_no_draw():
     rng = RandomStream(5)
     guide = es.select_guide(_part([1, 1, 1, 1]), "uniform", rng)
     assert guide.bits == [0, 1, 0, 1]
-    assert rng.random() == RandomStream(5).random()
+    assert rng.randrange(2**64) == RandomStream(5).randrange(2**64)
 
 
 def test_select_guide_pdelta_frequencies():

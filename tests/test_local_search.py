@@ -121,7 +121,7 @@ def test_best_improving_consumes_no_rng():
     evaluate(inst, start)
     rng = RandomStream(11)
     a = local_search(inst, start, SearchDepth.BEST_IMPROVING, rng)
-    assert rng.random() == RandomStream(11).random()
+    assert rng.randrange(2**64) == RandomStream(11).randrange(2**64)
     b = local_search(inst, start, SearchDepth.BEST_IMPROVING, RandomStream(99))
     assert a.order == b.order  # deterministic regardless of stream
 
@@ -144,7 +144,7 @@ def test_first_improving_maxcut_draws_offsets():
     evaluate(inst, start)
     rng = RandomStream(15)
     local_search(inst, start, SearchDepth.FIRST_IMPROVING, rng)
-    assert rng.random() != RandomStream(15).random()
+    assert rng.randrange(2**64) != RandomStream(15).randrange(2**64)
 
 
 def _state(sol):

@@ -131,10 +131,11 @@ def test_move_kernels_match_reference_selection():
 
 
 def test_best_move_at_32_bit_extremes():
-    # the best-improving scan keeps every element's prefix sums in one field
-    # of a single int, and entries at both 32-bit ends take the widest, 64-bit
-    # fields: they drive those sums to +-(n - 1) * (2^32 - 1), where a missing
-    # bias, guard bit or base read would corrupt a neighbouring field
+    # the scan keeps every element's prefix sums in one field of a single
+    # int, and entries at both 32-bit ends take the widest, 64-bit fields:
+    # they drive those sums to +-(n - 1) * (2^32 - 1), where a missing bias,
+    # guard bit or base read would corrupt a neighbouring field, and a target
+    # read from the wrong field or without the bias would pick the wrong move
     lo, hi = -2**31, 2**31 - 1
 
     class Weight(int):
@@ -153,7 +154,9 @@ def test_best_move_at_32_bit_extremes():
                 sol = PermutationSolution(order)
                 for _ in range(n if n < 100 else 8):
                     best = oracles.chosen(inst, sol, BEST)
-                    assert best == oracles.best_move(oracles.all_moves(inst, sol)), (n, sol.order)
+                    moves = oracles.all_moves(inst, sol)
+                    assert best == oracles.best_move(moves), (n, sol.order)
+                    assert oracles.chosen(inst, sol, FIRST) == oracles.first_move(moves), (n, sol.order)
                     if best is None:
                         break
                     oracles.apply(inst, sol, best)
@@ -169,6 +172,21 @@ def test_packed_columns_wait_for_the_first_best_improving_scan(tmp_path):
     assert inst._columns is None and inst._skew is None
     oracles.chosen(inst, PermutationSolution(list(report.best_solution.order)), BEST)
     assert inst._columns is not None
+
+
+@pytest.mark.parametrize("depth", list(SearchDepth), ids=lambda d: d.value)
+def test_descents_read_picks_from_the_held_scan(monkeypatch, depth):
+    # once the packing is built, a descent's passes read every pick from the
+    # insert scan it holds: no pass goes back to the skew rows
+    r = oracles.make_rng(45)
+    inst = LopInstance(oracles.rand_lop_matrix(r, 40))
+    inst._packed()
+    calls = []
+    skew_rows = LopInstance._skew_rows
+    monkeypatch.setattr(LopInstance, "_skew_rows", lambda self: calls.append(1) or skew_rows(self))
+    start = PermutationSolution(oracles.rand_perm(r, 40))
+    out = local_search(inst, start, depth, RandomStream(45))
+    assert out.cached_objective > oracles.lop_value(inst.cost, start.order) and calls == []
 
 
 class _CheckedLop(LopInstance):

@@ -671,3 +671,25 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     rebuilt = inst._gain_table(heir)
     assert counts == {**before, "builds": before["builds"] + 1} and rebuilt.owner is heir
     assert rebuilt.gain == _fresh_gains(inst, heir)
+
+
+def test_a_lookup_by_a_copy_returns_a_table_the_copy_owns(monkeypatch):
+    # the lookup itself forks a cached table that another solution owns, so
+    # the copy's descent flips its own table and leaves the original's exact
+    from grasppr.core import RandomStream
+
+    r = oracles.make_rng(121)
+    n = 40
+    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, -5, 10))
+    sol = PartitionSolution(oracles.rand_bits(r, n))
+    evaluate(inst, sol)
+    table = inst._gain_table(sol)
+    copy = sol.copy()
+    counts = _count_cache_work(monkeypatch)
+    twin = inst._gain_table(copy)
+    assert twin is not table and twin.owner is copy and table.owner is sol
+    assert counts == {"builds": 0, "flips": 0, "forks": 1}
+    inst.descend(copy, BEST, RandomStream(121), None)
+    assert copy.cached_objective > sol.cached_objective and counts["builds"] == 0
+    assert twin.bits == copy.bits and twin.gain == _fresh_gains(inst, copy)
+    assert table.bits == sol.bits and table.gain == _fresh_gains(inst, sol)

@@ -147,7 +147,7 @@ def test_grpr_rcl1_is_bit_identical_to_greedy():
         best_b, _, path_b = _relink_path(MC6, s, t, PrConfig(step="grpr", rcl_size=1), rng_b)
         assert best_a == best_b
         assert [(v.bits, o) for v, _, o in path_a] == [(v.bits, o) for v, _, o in path_b]
-        assert rng_a.random() == rng_b.random()  # neither consumed a draw
+        assert rng_a.randrange(2**64) == rng_b.randrange(2**64)  # neither consumed a draw
 
 
 def test_grpr_draws_within_rcl():
