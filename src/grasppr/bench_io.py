@@ -6,15 +6,17 @@ order with insignificant line breaks. Weighted graphs: a header "n m"
 followed by m lines "i j w" with 1-based endpoints; duplicate edges merge by
 summing their weights. Both parsers report positions (line, column) and
 raise ParseError on any malformed text, never an unrelated exception.
+
+The process pool is imported only when a grid runs with jobs > 1, and csv
+only when a table is written, so a process that parses and solves loads
+neither.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -25,7 +27,7 @@ from .core import _INT32, PartitionSolution, PermutationSolution, ProblemInstanc
 from .drivers import VARIANTS, RunConfig, RunReport, run
 from .elite_set import PROPORTIONAL_DELTA, UNIFORM
 from .lop import LopInstance
-from .maxcut import MAX_VERTICES, MaxCutInstance
+from .maxcut import MaxCutInstance, check_vertex_count
 from .path_relinking import (
     BACK_AND_FORWARD,
     BACKWARD,
@@ -41,6 +43,7 @@ from .path_relinking import (
 )
 
 _TOKEN = re.compile(r"\S+")
+_LINE = re.compile(r"^.*$", re.MULTILINE)  # the lines of text.split("\n"), one match at a time
 
 LOP = "lop"
 MAXCUT = "maxcut"
@@ -212,19 +215,30 @@ def _edge_list_fast(text: str) -> Optional[MaxCutInstance]:
 
 
 def _edge_list_values(text: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """(n, 0-based edges) read by str.split and int() alone; its tokens are freed before the graph is built."""
+    """(n, 0-based edges) read by str.split and int() alone; its tokens are freed before the graph is built.
+
+    n is judged before any edge line is split, so a bad header costs no bulk read.
+    """
+    first = _TOKEN.search(text)
+    if "_" in text or first is None:
+        raise ValueError("no header line of plain ints")
+    end = text.find("\n", first.start())
+    header = text[first.start() : end if end >= 0 else len(text)].split()
+    if len(header) != 2:
+        raise ValueError("not an 'n m' header")
+    n, m = map(int, header)
+    check_vertex_count(n)
     rows = [toks for toks in map(str.split, text.split("\n")) if toks]
-    if "_" in text or not rows or len(rows[0]) != 2 or any(len(toks) != 3 for toks in rows[1:]):
-        raise ValueError("not an 'n m' line and 'i j w' lines of plain ints")
+    del rows[0]  # the header, read above
+    if len(rows) != m or any(len(toks) != 3 for toks in rows):
+        raise ValueError("not m 'i j w' lines of plain ints")
     values = list(map(int, chain.from_iterable(rows)))
-    if values[1] != len(rows) - 1:
-        raise ValueError("m does not count the edge lines")
-    return values[0], [(u - 1, v - 1, w) for u, v, w in zip(values[2::3], values[3::3], values[4::3])]
+    return n, [(u - 1, v - 1, w) for u, v, w in zip(values[0::3], values[1::3], values[2::3])]
 
 
 def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     """(n, 0-based edges) of text (header checked first), or a ParseError at the first bad line or token."""
-    numbered = enumerate(text.split("\n"), start=1)
+    numbered = enumerate((line.group() for line in _LINE.finditer(text)), start=1)  # lazily: header first
     rows = (toks for ln, raw in numbered for toks in [_tokenize_line(raw, ln)] if toks)
     header = next(rows, None)
     if header is None:
@@ -233,10 +247,10 @@ def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         raise ParseError(f"header must be 'n m', found {len(header)} token(s)", header[0].line, header[0].col)
     n = _as_int(header[0], "vertex count n")
     m = _as_int(header[1], "edge count m")
-    if n < 1:
-        raise ParseError(f"n must be >= 1, got {n}", header[0].line, header[0].col)
-    if n > MAX_VERTICES:
-        raise ParseError(f"n must be <= {MAX_VERTICES}, got {n}", header[0].line, header[0].col)
+    try:
+        check_vertex_count(n)
+    except ValueError as exc:
+        raise ParseError(str(exc), header[0].line, header[0].col) from None
     if m < 0:
         raise ParseError(f"m must be >= 0, got {m}", header[1].line, header[1].col)
 
@@ -549,6 +563,8 @@ def run_grid(cells: Sequence[CellSpec], jobs: int = 1) -> list[RunRow]:
         if jobs == 1 or len(cells) <= 1:
             rows, errors = _collect(functools.partial(run_cell, c) for c in cells)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             # the pool starts all its workers up front, so no more than there are cells
             with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
                 rows, errors = _collect([pool.submit(run_cell, c).result for c in cells])
@@ -572,6 +588,8 @@ def _collect(calls: Iterable[Callable[[], RunRow]]) -> tuple[list[RunRow], list[
 
 
 def _write_csv(sink: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    import csv
+
     w = csv.writer(sink, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)

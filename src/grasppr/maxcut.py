@@ -1,10 +1,16 @@
 """Max-cut: maximize total weight of edges crossing a two-sided vertex partition.
 
-Weights may be negative. The neighbourhood transfers one vertex across the
-cut, as does each relinking step; flip gains are kept in a GainTable so a
-transfer costs O(degree). A GainTable also keeps pos, the vertices of
-positive gain, and a local-search pass picks from pos, so a pass next to a
-local optimum costs O(len(pos)), not O(n).
+Weights may be negative. An instance holds its graph once, as adj: per
+vertex, its (neighbour, weight) pairs by ascending neighbour. Equal pairs are
+one tuple and each vertex id one int object, so a unit-weight or ±1 graph
+(the G-set's kind) keeps about one or two pairs per vertex, not two per edge.
+edges, the sorted (i, j, w) triples with i < j, is derived from adj on access.
+
+The neighbourhood transfers one vertex across the cut, as does each
+relinking step; flip gains are kept in a GainTable so a transfer costs
+O(degree). A GainTable also keeps pos, the vertices of positive gain, and a
+local-search pass picks from pos, so a pass next to a local optimum costs
+O(len(pos)), not O(n).
 
 Each instance caches _TABLES GainTables, most recently used first, each
 over a private copy of its bits. A lookup returns a table the asking
@@ -39,6 +45,14 @@ MAX_VERTICES = 2**20
 # cached gain tables per instance: two walk heads and an in-path search copy of each
 _TABLES = 4
 _BEST = SearchDepth.BEST_IMPROVING  # bound once: an enum member read costs ~10x a global's per scan
+
+
+def check_vertex_count(n: int) -> None:
+    """ValueError unless 1 <= n <= MAX_VERTICES: the one statement of the rule, which parsers judge first."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n must be <= {MAX_VERTICES}, got {n}")
 
 
 class GainTable:
@@ -97,11 +111,8 @@ class MaxCutInstance(ProblemInstance):
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"n must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if n > MAX_VERTICES:
-            raise ValueError(f"n must be <= {MAX_VERTICES}, got {n}")
-        merged: dict[tuple[int, int], int] = {}
+        check_vertex_count(n)
+        merged: dict[int, int] = {}  # weight by key i * n + j, i < j: an int hashes and sorts faster than a pair
         try:
             edges = list(edges)  # read twice: by this loop and by the endpoint type pass below
             for i, j, w in edges:
@@ -111,7 +122,7 @@ class MaxCutInstance(ProblemInstance):
                     raise ValueError(f"self-loop on vertex {i}")
                 if not isinstance(w, int) or isinstance(w, bool) or not (-_INT32 <= w < _INT32):
                     raise ValueError(f"weight on edge ({i},{j}) is not a 32-bit int: {w!r}")
-                key = (i, j) if i < j else (j, i)
+                key = i * n + j if i < j else j * n + i
                 merged[key] = merged.get(key, 0) + w
         except TypeError as exc:  # an endpoint that does not compare with ints
             raise ValueError(f"edges must be (i, j, w) int triples: {exc}") from None
@@ -124,16 +135,23 @@ class MaxCutInstance(ProblemInstance):
             for v in chain.from_iterable((i, j) for i, j, _ in edges):
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError(f"non-integer vertex: {v!r}")
-        for (i, j), w in merged.items():
+        for key, w in merged.items():
             if not (-_INT32 <= w < _INT32):
+                i, j = divmod(key, n)
                 raise ValueError(f"merged weight on edge ({i},{j}) outside 32-bit range: {w}")
         self.n = n
-        self.edges = tuple(sorted((i, j, w) for (i, j), w in merged.items()))
+        self.m = len(merged)
+        # In key order each vertex lists its neighbours ascending. One int object per vertex id,
+        # and one tuple per distinct (neighbour u, weight w) pair, found by the int w * n + u.
+        ids = list(range(n))
+        pairs: dict[int, tuple[int, int]] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        self.adj = tuple(tuple(a) for a in adj)
+        for key in sorted(merged):
+            i, j = divmod(key, n)
+            w = merged[key]
+            adj[i].append(pairs.setdefault(w * n + j, (ids[j], w)))
+            adj[j].append(pairs.setdefault(w * n + i, (ids[i], w)))
+        self.adj = tuple(map(tuple, adj))
         # gain tables, most recently used first, each over a private copy of
         # its bits; see _gain_table
         self._tables: list[GainTable] = []
@@ -150,12 +168,13 @@ class MaxCutInstance(ProblemInstance):
         return self._seed
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The merged edges as sorted (i, j, w) triples with i < j; built from adj on each access."""
+        return tuple((i, j, w) for i, a in enumerate(self.adj) for j, w in a if i < j)
 
     def evaluate(self, solution: PartitionSolution) -> int:
         bits = solution.bits
-        return sum(w for i, j, w in self.edges if bits[i] != bits[j])
+        return sum(w for i, a in enumerate(self.adj) for j, w in a if i < j and bits[i] != bits[j])
 
     def construct(self, rcl: RclConfig, rng: RandomStream) -> PartitionSolution:
         """Assigns one vertex per step; the seed vertex is forced to side 1.

@@ -1,5 +1,8 @@
+import concurrent.futures
 import gc
 import io
+import random
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import Future
@@ -39,10 +42,11 @@ from grasppr.construction import CARDINALITY
 from grasppr.core import PartitionSolution, PermutationSolution, SearchDepth, evaluate
 from grasppr.drivers import RunConfig, RunReport, run
 from grasppr.lop import LopInstance
-from grasppr.maxcut import MaxCutInstance
+from grasppr.maxcut import MAX_VERTICES, MaxCutInstance
 from grasppr.path_relinking import BACK_AND_FORWARD, PrConfig
 
 import oracles
+from test_cli import _python
 
 TOY = Path(__file__).resolve().parent.parent / "instances" / "toy"
 
@@ -199,10 +203,10 @@ def test_numbers_beyond_int_digit_limit_are_parse_errors(tmp_path):
 
 
 def test_vertex_count_is_capped():
-    # a header alone may not claim more vertices than MAX_VERTICES: the
-    # constructor refuses it before it allocates, so the fast path declines,
-    # and the located path raises at the header without building a graph
-    cap = bench_io.MAX_VERTICES
+    # a header alone may not claim more vertices than MAX_VERTICES: the fast
+    # path judges it before it reads an edge line and declines, and the
+    # located path raises at the header, so no graph is built
+    cap = MAX_VERTICES
     assert bench_io._edge_list_fast(f"{cap} 0\n").n == cap
     for n in (cap + 1, 2**31 - 1):
         text = f"{n} 0\n"
@@ -210,13 +214,34 @@ def test_vertex_count_is_capped():
         with mock.patch.object(bench_io, "MaxCutInstance", wraps=MaxCutInstance) as build:
             with pytest.raises(ParseError, match=f"n must be <= {cap}, got {n}") as exc:
                 parse_edge_list(text)
-        assert build.call_count == 1  # the fast path's, refused
+        assert build.call_count == 0
         assert (exc.value.line, exc.value.col) == (1, 1)
+
+
+def test_a_bad_vertex_count_costs_no_bulk_read():
+    # both paths judge n before they split the edge lines: the parse of a
+    # file whose header claims too many vertices allocates a small fraction
+    # of what splitting its lines into tokens does
+    r = random.Random(39)
+    lines = [f"{2**21} 5000"] + [f"{r.randint(1, 2000)} {r.randint(1, 2000)} {r.choice((-1, 1))}" for _ in range(5000)]
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^line 1, col 1: n must be <= {MAX_VERTICES}, got {2**21}$"):
+            parse_edge_list(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rows = [toks for toks in map(str.split, text.split("\n")) if toks]
+        split_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 5001
+    assert parse_peak * 20 < split_peak, (parse_peak, split_peak)
 
 
 def test_located_parsers_check_the_header_first():
     # a fault on the header or dimension line is raised before any body line is tokenized
-    cap = bench_io.MAX_VERTICES
+    cap = MAX_VERTICES
     edges = "".join(f"{i} {i + 1} 1\n" for i in range(1, 50))
     for parse, text, message, tokenized in (
         (parse_edge_list, f"{cap + 1} 49\n" + edges, f"line 1, col 1: n must be <= {cap}", [1]),
@@ -757,10 +782,30 @@ def test_run_grid_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
             return future
 
     expected = run_grid(cells, jobs=1)
-    monkeypatch.setattr(bench_io, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # where run_grid imports it from
     for jobs, workers in ((64, 4), (4, 4), (3, 3), (2, 2)):
         assert _strip(run_grid(cells, jobs=jobs)) == _strip(expected)
         assert asked.pop() == workers and not asked
+
+
+LEAN_SOLVE = """
+import sys
+import grasppr
+from grasppr import bench_io, drivers
+for name, problem in (("lop-n10-a.mat", "lop"), ("mc-n12-pm.el", "maxcut")):
+    instance = grasppr.load_instance(sys.argv[1] + "/" + name, problem)
+    config = bench_io.build_run_config(problem, {"variant": "evolutionary_pr"}, 1, None, 5)
+    assert drivers.run(instance, config).pr_calls > 0
+print(" ".join(sorted({"concurrent.futures", "multiprocessing", "csv"} & set(sys.modules))))
+"""
+
+
+def test_a_solve_imports_no_worker_pool_and_no_csv():
+    # the pool brings multiprocessing, pickle, socket, subprocess and logging
+    # into every process that imports it; only a grid with jobs > 1 needs it
+    done = _python("-c", LEAN_SOLVE, str(TOY))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_run_cell_wraps_failures_with_context(tmp_path):

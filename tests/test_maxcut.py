@@ -379,6 +379,45 @@ def test_edges_are_canonical():
     assert inst.edges == ((0, 2, 1), (1, 3, 2))
 
 
+@pytest.mark.parametrize("pm1", [False, True], ids=["unit", "pm1"])
+def test_adj_holds_the_graph_once(pm1):
+    # the G-set's kinds of graph, unit and ±1 weights, with duplicate edges
+    # that merge to 2w and to 0. adj keeps one tuple per distinct (neighbour,
+    # weight) pair and one int object per vertex id (past 256, so not the
+    # interpreter's cached ints); edges is derived from it
+    r = oracles.make_rng(39 + pm1)
+    n = 300
+    given = [(i, j, r.choice((-1, 1)) if pm1 else 1) for i, j, _ in oracles.rand_edges(r, n, 0.03)]
+    given += [(j, i, w) for i, j, w in given[::7]] + [(j, i, -w) for i, j, w in given[3::7]]
+    r.shuffle(given)
+    merged = {}
+    for i, j, w in given:
+        key = (min(i, j), max(i, j))
+        merged[key] = merged.get(key, 0) + w
+    expected = tuple(sorted((i, j, w) for (i, j), w in merged.items()))
+    assert {w for _, _, w in expected} == ({-2, -1, 0, 1, 2} if pm1 else {0, 1, 2})
+    inst = MaxCutInstance(n, given)
+
+    assert type(inst.edges) is tuple and inst.edges == expected and type(inst.m) is int and inst.m == len(expected)
+    adj = [[] for _ in range(n)]
+    for i, j, w in expected:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    assert type(inst.adj) is tuple and inst.adj == tuple(map(tuple, adj))
+    pairs = [p for a in inst.adj for p in a]
+    assert len({id(p) for p in pairs}) == len(set(pairs)) <= 5 * n
+    ids = {}
+    for u, _ in pairs:
+        ids.setdefault(u, set()).add(id(u))
+    assert all(len(objects) == 1 for objects in ids.values()) and len(ids) > 256
+    # no intern table outlives the constructor
+    assert not [name for name, value in vars(inst).items() if isinstance(value, dict)]
+
+    for _ in range(20):
+        bits = oracles.rand_bits(r, n)
+        assert inst.evaluate(PartitionSolution(bits)) == oracles.cut_value(given, bits) == oracles.cut_value(expected, bits)
+
+
 def _positive(table):
     return {v for v in range(len(table.gain)) if table.gain[v] > 0}
 
