@@ -103,7 +103,7 @@ class Move(NamedTuple):
 
 class ProblemInstance(ABC):
     """Immutable problem data and the hooks the search drives: evaluate,
-    construct, descend with the moves() scan of each pass, and new_walk."""
+    construct, descend and new_walk."""
 
     n: int
 
@@ -123,26 +123,19 @@ class ProblemInstance(ABC):
         """
 
     @abstractmethod
-    def moves(self, solution: Solution, offset: int, depth: SearchDepth):
-        """One neighbourhood scan, whose last yield is the move a pass applies.
-
-        descend runs one scan per pass, to its end before it applies that
-        move; a scan that yields nothing ends the descent. Each problem
-        has one move: an insert for permutations, a transfer for partitions.
-        BEST_IMPROVING picks the improving move of largest delta, the first
-        in canonical scan order on ties; FIRST_IMPROVING the first improving
-        move of that order rotated by offset, where supported. Adapters pick
-        it with a kernel that builds no Move per candidate.
-        """
-
-    @abstractmethod
     def descend(
         self, solution: Solution, depth: SearchDepth, rng: "RandomStream", should_stop: Optional[Callable[[], bool]]
     ) -> None:
         """Climb in place from an evaluated solution until no improving move remains.
 
-        One moves() scan per pass (see moves); a move that does not improve
-        raises RuntimeError, since applying it could cycle forever.
+        Each pass finishes one neighbourhood scan before it applies the move
+        the scan picks; a scan that picks nothing ends the descent. Each
+        problem has one move: an insert for permutations, a transfer for
+        partitions. BEST_IMPROVING picks the improving move of largest
+        delta, the first in scan order on ties; FIRST_IMPROVING the first
+        improving move of that order rotated by a drawn offset, where
+        supported. A move that does not improve raises RuntimeError, since
+        applying it could cycle forever.
         should_stop, if given, is called before every pass; once it returns
         true the climb stops where it stands. solution is local_search's
         private copy, so the descent holds its search state across passes.
@@ -155,7 +148,7 @@ class ProblemInstance(ABC):
         ranked(i, k) returns at most k Moves that take heads[i] toward the
         other head without reaching it, by descending delta, ties to the
         lower element; take(i, move) applies one of them to heads[i] and
-        keeps its cached_objective.
+        adds its delta to the cached_objective that relink set first.
         """
 
 

@@ -11,8 +11,8 @@ them, one w-bit field per element (see _FIELD_WIDTHS), and keeps every
 field's minimum by SWAR (_swar_min): a full pass is O(n^2) word operations.
 A descent holds the scan of its solution's order (_InsertScan): a pass reads
 its chunk minima in O(n sqrt(n)), and a move from i to j patches it (_rescan)
-in O(n (|i - j| + sqrt(n))). No other state is kept, so a scan without a
-held one is a full pass, and walk steps and hand edits only move the order.
+in O(n (|i - j| + sqrt(n))). No other state is kept, so walk steps and
+hand edits only move the order.
 """
 
 from __future__ import annotations
@@ -152,17 +152,13 @@ class LopInstance(ProblemInstance):
             self._skew = tuple(tuple(a - b for a, b in zip(row, col)) for row, col in zip(self.cost, zip(*self.cost)))
         return self._skew
 
-    def moves(
-        self, solution: PermutationSolution, offset: int, depth: SearchDepth, scan: Optional[_InsertScan] = None
-    ) -> Iterator[Move]:
-        # scan: the one a descent holds of solution's order, or None for a full
-        # pass. Canonical scan order: element id ascending, target position
-        # ascending; the permutation scan ignores offsets. best: the lowest
-        # element of largest gain and its first minimum, the first best
-        # target in scan order; first: the lowest improving element and its
-        # first improving target
+    def moves(self, solution: PermutationSolution, depth: SearchDepth, scan: _InsertScan) -> Iterator[Move]:
+        # scan: the one a descent holds of solution's order. Canonical scan
+        # order: element id ascending, target position ascending. best: the
+        # lowest element of largest gain and its first minimum, the first
+        # best target in scan order; first: the lowest improving element and
+        # its first improving target
         order = solution.order
-        scan = scan or self._full_scan(order)
         gains = self._insert_gains(scan)
         best = depth is _BEST
         gain = max(gains) if best else next(filter((0).__lt__, gains), 0)
@@ -251,13 +247,13 @@ class LopInstance(ProblemInstance):
     ) -> None:
         """Climb with one insert scan of solution's order, held across the
         passes: a full pass before the first, then a patch after each move.
-        The permutation scan ignores offsets, so no pass draws from rng."""
+        The insert scan takes no offset, so no pass draws from rng."""
         order, scan = solution.order, None
         while should_stop is None or not should_stop():
             if scan is None:  # after the first check, so a descent stopped at once scans nothing
                 scan = self._full_scan(order)
             move = None
-            for move in self.moves(solution, 0, depth, scan):
+            for move in self.moves(solution, depth, scan):
                 pass  # the scan finishes before its move is applied
             if move is None:
                 return

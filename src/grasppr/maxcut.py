@@ -13,20 +13,15 @@ local-search pass picks from pos, so a pass next to a local optimum costs
 O(len(pos)), not O(n).
 
 Each instance caches _TABLES GainTables, most recently used first, each
-over a private copy of its bits. A lookup returns a table the asking
-solution owns, the only one whose searches flip it in place (so the cache
-keeps at most _TABLES owners alive): the cached table whose bits equal the
-solution's if it owns it, an exact fork if another solution does (O(n)
-copies, no O(m) rebuild), else a fresh O(m) build. So a walk head, the copy
-an in-path search descends from it and the other head of a mixed walk each
-keep their own table. A descent looks its table up once and a walk once per
-moving head; each then holds it and flips it in O(degree) without comparing
-bits.
-
-Only the holder moves that solution while it holds the table: a descent's
-solution is local_search's private copy, and a walk's moving heads are
-relink's copies. Hand edits touch no table; the next lookup's bits
-comparison is the only test of validity, so they stay exact.
+over a private copy of its bits. A lookup by bits returns a table for its
+caller alone: an exact fork of the cached table with those bits (O(n)
+copies, no O(m) rebuild), else a fresh O(m) build; either is cached in
+front. A descent looks its table up once and a walk once per moving head;
+each then holds it and flips it with its solution in O(degree), without
+comparing bits. So a cached table keeps the bits its holder's solution last
+had, and a later lookup of those bits (say, a walk from a descent's output)
+forks it. Hand edits touch no table; the next lookup compares bits, so they
+stay exact.
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ class GainTable:
     def __init__(self, inst: "MaxCutInstance", bits: Sequence[int]):
         self.adj = inst.adj
         self.bits = bits = list(bits)
-        self.owner: Optional[PartitionSolution] = None  # whose moves flip this table in place, see _gain_table
         self.gain = [0] * inst.n
         for v in range(inst.n):
             g = 0
@@ -75,12 +69,11 @@ class GainTable:
             self.gain[v] = g
         self.pos = set(compress(range(inst.n), map((0).__lt__, self.gain)))
 
-    def fork(self, owner: PartitionSolution) -> "GainTable":
-        """A copy of this table for owner, in O(n) list copies: no O(m) rebuild."""
+    def fork(self) -> "GainTable":
+        """A copy of this table, in O(n) list copies: no O(m) rebuild."""
         twin = object.__new__(GainTable)
         twin.adj = self.adj
         twin.bits = list(self.bits)
-        twin.owner = owner
         twin.gain = list(self.gain)
         twin.pos = set(self.pos)
         return twin
@@ -228,31 +221,24 @@ class MaxCutInstance(ProblemInstance):
             else:
                 key = pick(rcl_from_buckets(buckets, size, mode, alpha))
 
-    def _cache(self, table: GainTable) -> GainTable:
-        self._tables.insert(0, table)
-        del self._tables[_TABLES:]
-        return table
-
-    def _gain_table(self, solution: PartitionSolution) -> GainTable:
-        """The table solution owns: the cached one whose bits equal solution's,
-        moved to the front, or forked for solution if another solution owns
-        it; else a fresh one."""
-        tables, bits = self._tables, solution.bits
+    def _gain_table(self, bits: list[int]) -> GainTable:
+        """A table of bits for the caller to flip: a fork of the cached one
+        with equal bits, moved to the front first, else a fresh build. It is
+        cached in front either way."""
+        tables = self._tables
         for i, table in enumerate(tables):
             if table.bits == bits:
-                if i:
-                    tables.insert(0, tables.pop(i))
-                return table if table.owner is solution else self._cache(table.fork(solution))
-        table = self._cache(GainTable(self, bits))
-        table.owner = solution
+                tables.insert(0, tables.pop(i))
+                table = table.fork()
+                break
+        else:
+            table = GainTable(self, bits)
+        tables.insert(0, table)
+        del tables[_TABLES:]
         return table
 
-    def moves(
-        self, solution: PartitionSolution, offset: int, depth: SearchDepth, table: Optional[GainTable] = None
-    ) -> Iterator[Move]:
-        """The pass's pick from table.pos; table is solution's own, or None to look it up by bits."""
-        if table is None:
-            table = self._gain_table(solution)
+    def moves(self, table: GainTable, offset: int, depth: SearchDepth) -> Iterator[Move]:
+        """The pass's pick from table.pos, the table its descent holds."""
         gains, pos = table.gain, table.pos
         if not pos:
             return
@@ -274,10 +260,10 @@ class MaxCutInstance(ProblemInstance):
         best-improving one draws nothing."""
         draw = depth is SearchDepth.FIRST_IMPROVING
         n, bits = self.n, solution.bits
-        table = self._gain_table(solution)
+        table = self._gain_table(bits)
         while should_stop is None or not should_stop():
             move = None
-            for move in self.moves(solution, rng.randrange(n) if draw else 0, depth, table):
+            for move in self.moves(table, rng.randrange(n) if draw else 0, depth):
                 pass  # the scan finishes before its move is applied
             if move is None:
                 return
@@ -290,21 +276,17 @@ class MaxCutInstance(ProblemInstance):
     def new_walk(self, a: PartitionSolution, b: PartitionSolution) -> "_MaxCutWalk":
         return _MaxCutWalk(self, a, b)
 
-    def pr_candidates(
-        self, current: PartitionSolution, k: int, diff: list[int], table: Optional[GainTable] = None
-    ) -> list[Move]:
-        """At most k flips of the positions where current and the other head
-        differ, without the one flip that reaches it, by descending gain with
-        ties to the lower position. diff lists those positions in ascending
-        order, as the walk keeps them, so a step costs O(len(diff)), not O(n).
-        table is current's own, as a walk holds it, or None to look it up by bits.
+    def pr_candidates(self, table: GainTable, k: int, diff: list[int]) -> list[Move]:
+        """At most k flips of the positions in diff, where a walk head and the
+        other head differ, without the one flip that reaches it, by
+        descending gain in table (the head's, as the walk holds it) with ties
+        to the lower position. diff is ascending, as the walk keeps it, so a
+        step costs O(len(diff)), not O(n).
         """
         if not diff:
-            raise ValueError("current and the other head coincide")
+            raise ValueError("the walk's heads coincide")
         if len(diff) == 1:
             return []  # its one flip reaches the other head
-        if table is None:
-            table = self._gain_table(current)
         gains = table.gain
         top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
         return [Move(j, None, None, gains[j]) for j in top]
@@ -319,7 +301,7 @@ class _MaxCutWalk:
     one list serves every direction, mixed included. A head's table is
     looked up on its first ranked() or take(), so a head that never moves
     (a forward walk's guide) gets none, and every step flips the table the
-    head owns with no bits comparison.
+    walk holds with no bits comparison.
     """
 
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
@@ -331,17 +313,16 @@ class _MaxCutWalk:
     def _table(self, i: int) -> GainTable:
         table = self.tables[i]
         if table is None:
-            table = self.tables[i] = self.instance._gain_table(self.heads[i])
+            table = self.tables[i] = self.instance._gain_table(self.heads[i].bits)
         return table
 
     def ranked(self, i: int, k: int) -> list[Move]:
-        return self.instance.pr_candidates(self.heads[i], k, self.diff, self._table(i))
+        return self.instance.pr_candidates(self._table(i), k, self.diff)
 
     def take(self, i: int, move: Move) -> None:
         head, v = self.heads[i], move.element
         table = self._table(i)
         head.bits[v] ^= 1
         table.apply_flip(v)
-        if head.cached_objective is not None:
-            head.cached_objective += move.delta
+        head.cached_objective += move.delta
         del self.diff[bisect_left(self.diff, v)]

@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive and independent of the package
 internals (it shares only the Move and SearchDepth types): full-matrix
-sums, explicit enumeration, bitmask DP. Slow is fine; these only run at
-test scale. The reference instances RefLop and RefMaxCut also share the
-problem interface and the solution types, so that the package's drivers can
-run on them; every kernel behind that interface, their walk included, is
-built from the functions here.
+sums, explicit enumeration, bitmask DP. chosen alone drives the package's
+own scans, so that the tests can compare them with the references. Slow
+is fine; these only run at test scale. The reference instances RefLop and
+RefMaxCut also share the problem interface and the solution types, so that
+the package's drivers can run on them; every kernel behind that interface,
+their walk included, is built from the functions here.
 """
 
 import math
@@ -16,6 +17,8 @@ from contextlib import contextmanager
 from itertools import permutations
 
 from grasppr.core import Move, PartitionSolution, PermutationSolution, ProblemInstance, SearchDepth
+from grasppr.lop import LopInstance
+from grasppr.maxcut import MaxCutInstance
 
 
 def lop_value(cost, order):
@@ -297,10 +300,18 @@ def apply(instance, solution, move):
 
 
 def chosen(instance, solution, depth, offset=0):
-    """The move a local-search pass applies: the last yield of
-    instance.moves(solution, offset, depth) with the scan run to its end."""
+    """The move a local-search pass applies from fresh search state: the last
+    yield of the problem's scan, run to its end. LOP scans a full insert scan
+    of the order and takes no offset, max-cut a gain table looked up by bits,
+    and a reference instance its own moves(solution, offset, depth)."""
+    if isinstance(instance, LopInstance):
+        scan = instance.moves(solution, depth, instance._full_scan(solution.order))
+    elif isinstance(instance, MaxCutInstance):
+        scan = instance.moves(instance._gain_table(solution.bits), offset, depth)
+    else:
+        scan = instance.moves(solution, offset, depth)
     move = None
-    for move in instance.moves(solution, offset, depth):
+    for move in scan:
         pass
     return move
 

@@ -228,7 +228,7 @@ def _instance_state(inst):
     caches its searches keep (max-cut's gain tables, LOP's skew rows and
     packed columns), compared by value and by identity."""
     if isinstance(inst, MaxCutInstance):
-        tables = [(t, list(t.bits), list(t.gain), set(t.pos), t.owner) for t in inst._tables]
+        tables = [(t, list(t.bits), list(t.gain), set(t.pos)) for t in inst._tables]
         return inst.n, inst.edges, inst.adj, inst._seed, tables
     return inst.n, [list(row) for row in inst.cost], inst._skew, inst._columns, inst._step
 

@@ -23,8 +23,8 @@ K3 = MaxCutInstance(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
 
 def test_problem_contract():
-    # a problem is five hooks, its walk its own, and a move carries no kind
-    assert ProblemInstance.__abstractmethods__ == {"evaluate", "construct", "moves", "descend", "new_walk"}
+    # a problem is four hooks, its scan and walk its own, and a move carries no kind
+    assert ProblemInstance.__abstractmethods__ == {"evaluate", "construct", "descend", "new_walk"}
     assert Move._fields == ("element", "from_pos", "to_pos", "delta")
     assert not hasattr(core, "Walk")
 

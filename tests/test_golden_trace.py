@@ -321,9 +321,9 @@ class _RecordingLop(LopInstance):
         super().__init__(cost)
         self.applied = []
 
-    def moves(self, solution, offset, depth, scan=None):
+    def moves(self, solution, depth, scan):
         move = None
-        for move in super().moves(solution, offset, depth, scan):
+        for move in super().moves(solution, depth, scan):
             yield move
         if move is not None:
             self.applied.append(move)

@@ -148,6 +148,7 @@ def test_first_improving_maxcut_draws_offsets():
 
 
 def _state(sol):
+    """The order or bits of a solution, or of the gain table a max-cut scan reads."""
     return list(sol.order if isinstance(sol, PermutationSolution) else sol.bits)
 
 
@@ -167,24 +168,28 @@ def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     # a descent runs one moves() scan per pass, each drained before its move
     # is applied, so timing moves() times every pass of the search. The scans
     # are watched: each descent moves its solution and the search state it
-    # holds itself. Between two scans the solution changes by exactly the
-    # move the first one chose
+    # holds itself. A LOP scan reads the solution, a max-cut scan the gain
+    # table that the descent flips with its bits. Between two scans that
+    # state changes by exactly the move the first one chose, and the exact
+    # objective by its delta
     r = oracles.make_rng(18)
     if neighborhood == "insert":
         inst = LopInstance(oracles.rand_lop_matrix(r, 7))
         start = PermutationSolution(oracles.rand_perm(r, 7))
+        value = lambda state: oracles.lop_value(inst.cost, state)
     else:
         inst = MaxCutInstance(9, oracles.rand_edges(r, 9, 0.5, -3, 9))
         start = PartitionSolution(oracles.rand_bits(r, 9))
+        value = lambda state: oracles.cut_value(inst.edges, state)
     events = []  # ("open", state, objective) and ("close", state, last yield) per scan
     scan = inst.moves
 
-    def traced_scan(sol, *args):
-        events.append(("open", _state(sol), sol.cached_objective))
+    def traced_scan(held, *args):
+        events.append(("open", _state(held), value(_state(held))))
         move = None
-        for move in scan(sol, *args):
+        for move in scan(held, *args):
             yield move
-        events.append(("close", _state(sol), move))
+        events.append(("close", _state(held), move))
 
     inst.moves = traced_scan
     out = local_search(inst, start, depth, RandomStream(19))
@@ -193,9 +198,10 @@ def test_each_pass_is_one_finished_moves_scan(neighborhood, depth):
     assert passes >= 2
     opens, closes = events[::2], events[1::2]
     for (_, before, f), (_, after, move), (_, then, g) in zip(opens, closes, opens[1:]):
-        assert after == before  # the scan ran to its end with the solution untouched
+        assert after == before  # the scan ran to its end with the state untouched
         assert then == _moved(before, move) and g == f + move.delta  # then its move, and only it
     assert closes[-1][2] is None and closes[-1][1] == _state(out)  # the last scan found none
+    assert out.cached_objective == value(_state(out))
 
 
 class _NonImproving:
@@ -203,10 +209,10 @@ class _NonImproving:
 
     asked = 0
 
-    def moves(self, solution, offset, depth, state=None):
+    def moves(self, *scan_args):
         self.asked += 1
         assert self.asked <= 5, "local_search kept applying a non-improving move"
-        yield self.stale(solution)
+        yield self.stale()
 
 
 class _NonImprovingK3(_NonImproving, MaxCutInstance):
@@ -214,7 +220,7 @@ class _NonImprovingK3(_NonImproving, MaxCutInstance):
         super().__init__(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         self.start = PartitionSolution([0, 1, 1])
 
-    def stale(self, solution):
+    def stale(self):
         return Move(0, delta=0)
 
 
@@ -223,8 +229,8 @@ class _NonImprovingLop(_NonImproving, LopInstance):
         super().__init__([[0, 1, 2], [3, 0, 4], [5, 6, 0]])
         self.start = PermutationSolution([0, 1, 2])
 
-    def stale(self, solution):
-        return Move(solution.order[0], 0, 1, 0)
+    def stale(self):
+        return Move(self.start.order[0], 0, 1, 0)
 
 
 @pytest.mark.parametrize("kind", [_NonImprovingK3, _NonImprovingLop], ids=["transfer", "insert"])

@@ -123,7 +123,7 @@ def test_move_kernels_match_reference_selection():
                 for _ in range(n if n < 60 else 8):
                     best = oracles.chosen(inst, sol, BEST)
                     assert best == oracles.best_move(oracles.all_moves(inst, sol)), (n, sol.order)
-                    first = oracles.chosen(inst, sol, FIRST, r.randrange(n))  # the permutation scan ignores offsets
+                    first = oracles.chosen(inst, sol, FIRST, r.randrange(n))  # the insert scan takes no offset
                     assert first == oracles.first_move(oracles.all_moves(inst, sol)), (n, sol.order)
                     if best is None:
                         break
@@ -203,24 +203,23 @@ class _CheckedLop(LopInstance):
         super().__init__(cost)
         self.stride, self.passes, self.patched, self._held = stride, 0, 0, None
 
-    def moves(self, solution, offset, depth, scan=None):
-        if scan is not None:
-            assert scan == self._full_scan(solution.order)
-            self.patched += scan is self._held
+    def moves(self, solution, depth, scan):
+        assert scan == self._full_scan(solution.order)
+        self.patched += scan is self._held
         self._held = scan
         move = None
-        for move in super().moves(solution, offset, depth, scan):
+        for move in super().moves(solution, depth, scan):
             pass
         if self.passes % self.stride == 0 or move is None:
             moves = oracles.all_moves(self, solution)
             picks = {BEST: oracles.best_move(moves), FIRST: oracles.first_move(moves)}
             assert move == picks[depth], solution.order
             for pick in SearchDepth:  # and from a full pass
-                assert oracles.chosen(super(), solution, pick) == picks[pick], solution.order
+                assert next(super().moves(solution, pick, self._full_scan(solution.order)), None) == picks[pick]
             gains = [0] * self.n
             for m in moves:
                 gains[m.element] = max(gains[m.element], m.delta)
-            assert list(self._insert_gains(scan or self._full_scan(solution.order))) == gains
+            assert list(self._insert_gains(scan)) == gains
         self.passes += 1
         if move is not None:
             yield move

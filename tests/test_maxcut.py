@@ -82,7 +82,7 @@ def test_pr_candidates_count_and_deltas():
     cur = PartitionSolution([0] * 8)
     tgt = PartitionSolution([1] * 8)
     evaluate(inst, cur)
-    steps = inst.pr_candidates(cur, 8, _diff(cur, tgt))
+    steps = inst.pr_candidates(inst._gain_table(cur.bits), 8, _diff(cur, tgt))
     assert len(steps) == 8  # one flip per differing position
     assert [m.delta for m in steps] == sorted((m.delta for m in steps), reverse=True)
     for move in steps:
@@ -96,13 +96,13 @@ def test_pr_candidates_single_difference_reaches():
     tgt = PartitionSolution([1, 0, 1])
     evaluate(K3, cur)
     # the one flip reaches guiding, so it is no relinking step
-    assert K3.pr_candidates(cur, 3, _diff(cur, tgt)) == []
+    assert K3.pr_candidates(K3._gain_table(cur.bits), 3, _diff(cur, tgt)) == []
 
 
 def test_pr_candidates_rejects_identical_endpoints():
     sol = PartitionSolution([1, 0, 1])
     with pytest.raises(ValueError):
-        K3.pr_candidates(sol, 3, [])
+        K3.pr_candidates(K3._gain_table(sol.bits), 3, [])
 
 
 def test_local_optimum_has_nonpositive_gains():
@@ -162,10 +162,10 @@ def _fresh_gains(inst, sol):
 def _check_against_fresh(inst, sol, other):
     """The gain cache and pr_candidates() deltas equal those of a freshly built GainTable."""
     gains = _fresh_gains(inst, sol)
-    assert inst._gain_table(sol).gain == gains
+    assert inst._gain_table(sol.bits).gain == gains
     diff = _diff(sol, other)
     if len(diff) > 1:
-        assert sorted((m.element, m.delta) for m in inst.pr_candidates(sol, inst.n, diff)) == [
+        assert sorted((m.element, m.delta) for m in inst.pr_candidates(inst._gain_table(sol.bits), inst.n, diff)) == [
             (j, gains[j]) for j in diff
         ]
 
@@ -185,7 +185,7 @@ def test_gain_cache_under_interleaved_operations():
         op = r.randrange(5)
         if op == 0:  # apply a flip priced by the cache to the solution itself; no table follows it
             v = r.randrange(12)
-            oracles.apply(inst, cur, Move(v, None, None, inst._gain_table(cur).gain[v]))
+            oracles.apply(inst, cur, Move(v, None, None, inst._gain_table(cur.bits).gain[v]))
         elif op == 1:  # apply a chosen move to a copy
             move = oracles.chosen(inst, cur, FIRST, r.randrange(12))
             if move is not None:
@@ -197,7 +197,7 @@ def test_gain_cache_under_interleaved_operations():
         elif op == 3:  # in-path style local search on a copy, then relinking candidates
             local_search(inst, cur.copy(), SearchDepth.FIRST_IMPROVING, RandomStream(r.randrange(99)))
         else:  # a relinking step taken on the solution itself
-            steps = inst.pr_candidates(cur, 12, _diff(cur, other)) if cur != other else []
+            steps = inst.pr_candidates(inst._gain_table(cur.bits), 12, _diff(cur, other)) if cur != other else []
             if steps:
                 oracles.apply(inst, cur, r.choice(steps))
         assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
@@ -226,10 +226,10 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     assert out.cached_objective > start.cached_objective
     assert len(builds) == 1  # one rebuild for the start, O(degree) updates after it
     guide = PartitionSolution([1 - b for b in out.bits])
-    inst.pr_candidates(out, 30, _diff(out, guide))
+    inst.pr_candidates(inst._gain_table(out.bits), 30, _diff(out, guide))
     assert len(builds) == 1  # the descent left the cache in sync with its result
-    oracles.apply(inst, guide, Move(0))  # out of sync: the cache keeps following out
-    inst.pr_candidates(out, 30, _diff(out, guide))
+    oracles.apply(inst, guide, Move(0))  # moves only the guide: the cache keeps out's bits
+    inst.pr_candidates(inst._gain_table(out.bits), 30, _diff(out, guide))
     assert len(builds) == 1
 
 
@@ -258,7 +258,7 @@ def test_walk_step_kernel_matches_reference(pm1, k):
             assert walk.diff == _diff(a, b)
             cur, other = walk.heads[mover], walk.heads[1 - mover]
             expected = oracles.top_relink_flips(edges, cur.bits, other.bits, k)
-            steps = inst.pr_candidates(cur, k, walk.diff)
+            steps = inst.pr_candidates(inst._gain_table(cur.bits), k, walk.diff)
             assert [(m.element, m.delta) for m in steps] == expected
             assert walk.ranked(mover, k) == steps
             if not steps:
@@ -273,11 +273,11 @@ def test_walk_step_kernel_matches_reference(pm1, k):
     assert tied > 0  # the tie-breaks were exercised
 
 
-def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
+def test_gain_table_miss_builds_one_private_table(monkeypatch):
     # however many vertices differ from the cached tables, a miss makes exactly
-    # one build: exact gains over a private copy of the bits, owned by the
-    # asking solution. A move by hand leaves the table alone, and the next
-    # lookup sees the bits differ and builds exact gains
+    # one build: exact gains over a private copy of the bits. A move by hand
+    # leaves the table alone, and the next lookup sees the bits differ and
+    # builds exact gains
     from grasppr.core import Move
 
     counts = _count_cache_work(monkeypatch)
@@ -287,24 +287,23 @@ def test_gain_table_miss_builds_one_table_its_solution_owns(monkeypatch):
         inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, *weights))
         for flips in (1, n // 4, n // 2, n // 2 + 1, n):
             first = PartitionSolution(oracles.rand_bits(r, n))
-            inst._gain_table(first)
+            inst._gain_table(first.bits)
             second = first.copy()
             for v in r.sample(range(n), flips):
                 second.bits[v] ^= 1
             fresh = _fresh_gains(inst, second)
             before = dict(counts)
-            table = inst._gain_table(second)
+            table = inst._gain_table(second.bits)
             assert counts == {**before, "builds": before["builds"] + 1}
             assert table.gain == fresh
             assert table.bits == second.bits and table.bits is not second.bits
-            assert table.owner is second
             v = r.randrange(n)
             old = (list(table.bits), list(table.gain), set(table.pos))
             oracles.apply(inst, second, Move(v, None, None, table.gain[v]))
             assert counts == {**before, "builds": before["builds"] + 1}
             assert (table.bits, table.gain, table.pos) == old
-            rebuilt = inst._gain_table(second)
-            assert counts == {**before, "builds": before["builds"] + 2} and rebuilt.owner is second
+            rebuilt = inst._gain_table(second.bits)
+            assert counts == {**before, "builds": before["builds"] + 2}
             assert rebuilt.gain == _fresh_gains(inst, second)
 
 
@@ -442,19 +441,19 @@ def test_positive_gain_set_after_every_update(pm1):
     for _ in range(300):
         table.apply_flip(r.randrange(n))
         assert table.pos == _positive(table)
-    twin = table.fork(sol)
+    twin = table.fork()
     assert twin.pos == table.pos and twin.pos is not table.pos and twin.gain is not table.gain
     assert twin.bits == table.bits and twin.bits is not table.bits
     for _ in range(50):  # built caches, then walk steps through them, then forks
         for v in r.sample(range(n), r.randrange(1, n)):
             sol.bits[v] ^= 1
         evaluate(inst, sol)
-        cached = inst._gain_table(sol)
+        cached = inst._gain_table(sol.bits)
         assert cached.pos == _positive(cached) and cached.gain == _fresh_gains(inst, sol)
-        mover = sol if r.random() < 0.5 else sol.copy()  # a copy's step forks the table sol owns
+        mover = sol if r.random() < 0.5 else sol.copy()  # either way, the walk forks the cached table
         walk = inst.new_walk(mover, PartitionSolution([1 - x for x in mover.bits]))
         for v in r.sample(range(n), 3):
-            walk.take(0, Move(v, None, None, inst._gain_table(mover).gain[v]))
+            walk.take(0, Move(v, None, None, inst._gain_table(mover.bits).gain[v]))
             for t in inst._tables:
                 assert t.pos == _positive(t)
                 assert t.gain == _fresh_gains(inst, t)
@@ -506,9 +505,9 @@ def _count_cache_work(monkeypatch):
         counts["flips"] += 1
         apply_flip(self, v)
 
-    def counting_fork(self, owner):
+    def counting_fork(self):
         counts["forks"] += 1
-        return fork(self, owner)
+        return fork(self)
 
     monkeypatch.setattr(maxcut.GainTable, "__init__", counting_init)
     monkeypatch.setattr(maxcut.GainTable, "apply_flip", counting_flip)
@@ -568,9 +567,9 @@ def test_walk_heads_keep_their_gain_tables(monkeypatch, direction, in_path):
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["forward", "mixed"])
-def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
-    # a walk head holds its table, and an in-path search's copy of it owns
-    # a fork. Only the walk moves its heads while it runs, so bits are
+def test_hand_flipped_bits_on_a_head_or_its_copy_give_exact_gains(mixed):
+    # a walk head's table is held by the walk, and an in-path search's copy
+    # of it has a fork. Only the walk moves its heads while it runs, so bits are
     # flipped by hand on the copy during a walk and on a head between
     # walks, and the walk after that flip is a fresh one: every gain, pick
     # and relinking delta stays exact
@@ -599,11 +598,11 @@ def test_hand_flipped_bits_on_either_owner_give_exact_gains(mixed):
         walk.take(mover, steps[0])
         assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
         copy = local_search(inst, cur, FIRST, RandomStream(step))  # an in-path search
-        assert copy.bits != cur.bits and inst._gain_table(copy).owner is copy and inst._gain_table(cur).owner is cur
+        assert copy.bits != cur.bits and walk.tables[mover].bits == cur.bits  # the search flipped a fork
         copy.bits[r.randrange(n)] ^= 1  # by hand, on the in-path copy, during the walk
         evaluate(inst, copy)
         for sol in (cur, copy):
-            assert inst._gain_table(sol).gain == _fresh_gains(inst, sol)
+            assert inst._gain_table(sol.bits).gain == _fresh_gains(inst, sol)
             assert oracles.chosen(inst, sol, BEST) == oracles.best_move(oracles.all_moves(inst, sol))
         if mixed:
             mover = 1 - mover
@@ -623,9 +622,9 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
     lookups, scans, ranked = [], [], []
     lookup, scan, candidates = MaxCutInstance._gain_table, MaxCutInstance.moves, MaxCutInstance.pr_candidates
 
-    def counting_lookup(self, solution):
-        lookups.append(solution)
-        return lookup(self, solution)
+    def counting_lookup(self, bits):
+        lookups.append(bits)
+        return lookup(self, bits)
 
     def counting_scan(self, *args):
         move = None
@@ -654,7 +653,7 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
         assert len(scans) >= 3 and None not in scans[:-1] and scans[-1] is None  # one scan per pass
         assert out.cached_objective == a.cached_objective + sum(m.delta for m in scans[:-1])
 
-    tables = [inst._gain_table(sol) for sol in (a, b)]
+    tables = [inst._gain_table(sol.bits) for sol in (a, b)]
     searches = []
 
     def ls(sol):
@@ -670,14 +669,18 @@ def test_one_table_lookup_per_descent_and_per_moving_walk_head(monkeypatch, dire
     walks = 1 + (direction == "back_and_forward")
     assert ranked.count(0) <= walks and len(ranked) - ranked.count(0) == len(trace.visited) > 20
     for sol, table in zip((a, b), tables):  # a head forked the table of the endpoint it copies
-        assert table.owner is sol and table.bits == sol.bits and table.gain == _fresh_gains(inst, sol)
+        assert table.bits == sol.bits and table.gain == _fresh_gains(inst, sol)
 
 
-def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
-    # a built table's owner is the solution that asked for it, whose walk
-    # steps flip it in place; a step by a copy with the same bits forks it
-    # with exact gains and leaves the old table as it was. A move by hand
-    # flips no table: the next lookup builds one
+def _snapshot(table):
+    return list(table.bits), list(table.gain), set(table.pos)
+
+
+def test_a_walk_flips_the_table_it_holds_and_a_lookup_forks_it(monkeypatch):
+    # a walk's first step looks its head's table up and flips it in place;
+    # a lookup by the head's bits after that forks it with exact gains and
+    # no build, and leaves it as it was. A move by hand flips no table: the
+    # next lookup builds one
     from grasppr.core import Move
 
     r = oracles.make_rng(120)
@@ -688,33 +691,31 @@ def test_gain_table_owner_moves_it_in_place_and_a_copy_forks_it(monkeypatch):
     evaluate(inst, sol)
     guide = PartitionSolution([1 - x for x in sol.bits])
     counts = _count_cache_work(monkeypatch)
-    table = inst._gain_table(sol)
-    assert table.owner is sol
-    inst.new_walk(sol, guide).take(0, Move(0, None, None, table.gain[0]))
-    assert counts == {"builds": 1, "flips": 1, "forks": 0}
-    assert inst._gain_table(sol) is table and table.owner is sol
-    heir = sol.copy()
-    old = (list(table.bits), list(table.gain), set(table.pos))
-    inst.new_walk(heir, guide).take(0, Move(1, None, None, table.gain[1]))
-    assert counts == {"builds": 1, "flips": 2, "forks": 1}
-    twin = inst._gain_table(heir)
-    assert twin is not table and twin.owner is heir and table.owner is sol
-    assert twin.gain == _fresh_gains(inst, heir) and twin.pos == _positive(twin)
-    assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
-    assert (table.bits, table.gain, table.pos) == old
-    assert inst._gain_table(sol) is table and table.gain == _fresh_gains(inst, sol)
-    old, before = (list(twin.bits), list(twin.gain), set(twin.pos)), dict(counts)
-    oracles.apply(inst, heir, Move(2, None, None, twin.gain[2]))
-    assert counts == before and (twin.bits, twin.gain, twin.pos) == old
-    assert heir.cached_objective == oracles.cut_value(edges, heir.bits)
-    rebuilt = inst._gain_table(heir)
-    assert counts == {**before, "builds": before["builds"] + 1} and rebuilt.owner is heir
-    assert rebuilt.gain == _fresh_gains(inst, heir)
+    walk = inst.new_walk(sol, guide)
+    walk.take(0, walk.ranked(0, 1)[0])
+    table = walk.tables[0]
+    assert counts == {"builds": 1, "flips": 1, "forks": 0} and inst._tables == [table]
+    old = _snapshot(table)
+    twin = inst._gain_table(sol.bits)
+    assert counts == {"builds": 1, "flips": 1, "forks": 1} and inst._tables == [twin, table]
+    assert twin is not table and _snapshot(table) == old == _snapshot(twin)
+    assert twin.gain == _fresh_gains(inst, sol) and twin.pos == _positive(twin)
+    assert sol.cached_objective == oracles.cut_value(edges, sol.bits)
+    before = dict(counts)
+    oracles.apply(inst, sol, Move(2, None, None, twin.gain[2]))
+    assert counts == before and _snapshot(table) == old == _snapshot(twin)
+    assert sol.cached_objective == oracles.cut_value(edges, sol.bits)
+    rebuilt = inst._gain_table(sol.bits)
+    assert counts == {**before, "builds": before["builds"] + 1} and inst._tables == [rebuilt, twin, table]
+    assert rebuilt.gain == _fresh_gains(inst, sol)
 
 
-def test_a_lookup_by_a_copy_returns_a_table_the_copy_owns(monkeypatch):
-    # the lookup itself forks a cached table that another solution owns, so
-    # the copy's descent flips its own table and leaves the original's exact
+def test_every_lookup_of_cached_bits_forks_a_distinct_table(monkeypatch):
+    # a lookup hands its caller a table of its own: each one, a repeated one
+    # for the same bits too, is an exact fork of the cached table with those
+    # bits, made with no build, and leaves that table as it was. The fork
+    # goes in front of the table it copies, so a copy's descent flips its own
+    # table and leaves the original's exact
     from grasppr.core import RandomStream
 
     r = oracles.make_rng(121)
@@ -722,13 +723,36 @@ def test_a_lookup_by_a_copy_returns_a_table_the_copy_owns(monkeypatch):
     inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, -5, 10))
     sol = PartitionSolution(oracles.rand_bits(r, n))
     evaluate(inst, sol)
-    table = inst._gain_table(sol)
-    copy = sol.copy()
+    table = inst._gain_table(sol.bits)
+    old = _snapshot(table)
     counts = _count_cache_work(monkeypatch)
-    twin = inst._gain_table(copy)
-    assert twin is not table and twin.owner is copy and table.owner is sol
-    assert counts == {"builds": 0, "flips": 0, "forks": 1}
+    twins = [inst._gain_table(sol.bits) for _ in range(3)]
+    assert counts == {"builds": 0, "flips": 0, "forks": 3}
+    assert inst._tables == [twins[2], twins[1], twins[0], table]
+    for twin in twins:
+        assert _snapshot(twin) == old
+        assert twin.bits is not table.bits and twin.gain is not table.gain and twin.pos is not table.pos
+    copy = sol.copy()
     inst.descend(copy, BEST, RandomStream(121), None)
     assert copy.cached_objective > sol.cached_objective and counts["builds"] == 0
-    assert twin.bits == copy.bits and twin.gain == _fresh_gains(inst, copy)
-    assert table.bits == sol.bits and table.gain == _fresh_gains(inst, sol)
+    held = inst._tables[0]
+    assert held not in (table, *twins) and held.bits == copy.bits and held.gain == _fresh_gains(inst, copy)
+    assert _snapshot(table) == old and table.gain == _fresh_gains(inst, sol)
+
+
+def test_the_gain_cache_pins_no_solution():
+    # the cached tables keep private copies of bits and no solution, so a
+    # search's output is freed once its caller drops it
+    import weakref
+
+    from grasppr.core import RandomStream
+    from grasppr.local_search import local_search
+
+    r = oracles.make_rng(122)
+    n = 40
+    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.2, -5, 10))
+    out = local_search(inst, PartitionSolution(oracles.rand_bits(r, n)), BEST, RandomStream(122))
+    assert inst._tables[0].bits == out.bits  # the descent's table stays cached
+    ref = weakref.ref(out)
+    del out
+    assert ref() is None

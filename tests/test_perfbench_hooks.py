@@ -52,7 +52,9 @@ def test_hook_target_resolves_to_a_function_of_its_kind(hook):
 
 def test_traced_solves_call_every_required_hook():
     # a search that stops calling a hooked kernel, say a walk that ranks its
-    # steps without pr_candidates, leaves that kernel's span count at 0
+    # steps without pr_candidates, leaves that kernel's span count at 0. Each
+    # problem's relinking walks also feed the harness's step count, which it
+    # reads from relink's trace: one copy per walk step
     r = oracles.make_rng(76)
     lop = LopInstance(oracles.rand_lop_matrix(r, 10))
     maxcut = MaxCutInstance(20, oracles.rand_edges(r, 20, 0.4, -5, 9))
@@ -61,8 +63,10 @@ def test_traced_solves_call_every_required_hook():
     try:
         for problem, instance, variant in ((bench_io.LOP, lop, "evolutionary_pr"), (bench_io.MAXCUT, maxcut, "dynamic_pr")):
             options = {"variant": variant, "elite-k": "2"}
+            copies = tracer.counts["pr.trace_copies"]
             report = drivers.run(instance, bench_io.build_run_config(problem, options, 1, None, 6))
             assert report.pr_calls > 0, variant
+            assert tracer.counts["pr.trace_copies"] > copies, variant
     finally:
         tracer.uninstall()
     assert tracer.missing == []

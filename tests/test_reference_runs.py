@@ -5,8 +5,8 @@ over the same data must give equal reports, apart from the times. The
 reference instances score every candidate at every step, keep no state
 between calls, and climb with the naive loop of _RefInstance.descend. So a
 difference shows search state of the fast kernels that went wrong somewhere
-inside a run: the insert scan an LOP descent holds, the max-cut gain tables
-with their owners and forks, or a table a descent or walk holds; across
+inside a run: the insert scan an LOP descent holds, the max-cut gain table
+cache and its forks, or a table a descent or walk holds; across
 relinking walks, in-path searches, restarts or the pool phases.
 """
 
