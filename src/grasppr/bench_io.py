@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .construction import CARDINALITY, VALUE, RclConfig
 from .core import _INT32, PartitionSolution, PermutationSolution, ProblemInstance, SearchDepth, Solution
@@ -129,8 +129,8 @@ def parse_lolib(text: str) -> LopInstance:
 
     Leading lines that do not start with an integer are header text; the first
     is the customary instance name, further ones are tolerated with a warning.
-    Text is read in bulk and handed to LopInstance; text that it or the bulk
-    read rejects is reread token by token to raise a located ParseError.
+    Text is read line by line by str.split and int() and handed to LopInstance; text that
+    it or that fast read rejects is reread token by token to raise a located ParseError.
     """
     lines = text.split("\n")
     skipped = 0
@@ -149,8 +149,8 @@ def parse_lolib(text: str) -> LopInstance:
     return inst if inst is not None else _built(_square, _lolib_located(lines, start))
 
 
-def _square(values: list[int]) -> LopInstance:
-    """LopInstance of [n, entries...] whose entries count n*n."""
+def _square(values: Sequence[int]) -> LopInstance:
+    """LopInstance of [n, entries...] whose entries count n*n; a tuple's rows are the instance's own."""
     n = values[0]
     return LopInstance([values[i : i + n] for i in range(1, len(values), n)])
 
@@ -160,11 +160,11 @@ def _lolib_fast(lines: list[str], start: int) -> Optional[LopInstance]:
 
     On text without '_', int() reads exactly the tokens _is_int accepts: both readers give the same values.
     """
-    body = "\n".join(lines[start:])
-    if "_" in body:
+    body = lines[start:]
+    if any("_" in line for line in body):
         return None
     try:
-        values = list(map(int, body.split()))
+        values = tuple(map(int, chain.from_iterable(map(str.split, body))))  # split line by line
         # n < 1 gives no rows, or a zero range() step: a ValueError either way
         return _square(values) if len(values) == values[0] * values[0] + 1 else None
     except ValueError:
@@ -199,8 +199,8 @@ def serialize_lolib(instance: LopInstance, name: str = "instance") -> str:
 def parse_edge_list(text: str) -> MaxCutInstance:
     """Parse a weighted graph: "n m" header, then m "i j w" lines (1-based ids).
 
-    Text is read in bulk and handed to MaxCutInstance; text that it or the
-    bulk read rejects is reread token by token to raise a located ParseError.
+    Each edge goes to MaxCutInstance as its line is read by str.split and int(); text that
+    it or that fast read rejects is reread token by token to raise a located ParseError.
     """
     inst = _edge_list_fast(text)
     return inst if inst is not None else _built(MaxCutInstance, *_edge_list_located(text))
@@ -214,26 +214,30 @@ def _edge_list_fast(text: str) -> Optional[MaxCutInstance]:
         return None
 
 
-def _edge_list_values(text: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """(n, 0-based edges) read by str.split and int() alone; its tokens are freed before the graph is built.
-
-    n is judged before any edge line is split, so a bad header costs no bulk read.
-    """
+def _edge_list_values(text: str) -> tuple[int, Iterator[tuple[int, int, int]]]:
+    """(n, 0-based edges) read by str.split and int() alone. n is judged before any edge line is split,
+    so a bad header costs no bulk read; the edges are read one line at a time as they are taken, and
+    end in a ValueError unless the lines after the header are m "i j w" lines."""
     first = _TOKEN.search(text)
     if "_" in text or first is None:
         raise ValueError("no header line of plain ints")
-    end = text.find("\n", first.start())
-    header = text[first.start() : end if end >= 0 else len(text)].split()
+    body = text.find("\n", first.start()) + 1 or len(text)  # the edge lines start here
+    header = text[first.start() : body].split()
     if len(header) != 2:
         raise ValueError("not an 'n m' header")
     n, m = map(int, header)
     check_vertex_count(n)
-    rows = [toks for toks in map(str.split, text.split("\n")) if toks]
-    del rows[0]  # the header, read above
-    if len(rows) != m or any(len(toks) != 3 for toks in rows):
-        raise ValueError("not m 'i j w' lines of plain ints")
-    values = list(map(int, chain.from_iterable(rows)))
-    return n, [(u - 1, v - 1, w) for u, v, w in zip(values[0::3], values[1::3], values[2::3])]
+
+    def edges(left: int) -> Iterator[tuple[int, int, int]]:
+        for line in text[body:].split("\n"):
+            if line and not line.isspace():
+                u, v, w = line.split()  # a ValueError unless three tokens
+                yield int(u) - 1, int(v) - 1, int(w)
+                left -= 1
+        if left:
+            raise ValueError("not m 'i j w' lines")
+
+    return n, edges(m)
 
 
 def _edge_list_located(text: str) -> tuple[int, list[tuple[int, int, int]]]:

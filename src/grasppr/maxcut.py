@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from itertools import chain, compress
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .construction import VALUE, RclConfig, _value_threshold, rcl_from_buckets
 from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream, SearchDepth
@@ -101,16 +101,21 @@ class GainTable:
 
 
 class MaxCutInstance(ProblemInstance):
-    def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"n must be an int, got {n!r}")
         check_vertex_count(n)
         merged: dict[int, int] = {}  # weight by key i * n + j, i < j: an int hashes and sorts faster than a pair
         try:
-            edges = list(edges)  # read twice: by this loop and by the endpoint type pass below
-            for i, j, w in edges:
+            for i, j, w in edges:  # read once: edges may be an iterator
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"vertex out of range in edge ({i},{j})")
+                # the range test lets bools and 1.0 through, and (True, 0) would merge into (0, 1)'s
+                # key unseen; isinstance runs only off an exact int, so int subclasses still pass
+                if type(i) is not int or type(j) is not int:
+                    for v in (i, j):
+                        if not isinstance(v, int) or isinstance(v, bool):
+                            raise ValueError(f"non-integer vertex: {v!r}")
                 if i == j:
                     raise ValueError(f"self-loop on vertex {i}")
                 if not isinstance(w, int) or isinstance(w, bool) or not (-_INT32 <= w < _INT32):
@@ -119,15 +124,6 @@ class MaxCutInstance(ProblemInstance):
                 merged[key] = merged.get(key, 0) + w
         except TypeError as exc:  # an endpoint that does not compare with ints
             raise ValueError(f"edges must be (i, j, w) int triples: {exc}") from None
-        # endpoint types in bulk: the range test above lets bools and floats such as 1.0 through.
-        # Over the given edges, not the merged keys: a dict keeps the first of equal keys, so
-        # (True, 0) after (0, 1) would merge away unseen. An int-subclass weight takes the fallback
-        # too.
-        types = list(map(type, chain.from_iterable(edges)))
-        if types.count(int) != len(types):
-            for v in chain.from_iterable((i, j) for i, j, _ in edges):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"non-integer vertex: {v!r}")
         for key, w in merged.items():
             if not (-_INT32 <= w < _INT32):
                 i, j = divmod(key, n)

@@ -239,6 +239,47 @@ def test_a_bad_vertex_count_costs_no_bulk_read():
     assert parse_peak * 20 < split_peak, (parse_peak, split_peak)
 
 
+def _graph_text(r, n, p):
+    """A random unit-weight graph as edge-list text, written with no instance built."""
+    edges = oracles.rand_edges(r, n, p, 1, 1)
+    return f"{n} {len(edges)}\n" + "".join(f"{i + 1} {j + 1} {w}\n" for i, j, w in edges)
+
+
+def _matrix_text(r, n):
+    """A random n x n ordering matrix as LOLIB text, written with no instance built."""
+    return f"m{n}\n{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in oracles.rand_lop_matrix(r, n))
+
+
+@pytest.mark.parametrize(
+    "parse, make, bound_mb",
+    [
+        # the graph's size and kind are maxcut-dynpr's rnd800: n = 800 at 1 % density
+        (parse_edge_list, lambda r: _graph_text(r, 800, 0.01), 1.05),
+        # grid-construct's mb150 size
+        (parse_lolib, lambda r: _matrix_text(r, 150), 1.0),
+    ],
+    ids=["edge-list-n800", "lolib-n150"],
+)
+def test_a_parse_reads_its_text_in_one_pass(parse, make, bound_mb):
+    # each fast reader splits one line at a time, and the graph reader hands
+    # each edge to the constructor as it reads its line, so no token list of
+    # the whole text is held while the instance is built. These parses peak
+    # at ~0.60 MB (graph) and ~0.44 MB (matrix) on CPython 3.11; holding every
+    # token at once, they peaked at ~1.56 and ~1.55 MB. The text is fresh, so
+    # this is its first parse: CPython's tuple free lists hide a warm parse's
+    # allocations
+    text = make(oracles.make_rng(41))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, peak
+
+
 def test_located_parsers_check_the_header_first():
     # a fault on the header or dimension line is raised before any body line is tokenized
     cap = MAX_VERTICES

@@ -222,6 +222,22 @@ def test_eviction_forgets_pairs_and_admission_spawns_them():
         assert [1, 0, 0, 0] in (a.bits, b.bits)
 
 
+def test_a_dropped_member_leaves_no_pair_marks():
+    # pairs are keyed by member ids: one kept after its member left would grow
+    # _relinked without bound, and would mark a pair for a later member that
+    # CPython places at the dropped member's address
+    es = EliteSet(capacity=3, diversity_threshold=1)
+    for bits, f in (([0, 0, 0, 0], 1), ([1, 1, 1, 1], 2), ([1, 1, 0, 0], 3)):
+        es.try_add(_part(bits, f))
+    while es.next_unrelinked_pair() is not None:
+        pass
+    victim, kept = es.members[0][0], [m for m, _ in es.members[1:]]
+    assert len(es._relinked) == 3
+    assert es.try_add(_part([0, 0, 0, 1], 9)).added  # full: evicts the closest strictly worse member
+    assert all(m is not victim for m, _ in es.members)
+    assert es._relinked == {frozenset(map(id, kept))}
+
+
 def test_clear_resets_members_and_pair_marks():
     es = EliteSet(capacity=2, diversity_threshold=1)
     es.try_add(_part([0, 0], 1))

@@ -373,6 +373,24 @@ def test_vertex_count_and_endpoints_are_ints():
     assert MaxCutInstance(3, [(Vertex(2), 0, 5)]).edges == ((0, 2, 5),)
 
 
+def test_of_several_faulty_edges_the_first_ones_fault_is_raised():
+    # the edges are read once and each is judged whole before the next, so a
+    # non-integer vertex is no longer raised after every other edge's range,
+    # self-loop and weight faults
+    for edges, message in (
+        ([(0, 1, 1), (1.0, 0, 5), (0, 3, 1)], r"non-integer vertex: 1\.0"),
+        ([(0, 1, 1), (True, 2, 5), (1, 1, 1)], "non-integer vertex: True"),
+        ([(True, 2, 5), (0, 2, 2**40)], "non-integer vertex: True"),
+        ([(0, 3, 1), (1.0, 0, 5)], r"vertex out of range in edge \(0,3\)"),
+        ([(1, 1, 1), (True, 0, 5)], "self-loop on vertex 1"),
+        ([(0, 2, 2**40), (True, 0, 5)], r"weight on edge \(0,2\) is not a 32-bit int"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            MaxCutInstance(3, edges)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            MaxCutInstance(3, iter(edges))
+
+
 def test_edges_are_canonical():
     inst = MaxCutInstance(4, [(2, 0, 1), (3, 1, 2)])
     assert inst.edges == ((0, 2, 1), (1, 3, 2))
@@ -756,3 +774,33 @@ def test_the_gain_cache_pins_no_solution():
     ref = weakref.ref(out)
     del out
     assert ref() is None
+
+
+def test_the_gain_cache_never_holds_more_than_its_bound(monkeypatch):
+    # each lookup caches its table in front and drops what falls past
+    # _TABLES: results would not change without the drop, but the cache
+    # would grow by a table per miss, over a relinking run and over lookups
+    # of more distinct bits than it holds
+    from grasppr import maxcut
+    from grasppr.drivers import RunConfig, run
+    from grasppr.path_relinking import LS_ALL, PrConfig
+
+    sizes = []
+    lookup = MaxCutInstance._gain_table
+
+    def sized_lookup(self, bits):
+        table = lookup(self, bits)
+        sizes.append(len(self._tables))
+        return table
+
+    monkeypatch.setattr(MaxCutInstance, "_gain_table", sized_lookup)
+    r = oracles.make_rng(123)
+    n = 60
+    inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.1, -5, 10))
+    cfg = RunConfig(variant="dynamic_pr", seed=123, iteration_limit=12, elite_k=3, pr=PrConfig(in_path_ls=LS_ALL))
+    assert run(inst, cfg).pr_calls > 0
+    assert len(sizes) > 3 * maxcut._TABLES and max(sizes) == maxcut._TABLES
+    sizes.clear()
+    for _ in range(3 * maxcut._TABLES):
+        inst._gain_table(oracles.rand_bits(r, n))
+    assert sizes == [maxcut._TABLES] * (3 * maxcut._TABLES)
