@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Desk-scale rerun of the seven-experiment benchmark protocol on the bundled toys.
 
-Experiments 1-6 run `grasppr bench` and write results/<exp>/results.csv and
-stats.csv (the four summary columns), each method labelled by its method spec;
-experiment 7 runs `grasppr solve --profile` for incumbent-trajectory CSVs of
-one instance per problem. Budgets are iteration-based so reruns are
-reproducible; experiment 7 is wall-clock-based by design. A command that fails
-ends the script with its exit code.
+Experiments 1-6 are the rows of EXPERIMENTS, so a new one of their kind is one
+more row. Each runs `grasppr bench` once per problem and writes
+results/<slug>_<problem>/results.csv and stats.csv (the four summary columns),
+each method labelled by its method spec. Experiment 4 relinks in each
+problem's default direction, its experiment-3 winner. Experiment 7 runs
+`grasppr solve --profile` for incumbent-trajectory CSVs of one instance per
+problem. Budgets are iteration-based so reruns are reproducible; experiment 7
+is wall-clock-based by design. A command that fails ends the script with its
+exit code.
 """
 
 import argparse
@@ -30,8 +33,8 @@ EXPERIMENTS = {
     "5": ("exp5_step", ["static_pr:step=greedy", "static_pr:step=grpr", "static_pr:step=grpr:trunc=0.5"]),
     "6": ("exp6_strategy", ["static_pr", "dynamic_pr", "evolutionary_pr"]),
 }
-# {direction} in a spec: each problem's experiment-3 winner
-DIRECTION = {bench_io.LOP: "mixed", bench_io.MAXCUT: "forward"}
+# {direction} in a spec: each problem's default direction, its experiment-3 winner
+DIRECTION = {p: bench_io.build_run_config(p, {}, 1, None, 1).pr.direction for p in bench_io.PROBLEMS}
 
 
 def grasppr(*argv):

@@ -180,7 +180,8 @@ class RandomStream:
     The core generator is CPython's Mersenne Twister, which is stable across
     platforms and versions for a fixed integer seed. Substream k reseeds with
     splitmix64(seed + k * golden), matching splitmix64's own stream stepping,
-    so a restart gets an unrelated but fully reproducible sequence.
+    so a restart gets an unrelated but fully reproducible sequence. A seed
+    outside 0..2^64-1 raises ValueError, so that no seed runs another's stream.
 
     randrange(n) and pick draw getrandbits(n.bit_length()) until it is below n:
     random.Random.randrange(n)'s own draws on CPython 3.10 and 3.11.

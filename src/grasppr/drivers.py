@@ -147,6 +147,8 @@ def run(instance: ProblemInstance, cfg: RunConfig) -> RunReport:
     are relinked. dynamic_pr: each locally optimal solution is relinked with
     a guide from the pool as the run goes. evolutionary_pr: a dynamic phase
     (half the time limit, if set), then the pool is relinked to exhaustion.
+    The half-limit phase end is checked between iterations only; walk steps
+    and local-search passes stop at the full limit.
     """
     r = _Run(instance, cfg)
     dynamic = cfg.variant in (DYNAMIC_PR, EVOLUTIONARY_PR)

@@ -46,11 +46,6 @@ class EliteSet:
         # no key outlives its member and an address reused later starts unmarked
         self._relinked: set[frozenset[int]] = set()
 
-    @property
-    def members(self) -> list[tuple[Solution, int]]:
-        """(solution, objective) pairs in index order; treat as read-only."""
-        return [(m, m.cached_objective) for m in self._members]
-
     def clear(self) -> None:
         self._members.clear()
         self._relinked.clear()

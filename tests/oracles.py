@@ -7,7 +7,9 @@ own scans, so that the tests can compare them with the references. Slow
 is fine; these only run at test scale. The reference instances RefLop and
 RefMaxCut also share the problem interface and the solution types, so that
 the package's drivers can run on them; every kernel behind that interface,
-their walk included, is built from the functions here.
+their walk included, is built from the functions here. The tests compare
+every pick, gain, relinking step and whole construction (solutions,
+objectives and draws) with these references.
 """
 
 import math
@@ -184,6 +186,11 @@ def rcl_from_entries(entries, mode, alpha):
     if mode == "value":
         return build_rcl_value(entries, alpha) or _greedy_keys(entries)
     return build_rcl_cardinality(entries, alpha)
+
+
+def pool(elite):
+    """An EliteSet's members as (solution, objective) pairs in index order; read, never modify."""
+    return [(m, m.cached_objective) for m in elite._members]
 
 
 class EliteMirror:

@@ -199,15 +199,15 @@ def test_criterion_05_elite_set_laws():
     for _ in range(10_000):
         bits = oracles.rand_bits(r, 12)
         f = r.randint(0, 40)
-        was_full = len(es.members) == 8
-        worst = min((obj for _, obj in es.members), default=None)
+        was_full = len(oracles.pool(es)) == 8
+        worst = min((obj for _, obj in oracles.pool(es)), default=None)
         got = es.try_add(PartitionSolution(bits, f))
         added, reason = mirror.add(bits, f)
         assert got.added == added and got.reason == reason
-        assert len(es.members) <= 8
+        assert len(oracles.pool(es)) <= 8
         if was_full and got.added:
             assert f > worst  # never admit at-or-below the worst when full
-        have = sorted((s.bits, obj) for s, obj in es.members)
+        have = sorted((s.bits, obj) for s, obj in oracles.pool(es))
         want = sorted((b, obj) for b, obj in mirror.members)
         assert have == want
 

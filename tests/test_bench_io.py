@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import io
 import random
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -40,7 +41,7 @@ from grasppr.bench_io import (
 )
 from grasppr.construction import CARDINALITY
 from grasppr.core import PartitionSolution, PermutationSolution, SearchDepth, evaluate
-from grasppr.drivers import RunConfig, RunReport, run
+from grasppr.drivers import RunConfig, RunReport, default_diversity_threshold, run
 from grasppr.lop import LopInstance
 from grasppr.maxcut import MAX_VERTICES, MaxCutInstance
 from grasppr.path_relinking import BACK_AND_FORWARD, PrConfig
@@ -547,6 +548,28 @@ def test_build_run_config_maxcut_defaults():
     assert cfg.pr.direction == "forward" and cfg.pr.step == "greedy"
     assert cfg.pr.in_path_ls == "every" and cfg.pr.ls_every == 5
     assert cfg == RunConfig(seed=1, time_limit=2.0, pr=PrConfig(in_path_ls="every"))
+
+
+def test_every_help_default_is_what_build_run_config_sets():
+    # "(default X)" holds for both problems, "(default: X for lop, Y for maxcut)"
+    # for each; dth and kappa state a rule instead of a value
+    for opt in bench_io.OPTIONS:
+        stated = re.search(r"default:? ([^()]*)\)$", opt.help.replace("%%", "%"))
+        assert stated, f"--{opt.key} states no default"
+        text = stated.group(1)
+        per_problem = re.fullmatch(r"(\S+) for lop, (\S+) for maxcut", text)
+        for k, problem in enumerate((LOP, MAXCUT)):
+            cfg = build_run_config(problem, {}, seed=1, time_limit=None, iteration_limit=1)
+            if opt.key == "dth":
+                assert text == "5% of n, at least 1" and cfg.d_th is None
+                assert all(default_diversity_threshold(n) == max(1, -(-n * 5 // 100)) for n in range(1, 500))
+            elif opt.key == "kappa":
+                assert text == "no restarts" and cfg.restart_kappa is None
+            else:
+                value = opt.parse(opt.key, per_problem[k + 1] if per_problem else text)
+                stated_fields = value if opt.field is None else {opt.field: value}
+                config = {"run": cfg, "rcl": cfg.rcl, "pr": cfg.pr}[opt.config]
+                assert {f: getattr(config, f) for f in stated_fields} == stated_fields, (opt.key, problem)
 
 
 def test_build_run_config_overrides():

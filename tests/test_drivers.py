@@ -112,9 +112,9 @@ def test_static_pr_relinks_each_pool_pair_once():
         for _ in range(cfg.static_sample):
             sol = local_search(inst, construct(inst, cfg.rcl, rng), cfg.depth, rng)
             pool.try_add(sol)
-        k = len(pool.members)
+        k = len(oracles.pool(pool))
         assert report.pr_calls == k * (k - 1) // 2 <= 6
-        assert report.best_objective >= max(obj for _, obj in pool.members)
+        assert report.best_objective >= max(obj for _, obj in oracles.pool(pool))
         assert report.iterations == cfg.static_sample
 
 

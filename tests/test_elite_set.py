@@ -18,7 +18,7 @@ def test_first_candidate_always_admitted():
     es = EliteSet(capacity=3, diversity_threshold=5)
     res = es.try_add(_part([0] * 8, 1))
     assert res.added and res.reason is None
-    assert [s.bits for s, _ in es.members] == [[0] * 8]
+    assert [s.bits for s, _ in oracles.pool(es)] == [[0] * 8]
 
 
 def test_fillup_diversity_reject():
@@ -30,7 +30,7 @@ def test_fillup_diversity_reject():
     near.cached_objective = 5
     res = es.try_add(near)  # equal objective is still a reject
     assert not res.added and res.reason == "diversity"
-    assert len(es.members) == 1
+    assert len(oracles.pool(es)) == 1
 
 
 def test_fillup_replaces_all_near_when_strictly_better():
@@ -42,8 +42,8 @@ def test_fillup_replaces_all_near_when_strictly_better():
     res = es.try_add(cand)
     assert res.added
     # a and b are gone, the candidate is the only member
-    assert es.members[0][0] == cand and es.members[0][1] == 7
-    assert len(es.members) == 1
+    assert oracles.pool(es)[0][0] == cand and oracles.pool(es)[0][1] == 7
+    assert len(oracles.pool(es)) == 1
 
 
 def test_fillup_keeps_pairwise_spacing():
@@ -51,9 +51,9 @@ def test_fillup_keeps_pairwise_spacing():
     es = EliteSet(capacity=6, diversity_threshold=3)
     for _ in range(200):
         es.try_add(_part(oracles.rand_bits(r, 10), r.randint(0, 30)))
-        if len(es.members) == es.capacity:
+        if len(oracles.pool(es)) == es.capacity:
             break
-        sols = [s for s, _ in es.members]
+        sols = [s for s, _ in oracles.pool(es)]
         for i in range(len(sols)):
             for j in range(i + 1, len(sols)):
                 assert oracles.position_delta(sols[i].bits, sols[j].bits) >= 3
@@ -74,7 +74,7 @@ def test_full_quality_reject():
     es, _, _, _ = _frozen_full_set()
     res = es.try_add(_part([0] * 16, 6))  # ties the worst member
     assert not res.added and res.reason == "quality"
-    assert len(es.members) == 3
+    assert len(oracles.pool(es)) == 3
 
 
 def test_full_duplicate_reject():
@@ -88,7 +88,7 @@ def test_full_evicts_closest_strictly_worse():
     res = es.try_add(_part([0] * 16, 9))
     assert res.added
     # b and c are the strictly worse members; b is closer (2 vs 7)
-    assert sorted((s.bits, f) for s, f in es.members) == sorted([(a.bits, 10), ([0] * 16, 9), (c.bits, 6)])
+    assert sorted((s.bits, f) for s, f in oracles.pool(es)) == sorted([(a.bits, 10), ([0] * 16, 9), (c.bits, 6)])
 
 
 def test_eviction_tie_breaks_on_objective_then_index():
@@ -100,7 +100,7 @@ def test_eviction_tie_breaks_on_objective_then_index():
     # distance, so the lower objective (3) goes
     res = es.try_add(_part([1, 0, 1, 0], 6))
     assert res.added
-    assert [s.bits for s, _ in es.members] == [[0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]]
+    assert [s.bits for s, _ in oracles.pool(es)] == [[0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]]
 
 
 def test_try_add_requires_an_objective():
@@ -108,7 +108,7 @@ def test_try_add_requires_an_objective():
     with pytest.raises(ValueError):
         es.try_add(_part([0, 1]))
     es.try_add(_part([0, 1], 4))  # cached objective is enough
-    assert es.members[0][1] == 4
+    assert oracles.pool(es)[0][1] == 4
 
 
 def test_admitted_member_is_a_private_copy():
@@ -116,8 +116,8 @@ def test_admitted_member_is_a_private_copy():
     cand = _part([0, 1, 0, 1], 3)
     es.try_add(cand)
     cand.bits[0] = 1
-    assert es.members[0][0].bits == [0, 1, 0, 1]
-    assert es.members[0][0].cached_objective == 3
+    assert oracles.pool(es)[0][0].bits == [0, 1, 0, 1]
+    assert oracles.pool(es)[0][0].cached_objective == 3
 
 
 def test_mirror_equivalence_fuzz():
@@ -131,12 +131,12 @@ def test_mirror_equivalence_fuzz():
             got = es.try_add(_part(bits, f))
             added, reason = mirror.add(bits, f)
             assert got.added == added and got.reason == reason
-            assert len(es.members) <= capacity
-            have = sorted((s.bits, f) for s, f in es.members)
+            assert len(oracles.pool(es)) <= capacity
+            have = sorted((s.bits, f) for s, f in oracles.pool(es))
             want = sorted((b, f) for b, f in mirror.members)
             assert have == want
             # payload duplicates never coexist
-            payloads = [tuple(s.bits) for s, _ in es.members]
+            payloads = [tuple(s.bits) for s, _ in oracles.pool(es)]
             assert len(set(payloads)) == len(payloads)
 
 
@@ -213,7 +213,7 @@ def test_eviction_forgets_pairs_and_admission_spawns_them():
     # replaces the closest strictly worse member; its pair marks die with it
     res = es.try_add(_part([1, 0, 0, 0], 9))
     assert res.added
-    assert [s.bits for s, _ in es.members] == [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]]
+    assert [s.bits for s, _ in oracles.pool(es)] == [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]]
     fresh = []
     while (pair := es.next_unrelinked_pair()) is not None:
         fresh.append(pair)
@@ -231,10 +231,10 @@ def test_a_dropped_member_leaves_no_pair_marks():
         es.try_add(_part(bits, f))
     while es.next_unrelinked_pair() is not None:
         pass
-    victim, kept = es.members[0][0], [m for m, _ in es.members[1:]]
+    victim, kept = oracles.pool(es)[0][0], [m for m, _ in oracles.pool(es)[1:]]
     assert len(es._relinked) == 3
     assert es.try_add(_part([0, 0, 0, 1], 9)).added  # full: evicts the closest strictly worse member
-    assert all(m is not victim for m, _ in es.members)
+    assert all(m is not victim for m, _ in oracles.pool(es))
     assert es._relinked == {frozenset(map(id, kept))}
 
 
@@ -244,7 +244,7 @@ def test_clear_resets_members_and_pair_marks():
     es.try_add(_part([1, 1], 2))
     assert es.next_unrelinked_pair() is not None
     es.clear()
-    assert es.members == []
+    assert oracles.pool(es) == []
     assert es.next_unrelinked_pair() is None
     es.try_add(_part([0, 1], 1))
     es.try_add(_part([1, 0], 2))
@@ -255,10 +255,10 @@ def test_dump_formats():
     es = EliteSet(capacity=2, diversity_threshold=1)
     es.try_add(PermutationSolution([2, 0, 1], 9))
     es.try_add(PermutationSolution([0, 1, 2], 5))
-    assert [serialize_solution(sol) for sol, _ in es.members] == ["2 0 1", "0 1 2"]
+    assert [serialize_solution(sol) for sol, _ in oracles.pool(es)] == ["2 0 1", "0 1 2"]
     es = EliteSet(capacity=2, diversity_threshold=1)
     es.try_add(_part([0, 0, 1, 1], 2))
-    assert [serialize_solution(sol) for sol, _ in es.members] == ["0011"]
+    assert [serialize_solution(sol) for sol, _ in oracles.pool(es)] == ["0011"]
 
 
 def test_constructor_validation():

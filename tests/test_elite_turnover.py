@@ -1,10 +1,16 @@
-"""EliteSet's relinked-pair bookkeeping while members come and go."""
+"""EliteSet's relinked-pair bookkeeping while members come and go.
+
+Random sequences of admissions, pair requests and clears on small pools; every
+relinked pair is checked against a model that names members by their bits.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasppr.core import PartitionSolution
 from grasppr.elite_set import EliteSet
+
+import oracles
 
 BITS = 5
 
@@ -20,7 +26,7 @@ def _key(a, b):
 def _check_next_pair(pool, marked):
     # a function of its own, so that no member outlives the call here: a
     # dropped member's address is free for the next copy the pool makes
-    members = [m for m, _ in pool.members]
+    members = [m for m, _ in oracles.pool(pool)]
     expected = next(
         ((a, b) for i, a in enumerate(members) for b in members[i + 1 :] if _key(a, b) not in marked),
         None,
@@ -55,9 +61,9 @@ def test_relinked_pairs_follow_a_model_that_names_members_by_their_bits(objectiv
             _check_next_pair(pool, marked)
         else:
             bits = tuple(code >> i & 1 for i in range(BITS))
-            before = {tuple(m.bits) for m, _ in pool.members}
+            before = {tuple(m.bits) for m, _ in oracles.pool(pool)}
             added = pool.try_add(PartitionSolution(list(bits), objectives[code])).added
             assert not (added and bits in before)  # no member with the newcomer's bits was dropped
-            now = {tuple(m.bits) for m, _ in pool.members}
-            assert len(now) == len(pool.members)
+            now = {tuple(m.bits) for m, _ in oracles.pool(pool)}
+            assert len(now) == len(oracles.pool(pool))
             marked = {pair for pair in marked if pair <= now}

@@ -1,4 +1,5 @@
-"""The package's import layers: search modules and problems depend on core only."""
+"""The package's import layers: construction, local search, relinking and the
+elite pool import only core, and the two problems only core and construction."""
 
 import ast
 from pathlib import Path

@@ -7,7 +7,9 @@ between calls, and climb with the naive loop of _RefInstance.descend. So a
 difference shows search state of the fast kernels that went wrong somewhere
 inside a run: the insert scan an LOP descent holds, the max-cut gain table
 cache and its forks, or a table a descent or walk holds; across
-relinking walks, in-path searches, restarts or the pool phases.
+relinking walks, in-path searches, restarts or the pool phases. Hypothesis
+draws the instance (n <= 12) and the config over every variant, direction,
+step rule, in-path policy, depth, RCL mode, guide policy and restart setting.
 """
 
 from hypothesis import Phase, given, settings
