@@ -83,11 +83,21 @@ def rcl_from_buckets(buckets: dict[int, list], size: int, mode: str, alpha: floa
         if len(taken) > 1:
             return sorted(chain.from_iterable(taken))
         return taken[0] if taken else buckets[g_max]
-    p_max = _cardinality_cut(size, alpha)
+    return top_of_buckets(buckets, _cardinality_cut(size, alpha))
+
+
+def top_of_buckets(buckets: dict[int, list], p: int) -> list:
+    """The p keys of largest gain in {gain: keys sorted ascending}, by
+    descending gain with ties to the lower key; every key if there are
+    fewer. It costs about the number of buckets for p == 1, and a sort of
+    the gains otherwise: the cardinality RCL, and a max-cut walk's ranked
+    steps."""
+    if p == 1:
+        return [buckets[max(buckets)][0]]
     out: list = []
     for g in sorted(buckets, reverse=True):
-        out += buckets[g][: p_max - len(out)]
-        if len(out) == p_max:
+        out += buckets[g][: p - len(out)]
+        if len(out) == p:
             break
     return out
 

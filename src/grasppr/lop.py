@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
+from operator import ne
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .construction import RclConfig, rcl_from_columns
@@ -35,7 +36,7 @@ from .core import _INT32, Move, PermutationSolution, ProblemInstance, RandomStre
 # or carries into the next. 64 bits always suffice: |skew| < 2^32 from
 # 32-bit entries, and n - 1 < 2^30 for any matrix that fits in memory.
 _FIELD_WIDTHS = {16: "H", 32: "I", 64: "Q"}  # width -> struct code
-_BEST = SearchDepth.BEST_IMPROVING  # bound once: an enum member read costs ~10x a global's per scan
+_BEST = SearchDepth.BEST_IMPROVING  # bound once: each scan then reads a global, not the slower enum member lookup
 
 
 class _Packing(NamedTuple):
@@ -279,19 +280,20 @@ class LopInstance(ProblemInstance):
         for p in range(self.n):
             pos_cur[cur[p]] = p
             pos_tgt[tgt[p]] = p
-        base = sum(1 for p in range(self.n) if cur[p] != tgt[p])
+        base = sum(map(ne, cur, tgt))
         skew = self._skew_rows()
         steps: list[Move] = []
         for e in range(self.n):
             i, j = pos_cur[e], pos_tgt[e]
             if i == j:
                 continue
-            scratch = list(cur)
-            scratch.pop(i)
-            scratch.insert(j, e)
-            if 0 < sum(1 for p in range(self.n) if scratch[p] != tgt[p]) < base:
+            # only positions lo..hi change: e lands on its guiding position j,
+            # where it matches, and the elements it jumps shift one toward i
+            lo, hi = (j, i) if j < i else (i, j)
+            jumped, beside = (cur[j:i], tgt[j + 1 : i + 1]) if j < i else (cur[i + 1 : j + 1], tgt[i:j])
+            if 0 < base - sum(map(ne, cur[lo : hi + 1], tgt[lo : hi + 1])) + sum(map(ne, jumped, beside)) < base:
                 # e gains skew[e][u] for each u it jumps ahead of, loses it for each it falls behind
-                d = sum(map(skew[e].__getitem__, cur[j:i] if j < i else cur[i + 1 : j + 1]))
+                d = sum(map(skew[e].__getitem__, jumped))
                 steps.append(Move(e, i, j, d if j < i else -d))
         return sorted(steps, key=lambda m: -m.delta)[:k]  # stable: ties keep ascending e
 

@@ -10,7 +10,12 @@ The neighbourhood transfers one vertex across the cut, as does each
 relinking step; flip gains are kept in a GainTable so a transfer costs
 O(degree). A GainTable also keeps pos, the vertices of positive gain, and a
 local-search pass picks from pos, so a pass next to a local optimum costs
-O(len(pos)), not O(n).
+O(len(pos)), not O(n). A relinking walk keeps, for each head that moves, the
+positions where the heads differ in buckets by that head's gain (the
+Fiduccia-Mattheyses gain buckets, sorted, as construction keeps its keys), so
+a step reads its pick off the top bucket and re-buckets only the moved
+vertex's differing neighbours: O(degree log n) plus the number of distinct
+gains, not O(number of differing positions).
 
 Each instance caches _TABLES GainTables, most recently used first, each
 over a private copy of its bits. A lookup by bits returns a table for its
@@ -26,12 +31,11 @@ stay exact.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .construction import VALUE, RclConfig, _value_threshold, rcl_from_buckets
+from .construction import VALUE, RclConfig, _value_threshold, rcl_from_buckets, top_of_buckets
 from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream, SearchDepth
 
 # 50x G-set's largest graph (n = 20,000); a header such as "2147483647 0"
@@ -39,7 +43,7 @@ from .core import _INT32, Move, PartitionSolution, ProblemInstance, RandomStream
 MAX_VERTICES = 2**20
 # cached gain tables per instance: two walk heads and an in-path search copy of each
 _TABLES = 4
-_BEST = SearchDepth.BEST_IMPROVING  # bound once: an enum member read costs ~10x a global's per scan
+_BEST = SearchDepth.BEST_IMPROVING  # bound once: each scan then reads a global, not the slower enum member lookup
 
 
 def check_vertex_count(n: int) -> None:
@@ -272,25 +276,26 @@ class MaxCutInstance(ProblemInstance):
     def new_walk(self, a: PartitionSolution, b: PartitionSolution) -> "_MaxCutWalk":
         return _MaxCutWalk(self, a, b)
 
-    def pr_candidates(self, table: GainTable, k: int, diff: list[int]) -> list[Move]:
-        """At most k flips of the positions in diff, where a walk head and the
-        other head differ, without the one flip that reaches it, by
+    def pr_candidates(self, table: GainTable, index: dict[int, list[int]], k: int, distance: int) -> list[Move]:
+        """At most k flips of the distance positions where a walk head and
+        the other head differ, without the one flip that reaches it, by
         descending gain in table (the head's, as the walk holds it) with ties
-        to the lower position. diff is ascending, as the walk keeps it, so a
-        step costs O(len(diff)), not O(n).
+        to the lower position. index holds those positions in buckets by
+        their gain in table, each bucket ascending, as the walk keeps it, so
+        a step reads the top buckets: about the number of distinct gains
+        for k == 1, not O(distance).
         """
-        if not diff:
+        if not distance:
             raise ValueError("the walk's heads coincide")
-        if len(diff) == 1:
+        if distance == 1:
             return []  # its one flip reaches the other head
         gains = table.gain
-        top = heapq.nlargest(k, diff, key=gains.__getitem__)  # stable, as sorted(...)[:k]
-        return [Move(j, None, None, gains[j]) for j in top]
+        return [Move(j, None, None, gains[j]) for j in top_of_buckets(index, k)]
 
 
 class _MaxCutWalk:
     """A walk that keeps the positions where its heads differ, ascending,
-    and the gain table of each head that moves.
+    and the gain table and bucket index of each head that moves.
 
     Built in O(n) once per walk; each step flips one differing position of
     one head, which drops it from the difference whichever head moved, so
@@ -298,6 +303,14 @@ class _MaxCutWalk:
     looked up on its first ranked() or take(), so a head that never moves
     (a forward walk's guide) gets none, and every step flips the table the
     walk holds with no bits comparison.
+
+    With its table, a head gets its index: {gain: the differing positions of
+    that gain in the table, ascending}, built in O(len(diff)). A step drops
+    the taken vertex from every index built, and moves each of its
+    neighbours that still differs from the bucket of its old gain to that
+    of its new one, the old gain being the new one minus the +-2w change
+    that apply_flip made. A step so costs O(degree log n), and the next
+    ranked() reads the top of the buckets.
     """
 
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
@@ -305,20 +318,46 @@ class _MaxCutWalk:
         self.heads = (a, b)
         self.diff = [j for j, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y]
         self.tables: list[Optional[GainTable]] = [None, None]
+        self.indexes: list[Optional[dict[int, list[int]]]] = [None, None]
 
-    def _table(self, i: int) -> GainTable:
+    def _held(self, i: int) -> tuple[GainTable, dict[int, list[int]]]:
         table = self.tables[i]
         if table is None:
             table = self.tables[i] = self.instance._gain_table(self.heads[i].bits)
-        return table
+            index: dict[int, list[int]] = {}
+            gain = table.gain
+            for j in self.diff:  # ascending, so each bucket is too
+                index.setdefault(gain[j], []).append(j)
+            self.indexes[i] = index
+        return table, self.indexes[i]
 
     def ranked(self, i: int, k: int) -> list[Move]:
-        return self.instance.pr_candidates(self._table(i), k, self.diff)
+        table, index = self._held(i)
+        return self.instance.pr_candidates(table, index, k, len(self.diff))
 
     def take(self, i: int, move: Move) -> None:
         head, v = self.heads[i], move.element
-        table = self._table(i)
-        head.bits[v] ^= 1
+        table, index = self._held(i)
+        for t, built in zip(self.tables, self.indexes):  # v leaves the difference
+            if built is not None:
+                g = t.gain[v]
+                keys = built[g]
+                del keys[bisect_left(keys, v)]
+                if not keys:
+                    del built[g]
+        bits, other = head.bits, self.heads[1 - i].bits
+        old_side = bits[v]
+        bits[v] ^= 1
         table.apply_flip(v)
         head.cached_objective += move.delta
         del self.diff[bisect_left(self.diff, v)]
+        gain = table.gain
+        for u, w in table.adj[v]:
+            if bits[u] != other[u]:  # apply_flip took 2w from u's gain if u is on v's old side, else added 2w
+                g = gain[u]
+                was = g + 2 * w if bits[u] == old_side else g - 2 * w
+                keys = index[was]
+                del keys[bisect_left(keys, u)]
+                if not keys:
+                    del index[was]
+                insort(index.setdefault(g, []), u)

@@ -1,4 +1,5 @@
 import time
+import types
 
 import pytest
 
@@ -217,6 +218,27 @@ def test_deadline_reaches_every_descent_and_walk_only_under_a_time_limit(monkeyp
         assert stops == {None}
     else:
         assert len(stops) == 1 and callable(*stops) and not stops.pop()()
+
+
+@pytest.mark.parametrize("time_limit, iterations", [(1.0, 1), (7.0, 4), (10.0, 5), (12.0, 6)])
+def test_evolutionary_dynamic_phase_ends_at_half_the_time_limit(monkeypatch, time_limit, iterations):
+    # a fake clock advances one unit per construction and never otherwise, so
+    # the dynamic phase ends at the first check between iterations at or after
+    # time_limit / 2 (the first iteration always runs), and the exhaustion
+    # phase, which constructs nothing, runs its pool to the end
+    clock = [0.0]
+
+    def ticking(*args):
+        clock[0] += 1.0
+        return construct(*args)
+
+    monkeypatch.setattr(drivers, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(drivers, "construct", ticking)
+    cfg = RunConfig(variant="evolutionary_pr", seed=3, time_limit=time_limit, elite_k=3)
+    report = run(MC12, cfg)
+    assert report.iterations == iterations
+    assert report.elapsed_s == iterations
+    assert (report.pr_calls > 0) == (iterations > 1)  # one member leaves no pair to relink
 
 
 def test_default_diversity_threshold_values():

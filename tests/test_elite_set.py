@@ -149,6 +149,18 @@ def test_select_guide_uniform_singleton_consumes_no_draw():
     assert rng.randrange(2**64) == RandomStream(5).randrange(2**64)
 
 
+def test_select_guide_pdelta_singleton_consumes_no_draw():
+    # one member at nonzero distance is the only guide pdelta can pick: no
+    # weighted draw is made, so every later draw of the run stays aligned
+    es = EliteSet(capacity=3)
+    es.try_add(_part([0, 1, 0, 1], 3))
+    rng = RandomStream(5)
+    guide = es.select_guide(_part([1, 1, 1, 1]), "pdelta", rng)
+    assert guide.bits == [0, 1, 0, 1]
+    fresh = RandomStream(5)
+    assert [rng.randrange(2**64) for _ in range(3)] == [fresh.randrange(2**64) for _ in range(3)]
+
+
 def test_select_guide_pdelta_frequencies():
     es = EliteSet(capacity=3)
     m1 = _part([1, 0, 0, 0, 0, 0, 0, 0], 3)  # delta 1 from the reference

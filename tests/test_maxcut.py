@@ -82,7 +82,7 @@ def test_pr_candidates_count_and_deltas():
     cur = PartitionSolution([0] * 8)
     tgt = PartitionSolution([1] * 8)
     evaluate(inst, cur)
-    steps = inst.pr_candidates(inst._gain_table(cur.bits), 8, _diff(cur, tgt))
+    steps = inst.new_walk(cur, tgt).ranked(0, 8)
     assert len(steps) == 8  # one flip per differing position
     assert [m.delta for m in steps] == sorted((m.delta for m in steps), reverse=True)
     for move in steps:
@@ -96,13 +96,13 @@ def test_pr_candidates_single_difference_reaches():
     tgt = PartitionSolution([1, 0, 1])
     evaluate(K3, cur)
     # the one flip reaches guiding, so it is no relinking step
-    assert K3.pr_candidates(K3._gain_table(cur.bits), 3, _diff(cur, tgt)) == []
+    assert K3.new_walk(cur, tgt).ranked(0, 3) == []
 
 
 def test_pr_candidates_rejects_identical_endpoints():
     sol = PartitionSolution([1, 0, 1])
     with pytest.raises(ValueError):
-        K3.pr_candidates(K3._gain_table(sol.bits), 3, [])
+        K3.new_walk(sol, sol.copy()).ranked(0, 3)
 
 
 def test_local_optimum_has_nonpositive_gains():
@@ -160,12 +160,12 @@ def _fresh_gains(inst, sol):
 
 
 def _check_against_fresh(inst, sol, other):
-    """The gain cache and pr_candidates() deltas equal those of a freshly built GainTable."""
+    """The gain cache and a walk's ranked() deltas equal those of a freshly built GainTable."""
     gains = _fresh_gains(inst, sol)
     assert inst._gain_table(sol.bits).gain == gains
     diff = _diff(sol, other)
     if len(diff) > 1:
-        assert sorted((m.element, m.delta) for m in inst.pr_candidates(inst._gain_table(sol.bits), inst.n, diff)) == [
+        assert sorted((m.element, m.delta) for m in inst.new_walk(sol, other).ranked(0, inst.n)) == [
             (j, gains[j]) for j in diff
         ]
 
@@ -197,7 +197,7 @@ def test_gain_cache_under_interleaved_operations():
         elif op == 3:  # in-path style local search on a copy, then relinking candidates
             local_search(inst, cur.copy(), SearchDepth.FIRST_IMPROVING, RandomStream(r.randrange(99)))
         else:  # a relinking step taken on the solution itself
-            steps = inst.pr_candidates(inst._gain_table(cur.bits), 12, _diff(cur, other)) if cur != other else []
+            steps = inst.new_walk(cur, other).ranked(0, 12) if cur != other else []
             if steps:
                 oracles.apply(inst, cur, r.choice(steps))
         assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
@@ -226,24 +226,31 @@ def test_gain_cache_reused_across_a_descent(monkeypatch):
     assert out.cached_objective > start.cached_objective
     assert len(builds) == 1  # one rebuild for the start, O(degree) updates after it
     guide = PartitionSolution([1 - b for b in out.bits])
-    inst.pr_candidates(inst._gain_table(out.bits), 30, _diff(out, guide))
+    inst.new_walk(out, guide).ranked(0, 30)
     assert len(builds) == 1  # the descent left the cache in sync with its result
     oracles.apply(inst, guide, Move(0))  # moves only the guide: the cache keeps out's bits
-    inst.pr_candidates(inst._gain_table(out.bits), 30, _diff(out, guide))
+    inst.new_walk(out, guide).ranked(0, 30)
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("pm1", [False, True], ids=["negative", "pm1"])
+def _bucketing(diff, gains):
+    return {g: [j for j in diff if gains[j] == g] for g in {gains[j] for j in diff}}
+
+
+@pytest.mark.parametrize("weights", ["negative", "pm1", "unit"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_walk_step_kernel_matches_reference(pm1, k):
-    """Every step of single-head and alternating walks: pr_candidates(..., k, diff)
-    equals the stable top k of the full scan, and the walk's diff stays the
-    ascending difference of its heads."""
+def test_walk_step_kernel_matches_reference(weights, k):
+    """Every step of single-head and alternating walks: ranked(i, k) equals
+    the stable top k of the full scan and pr_candidates over the head's
+    table and index, the walk's diff stays the ascending difference of its
+    heads, and each index built stays the bucketing of diff by its head's
+    fresh gains. Unit weights are the G-set's kind."""
     r = oracles.make_rng(60 + k)
-    tied = 0
+    tied = both = 0
     for trial in range(12):
         n = r.randrange(6, 30)
-        edges = [(i, j, r.choice((-1, 1)) if pm1 else r.randint(-5, 3)) for i, j, _ in oracles.rand_edges(r, n, 0.3)]
+        weight = {"negative": lambda: r.randint(-5, 3), "pm1": lambda: r.choice((-1, 1)), "unit": lambda: 1}[weights]
+        edges = [(i, j, weight()) for i, j, _ in oracles.rand_edges(r, n, 0.3)]
         inst = MaxCutInstance(n, edges)
         a = PartitionSolution(oracles.rand_bits(r, n))
         b = PartitionSolution(oracles.rand_bits(r, n))
@@ -256,11 +263,13 @@ def test_walk_step_kernel_matches_reference(pm1, k):
         mover = 0
         while True:
             assert walk.diff == _diff(a, b)
+            for head, index in zip(walk.heads, walk.indexes):
+                assert index is None or index == _bucketing(walk.diff, _fresh_gains(inst, head))
             cur, other = walk.heads[mover], walk.heads[1 - mover]
             expected = oracles.top_relink_flips(edges, cur.bits, other.bits, k)
-            steps = inst.pr_candidates(inst._gain_table(cur.bits), k, walk.diff)
+            steps = walk.ranked(mover, k)
             assert [(m.element, m.delta) for m in steps] == expected
-            assert walk.ranked(mover, k) == steps
+            assert inst.pr_candidates(walk.tables[mover], walk.indexes[mover], k, len(walk.diff)) == steps
             if not steps:
                 assert len(walk.diff) == 1
                 break
@@ -270,7 +279,10 @@ def test_walk_step_kernel_matches_reference(pm1, k):
             assert cur.cached_objective == oracles.cut_value(edges, cur.bits)
             if alternate:
                 mover = 1 - mover
+        assert walk.indexes[1] is None or alternate  # a forward walk indexes only its moving head
+        both += walk.indexes[1] is not None
     assert tied > 0  # the tie-breaks were exercised
+    assert both > 0  # a mixed walk indexed both heads
 
 
 def test_gain_table_miss_builds_one_private_table(monkeypatch):
