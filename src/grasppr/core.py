@@ -15,6 +15,7 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import ne
 from typing import Callable, NamedTuple, Optional, Sequence
 
 _INT32 = 2**31  # instance weights w satisfy -_INT32 <= w < _INT32
@@ -77,7 +78,7 @@ def delta(a: Solution, b: Solution) -> int:
     pa, pb = _payload(a), _payload(b)
     if len(pa) != len(pb):
         raise ValueError(f"dimension mismatch: {len(pa)} vs {len(pb)}")
-    return sum(1 for x, y in zip(pa, pb) if x != y)
+    return sum(map(ne, pa, pb))
 
 
 class SearchDepth(enum.Enum):

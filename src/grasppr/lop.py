@@ -11,8 +11,10 @@ them, one w-bit field per element (see _FIELD_WIDTHS), and keeps every
 field's minimum by SWAR (_swar_min): a full pass is O(n^2) word operations.
 A descent holds the scan of its solution's order (_InsertScan): a pass reads
 its chunk minima in O(n sqrt(n)), and a move from i to j patches it (_rescan)
-in O(n (|i - j| + sqrt(n))). No other state is kept, so walk steps and
-hand edits only move the order.
+in O(n (|i - j| + sqrt(n))). The descent's one full scan asks the instance
+for its packing (_packed) and keeps it on the scan, where every later pass
+and patch reads it. No other state is kept, so walk steps and hand edits
+only move the order.
 """
 
 from __future__ import annotations
@@ -57,15 +59,17 @@ class _Packing(NamedTuple):
 
 def _swar_min(values: Sequence[int], guard: int, shift: int) -> int:
     """Field-wise minimum of packed values whose fields lie in [0, guard),
-    guard = 2^shift in each field.
+    guard = 2^shift in each field, read once in order: values may be any
+    non-empty sequence, and no copy of it is made.
 
     Per field, (low | guard) - p is 2^shift + low - p, in (0, 2^(shift+1)):
     never negative and never past the field, so no field borrows from the
     next. Its bit shift stays set where low >= p, and ge - (ge >> shift)
     spreads it over the field's low shift bits to select p there.
     """
-    low = values[0]
-    for p in values[1:]:
+    it = iter(values)
+    low = next(it)
+    for p in it:
         ge = ((low | guard) - p) & guard
         low ^= (low ^ p) & (ge - (ge >> shift))
     return low
@@ -75,13 +79,15 @@ def _swar_min(values: Sequence[int], guard: int, shift: int) -> int:
 class _InsertScan:
     """The packed insert scan of one order, held by a descent so that a move patches it.
 
-    Field e of prefixes[k] is 2^(w-2) + prefix_e[k] (see _Packing), with
-    prefix_e[k] the sum of skew[e][order[p]] over p < k; field e of base is
-    that of prefixes[i] for e's own position i; lows[c] is the field-wise
-    minimum of the chunk prefixes[c * step : (c + 1) * step] for the
-    instance's step.
+    packing is the instance's, taken once by _full_scan, so that passes and
+    patches read it from the scan. Field e of prefixes[k] is 2^(w-2) +
+    prefix_e[k] (see _Packing), with prefix_e[k] the sum of
+    skew[e][order[p]] over p < k; field e of base is that of prefixes[i]
+    for e's own position i; lows[c] is the field-wise minimum of the chunk
+    prefixes[c * step : (c + 1) * step] for the instance's step.
     """
 
+    packing: _Packing
     prefixes: list[int]
     base: int
     lows: list[int]
@@ -174,13 +180,17 @@ class LopInstance(ProblemInstance):
         # prefix whose field e, compared in place (masked), is below bound:
         # low_e + 1 for best, base_e for first; the first chunk whose
         # minimum is below bound holds it
-        packing, step = self._packed(), self._step
+        packing, lows, prefixes = scan.packing, scan.lows, scan.prefixes
         mask, at = packing.masks[e], (packing.shift + 1) * e
         base = scan.base & mask
         bound = base - ((gain - 1) << at) if best else base
-        c = next(c for c, low in enumerate(scan.lows) if low & mask < bound)
-        k = next(k for k in range(c * step, c * step + step) if scan.prefixes[k] & mask < bound)
-        yield Move(e, i, k if k < i else k - 1, (base - (scan.prefixes[k] & mask)) >> at)
+        c = 0
+        while lows[c] & mask >= bound:
+            c += 1
+        k = c * self._step
+        while prefixes[k] & mask >= bound:
+            k += 1
+        yield Move(e, i, k if k < i else k - 1, (base - (prefixes[k] & mask)) >> at)
 
     def _packed(self) -> _Packing:
         """The insert scan's packing, built on the first call, in the
@@ -212,13 +222,13 @@ class LopInstance(ProblemInstance):
         prefixes (see _InsertScan), one SWAR minimum over the chunk minima;
         base >= low in every field.
         """
-        packing = self._packed()
+        packing = scan.packing
         low = _swar_min(scan.lows, packing.guard, packing.shift)
         return packing.fields.unpack((scan.base - low).to_bytes(packing.fields.size, "little"))
 
     def _full_scan(self, order: Sequence[int]) -> _InsertScan:
-        bias, n = self._packed().bias, self.n
-        scan = _InsertScan([bias] * (n + 1), 0, [bias] * (n // self._step + 1))
+        packing, n = self._packed(), self.n
+        scan = _InsertScan(packing, [packing.bias] * (n + 1), 0, [packing.bias] * (n // self._step + 1))
         self._rescan(scan, order, 0, n - 1)
         return scan
 
@@ -227,7 +237,7 @@ class LopInstance(ProblemInstance):
         fields of the elements at positions lo..hi of order, and the minima
         of the chunks that hold those prefixes. Moving the element at i to j
         changes nothing else, with lo, hi = min, max of i, j."""
-        columns, masks, _, guard, shift, _ = self._packed()
+        columns, masks, _, guard, shift, _ = scan.packing
         prefixes, lows, step = scan.prefixes, scan.lows, self._step
         base, p = scan.base, prefixes[lo]
         for k in range(lo, hi + 1):
@@ -258,12 +268,15 @@ class LopInstance(ProblemInstance):
                 pass  # the scan finishes before its move is applied
             if move is None:
                 return
-            if move.delta <= 0:
+            _, i, j, delta = move
+            if delta <= 0:
                 raise RuntimeError(f"{depth.value}-improving scan chose a non-improving move: {move}")
-            i, j = move.from_pos, move.to_pos
             order.insert(j, order.pop(i))
-            self._rescan(scan, order, min(i, j), max(i, j))
-            solution.cached_objective += move.delta
+            if i < j:
+                self._rescan(scan, order, i, j)
+            else:
+                self._rescan(scan, order, j, i)
+            solution.cached_objective += delta
 
     def new_walk(self, a: PermutationSolution, b: PermutationSolution) -> "_LopWalk":
         return _LopWalk(self, a, b)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from itertools import compress
+from operator import ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .construction import VALUE, RclConfig, _value_threshold, rcl_from_buckets, top_of_buckets
@@ -316,7 +317,7 @@ class _MaxCutWalk:
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
         self.instance = inst
         self.heads = (a, b)
-        self.diff = [j for j, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y]
+        self.diff = list(compress(range(inst.n), map(ne, a.bits, b.bits)))
         self.tables: list[Optional[GainTable]] = [None, None]
         self.indexes: list[Optional[dict[int, list[int]]]] = [None, None]
 

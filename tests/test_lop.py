@@ -177,16 +177,19 @@ def test_packed_columns_wait_for_the_first_best_improving_scan(tmp_path):
 @pytest.mark.parametrize("depth", list(SearchDepth), ids=lambda d: d.value)
 def test_descents_read_picks_from_the_held_scan(monkeypatch, depth):
     # once the packing is built, a descent's passes read every pick from the
-    # insert scan it holds: no pass goes back to the skew rows
+    # insert scan it holds: no pass goes back to the skew rows, and only the
+    # descent's one full scan asks the instance for its packing
     r = oracles.make_rng(45)
     inst = LopInstance(oracles.rand_lop_matrix(r, 40))
     inst._packed()
     calls = []
-    skew_rows = LopInstance._skew_rows
-    monkeypatch.setattr(LopInstance, "_skew_rows", lambda self: calls.append(1) or skew_rows(self))
+    skew_rows, packed = LopInstance._skew_rows, LopInstance._packed
+    monkeypatch.setattr(LopInstance, "_skew_rows", lambda self: calls.append("skew") or skew_rows(self))
+    monkeypatch.setattr(LopInstance, "_packed", lambda self: calls.append("packed") or packed(self))
     start = PermutationSolution(oracles.rand_perm(r, 40))
     out = local_search(inst, start, depth, RandomStream(45))
-    assert out.cached_objective > oracles.lop_value(inst.cost, start.order) and calls == []
+    # an improved order took a move, so at least two passes ran
+    assert out.cached_objective > oracles.lop_value(inst.cost, start.order) and calls == ["packed"]
 
 
 class _CheckedLop(LopInstance):
@@ -318,12 +321,15 @@ def test_swar_min_is_the_field_wise_min(width):
     pack = lambda fields: sum(f << width * e for e, f in enumerate(fields))
     guard = pack([1 << width - 1] * n)
     r = oracles.make_rng(width)
-    cases = [[[0] * n, [top] * n], [[top] * n, [0] * n], [[top] * n, [top] * n], [[0, top] * 4 + [0]]]
+    # one value is its own minimum
+    cases = [[[0] * n, [top] * n], [[top] * n, [0] * n], [[top] * n, [top] * n], [[0] * n], [[0, top] * 4 + [0]]]
     for _ in range(200):
         rows = [[r.choice((0, 1, top - 1, top, r.randint(0, top))) for _ in range(n)] for _ in range(r.randint(1, 6))]
         cases.append(rows + [list(r.choice(rows))])
     for rows in cases:
-        assert _swar_min([pack(row) for row in rows], guard, width - 1) == pack(map(min, zip(*rows))), rows
+        values = [pack(row) for row in rows]
+        for given in (values, tuple(values)):  # any sequence, read as given
+            assert _swar_min(given, guard, width - 1) == pack(map(min, zip(*rows))), rows
 
 
 def test_pr_candidates_worked_example():
