@@ -190,6 +190,10 @@ def _lolib_located(lines: list[str], start: int) -> list[int]:
 
 
 def serialize_lolib(instance: LopInstance, name: str = "instance") -> str:
+    """The instance as parse_lolib reads it back, under a one-line name that cannot pass for the dimension."""
+    first = name.removeprefix("\ufeff").split(None, 1)  # load_instance drops one leading byte-order mark
+    if "\n" in name or "\r" in name or (first and _is_int(first[0])):
+        raise ValueError(f"name {name!r} would not read back as a header line")
     out = [name, str(instance.n)]
     for row in instance.cost:
         out.append(" ".join(map(str, row)))

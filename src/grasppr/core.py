@@ -4,9 +4,12 @@ Each problem writes its own climb (ProblemInstance.descend) and relinking
 walk (new_walk), so that each holds that problem's search state.
 
 Objectives are exact Python ints throughout (maximization); no floats enter the
-solver core. The instance constructors alone judge instance values (the parsers
-only read text): each given weight, and each merged max-cut weight, must fit 32
-bits, so that any objective sum fits comfortably in 64 bits.
+solver core. The instance constructors judge every value that reaches an
+instance: each given weight, and each merged max-cut weight, must fit 32 bits,
+so that any objective sum fits comfortably in 64 bits. A parser's located
+reread re-judges a malformed text (dimensions, counts, 32-bit tokens, vertex
+ranges, self-loops) only to place its first fault; the differential tests in
+tests/test_bench_io.py hold the two in agreement.
 """
 
 from __future__ import annotations

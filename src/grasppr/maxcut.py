@@ -295,20 +295,20 @@ class MaxCutInstance(ProblemInstance):
 
 
 class _MaxCutWalk:
-    """A walk that keeps the positions where its heads differ, ascending,
-    and the gain table and bucket index of each head that moves.
+    """A walk that counts the positions where its heads differ, and keeps
+    the gain table and bucket index of each head that moves.
 
-    Built in O(n) once per walk; each step flips one differing position of
-    one head, which drops it from the difference whichever head moved, so
-    one list serves every direction, mixed included. A head's table is
+    Counted in O(n) once per walk; each step flips one differing position
+    of one head, which drops it from the difference whichever head moved, so
+    one count serves every direction, mixed included. A head's table is
     looked up on its first ranked() or take(), so a head that never moves
     (a forward walk's guide) gets none, and every step flips the table the
     walk holds with no bits comparison.
 
     With its table, a head gets its index: {gain: the differing positions of
-    that gain in the table, ascending}, built in O(len(diff)). A step drops
-    the taken vertex from every index built, and moves each of its
-    neighbours that still differs from the bucket of its old gain to that
+    that gain in the table, ascending}, built in O(n) from the heads' bits.
+    A step drops the taken vertex from every index built, and moves each of
+    its neighbours that still differs from the bucket of its old gain to that
     of its new one, the old gain being the new one minus the +-2w change
     that apply_flip made. A step so costs O(degree log n), and the next
     ranked() reads the top of the buckets.
@@ -317,7 +317,7 @@ class _MaxCutWalk:
     def __init__(self, inst: MaxCutInstance, a: PartitionSolution, b: PartitionSolution):
         self.instance = inst
         self.heads = (a, b)
-        self.diff = list(compress(range(inst.n), map(ne, a.bits, b.bits)))
+        self.distance = sum(map(ne, a.bits, b.bits))
         self.tables: list[Optional[GainTable]] = [None, None]
         self.indexes: list[Optional[dict[int, list[int]]]] = [None, None]
 
@@ -327,14 +327,15 @@ class _MaxCutWalk:
             table = self.tables[i] = self.instance._gain_table(self.heads[i].bits)
             index: dict[int, list[int]] = {}
             gain = table.gain
-            for j in self.diff:  # ascending, so each bucket is too
+            differs = map(ne, self.heads[i].bits, self.heads[1 - i].bits)
+            for j in compress(range(self.instance.n), differs):  # ascending, so each bucket is too
                 index.setdefault(gain[j], []).append(j)
             self.indexes[i] = index
         return table, self.indexes[i]
 
     def ranked(self, i: int, k: int) -> list[Move]:
         table, index = self._held(i)
-        return self.instance.pr_candidates(table, index, k, len(self.diff))
+        return self.instance.pr_candidates(table, index, k, self.distance)
 
     def take(self, i: int, move: Move) -> None:
         head, v = self.heads[i], move.element
@@ -351,7 +352,7 @@ class _MaxCutWalk:
         bits[v] ^= 1
         table.apply_flip(v)
         head.cached_objective += move.delta
-        del self.diff[bisect_left(self.diff, v)]
+        self.distance -= 1
         gain = table.gain
         for u, w in table.adj[v]:
             if bits[u] != other[u]:  # apply_flip took 2w from u's gain if u is on v's old side, else added 2w

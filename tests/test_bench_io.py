@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import importlib.util
 import io
 import random
 import re
@@ -115,6 +116,23 @@ def test_lolib_round_trip():
         assert again.cost == inst.cost
 
 
+@pytest.mark.parametrize("name", ["rt", "", "  spaced  name ", "x 7", "7x", "-", "²", "1.5", "lop-n10-a"])
+def test_lolib_names_round_trip(name):
+    inst = LopInstance([[0, 5, -2], [3, 0, 1], [4, 9, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_lolib(serialize_lolib(inst, name=name)).cost == inst.cost
+
+
+# each would reread as the dimension line, or as more than one header line;
+# U+2028 is whitespace to str.split, so the first token of "\u20287" is 7, and
+# load_instance drops the byte-order mark of "\ufeff7"
+@pytest.mark.parametrize("name", ["7", "3 x", " +12", "-3 y", "\t7", "\u20287", "\ufeff7", "a\nb", "a\rb", "a\r\nb"])
+def test_lolib_refuses_names_that_do_not_read_back(name):
+    with pytest.raises(ValueError, match="header line"):
+        serialize_lolib(LopInstance([[0, 5], [3, 0]]), name=name)
+
+
 def test_parse_edge_list_k3():
     inst = parse_edge_list("3 3\n1 2 1\n2 3 1\n1 3 1\n")
     assert inst.n == 3 and inst.m == 3
@@ -154,6 +172,18 @@ def test_edge_list_round_trip():
         inst = MaxCutInstance(n, oracles.rand_edges(r, n, 0.6, -9, 9))
         again = parse_edge_list(serialize_edge_list(inst))
         assert again.n == inst.n and again.edges == inst.edges
+
+
+def test_toy_instances_are_what_the_script_renders():
+    # the serializers write the bundled toys: a change to either must come with regenerated files
+    script = TOY.parent.parent / "scripts" / "make_toy_instances.py"
+    spec = importlib.util.spec_from_file_location("make_toy_instances", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rendered = module.render()
+    assert sorted(path.name for path in TOY.iterdir()) == sorted(rendered)
+    for name, text in rendered.items():
+        assert (TOY / name).read_bytes() == text.encode(), name
 
 
 @settings(max_examples=150)

@@ -1,29 +1,12 @@
-"""Golden traces: every driver on every bundled toy instance, frozen.
+"""Golden traces: the solver's search paths, frozen byte for byte.
 
 Each run is a deterministic function of (instance, config, seed) under an
 iteration budget, so every RunReport field except the wall-clock times must
-reproduce exactly. The expected values live in golden_trace.json; refactors
-and faster kernels must leave them unchanged. The toys have n <= 14, so two
-larger runs (a LOP n = 50 matrix and a max-cut n = 800 graph, both generated
-here from fixed seeds) live in golden_trace_large.json. Those runs use the
-value RCL and best-improving search only; golden_trace_paths.json freezes the
-cardinality RCL and first-improving search on the toys, and the two larger
-runs with first-improving search.
-golden_trace_relink.json freezes single relink calls over every direction,
-step rule, truncation and in-path policy, on a LOP toy, a max-cut toy and a
-generated max-cut graph with n = 120; oracles.record_path records their
-visited solutions. golden_trace_construct.json freezes
-semi-greedy LOP constructions alone (n = 2, 30 and 150, both RCL modes,
-collapsed and open alpha ranges), which the driver runs above start from a
-value RCL only; golden_trace_construct_maxcut.json does the same for max-cut
-(a random n = 800 graph, a 20x40 +-1 torus and a signed n = 120 graph on
-which the value RCL falls back). golden_trace_lop_descent.json freezes
-every move of best- and first-improving LOP descents from semi-greedy
-constructions at n = 100 and 150, and of one n = 100 evolutionary_pr solve
-with best-point in-path search. golden_trace_restarts.json freezes the
-dynamic and evolutionary drivers with stagnation restarts (kappa 1 and 3)
-on the toys, which no other golden file enables. Regenerate all eight (only
-for a named, justified behaviour change) with
+reproduce exactly, as must each construction, descent and relink call traced
+here. GOLDEN_FILES lists the eight golden files and what each freezes; every
+file must equal its payload as the current code computes it, byte for byte,
+and refactors and faster kernels must leave them unchanged. Regenerate all
+eight (only for a named, justified behaviour change) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
 """
@@ -33,6 +16,9 @@ import itertools
 import json
 import random
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
+
+import pytest
 
 from grasppr import bench_io, drivers, path_relinking
 from grasppr.construction import CARDINALITY, VALUE, RclConfig, construct
@@ -43,16 +29,8 @@ from grasppr.maxcut import MaxCutInstance
 
 import oracles
 
-ROOT = Path(__file__).resolve().parent.parent
-TOY_DIR = ROOT / "instances" / "toy"
-GOLDEN = Path(__file__).resolve().parent / "golden_trace.json"
-GOLDEN_LARGE = Path(__file__).resolve().parent / "golden_trace_large.json"
-GOLDEN_PATHS = Path(__file__).resolve().parent / "golden_trace_paths.json"
-GOLDEN_RELINK = Path(__file__).resolve().parent / "golden_trace_relink.json"
-GOLDEN_CONSTRUCT = Path(__file__).resolve().parent / "golden_trace_construct.json"
-GOLDEN_CONSTRUCT_MAXCUT = Path(__file__).resolve().parent / "golden_trace_construct_maxcut.json"
-GOLDEN_LOP_DESCENT = Path(__file__).resolve().parent / "golden_trace_lop_descent.json"
-GOLDEN_RESTARTS = Path(__file__).resolve().parent / "golden_trace_restarts.json"
+HERE = Path(__file__).resolve().parent
+TOY_DIR = HERE.parent / "instances" / "toy"
 
 SEEDS = (1, 2, 3)
 ITERATIONS = 25
@@ -86,7 +64,7 @@ def compute_traces() -> dict:
             for seed in SEEDS:
                 cfg = bench_io.build_run_config(problem, {"variant": variant, **OPTIONS}, seed, None, ITERATIONS)
                 traces[f"{variant}/{path.stem}/{seed}"] = _trace(drivers.run(instance, cfg))
-    return traces
+    return {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": traces}
 
 
 def _large_lop() -> LopInstance:
@@ -381,85 +359,46 @@ def compute_lop_descent_traces() -> dict:
     return traces
 
 
-def test_golden_traces_reproduce():
-    expected = json.loads(GOLDEN.read_text())
+def _toy_preconditions(expected):
     assert expected["options"] == OPTIONS and expected["iterations"] == ITERATIONS
     runs = expected["runs"]
     # a trace set in which no walk ever runs would freeze nothing about relinking
     for variant in (drivers.STATIC_PR, drivers.DYNAMIC_PR, drivers.EVOLUTIONARY_PR):
         assert sum(r["pr_calls"] for k, r in runs.items() if k.startswith(variant + "/")) > 0, variant
-    actual = compute_traces()
-    assert sorted(actual) == sorted(runs)
-    mismatched = [key for key in sorted(actual) if actual[key] != runs[key]]
-    assert not mismatched, f"{len(mismatched)} run(s) diverged, first: {mismatched[0]}"
 
 
-def test_large_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_LARGE.read_text())
+def _large_preconditions(expected):
     # both runs relink, so the walks and in-path searches are frozen too
     assert all(r["pr_calls"] > 0 for r in expected.values())
-    actual = compute_large_traces()
-    assert sorted(actual) == sorted(expected)
-    for key in sorted(actual):
-        assert actual[key] == expected[key], key
 
 
-def test_path_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_PATHS.read_text())
+def _path_preconditions(expected):
     assert sum(r["pr_calls"] for k, r in expected.items() if f"/{drivers.DYNAMIC_PR}/" in k) > 0
-    actual = compute_path_traces()
-    assert sorted(actual) == sorted(expected)
-    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} run(s) diverged, first: {mismatched[0]}"
 
 
-def test_relink_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_RELINK.read_text())
+def _relink_preconditions(expected):
     # every configuration walks somewhere on every instance
     for name, _ in _relink_instances():
         for config in RELINK_CONFIGS:
             suffix = "/" + "/".join(map(str, config))
             assert any(k.startswith(name + "/") and k.endswith(suffix) and r["steps"] for k, r in expected.items())
-    actual = compute_relink_traces()
-    assert sorted(actual) == sorted(expected)
-    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} relink call(s) diverged, first: {mismatched[0]}"
 
 
-def test_construct_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_CONSTRUCT.read_text())
-    actual = compute_construct_traces()
-    assert sorted(actual) == sorted(expected)
-    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} construction run(s) diverged, first: {mismatched[0]}"
-
-
-def test_construct_maxcut_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_CONSTRUCT_MAXCUT.read_text())
+def _construct_maxcut_preconditions(expected):
     # the signed graph reaches g_max < 0 in value steps, so the value fallback is frozen too
     signed = _construct_signed_maxcut()
     reference = oracles.RefMaxCut(signed.n, signed.edges)
     for low, high in CONSTRUCT_ALPHAS:
         reference.construct(RclConfig(mode=VALUE, alpha_low=low, alpha_high=high), RandomStream(CONSTRUCT_SEEDS[0]))
     assert reference.steps["fallback"]
-    actual = compute_construct_maxcut_traces()
-    assert sorted(actual) == sorted(expected)
-    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} max-cut construction run(s) diverged, first: {mismatched[0]}"
 
 
-def test_lop_descent_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_LOP_DESCENT.read_text())
+def _lop_descent_preconditions(expected):
     # the solve relinks, so its in-path searches are frozen too
     assert expected[DESCENT_SOLVE[0]]["pr_calls"] > 0
-    actual = compute_lop_descent_traces()
-    assert sorted(actual) == sorted(expected)
-    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} LOP descent(s) diverged, first: {mismatched[0]}"
 
 
-def test_restart_golden_traces_reproduce():
-    expected = json.loads(GOLDEN_RESTARTS.read_text())
+def _restart_preconditions(expected):
     # every (kappa, variant) group restarts; with kappa 1 the pool is emptied too often to
     # relink, so each variant relinks after a restart somewhere in its kappa 3 runs
     for kappa in RESTART_KAPPAS:
@@ -468,34 +407,78 @@ def test_restart_golden_traces_reproduce():
             assert sum(r["restarts"] for r in group) > 0, (kappa, variant)
             if kappa > 1:
                 assert sum(r["pr_calls"] for r in group if r["restarts"]) > 0, (kappa, variant)
-    actual = compute_restart_traces()
-    assert sorted(actual) == sorted(expected)
-    mismatched = [key for key in sorted(actual) if actual[key] != expected[key]]
-    assert not mismatched, f"{len(mismatched)} restart run(s) diverged, first: {mismatched[0]}"
+
+
+class Golden(NamedTuple):
+    name: str  # the file, in tests/
+    compute: Callable[[], dict]  # its payload from the current code
+    preconditions: Optional[Callable[[dict], None]]  # what the committed payload must cover to freeze anything
+
+
+GOLDEN_FILES = (
+    # every driver on every bundled toy, with the value RCL and best-improving search
+    Golden("golden_trace.json", compute_traces, _toy_preconditions),
+    # the toys have n <= 14, so two larger runs: a LOP n = 50 matrix and a max-cut
+    # n = 800 graph, both generated here from fixed seeds
+    Golden("golden_trace_large.json", compute_large_traces, _large_preconditions),
+    # the cardinality RCL and first-improving search on the toys, and the two
+    # larger runs with first-improving search
+    Golden("golden_trace_paths.json", compute_path_traces, _path_preconditions),
+    # single relink calls over every direction, step rule, truncation and in-path
+    # policy, on a LOP toy, a max-cut toy and a generated max-cut graph with n = 120;
+    # oracles.record_path records their visited solutions
+    Golden("golden_trace_relink.json", compute_relink_traces, _relink_preconditions),
+    # semi-greedy LOP constructions alone (n = 2, 30 and 150, both RCL modes,
+    # collapsed and open alpha ranges), which the driver runs start from a value RCL only
+    Golden("golden_trace_construct.json", compute_construct_traces, None),
+    # the same for max-cut: a random n = 800 graph, a 20x40 +-1 torus and a signed
+    # n = 120 graph on which the value RCL falls back
+    Golden("golden_trace_construct_maxcut.json", compute_construct_maxcut_traces, _construct_maxcut_preconditions),
+    # every move of best- and first-improving LOP descents from semi-greedy constructions
+    # at n = 100 and 150, and of one n = 100 evolutionary_pr solve with best-point in-path search
+    Golden("golden_trace_lop_descent.json", compute_lop_descent_traces, _lop_descent_preconditions),
+    # the dynamic and evolutionary drivers with stagnation restarts (kappa 1 and 3)
+    # on the toys, which no other golden file enables
+    Golden("golden_trace_restarts.json", compute_restart_traces, _restart_preconditions),
+)
+
+
+def _text(payload: dict) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def _first_difference(expected, actual, keys=()) -> Optional[tuple]:
+    """The keys down to the first difference between two JSON values, in sorted key order, or None."""
+    if not (isinstance(expected, dict) and isinstance(actual, dict)):
+        return None if expected == actual else keys
+    for key in sorted(expected.keys() | actual.keys()):
+        if key not in expected or key not in actual:
+            return (*keys, key)
+        found = _first_difference(expected[key], actual[key], (*keys, key))
+        if found is not None:
+            return found
+    return None
+
+
+@pytest.mark.parametrize("golden", GOLDEN_FILES, ids=lambda golden: golden.name)
+def test_golden_file_reproduces(golden):
+    path = HERE / golden.name
+    assert path.is_file(), f"{golden.name} is missing"
+    committed = path.read_bytes().decode()
+    expected = json.loads(committed)
+    if golden.preconditions:
+        golden.preconditions(expected)
+    text = _text(golden.compute())
+    if text != committed:
+        keys = _first_difference(expected, json.loads(text))
+        pytest.fail(f"{golden.name} differs first at {keys}" if keys is not None else f"{golden.name}: same values, other text")
+
+
+def test_golden_files_on_disk_are_the_table():
+    assert sorted(path.name for path in HERE.glob("golden_trace*.json")) == sorted(golden.name for golden in GOLDEN_FILES)
 
 
 if __name__ == "__main__":
-    payload = {"iterations": ITERATIONS, "options": OPTIONS, "seeds": list(SEEDS), "runs": compute_traces()}
-    GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(payload['runs'])} runs to {GOLDEN}")
-    large = compute_large_traces()
-    GOLDEN_LARGE.write_text(json.dumps(large, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(large)} runs to {GOLDEN_LARGE}")
-    paths = compute_path_traces()
-    GOLDEN_PATHS.write_text(json.dumps(paths, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(paths)} runs to {GOLDEN_PATHS}")
-    relinks = compute_relink_traces()
-    GOLDEN_RELINK.write_text(json.dumps(relinks, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(relinks)} relink calls to {GOLDEN_RELINK}")
-    constructs = compute_construct_traces()
-    GOLDEN_CONSTRUCT.write_text(json.dumps(constructs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(constructs)} construction runs to {GOLDEN_CONSTRUCT}")
-    maxcut_constructs = compute_construct_maxcut_traces()
-    GOLDEN_CONSTRUCT_MAXCUT.write_text(json.dumps(maxcut_constructs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(maxcut_constructs)} max-cut construction runs to {GOLDEN_CONSTRUCT_MAXCUT}")
-    descents = compute_lop_descent_traces()
-    GOLDEN_LOP_DESCENT.write_text(json.dumps(descents, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(descents)} LOP descents to {GOLDEN_LOP_DESCENT}")
-    restarts = compute_restart_traces()
-    GOLDEN_RESTARTS.write_text(json.dumps(restarts, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(restarts)} restart runs to {GOLDEN_RESTARTS}")
+    for golden in GOLDEN_FILES:
+        (HERE / golden.name).write_bytes(_text(golden.compute()).encode())
+        print(f"wrote {HERE / golden.name}")

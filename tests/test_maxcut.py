@@ -242,9 +242,10 @@ def _bucketing(diff, gains):
 def test_walk_step_kernel_matches_reference(weights, k):
     """Every step of single-head and alternating walks: ranked(i, k) equals
     the stable top k of the full scan and pr_candidates over the head's
-    table and index, the walk's diff stays the ascending difference of its
-    heads, and each index built stays the bucketing of diff by its head's
-    fresh gains. Unit weights are the G-set's kind."""
+    table and index, the walk's distance stays the number of positions
+    where its heads differ, and each index built stays the bucketing of
+    those positions by its head's fresh gains. Unit weights are the G-set's
+    kind."""
     r = oracles.make_rng(60 + k)
     tied = both = 0
     for trial in range(12):
@@ -262,16 +263,17 @@ def test_walk_step_kernel_matches_reference(weights, k):
         alternate = trial % 2 == 1
         mover = 0
         while True:
-            assert walk.diff == _diff(a, b)
+            diff = _diff(a, b)
+            assert walk.distance == len(diff)
             for head, index in zip(walk.heads, walk.indexes):
-                assert index is None or index == _bucketing(walk.diff, _fresh_gains(inst, head))
+                assert index is None or index == _bucketing(diff, _fresh_gains(inst, head))
             cur, other = walk.heads[mover], walk.heads[1 - mover]
             expected = oracles.top_relink_flips(edges, cur.bits, other.bits, k)
             steps = walk.ranked(mover, k)
             assert [(m.element, m.delta) for m in steps] == expected
-            assert inst.pr_candidates(walk.tables[mover], walk.indexes[mover], k, len(walk.diff)) == steps
+            assert inst.pr_candidates(walk.tables[mover], walk.indexes[mover], k, walk.distance) == steps
             if not steps:
-                assert len(walk.diff) == 1
+                assert walk.distance == 1
                 break
             gains = [g for _, g in oracles.top_relink_flips(edges, cur.bits, other.bits, n)]
             tied += gains.count(gains[0]) > 1 or (k < len(gains) and gains[k - 1] == gains[k])
